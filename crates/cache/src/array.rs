@@ -10,8 +10,6 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use coup_protocol::line::LineAddr;
 
 use crate::geometry::CacheGeometry;
@@ -33,13 +31,13 @@ pub enum InsertOutcome<T> {
     Replaced(T),
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Way<T> {
     addr: LineAddr,
     payload: T,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Set<T> {
     ways: Vec<Option<Way<T>>>,
     repl: SetReplacementState,
@@ -59,7 +57,7 @@ struct Set<T> {
 /// assert_eq!(cache.get(LineAddr(7)), Some(&42));
 /// assert_eq!(cache.get(LineAddr(8)), None);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CacheArray<T> {
     geometry: CacheGeometry,
     policy: ReplacementPolicy,

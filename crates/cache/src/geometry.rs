@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use coup_protocol::line::{LineAddr, LINE_BYTES};
 
 /// Static geometry of one cache (or of one bank of a banked cache).
@@ -18,7 +16,7 @@ use coup_protocol::line::{LineAddr, LINE_BYTES};
 /// assert_eq!(l1.num_sets(), 64);
 /// assert_eq!(l1.num_lines(), 512);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheGeometry {
     size_bytes: u64,
     ways: u32,
@@ -106,7 +104,7 @@ impl fmt::Display for CacheGeometry {
 /// The paper's shared L3 and L4 caches are banked (8 banks each); lines are
 /// interleaved across banks so concurrent accesses to different lines spread
 /// over bank ports and reduction units.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BankMap {
     banks: u32,
 }

@@ -4,10 +4,8 @@
 //! Table 1); tree-based pseudo-LRU is provided as a cheaper alternative and is
 //! exercised by the ablation benches.
 
-use serde::{Deserialize, Serialize};
-
 /// Which replacement policy a cache array uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ReplacementPolicy {
     /// True least-recently-used.
     #[default]
@@ -20,7 +18,7 @@ pub enum ReplacementPolicy {
 ///
 /// One instance tracks the recency information of a single set with a fixed
 /// number of ways.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SetReplacementState {
     /// LRU: ways ordered from most- to least-recently used.
     Lru {

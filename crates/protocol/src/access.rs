@@ -8,12 +8,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ops::CommutativeOp;
 
 /// The three primitive request types of the MUSI/MEUSI protocols (Fig. 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessType {
     /// A load: needs read permission.
     Read,
@@ -69,7 +67,7 @@ impl fmt::Display for AccessType {
 /// non-exclusively by several caches is either in read-only mode or in one
 /// specific commutative-update mode; requests of a different class force a
 /// type switch (invalidation or reduction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// Conventional shared/read-only mode (the S state of MESI).
     ReadOnly,

@@ -36,17 +36,15 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::state::ProtocolKind;
 
 /// Identifier of an abstract commutative-update operation type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OpId(pub u8);
 
 /// Operation class of a non-exclusive request or line: read-only, or one of
 /// the abstract commutative-update types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Class {
     /// Read-only (the S side of the generalized N state).
     ReadOnly,
@@ -77,7 +75,7 @@ impl fmt::Display for Class {
 pub const VALUE_MOD: u8 = 4;
 
 /// An abstract data value (or partial update) in `0..VALUE_MOD`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Value(pub u8);
 
 impl Value {
@@ -98,7 +96,7 @@ impl Value {
 }
 
 /// Access requested by a core of its L1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CoreOp {
     /// Load the current value.
     Load,
@@ -113,7 +111,7 @@ pub enum CoreOp {
 /// The MESI subset (no `N`/`NN`/update classes) matches Fig. 7a; the full set
 /// matches Fig. 7b, where the non-exclusive state N generalizes S and U and a
 /// single new transient state NN covers operation-type switches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum L1State {
     /// Invalid.
     I,
@@ -189,7 +187,7 @@ impl fmt::Display for L1State {
 }
 
 /// Messages an L1 sends to the directory (requests and responses).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ToDirMsg {
     /// Request a non-exclusive grant of the given class.
     GetN(Class),
@@ -221,7 +219,7 @@ pub enum ToDirMsg {
 }
 
 /// Messages the directory sends to an L1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ToL1Msg {
     /// Grant of a non-exclusive copy. Read-only grants carry the data value;
     /// update grants carry no data (the L1 initialises to the identity).
@@ -246,7 +244,7 @@ pub enum ToL1Msg {
 
 /// Per-L1 controller data: coherence state plus the abstract value or partial
 /// update it buffers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct L1Line {
     /// Coherence (possibly transient) state.
     pub state: L1State,

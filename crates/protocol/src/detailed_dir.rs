@@ -19,8 +19,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::detailed::{Class, ToDirMsg, ToL1Msg, Value};
 use crate::state::ProtocolKind;
 
@@ -32,9 +30,7 @@ use crate::state::ProtocolKind;
 pub const MAX_MODEL_CORES: usize = 10;
 
 /// A set of children, as a bitmask over `MAX_MODEL_CORES`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ChildMask(pub u16);
 
 impl ChildMask {
@@ -115,7 +111,7 @@ impl fmt::Display for ChildMask {
 }
 
 /// Stable sharing mode tracked by the directory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DirStable {
     /// No child holds the line.
     Uncached,
@@ -126,7 +122,7 @@ pub enum DirStable {
 }
 
 /// What the directory is currently waiting for (its transient states).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DirPending {
     /// No transaction in flight.
     Idle,
@@ -195,7 +191,7 @@ impl DirPending {
 }
 
 /// Full directory controller state for the single modelled line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DirLine {
     /// Stable sharing mode (what the sharer set means).
     pub mode: DirStable,

@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::access::OpClass;
 use crate::state::DirMode;
 
@@ -29,7 +27,7 @@ pub const MAX_CHILDREN: usize = 128;
 /// Mirrors the sharer bit-vector of an in-cache directory tag. The same vector
 /// tracks multiple readers or multiple updaters, which is why MUSI needs only
 /// one extra mode bit per tag.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct SharerSet {
     bits: u128,
 }
@@ -184,7 +182,7 @@ impl Extend<ChildId> for SharerSet {
 /// [`DirectoryEntry::check_invariants`] and exercised by the model checker:
 /// `Uncached` ⇒ empty sharer set, `Exclusive` ⇒ exactly one sharer,
 /// `ReadOnly`/`UpdateOnly` ⇒ at least one sharer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DirectoryEntry {
     mode: DirMode,
     sharers: SharerSet,

@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ops::CommutativeOp;
 
 /// Default cache-line size used throughout the reproduction (Table 1: 64 B).
@@ -21,7 +19,7 @@ pub const WORDS_PER_LINE: usize = LINE_BYTES / 8;
 /// Depending on where the line lives this is either the actual data value
 /// (shared cache, or a private cache in M/E/S) or a partial update (a private
 /// cache in U).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LineData {
     words: [u64; WORDS_PER_LINE],
 }
@@ -193,7 +191,7 @@ impl fmt::Debug for LineData {
 /// `log2(LINE_BYTES)` bits stripped.
 ///
 /// Newtype so that line addresses and byte addresses cannot be confused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LineAddr(pub u64);
 
 impl LineAddr {

@@ -14,14 +14,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Width, in bytes, of the element a [`CommutativeOp`] operates on.
 ///
 /// Updates narrower than 64 bits apply to the aligned sub-word that contains
 /// the target address; reductions always operate on whole 64-bit words by
 /// splitting them into lanes of this width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OpWidth {
     /// 2-byte elements (e.g. 16-bit integer addition).
     W16,
@@ -76,7 +74,7 @@ impl fmt::Display for OpWidth {
 /// // Two 32-bit lanes, each holding 3 + 4 = 7.
 /// assert_eq!(b, 0x0000_0007_0000_0007);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CommutativeOp {
     /// 16-bit integer addition (wrapping).
     AddU16,

@@ -7,13 +7,11 @@
 //! cycles per line. The §5.5 sensitivity study compares this against a simple
 //! unpipelined 64-bit ALU with a throughput of one line per 16 cycles.
 
-use serde::{Deserialize, Serialize};
-
 use crate::line::{LineData, WORDS_PER_LINE};
 use crate::ops::CommutativeOp;
 
 /// Static configuration of a reduction unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReductionUnitConfig {
     /// Datapath width in bits (how many bits are combined per cycle).
     pub width_bits: u32,
@@ -91,7 +89,7 @@ impl Default for ReductionUnitConfig {
 /// updates into the accumulated value) and a simple timing model that tracks
 /// how many line reductions it has performed so the simulator can charge
 /// occupancy and latency.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ReductionUnit {
     config: ReductionUnitConfig,
     lines_reduced: u64,

@@ -8,8 +8,6 @@
 //! state. Transient states and races are modelled separately by
 //! [`crate::detailed`], which the model checker verifies.
 
-use serde::{Deserialize, Serialize};
-
 use crate::access::AccessType;
 use crate::directory::{ChildId, DirectoryEntry, SharerSet};
 use crate::ops::CommutativeOp;
@@ -17,7 +15,7 @@ use crate::state::{DirMode, PrivateState, ProtocolKind};
 
 /// What the current exclusive owner of a line must do before a request can be
 /// granted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OwnerAction {
     /// Owner keeps a read-only copy and sends the current data value
     /// (M/E → S on a read request from another cache).
@@ -32,7 +30,7 @@ pub enum OwnerAction {
 }
 
 /// Where the data value granted to the requester comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataSource {
     /// The shared cache (or memory below it) already has an up-to-date copy.
     SharedLevel,
@@ -47,7 +45,7 @@ pub enum DataSource {
 
 /// The directory's plan for serving one request. Produced by
 /// [`serve_request`]; executed and timed by the simulator.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestPlan {
     /// State granted to the requesting cache.
     pub grant: PrivateState,
@@ -89,7 +87,7 @@ impl RequestPlan {
 }
 
 /// The directory's plan for handling the eviction of a private copy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvictionPlan {
     /// A clean read-only/exclusive copy was dropped; only the sharer set changes.
     DropClean,
@@ -102,7 +100,7 @@ pub enum EvictionPlan {
 
 /// The directory's plan for recalling a line it must evict itself (inclusive
 /// hierarchy): every private copy has to be purged first.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecallPlan {
     /// Read-only or clean-exclusive copies to invalidate without payload.
     pub invalidate: SharerSet,

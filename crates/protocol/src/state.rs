@@ -8,13 +8,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::access::{AccessType, OpClass};
 use crate::ops::CommutativeOp;
 
 /// Which protocol family a cache hierarchy runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProtocolKind {
     /// Baseline 3-state invalidation protocol (didactic example of §3.1).
     Msi,
@@ -71,7 +69,7 @@ impl fmt::Display for ProtocolKind {
 }
 
 /// Stable state of a line in a *private* cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrivateState {
     /// Invalid: no permissions, no data.
     Invalid,
@@ -162,7 +160,7 @@ impl fmt::Display for PrivateState {
 /// The paper notes MUSI needs only one extra bit per directory tag over MSI
 /// (exclusive / read-only / update-only), plus the operation-type field when
 /// multiple commutative operations are supported (4 bits for 8 ops + read-only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DirMode {
     /// No private cache holds the line.
     Uncached,

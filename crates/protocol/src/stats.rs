@@ -7,10 +7,8 @@
 use std::fmt;
 use std::ops::AddAssign;
 
-use serde::{Deserialize, Serialize};
-
 /// Counters of coherence-protocol events at one controller.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProtocolStats {
     /// Requests served without any third-party action.
     pub silent_grants: u64,

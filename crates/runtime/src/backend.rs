@@ -78,7 +78,7 @@ use coup_protocol::line::{LineData, WORDS_PER_LINE};
 use coup_protocol::ops::CommutativeOp;
 
 use crate::store::{LaneGeometry, LaneSlot, PaddedLine, SharedStore};
-use crate::telemetry::{Merge, TelemetryConfig, TelemetryRegistry};
+use crate::telemetry::{Merge, TelemetryRegistry};
 use crate::trace::TraceKind;
 
 /// Cumulative read-side cost counters, the observable price of a backend's
@@ -180,18 +180,6 @@ pub struct BufferStats {
 }
 
 impl BufferStats {
-    /// The counters accumulated since an `earlier` snapshot of the same
-    /// backend (counters are cumulative and monotone).
-    #[must_use]
-    pub fn since(&self, earlier: &BufferStats) -> BufferStats {
-        BufferStats {
-            privatized: self.privatized - earlier.privatized,
-            evictions: self.evictions - earlier.evictions,
-            flushes: self.flushes - earlier.flushes,
-            held_bypasses: self.held_bypasses - earlier.held_bypasses,
-        }
-    }
-
     /// Evictions per update — the conflict pressure on the bounded buffers.
     /// Zero when no updates were applied (`updates` of the enclosing run).
     #[must_use]
@@ -268,10 +256,11 @@ impl BufferConfig {
     /// environment variables select; unset variables leave the default
     /// (unbounded, CLOCK). `COUP_BUFFER_CAPACITY` takes a line count, or
     /// `0`/`unbounded` for no bound; `COUP_BUFFER_POLICY` takes `clock` or
-    /// `lru`. [`CoupBackend::new`] and [`CoupBackend::with_flush_threshold`]
-    /// consult this, so an entire test suite can be rerun under tiny
-    /// capacities (CI does, at capacity 2) to exercise the eviction path
-    /// without any code change.
+    /// `lru`. [`crate::RuntimeBuilder::build`] consults this when no
+    /// [`buffer_config`](crate::RuntimeBuilder::buffer_config) was given
+    /// (and nothing else in the library does), so an entire test suite can
+    /// be rerun under tiny capacities (CI does, at capacity 2) to exercise
+    /// the eviction path without any code change.
     ///
     /// # Panics
     ///
@@ -634,8 +623,7 @@ pub struct CoupBackend {
     line_meta: Box<[crate::store::LineMeta]>,
     /// One padded counter block per worker; slot `t` is written by `t` only.
     read_costs: Box<[ReadCostCounters]>,
-    /// Histogram registry + trace rings, shared with the owning runtime (or
-    /// private to this backend when constructed standalone).
+    /// Histogram registry + trace rings, shared with the owning runtime.
     telemetry: Arc<TelemetryRegistry>,
     geometry: LaneGeometry,
     flush_threshold: u32,
@@ -676,65 +664,22 @@ pub const PROBE_WINDOW: usize = 8;
 pub const HOLD_DEFER_FACTOR: u32 = 4;
 
 impl CoupBackend {
-    /// Creates a backend with `len` zeroed lanes of `op`'s width and one
-    /// privatized buffer per worker in `0..threads`, with the buffer
-    /// configuration taken from the environment
-    /// ([`BufferConfig::from_env`]; default unbounded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    #[must_use]
-    pub fn new(op: CommutativeOp, len: usize, threads: usize) -> Self {
-        Self::with_flush_threshold(op, len, threads, DEFAULT_FLUSH_THRESHOLD)
-    }
-
-    /// Like [`CoupBackend::new`] with an explicit per-line flush budget
-    /// (minimum 1: every update immediately reduces into the store). The
-    /// buffer configuration is taken from the environment
-    /// ([`BufferConfig::from_env`]; default unbounded).
+    /// The one constructor, explicit in every parameter and blind to the
+    /// environment: `len` zeroed lanes of `op`'s width, one privatized
+    /// buffer per worker in `0..threads`, a per-line flush budget (minimum
+    /// 1: every update immediately reduces into the store), the sparse-buffer
+    /// configuration, and the telemetry registry to record into — the
+    /// runtime facade shares one registry between the backend and its
+    /// submission queue so [`crate::CoupRuntime::metrics`] sees both.
+    /// [`crate::RuntimeBuilder`] is the way to get defaults (and the only
+    /// place [`BufferConfig::from_env`] is consulted).
     ///
     /// # Panics
     ///
     /// Panics if `threads` is zero or exceeds [`MAX_COUP_THREADS`] (the
     /// writer bitmap holds one bit per worker).
     #[must_use]
-    pub fn with_flush_threshold(
-        op: CommutativeOp,
-        len: usize,
-        threads: usize,
-        flush_threshold: u32,
-    ) -> Self {
-        Self::with_config(op, len, threads, flush_threshold, BufferConfig::from_env())
-    }
-
-    /// The fully explicit constructor: operation, lane count, worker count,
-    /// per-line flush budget, and sparse-buffer configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero or exceeds [`MAX_COUP_THREADS`].
-    #[must_use]
-    pub fn with_config(
-        op: CommutativeOp,
-        len: usize,
-        threads: usize,
-        flush_threshold: u32,
-        config: BufferConfig,
-    ) -> Self {
-        let telemetry = Arc::new(TelemetryRegistry::new(threads, TelemetryConfig::default()));
-        Self::with_telemetry(op, len, threads, flush_threshold, config, telemetry)
-    }
-
-    /// Like [`CoupBackend::with_config`] with an externally owned telemetry
-    /// registry — the runtime facade shares one registry between the backend
-    /// and its submission queue so [`crate::CoupRuntime::metrics`] sees both.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero or exceeds [`MAX_COUP_THREADS`].
-    #[must_use]
-    pub fn with_telemetry(
+    pub fn new(
         op: CommutativeOp,
         len: usize,
         threads: usize,
@@ -769,18 +714,6 @@ impl CoupBackend {
             flush_threshold: flush_threshold.max(1),
             policy: config.policy,
         }
-    }
-
-    /// The telemetry registry this backend records into.
-    #[must_use]
-    pub fn telemetry(&self) -> &Arc<TelemetryRegistry> {
-        &self.telemetry
-    }
-
-    /// Number of privatized worker buffers.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.buffers.len()
     }
 
     /// The backing store (for tests and initialisation).
@@ -1383,6 +1316,7 @@ impl UpdateBackend for CoupBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::TelemetryConfig;
 
     /// Iteration multiplier for the concurrency stress tests: 1 normally, 8
     /// when `COUP_STRESS` is set (the CI release stress lane).
@@ -1393,10 +1327,31 @@ mod tests {
         }
     }
 
+    /// [`CoupBackend::new`] recording into a private default registry.
+    fn coup_backend(
+        op: CommutativeOp,
+        len: usize,
+        threads: usize,
+        flush_threshold: u32,
+        config: BufferConfig,
+    ) -> CoupBackend {
+        let telemetry = Arc::new(TelemetryRegistry::new(threads, TelemetryConfig::default()));
+        CoupBackend::new(op, len, threads, flush_threshold, config, telemetry)
+    }
+
+    /// What `RuntimeBuilder` defaults to: the default flush budget and the
+    /// environment's buffer configuration, so `COUP_BUFFER_CAPACITY=2`
+    /// reruns every test that does not pin a capacity under eviction
+    /// pressure.
+    fn ambient_backend(op: CommutativeOp, len: usize, threads: usize) -> CoupBackend {
+        let config = BufferConfig::from_env();
+        coup_backend(op, len, threads, DEFAULT_FLUSH_THRESHOLD, config)
+    }
+
     fn backends(op: CommutativeOp, len: usize, threads: usize) -> (AtomicBackend, CoupBackend) {
         (
             AtomicBackend::new(op, len),
-            CoupBackend::new(op, len, threads),
+            ambient_backend(op, len, threads),
         )
     }
 
@@ -1420,7 +1375,7 @@ mod tests {
 
     #[test]
     fn coup_read_reduces_unflushed_partials() {
-        let b = CoupBackend::new(CommutativeOp::AddU64, 8, 4);
+        let b = ambient_backend(CommutativeOp::AddU64, 8, 4);
         b.update(0, 2, 10);
         b.update(1, 2, 20);
         b.update(3, 2, 3);
@@ -1432,7 +1387,7 @@ mod tests {
 
     #[test]
     fn coup_flush_threshold_drains_hot_lines() {
-        let b = CoupBackend::with_flush_threshold(CommutativeOp::AddU64, 8, 2, 4);
+        let b = coup_backend(CommutativeOp::AddU64, 8, 2, 4, BufferConfig::from_env());
         for _ in 0..4 {
             b.update(0, 0, 1);
         }
@@ -1447,7 +1402,7 @@ mod tests {
 
     #[test]
     fn explicit_flush_publishes_everything() {
-        let b = CoupBackend::new(CommutativeOp::AddU32, 64, 3);
+        let b = ambient_backend(CommutativeOp::AddU32, 64, 3);
         for t in 0..3 {
             for i in 0..64 {
                 b.update(t, i, (t + 1) as u64);
@@ -1505,7 +1460,7 @@ mod tests {
                 let op = CommutativeOp::AddU32;
                 let lanes = 64; // 4 store lines at AddU32
                 let atomic = AtomicBackend::new(op, lanes);
-                let coup = CoupBackend::with_config(
+                let coup = coup_backend(
                     op,
                     lanes,
                     3,
@@ -1553,7 +1508,7 @@ mod tests {
     fn eviction_lands_the_delta_then_retires_the_writer_bit() {
         let op = CommutativeOp::AddU64;
         let lanes_per_line = 8; // AddU64: 8 lanes per 64-byte line
-        let b = CoupBackend::with_config(
+        let b = coup_backend(
             op,
             4 * lanes_per_line,
             2,
@@ -1595,7 +1550,7 @@ mod tests {
     #[test]
     fn clean_victims_retag_without_migrating() {
         let lanes_per_line = 8;
-        let b = CoupBackend::with_config(
+        let b = coup_backend(
             CommutativeOp::AddU64,
             4 * lanes_per_line,
             1,
@@ -1617,7 +1572,7 @@ mod tests {
 
     #[test]
     fn unbounded_capacity_never_evicts() {
-        let b = CoupBackend::with_config(
+        let b = coup_backend(
             CommutativeOp::AddU64,
             1024,
             2,
@@ -1636,14 +1591,14 @@ mod tests {
 
     #[test]
     fn buffer_memory_is_bounded_by_capacity_not_store_size() {
-        let small = CoupBackend::with_config(
+        let small = coup_backend(
             CommutativeOp::AddU64,
             1 << 10,
             2,
             DEFAULT_FLUSH_THRESHOLD,
             BufferConfig::bounded(64),
         );
-        let huge = CoupBackend::with_config(
+        let huge = coup_backend(
             CommutativeOp::AddU64,
             1 << 20,
             2,
@@ -1695,7 +1650,7 @@ mod tests {
         // the delta in neither the buffer nor the store (the race the
         // per-slot epoch seqlock closes).
         let updates = 30_000u64 * stress_factor();
-        let coup = CoupBackend::with_flush_threshold(CommutativeOp::AddU64, 8, 3, 1);
+        let coup = coup_backend(CommutativeOp::AddU64, 8, 3, 1, BufferConfig::from_env());
         std::thread::scope(|scope| {
             let coup = &coup;
             scope.spawn(move || {
@@ -1729,7 +1684,7 @@ mod tests {
     fn concurrent_reads_never_lose_evicted_deltas() {
         let lanes_per_line = 8;
         let updates = 20_000u64 * stress_factor();
-        let coup = CoupBackend::with_config(
+        let coup = coup_backend(
             CommutativeOp::AddU64,
             2 * lanes_per_line,
             3,
@@ -1792,7 +1747,7 @@ mod tests {
     #[test]
     fn read_on_a_line_with_one_writer_loads_one_buffer_word() {
         for threads in [2usize, 8, 32, MAX_COUP_THREADS] {
-            let b = CoupBackend::new(CommutativeOp::AddU64, 8, threads);
+            let b = ambient_backend(CommutativeOp::AddU64, 8, threads);
             b.update(0, 3, 5); // thread 0 is the line's only active writer
             let before = b.read_cost();
             let reads = 100u64;
@@ -1812,7 +1767,7 @@ mod tests {
 
     #[test]
     fn read_on_a_cold_line_loads_no_buffer_words() {
-        let b = CoupBackend::new(CommutativeOp::AddU64, 8, 16);
+        let b = ambient_backend(CommutativeOp::AddU64, 8, 16);
         for _ in 0..10 {
             assert_eq!(b.read(1, 5), 0);
         }
@@ -1823,7 +1778,7 @@ mod tests {
     #[test]
     fn read_cost_tracks_active_writers_not_threads() {
         let threads = 32;
-        let b = CoupBackend::new(CommutativeOp::AddU64, 8, threads);
+        let b = ambient_backend(CommutativeOp::AddU64, 8, threads);
         for t in [0usize, 5, 9] {
             b.update(t, 2, 1);
         }
@@ -1839,7 +1794,7 @@ mod tests {
 
     #[test]
     fn flush_advances_the_slot_epoch_by_two() {
-        let b = CoupBackend::with_flush_threshold(CommutativeOp::AddU64, 8, 2, 4);
+        let b = coup_backend(CommutativeOp::AddU64, 8, 2, 4, BufferConfig::from_env());
         b.update(0, 0, 1);
         let idx = slot_of(&b, 0, 0);
         b.flush(0);
@@ -1859,7 +1814,7 @@ mod tests {
     /// instead of flushing; the first update after the hold drops flushes.
     #[test]
     fn read_hold_defers_threshold_flushes() {
-        let b = CoupBackend::with_flush_threshold(CommutativeOp::AddU64, 8, 2, 2);
+        let b = coup_backend(CommutativeOp::AddU64, 8, 2, 2, BufferConfig::from_env());
         b.line_meta[0].read_holds.fetch_add(1, Ordering::AcqRel); // ord: read-hold
         for _ in 0..6 {
             b.update(0, 0, 1);
@@ -1879,7 +1834,13 @@ mod tests {
     #[test]
     fn sustained_read_holds_cannot_defer_flushes_unboundedly() {
         let threshold = 2u32;
-        let b = CoupBackend::with_flush_threshold(CommutativeOp::AddU64, 8, 2, threshold);
+        let b = coup_backend(
+            CommutativeOp::AddU64,
+            8,
+            2,
+            threshold,
+            BufferConfig::from_env(),
+        );
         b.line_meta[0].read_holds.fetch_add(1, Ordering::AcqRel); // ord: read-hold
         let cap = u64::from(threshold * HOLD_DEFER_FACTOR);
         for i in 1..=cap {
@@ -1908,7 +1869,7 @@ mod tests {
 
     #[test]
     fn read_stale_returns_store_word_and_counts_outstanding_deltas() {
-        let b = CoupBackend::new(CommutativeOp::AddU64, 8, 4);
+        let b = ambient_backend(CommutativeOp::AddU64, 8, 4);
         assert_eq!(b.read_stale(0, 2), StaleRead::default(), "cold line");
         b.update(0, 2, 10);
         b.update(1, 2, 20);
@@ -1937,7 +1898,7 @@ mod tests {
     /// would have to defer to.
     #[test]
     fn read_stale_never_reduces_and_never_arms_holds() {
-        let b = CoupBackend::new(CommutativeOp::AddU64, 8, 8);
+        let b = ambient_backend(CommutativeOp::AddU64, 8, 8);
         for t in 0..8 {
             b.update(t, 3, 1);
         }
@@ -1977,7 +1938,7 @@ mod tests {
     fn eviction_prefers_unheld_victims() {
         let lanes_per_line = 8;
         for policy in [EvictionPolicy::Clock, EvictionPolicy::Lru] {
-            let b = CoupBackend::with_config(
+            let b = coup_backend(
                 CommutativeOp::AddU64,
                 4 * lanes_per_line,
                 2,
@@ -2010,7 +1971,7 @@ mod tests {
     #[test]
     fn fully_held_window_routes_updates_around_the_buffer() {
         let lanes_per_line = 8;
-        let b = CoupBackend::with_config(
+        let b = coup_backend(
             CommutativeOp::AddU64,
             4 * lanes_per_line,
             2,
@@ -2047,7 +2008,7 @@ mod tests {
 
     #[test]
     fn escalated_reduction_returns_the_right_value_and_releases_the_hold() {
-        let b = CoupBackend::new(CommutativeOp::AddU64, 8, 4);
+        let b = ambient_backend(CommutativeOp::AddU64, 8, 4);
         b.update(0, 1, 11);
         b.update(2, 1, 31);
         let slot = b.geometry.slot(1);
@@ -2060,7 +2021,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at most")]
     fn more_than_64_workers_is_rejected() {
-        let _ = CoupBackend::new(CommutativeOp::AddU64, 8, MAX_COUP_THREADS + 1);
+        let _ = ambient_backend(CommutativeOp::AddU64, 8, MAX_COUP_THREADS + 1);
     }
 
     #[test]

@@ -21,7 +21,6 @@ use std::time::{Duration, Instant};
 
 use coup_protocol::ops::CommutativeOp;
 
-use crate::backend::{BufferStats, ReadCost};
 use crate::runtime::CoupRuntime;
 use crate::telemetry::MetricsSnapshot;
 
@@ -184,18 +183,13 @@ pub struct ThroughputReport {
     /// Wall-clock time of the whole run, including the final queue drain, so
     /// backends cannot hide work in batches or buffers.
     pub elapsed: Duration,
-    /// Read-side cost counters accumulated during the run (all zero for
-    /// backends whose reads are a single store load).
-    pub read_cost: ReadCost,
-    /// Privatized-buffer counters accumulated during the run — how many lines
-    /// were privatized, capacity-evicted, and flushed (all zero for backends
-    /// without privatized buffers).
-    pub buffer_stats: BufferStats,
     /// The full telemetry snapshot covering the run (a
     /// [`MetricsSnapshot::since`] delta for phase reports, the lifetime
     /// snapshot for [`CoupRuntime::shutdown`](crate::CoupRuntime::shutdown)
-    /// reports). `read_cost` / `buffer_stats` above are copies of its
-    /// matching fields, kept for ergonomic access.
+    /// reports) — the one carrier of every counter, including the backend's
+    /// read-cost and privatized-buffer counters (all zero for the atomic
+    /// backend, whose reads are single store loads and which buffers
+    /// nothing).
     pub metrics: MetricsSnapshot,
 }
 
@@ -292,8 +286,6 @@ pub fn run_contended(
         updates: producers as u64 * spec.updates_per_thread as u64 - reads,
         reads,
         elapsed,
-        read_cost: metrics.read_cost,
-        buffer_stats: metrics.buffer_stats,
         metrics,
     }
 }
@@ -351,12 +343,12 @@ mod tests {
         assert_eq!(ra.updates, rc.updates, "same streams, same mix");
         assert!(ra.mops() > 0.0 && rc.mops() > 0.0);
         assert_eq!(
-            ra.read_cost,
+            ra.metrics.read_cost,
             crate::backend::ReadCost::default(),
             "atomic reads are plain loads"
         );
         assert_eq!(
-            rc.read_cost.reads, rc.reads,
+            rc.metrics.read_cost.reads, rc.reads,
             "every coup read of the run is accounted"
         );
     }
@@ -411,11 +403,14 @@ mod tests {
         // Stale reads never enter the reduction path: zero read-side cost
         // for the whole run, and every read accounted as a stale read.
         assert_eq!(
-            report.read_cost,
+            report.metrics.read_cost,
             crate::backend::ReadCost::default(),
             "stale reads must bypass reductions"
         );
         assert_eq!(report.metrics.stale_reads, report.reads);
+        // The histogram lives in the registry, which `--no-default-features`
+        // compiles out.
+        #[cfg(feature = "telemetry")]
         assert_eq!(report.metrics.staleness.count(), report.reads);
     }
 

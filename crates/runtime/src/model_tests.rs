@@ -48,7 +48,7 @@ fn small_backend(
     flush_threshold: u32,
     config: BufferConfig,
 ) -> Arc<CoupBackend> {
-    Arc::new(CoupBackend::with_telemetry(
+    Arc::new(CoupBackend::new(
         CommutativeOp::AddU64,
         len,
         threads,

@@ -81,10 +81,8 @@ use std::time::{Duration, Instant};
 use coup_protocol::ops::CommutativeOp;
 
 use crate::backend::{
-    AtomicBackend, BufferConfig, BufferStats, CoupBackend, ReadCost, StaleRead, UpdateBackend,
-    DEFAULT_FLUSH_THRESHOLD,
+    AtomicBackend, BufferConfig, CoupBackend, StaleRead, UpdateBackend, DEFAULT_FLUSH_THRESHOLD,
 };
-use crate::engine::Engine;
 use crate::harness::ThroughputReport;
 use crate::ring::{
     ParkResult, Parker, RefreshGate, ShardCache, ShardDirectory, ShardGrant, QUIESCE_PUBLISH,
@@ -111,10 +109,7 @@ pub enum BackendKind {
     Coup,
 }
 
-/// Builds a [`CoupRuntime`]: one place for every knob that used to be spread
-/// over the three overlapping `CoupBackend` constructors
-/// (`new` / `with_flush_threshold` / `with_config`) plus the engine's thread
-/// count.
+/// Builds a [`CoupRuntime`]: the one place every knob has a default.
 ///
 /// Defaults: COUP backend, 1 resident worker, [`DEFAULT_FLUSH_THRESHOLD`],
 /// buffer configuration from the environment ([`BufferConfig::from_env`]),
@@ -284,7 +279,7 @@ impl RuntimeBuilder {
             BackendKind::Atomic => Box::new(AtomicBackend::new(self.op, self.lanes)),
             BackendKind::Coup => {
                 let config = self.buffer_config.unwrap_or_else(BufferConfig::from_env);
-                Box::new(CoupBackend::with_telemetry(
+                Box::new(CoupBackend::new(
                     self.op,
                     self.lanes,
                     self.workers,
@@ -1028,15 +1023,17 @@ impl<K: AddTag> CounterHandle<K> {
 /// worker's thread identity already bound — kernels never juggle raw thread
 /// indices.
 pub struct JobCtx<'a> {
-    ctx: crate::engine::WorkerCtx<'a>,
+    worker: usize,
+    workers: usize,
+    barrier: &'a std::sync::Barrier,
     backend: &'a dyn UpdateBackend,
 }
 
 impl std::fmt::Debug for JobCtx<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JobCtx")
-            .field("worker", &self.ctx.thread)
-            .field("workers", &self.ctx.threads)
+            .field("worker", &self.worker)
+            .field("workers", &self.workers)
             .field("backend", &self.backend.name())
             .finish()
     }
@@ -1046,37 +1043,39 @@ impl JobCtx<'_> {
     /// This worker's index in `0..workers`.
     #[must_use]
     pub fn worker(&self) -> usize {
-        self.ctx.thread
+        self.worker
     }
 
     /// Total workers in the job.
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.ctx.threads
+        self.workers
     }
 
     /// Blocks until every worker of the job reaches the barrier. Every
-    /// worker must execute the same number of barrier steps.
+    /// worker must execute the same number of barrier steps: a worker that
+    /// panics while others are blocked here deadlocks the job
+    /// (`std::sync::Barrier` has no poisoning).
     pub fn barrier(&self) {
-        self.ctx.barrier();
+        self.barrier.wait();
     }
 
     /// Applies `op(current, value)` to `lane` through this worker's
     /// privatized buffer — the direct path, no queue.
     pub fn update(&self, lane: usize, value: u64) {
-        self.backend.update(self.ctx.thread, lane, value);
+        self.backend.update(self.worker, lane, value);
     }
 
     /// Update immediately followed by a read of the same lane (see
     /// [`UpdateBackend::update_read`] for the backends' atomicity contract).
     pub fn update_read(&self, lane: usize, value: u64) -> u64 {
-        self.backend.update_read(self.ctx.thread, lane, value)
+        self.backend.update_read(self.worker, lane, value)
     }
 
     /// Reads `lane`, reducing buffered partials as needed.
     #[must_use]
     pub fn read(&self, lane: usize) -> u64 {
-        self.backend.read(self.ctx.thread, lane)
+        self.backend.read(self.worker, lane)
     }
 
     /// Reads `lane` through the relaxed tier: no reduction, no read holds,
@@ -1086,7 +1085,7 @@ impl JobCtx<'_> {
     /// [`JobCtx::read`].
     #[must_use]
     pub fn read_stale(&self, lane: usize) -> StaleRead {
-        self.backend.read_stale(self.ctx.thread, lane)
+        self.backend.read_stale(self.worker, lane)
     }
 }
 
@@ -1099,8 +1098,8 @@ pub struct RuntimeResult {
     pub snapshot: Vec<u64>,
     /// Merged lifetime report: `updates` applied through the submission
     /// frontend, `reads` served through handles, `elapsed` from build to
-    /// shutdown, plus the backend's cumulative [`ReadCost`] and
-    /// [`BufferStats`] (which also cover [`CoupRuntime::run_workers`] jobs).
+    /// shutdown, plus the lifetime [`MetricsSnapshot`] (whose backend
+    /// counters also cover [`CoupRuntime::run_workers`] jobs).
     pub report: ThroughputReport,
 }
 
@@ -1308,28 +1307,6 @@ impl CoupRuntime {
         }
     }
 
-    /// Cumulative read-side cost counters of the backend.
-    #[must_use]
-    pub fn read_cost(&self) -> ReadCost {
-        self.shared.backend.read_cost()
-    }
-
-    /// Cumulative privatized-buffer counters of the backend.
-    #[must_use]
-    pub fn buffer_stats(&self) -> BufferStats {
-        self.shared.backend.buffer_stats()
-    }
-
-    /// Updates submitted and applied so far (both monotone; equal when the
-    /// rings are drained).
-    #[must_use]
-    pub fn queue_depth(&self) -> (u64, u64) {
-        (
-            self.shared.submitted.load(Ordering::Relaxed) & SUBMIT_MASK,
-            self.shared.applied.load(Ordering::Relaxed),
-        )
-    }
-
     /// Per-shard lifetime statistics (claims, updates drained, liveness)
     /// for every directory slot ever claimed — the per-shard rows of the
     /// bench JSON come from here.
@@ -1424,13 +1401,37 @@ impl CoupRuntime {
         }
         let _resume = ResumeDraining(self.shared.as_ref(), live_workers > 0);
         let backend = self.shared.backend.as_ref();
-        let engine = Engine::new(self.shared.workers);
-        let start = Instant::now();
-        let results = engine.run(|ctx| {
-            let worker = ctx.thread;
-            let result = job(JobCtx { ctx, backend });
+        let workers = self.shared.workers;
+        let barrier = std::sync::Barrier::new(workers);
+        let run = |worker: usize| {
+            let result = job(JobCtx {
+                worker,
+                workers,
+                barrier: &barrier,
+                backend,
+            });
             backend.flush(worker);
             result
+        };
+        let start = Instant::now();
+        // Scoped threads, so the job may borrow the caller's data. Worker 0
+        // runs on the calling thread: a single-worker job spawns nothing.
+        let results = std::thread::scope(|scope| {
+            let run = &run;
+            let spawned: Vec<_> = (1..workers)
+                .map(|worker| scope.spawn(move || run(worker)))
+                .collect();
+            let mut results = vec![run(0)];
+            for handle in spawned {
+                match handle.join() {
+                    Ok(result) => results.push(result),
+                    // Re-raise the worker's own payload so a kernel assertion
+                    // message survives to the test report instead of being
+                    // replaced by a generic "worker thread panicked".
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
+            }
+            results
         });
         (results, start.elapsed())
     }
@@ -1505,8 +1506,6 @@ impl CoupRuntime {
                 updates: applied,
                 reads,
                 elapsed,
-                read_cost: metrics.read_cost,
-                buffer_stats: metrics.buffer_stats,
                 metrics,
             },
         }
@@ -1573,8 +1572,8 @@ mod tests {
         assert_eq!(sub.pending(), 0, "full batches were published");
         rt.drain();
         assert_eq!(rt.read(3), 8);
-        let (submitted, applied) = rt.queue_depth();
-        assert_eq!((submitted, applied), (8, 8));
+        let metrics = rt.metrics();
+        assert_eq!((metrics.updates_submitted, metrics.updates_applied), (8, 8));
     }
 
     #[test]
@@ -1767,12 +1766,19 @@ mod tests {
         let rt = counting_runtime(4, 2, 2);
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             rt.run_workers(|ctx| {
-                if ctx.worker() == 0 {
-                    panic!("job assertion failed");
+                // A spawned worker, not the calling thread: its payload must
+                // cross the join.
+                if ctx.worker() == 1 {
+                    panic!("kernel assertion failed: lane 7 mismatch");
                 }
             });
         }));
-        assert!(panicked.is_err(), "the job panic must propagate");
+        let payload = panicked.expect_err("the job panic must propagate");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"kernel assertion failed: lane 7 mismatch"),
+            "the worker's own payload must survive the join"
+        );
         // Draining must have resumed: submissions still flow end to end.
         let mut sub = rt.submitter();
         for _ in 0..6 {
@@ -1865,8 +1871,10 @@ mod tests {
         assert_eq!((stale.value, stale.staleness), (8, 0));
         let metrics = rt.metrics();
         assert_eq!(metrics.stale_reads, 2);
-        assert_eq!(metrics.staleness.count(), 2);
-        assert_eq!(metrics.staleness.sum, 8);
+        // The histogram lives in the registry, which `--no-default-features`
+        // compiles out.
+        #[cfg(feature = "telemetry")]
+        assert_eq!((metrics.staleness.count(), metrics.staleness.sum), (2, 8));
     }
 
     #[test]

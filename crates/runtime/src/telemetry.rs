@@ -247,11 +247,11 @@ mod registry_impl {
 
 /// The lock-free metrics registry shared by a backend and its runtime.
 ///
-/// Created once per [`crate::CoupRuntime`] (or implicitly per standalone
-/// [`crate::CoupBackend`]) and shared via `Arc`; recording methods are
-/// crate-internal, observation goes through [`crate::CoupRuntime::metrics`]
-/// / [`crate::TelemetryHandle`] or, for a standalone backend, the
-/// histograms folded by the owner.
+/// Created once per [`crate::CoupRuntime`] (or by whoever constructs a
+/// standalone [`crate::CoupBackend`]) and shared via `Arc`; recording
+/// methods are crate-internal, observation goes through
+/// [`crate::CoupRuntime::metrics`] / [`crate::TelemetryHandle`] or, for a
+/// standalone backend, the histograms folded by the owner.
 pub struct TelemetryRegistry {
     config: TelemetryConfig,
     anchor: Instant,
@@ -282,11 +282,6 @@ impl TelemetryRegistry {
                 .enabled
                 .then(|| registry_impl::Inner::new(workers, config)),
         }
-    }
-
-    /// The configuration this registry was built with.
-    pub fn config(&self) -> TelemetryConfig {
-        self.config
     }
 
     /// True when recording actually happens: the `telemetry` cargo feature
@@ -439,7 +434,7 @@ impl TelemetryRegistry {
             } else {
                 0
             };
-            inner.rings[index].record(self.uptime_ns(), worker, kind, line);
+            inner.rings[index].record(self.uptime_ns(), index, kind, line);
         }
         #[cfg(not(feature = "telemetry"))]
         let _ = (worker, kind, line);
@@ -531,183 +526,193 @@ pub struct MetricsSnapshot {
     pub staleness: HistogramSnapshot,
 }
 
-/// `(prometheus name, help text)` for every scalar counter, in the order of
-/// [`MetricsSnapshot::counter_values`] / `counter_slots`.
-const COUNTER_META: [(&str, &str); 18] = [
+/// A meta-table row: `(prometheus name, help text, JSON key, field)`. The
+/// field column is a `&mut` accessor that serves reads too (through a copy
+/// — the snapshot is `Copy`), so a row names its field exactly once.
+type MetaRow<T> = (
+    &'static str,
+    &'static str,
+    &'static str,
+    fn(&mut MetricsSnapshot) -> &mut T,
+);
+
+/// One row per scalar counter — the only enumeration of them besides the
+/// struct itself. Both exporters, both parsers and the `since`/`merge`
+/// algebra walk this table, so a new counter is a struct field plus one row
+/// here. A JSON key `parent.key` nests the value in the object `parent`;
+/// rows sharing a parent are adjacent. Row 0 is the uptime gauge ([`Merge`]
+/// takes its max).
+const COUNTER_META: &[MetaRow<u64>] = &[
     (
         "coup_uptime_nanoseconds",
         "Nanoseconds since the telemetry registry was created.",
+        "uptime_ns",
+        |m| &mut m.uptime_ns,
     ),
     (
         "coup_updates_submitted_total",
         "Updates accepted into the submission queue.",
+        "updates_submitted",
+        |m| &mut m.updates_submitted,
     ),
     (
         "coup_updates_applied_total",
         "Updates applied to the backend by drainers and jobs.",
+        "updates_applied",
+        |m| &mut m.updates_applied,
     ),
     (
         "coup_handle_reads_total",
         "Synchronous reads served through external handles.",
+        "handle_reads",
+        |m| &mut m.handle_reads,
     ),
     (
         "coup_stale_reads_total",
         "Relaxed-tier reads served through the facade.",
+        "stale_reads",
+        |m| &mut m.stale_reads,
     ),
     (
         "coup_snapshot_refreshes_total",
         "Eventually-consistent snapshots published by the refresher.",
+        "snapshot_refreshes",
+        |m| &mut m.snapshot_refreshes,
     ),
     (
         "coup_queue_parks_total",
         "Parker sleeps: empty stripe, full ring, or paused worker.",
+        "queue_parks",
+        |m| &mut m.queue_parks,
     ),
     (
         "coup_queue_unparks_total",
         "Wakes after a counted park (pairs with coup_queue_parks_total).",
+        "queue_unparks",
+        |m| &mut m.queue_unparks,
     ),
     (
         "coup_trace_events_recorded_total",
         "Trace events recorded into the per-worker rings.",
+        "trace_recorded",
+        |m| &mut m.trace_recorded,
     ),
     (
         "coup_trace_events_dropped_total",
         "Trace events lost to ring overwrite before a drain.",
+        "trace_dropped",
+        |m| &mut m.trace_dropped,
     ),
     (
         "coup_reads_total",
         "Synchronous reads served by the backend.",
+        "read_cost.reads",
+        |m| &mut m.read_cost.reads,
     ),
     (
         "coup_read_buffer_words_total",
         "Private buffer words folded across all reads.",
+        "read_cost.buffer_words",
+        |m| &mut m.read_cost.buffer_words,
     ),
     (
         "coup_read_retries_total",
         "Read validation retries (concurrent migrations).",
+        "read_cost.retries",
+        |m| &mut m.read_cost.retries,
     ),
     (
         "coup_read_escalations_total",
         "Reads escalated to the read-hold slow path.",
+        "read_cost.escalations",
+        |m| &mut m.read_cost.escalations,
     ),
     (
         "coup_lines_privatized_total",
         "Store lines claimed into private buffer slots.",
+        "buffer_stats.privatized",
+        |m| &mut m.buffer_stats.privatized,
     ),
     (
         "coup_evictions_total",
         "Dirty victims migrated store-ward by capacity pressure.",
+        "buffer_stats.evictions",
+        |m| &mut m.buffer_stats.evictions,
     ),
     (
         "coup_flushes_total",
         "Slot migrations into the store (threshold or explicit).",
+        "buffer_stats.flushes",
+        |m| &mut m.buffer_stats.flushes,
     ),
     (
         "coup_held_bypasses_total",
         "Updates routed around read-held buffers via direct RMW.",
+        "buffer_stats.held_bypasses",
+        |m| &mut m.buffer_stats.held_bypasses,
     ),
 ];
 
 /// Number of distinct histogram series a [`MetricsSnapshot`] carries.
 pub const HIST_COUNT: usize = 7;
 
-/// `(prometheus name, help text)` for every histogram, in the order of
-/// [`MetricsSnapshot::histograms`].
-const HIST_META: [(&str, &str); HIST_COUNT] = [
-    ("coup_read_width", "Buffer words folded per read."),
-    ("coup_read_retries_per_read", "Validation retries per read."),
+/// One row per histogram: the histogram counterpart of [`COUNTER_META`].
+const HIST_META: [MetaRow<HistogramSnapshot>; HIST_COUNT] = [
+    (
+        "coup_read_width",
+        "Buffer words folded per read.",
+        "read_width",
+        |m| &mut m.read_width,
+    ),
+    (
+        "coup_read_retries_per_read",
+        "Validation retries per read.",
+        "read_retries",
+        |m| &mut m.read_retries,
+    ),
     (
         "coup_queue_dwell_microseconds",
         "Microseconds a batch spent queued before a drainer popped it.",
+        "queue_dwell_us",
+        |m| &mut m.queue_dwell_us,
     ),
-    ("coup_batch_size", "Operations per popped batch."),
+    (
+        "coup_batch_size",
+        "Operations per popped batch.",
+        "batch_size",
+        |m| &mut m.batch_size,
+    ),
     (
         "coup_buffer_occupancy",
         "Resident private lines at each privatization.",
+        "occupancy",
+        |m| &mut m.occupancy,
     ),
     (
         "coup_flush_words",
         "Non-identity words applied per slot migration.",
+        "flush_words",
+        |m| &mut m.flush_words,
     ),
     (
         "coup_staleness",
         "Staleness bound returned per relaxed-tier read.",
+        "staleness",
+        |m| &mut m.staleness,
     ),
 ];
 
+/// Splits a meta-table JSON key into `(parent object, key)`; the parent is
+/// empty for a top-level key.
+fn json_path(json: &str) -> (&str, &str) {
+    json.split_once('.').unwrap_or(("", json))
+}
+
 impl MetricsSnapshot {
     /// Scalar counter values in [`COUNTER_META`] order.
-    fn counter_values(&self) -> [u64; 18] {
-        [
-            self.uptime_ns,
-            self.updates_submitted,
-            self.updates_applied,
-            self.handle_reads,
-            self.stale_reads,
-            self.snapshot_refreshes,
-            self.queue_parks,
-            self.queue_unparks,
-            self.trace_recorded,
-            self.trace_dropped,
-            self.read_cost.reads,
-            self.read_cost.buffer_words,
-            self.read_cost.retries,
-            self.read_cost.escalations,
-            self.buffer_stats.privatized,
-            self.buffer_stats.evictions,
-            self.buffer_stats.flushes,
-            self.buffer_stats.held_bypasses,
-        ]
-    }
-
-    /// Mutable scalar counter slots in [`COUNTER_META`] order.
-    fn counter_slots(&mut self) -> [&mut u64; 18] {
-        [
-            &mut self.uptime_ns,
-            &mut self.updates_submitted,
-            &mut self.updates_applied,
-            &mut self.handle_reads,
-            &mut self.stale_reads,
-            &mut self.snapshot_refreshes,
-            &mut self.queue_parks,
-            &mut self.queue_unparks,
-            &mut self.trace_recorded,
-            &mut self.trace_dropped,
-            &mut self.read_cost.reads,
-            &mut self.read_cost.buffer_words,
-            &mut self.read_cost.retries,
-            &mut self.read_cost.escalations,
-            &mut self.buffer_stats.privatized,
-            &mut self.buffer_stats.evictions,
-            &mut self.buffer_stats.flushes,
-            &mut self.buffer_stats.held_bypasses,
-        ]
-    }
-
-    /// Histogram values in [`HIST_META`] order.
-    fn histogram_values(&self) -> [HistogramSnapshot; HIST_COUNT] {
-        [
-            self.read_width,
-            self.read_retries,
-            self.queue_dwell_us,
-            self.batch_size,
-            self.occupancy,
-            self.flush_words,
-            self.staleness,
-        ]
-    }
-
-    /// Mutable histogram slots in [`HIST_META`] order.
-    fn histogram_slots(&mut self) -> [&mut HistogramSnapshot; HIST_COUNT] {
-        [
-            &mut self.read_width,
-            &mut self.read_retries,
-            &mut self.queue_dwell_us,
-            &mut self.batch_size,
-            &mut self.occupancy,
-            &mut self.flush_words,
-            &mut self.staleness,
-        ]
+    fn counter_values(&self) -> [u64; COUNTER_META.len()] {
+        let mut copy = *self;
+        std::array::from_fn(|row| *(COUNTER_META[row].3)(&mut copy))
     }
 
     /// Every histogram the snapshot carries, paired with its metric name, in
@@ -717,14 +722,8 @@ impl MetricsSnapshot {
     /// callers that iterate the series uniformly instead of naming fields.
     #[must_use]
     pub fn histograms(&self) -> [(&'static str, HistogramSnapshot); HIST_COUNT] {
-        let mut out = [("", HistogramSnapshot::default()); HIST_COUNT];
-        for (slot, ((name, _), value)) in out
-            .iter_mut()
-            .zip(HIST_META.iter().zip(self.histogram_values()))
-        {
-            *slot = (name, value);
-        }
-        out
+        let mut copy = *self;
+        HIST_META.map(|(name, .., slot)| (name, *slot(&mut copy)))
     }
 
     /// The delta snapshot since `base`: every counter and histogram bucket
@@ -732,14 +731,12 @@ impl MetricsSnapshot {
     /// without resetting anything.
     pub fn since(&self, base: &Self) -> Self {
         let mut delta = *self;
-        for (slot, earlier) in delta.counter_slots().into_iter().zip(base.counter_values()) {
+        for ((.., slot), earlier) in COUNTER_META.iter().zip(base.counter_values()) {
+            let slot = slot(&mut delta);
             *slot = slot.saturating_sub(earlier);
         }
-        for (slot, earlier) in delta
-            .histogram_slots()
-            .into_iter()
-            .zip(base.histogram_values())
-        {
+        for ((.., slot), (_, earlier)) in HIST_META.iter().zip(base.histograms()) {
+            let slot = slot(&mut delta);
             *slot = slot.since(&earlier);
         }
         delta
@@ -750,7 +747,7 @@ impl MetricsSnapshot {
     /// `_bucket{le=...}` / `_sum` / `_count` series for every histogram.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::with_capacity(4096);
-        for ((name, help), value) in COUNTER_META.iter().zip(self.counter_values()) {
+        for ((name, help, ..), value) in COUNTER_META.iter().zip(self.counter_values()) {
             let kind = if name.ends_with("_total") {
                 "counter"
             } else {
@@ -760,7 +757,7 @@ impl MetricsSnapshot {
                 "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"
             ));
         }
-        for ((name, help), hist) in HIST_META.iter().zip(self.histogram_values()) {
+        for ((name, help, ..), (_, hist)) in HIST_META.iter().zip(self.histograms()) {
             out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
             let mut cumulative = 0u64;
             for (index, bucket) in hist.buckets.iter().enumerate() {
@@ -785,7 +782,7 @@ impl MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
         let mut cumulative = [[None::<u64>; HIST_BUCKETS]; HIST_COUNT];
         let mut counts = [None::<u64>; HIST_COUNT];
-        let hist_index = |base: &str| HIST_META.iter().position(|(name, _)| *name == base);
+        let hist_index = |base: &str| HIST_META.iter().position(|(name, ..)| *name == base);
         for raw in text.lines() {
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -820,16 +817,16 @@ impl MetricsSnapshot {
                 cumulative[hist][bucket] = Some(value);
             } else if let Some(base) = name_part.strip_suffix("_sum") {
                 let hist = hist_index(base).ok_or_else(|| format!("unknown histogram {base}"))?;
-                snap.histogram_slots()[hist].sum = value;
+                (HIST_META[hist].3)(&mut snap).sum = value;
             } else if let Some(base) = name_part.strip_suffix("_count") {
                 let hist = hist_index(base).ok_or_else(|| format!("unknown histogram {base}"))?;
                 counts[hist] = Some(value);
             } else {
                 let index = COUNTER_META
                     .iter()
-                    .position(|(name, _)| *name == name_part)
+                    .position(|(name, ..)| *name == name_part)
                     .ok_or_else(|| format!("unknown metric {name_part}"))?;
-                *snap.counter_slots()[index] = value;
+                *(COUNTER_META[index].3)(&mut snap) = value;
             }
         }
         for (hist, buckets) in cumulative.iter().enumerate() {
@@ -840,7 +837,7 @@ impl MetricsSnapshot {
                 if running < previous {
                     return Err(format!("{name} buckets are not cumulative"));
                 }
-                snap.histogram_slots()[hist].buckets[index] = running - previous;
+                (HIST_META[hist].3)(&mut snap).buckets[index] = running - previous;
                 previous = running;
             }
             if let Some(count) = counts[hist] {
@@ -860,66 +857,40 @@ impl MetricsSnapshot {
     /// carries no serializer). Keys mirror the struct fields; histograms
     /// nest under `"histograms"` as `{"sum": n, "buckets": [...]}`.
     pub fn to_json(&self) -> String {
-        let hist = |h: &HistogramSnapshot| {
-            let buckets: Vec<String> = h.buckets.iter().map(|b| b.to_string()).collect();
-            format!(
-                "{{\"sum\": {}, \"buckets\": [{}]}}",
-                h.sum,
-                buckets.join(", ")
-            )
-        };
-        format!(
-            concat!(
-                "{{\n",
-                "  \"uptime_ns\": {},\n",
-                "  \"updates_submitted\": {},\n",
-                "  \"updates_applied\": {},\n",
-                "  \"handle_reads\": {},\n",
-                "  \"stale_reads\": {},\n",
-                "  \"snapshot_refreshes\": {},\n",
-                "  \"queue_parks\": {},\n",
-                "  \"queue_unparks\": {},\n",
-                "  \"trace_recorded\": {},\n",
-                "  \"trace_dropped\": {},\n",
-                "  \"read_cost\": {{\"reads\": {}, \"buffer_words\": {}, \"retries\": {}, \"escalations\": {}}},\n",
-                "  \"buffer_stats\": {{\"privatized\": {}, \"evictions\": {}, \"flushes\": {}, \"held_bypasses\": {}}},\n",
-                "  \"histograms\": {{\n",
-                "    \"read_width\": {},\n",
-                "    \"read_retries\": {},\n",
-                "    \"queue_dwell_us\": {},\n",
-                "    \"batch_size\": {},\n",
-                "    \"occupancy\": {},\n",
-                "    \"flush_words\": {},\n",
-                "    \"staleness\": {}\n",
-                "  }}\n",
-                "}}"
-            ),
-            self.uptime_ns,
-            self.updates_submitted,
-            self.updates_applied,
-            self.handle_reads,
-            self.stale_reads,
-            self.snapshot_refreshes,
-            self.queue_parks,
-            self.queue_unparks,
-            self.trace_recorded,
-            self.trace_dropped,
-            self.read_cost.reads,
-            self.read_cost.buffer_words,
-            self.read_cost.retries,
-            self.read_cost.escalations,
-            self.buffer_stats.privatized,
-            self.buffer_stats.evictions,
-            self.buffer_stats.flushes,
-            self.buffer_stats.held_bypasses,
-            hist(&self.read_width),
-            hist(&self.read_retries),
-            hist(&self.queue_dwell_us),
-            hist(&self.batch_size),
-            hist(&self.occupancy),
-            hist(&self.flush_words),
-            hist(&self.staleness),
-        )
+        let mut out = String::from("{\n");
+        let mut values = self.counter_values().into_iter();
+        for rows in COUNTER_META.chunk_by(|a, b| json_path(a.2).0 == json_path(b.2).0) {
+            let fields: Vec<String> = rows
+                .iter()
+                .zip(&mut values)
+                .map(|(row, value)| format!("\"{}\": {value}", json_path(row.2).1))
+                .collect();
+            let parent = json_path(rows[0].2).0;
+            if parent.is_empty() {
+                for field in &fields {
+                    out.push_str(&format!("  {field},\n"));
+                }
+            } else {
+                out.push_str(&format!("  \"{parent}\": {{{}}},\n", fields.join(", ")));
+            }
+        }
+        let hists: Vec<String> = HIST_META
+            .iter()
+            .zip(self.histograms())
+            .map(|((.., key, _), (_, hist))| {
+                let buckets: Vec<String> = hist.buckets.iter().map(u64::to_string).collect();
+                format!(
+                    "    \"{key}\": {{\"sum\": {}, \"buckets\": [{}]}}",
+                    hist.sum,
+                    buckets.join(", ")
+                )
+            })
+            .collect();
+        out.push_str(&format!(
+            "  \"histograms\": {{\n{}\n  }}\n}}",
+            hists.join(",\n")
+        ));
+        out
     }
 
     /// Parses the output of [`MetricsSnapshot::to_json`] back into a
@@ -933,46 +904,19 @@ impl MetricsSnapshot {
     /// path as a standalone snapshot file.
     pub(crate) fn from_value(value: &json::Value) -> Result<Self, String> {
         let root = value.as_object("snapshot")?;
-        let read_cost = json::get(root, "read_cost")?.as_object("read_cost")?;
-        let stats = json::get(root, "buffer_stats")?.as_object("buffer_stats")?;
-        let mut snap = MetricsSnapshot {
-            uptime_ns: json::get_u64(root, "uptime_ns")?,
-            updates_submitted: json::get_u64(root, "updates_submitted")?,
-            updates_applied: json::get_u64(root, "updates_applied")?,
-            handle_reads: json::get_u64(root, "handle_reads")?,
-            stale_reads: json::get_u64(root, "stale_reads")?,
-            snapshot_refreshes: json::get_u64(root, "snapshot_refreshes")?,
-            queue_parks: json::get_u64(root, "queue_parks")?,
-            queue_unparks: json::get_u64(root, "queue_unparks")?,
-            trace_recorded: json::get_u64(root, "trace_recorded")?,
-            trace_dropped: json::get_u64(root, "trace_dropped")?,
-            read_cost: ReadCost {
-                reads: json::get_u64(read_cost, "reads")?,
-                buffer_words: json::get_u64(read_cost, "buffer_words")?,
-                retries: json::get_u64(read_cost, "retries")?,
-                escalations: json::get_u64(read_cost, "escalations")?,
-            },
-            buffer_stats: BufferStats {
-                privatized: json::get_u64(stats, "privatized")?,
-                evictions: json::get_u64(stats, "evictions")?,
-                flushes: json::get_u64(stats, "flushes")?,
-                held_bypasses: json::get_u64(stats, "held_bypasses")?,
-            },
-            ..MetricsSnapshot::default()
-        };
+        let mut snap = MetricsSnapshot::default();
+        for (.., json, slot) in COUNTER_META {
+            let (parent, key) = json_path(json);
+            let fields = match parent {
+                "" => root,
+                parent => json::get(root, parent)?.as_object(parent)?,
+            };
+            *slot(&mut snap) = json::get_u64(fields, key)?;
+        }
         let hists = json::get(root, "histograms")?.as_object("histograms")?;
-        let keys = [
-            "read_width",
-            "read_retries",
-            "queue_dwell_us",
-            "batch_size",
-            "occupancy",
-            "flush_words",
-            "staleness",
-        ];
-        let mut slots = snap.histogram_slots();
-        for (slot, key) in slots.iter_mut().zip(keys) {
+        for (.., key, slot) in HIST_META {
             let hist = json::get(hists, key)?.as_object(key)?;
+            let slot = slot(&mut snap);
             slot.sum = json::get_u64(hist, "sum")?;
             let buckets = json::get(hist, "buckets")?.as_array(key)?;
             if buckets.len() != HIST_BUCKETS {
@@ -994,19 +938,17 @@ impl Merge for MetricsSnapshot {
         // Counter 0 is uptime: max, not sum — merging per-worker or
         // per-phase views of one clock must not double it.
         self.uptime_ns = self.uptime_ns.max(other.uptime_ns);
-        let others = other.counter_values();
-        for (index, slot) in self.counter_slots().into_iter().enumerate().skip(1) {
-            *slot += others[index];
+        for ((.., slot), extra) in COUNTER_META.iter().zip(other.counter_values()).skip(1) {
+            *slot(self) += extra;
         }
-        let other_hists = other.histogram_values();
-        for (slot, extra) in self.histogram_slots().into_iter().zip(other_hists) {
-            slot.merge(&extra);
+        for ((.., slot), (_, extra)) in HIST_META.iter().zip(other.histograms()) {
+            slot(self).merge(&extra);
         }
     }
 }
 
 /// The dependency-free JSON subset parser backing
-/// [`MetricsSnapshot::from_json`] (the workspace's serde is an inert shim).
+/// [`MetricsSnapshot::from_json`] (the workspace carries no serializer).
 pub(crate) mod json {
     /// A parsed JSON value; integers that fit `u64` stay exact.
     #[derive(Debug, Clone, PartialEq)]
@@ -1369,7 +1311,7 @@ mod tests {
     #[test]
     fn prometheus_schema_has_every_family_typed() {
         let text = sample_snapshot().to_prometheus();
-        for (name, _) in COUNTER_META.iter() {
+        for (name, ..) in COUNTER_META.iter() {
             assert!(
                 text.contains(&format!("# HELP {name} ")),
                 "missing HELP {name}"
@@ -1379,7 +1321,7 @@ mod tests {
                 "missing TYPE {name}"
             );
         }
-        for (name, _) in HIST_META.iter() {
+        for (name, ..) in HIST_META.iter() {
             assert!(
                 text.contains(&format!("# TYPE {name} histogram")),
                 "missing histogram TYPE for {name}"
@@ -1448,6 +1390,8 @@ mod tests {
         registry.record_flush_words(2, 9);
         registry.record_park(1);
         registry.record_unpark(1);
+        // The refresher's recorder id: clamps onto ring 0, and says so.
+        registry.trace(usize::MAX, TraceKind::SnapshotRefresh, 4);
         let mut snap = MetricsSnapshot::default();
         registry.fill(&mut snap);
         assert_eq!(snap.read_width.count(), 3);
@@ -1462,13 +1406,15 @@ mod tests {
         assert_eq!(snap.queue_unparks, 1);
         assert!(snap.uptime_ns > 0);
         // The park and unpark each traced an event; reads don't trace.
-        assert_eq!(snap.trace_recorded, 2);
+        assert_eq!(snap.trace_recorded, 3);
         let events = registry.drain_trace();
-        assert_eq!(events.len(), 2);
+        assert_eq!(events.len(), 3);
         assert_eq!(events[0].kind, crate::trace::TraceKind::QueuePark);
         assert_eq!(events[0].worker, 1);
         assert_eq!(events[1].kind, crate::trace::TraceKind::QueueUnpark);
         assert_eq!(events[1].worker, 1);
+        assert_eq!(events[2].kind, TraceKind::SnapshotRefresh);
+        assert_eq!(events[2].worker, 0, "the clamped ring index, not 255");
     }
 
     #[cfg(feature = "telemetry")]

@@ -11,8 +11,26 @@
 //! real-thread analogue of the model checker's inverted mutation lane.
 #![cfg(all(coup_san, feature = "san"))]
 
+use std::sync::Arc;
+
 use coup_protocol::ops::CommutativeOp;
-use coup_runtime::{AtomicBackend, BufferConfig, CoupBackend, RuntimeBuilder, UpdateBackend};
+use coup_runtime::{
+    AtomicBackend, BufferConfig, CoupBackend, RuntimeBuilder, TelemetryConfig, TelemetryRegistry,
+    UpdateBackend,
+};
+
+/// [`CoupBackend::new`] over `AddU64` lanes, recording into a private
+/// default registry.
+fn coup_backend(
+    lanes: usize,
+    threads: usize,
+    flush_threshold: u32,
+    config: BufferConfig,
+) -> CoupBackend {
+    let op = CommutativeOp::AddU64;
+    let telemetry = Arc::new(TelemetryRegistry::new(threads, TelemetryConfig::default()));
+    CoupBackend::new(op, lanes, threads, flush_threshold, config, telemetry)
+}
 
 /// store-word, buffer-tag-publish, seqlock-epoch, buffer-word,
 /// writer-bitmap, read-hold, evict-stats: the backend-side protocols.
@@ -20,8 +38,7 @@ fn exercise_backend() {
     // Cross-thread buffered updates + reads: privatization, writer bitmap,
     // buffer words, tag publishes, and (via threshold flushes) the seqlock
     // epoch protocol.
-    let backend = CoupBackend::with_config(
-        CommutativeOp::AddU64,
+    let backend = coup_backend(
         256,
         2,
         2, // flush threshold 2: the second update on a slot migrates it
@@ -53,8 +70,7 @@ fn exercise_backend() {
     // Dirty capacity evictions: a one-line buffer updated on two distinct
     // store lines must evict, and the stats fold acquires the eviction
     // counter (`evict-stats`).
-    let bounded = CoupBackend::with_config(
-        CommutativeOp::AddU64,
+    let bounded = coup_backend(
         1024,
         1,
         64, // high threshold: evictions, not threshold flushes, do the work
@@ -248,8 +264,7 @@ fn san_detects_weakened_ring_publish() {
 #[cfg(coup_san_mutation = "epoch_publish")]
 #[test]
 fn san_detects_weakened_epoch_publish() {
-    let backend =
-        CoupBackend::with_config(CommutativeOp::AddU64, 64, 2, 2, BufferConfig::unbounded());
+    let backend = coup_backend(64, 2, 2, BufferConfig::unbounded());
     std::thread::scope(|scope| {
         scope
             .spawn(|| {

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use coup_cache::geometry::CacheGeometry;
 use coup_protocol::reduction::ReductionUnitConfig;
 use coup_protocol::state::ProtocolKind;
@@ -12,7 +10,7 @@ use coup_protocol::state::ProtocolKind;
 pub const CORES_PER_CHIP: usize = 16;
 
 /// Latencies (in core cycles) of each level of the hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyConfig {
     /// L1 hit latency.
     pub l1: u64,
@@ -51,7 +49,7 @@ impl Default for LatencyConfig {
 }
 
 /// Capacities and associativities of each cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CapacityConfig {
     /// Per-core L1 data cache.
     pub l1_bytes: u64,
@@ -145,7 +143,7 @@ impl Default for CapacityConfig {
 }
 
 /// Full configuration of a simulated system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Total number of cores (1–128 in the paper's experiments).
     pub cores: usize,

@@ -9,12 +9,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use coup_protocol::ops::CommutativeOp;
 
 /// One operation emitted by a thread program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThreadOp {
     /// Spend the given number of core cycles computing (no memory access).
     Compute(u64),

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::AddAssign;
 
-use serde::{Deserialize, Serialize};
-
 use coup_protocol::stats::ProtocolStats;
 
 /// Where the cycles of one memory access were spent.
@@ -14,7 +12,7 @@ use coup_protocol::stats::ProtocolStats;
 /// network, waiting for L4-issued invalidations/downgrades/reductions of
 /// remote chips, at the L4 itself, and at main memory. L1 hit time is tracked
 /// separately so the total equals the access latency.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencyBreakdown {
     /// Cycles at the L1 (hit latency).
     pub l1: f64,
@@ -78,7 +76,7 @@ impl fmt::Display for LatencyBreakdown {
 }
 
 /// Traffic counters, in bytes, split by where the traffic flows.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficStats {
     /// Bytes moved between a processor chip and an L4 chip (off-chip traffic,
     /// the quantity §5.2 reports COUP reducing by up to 20×).
@@ -106,7 +104,7 @@ impl AddAssign for TrafficStats {
 }
 
 /// Everything a simulation run reports.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
     /// Cycles until the last thread finished (the run's makespan).
     pub cycles: u64,

@@ -3,14 +3,12 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
-
 use crate::model::{
     check_conservation, check_structural, successors, GlobalState, ModelConfig, TransitionLabel,
 };
 
 /// Why an exploration stopped.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Outcome {
     /// The full reachable state space was explored and every invariant held.
     Verified,
@@ -42,7 +40,7 @@ impl Outcome {
 }
 
 /// Resource limits for one exploration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Limits {
     /// Maximum number of distinct states to explore.
     pub max_states: usize,
@@ -60,7 +58,7 @@ impl Default for Limits {
 }
 
 /// Result of one exploration (one point of Fig. 8).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Exploration {
     /// The configuration explored.
     pub config: ModelConfig,

@@ -9,14 +9,12 @@
 //! extra *external agent* that issues invalidation- and downgrade-producing
 //! requests, standing in for the traffic the L3 injects on behalf of other L2s.
 
-use serde::{Deserialize, Serialize};
-
 use coup_protocol::detailed::{Class, CoreOp, L1Line, L1State, OpId, ToDirMsg, ToL1Msg, Value};
 use coup_protocol::detailed_dir::{dir_step, DirLine, DirPending, DirStable};
 use coup_protocol::state::ProtocolKind;
 
 /// Configuration of one verification run (one point of Fig. 8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModelConfig {
     /// Number of cores (L1 caches). The paper verifies 2–10.
     pub cores: usize,
@@ -80,7 +78,7 @@ pub type DirBound = (usize, ToDirMsg);
 pub type L1Bound = (usize, ToL1Msg);
 
 /// One global state of the modelled system.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GlobalState {
     /// Per-agent L1 line state.
     pub l1: Vec<L1Line>,
@@ -129,7 +127,7 @@ impl GlobalState {
 }
 
 /// A label describing one transition, for counterexample traces.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransitionLabel {
     /// Agent issued a core operation.
     Core(usize, CoreOp),

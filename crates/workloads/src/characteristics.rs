@@ -3,11 +3,10 @@
 use std::fmt;
 
 use coup_protocol::ops::CommutativeOp;
-use serde::{Deserialize, Serialize};
 
 /// One row of Table 2: a benchmark, its input, the commutative operation it
 /// uses, and its sequential run time in the paper's setup.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchmarkCharacteristics {
     /// Benchmark name.
     pub name: &'static str,

@@ -37,7 +37,7 @@
 //! relax to a per-lane relative-error bound.
 
 use coup_protocol::ops::CommutativeOp;
-use coup_runtime::{BackendKind, BufferConfig, Merge, ReadTier, RuntimeBuilder, TelemetryConfig};
+use coup_runtime::{BufferConfig, Merge, ReadTier, RuntimeBuilder, TelemetryConfig};
 use coup_sim::config::SystemConfig;
 use coup_sim::op::{BoxedProgram, ScriptedProgram, ThreadOp};
 use coup_sim::stats::RunStats;
@@ -592,15 +592,7 @@ impl ExecutionBackend for SimBackend {
 }
 
 /// Which `coup-runtime` backend a [`RuntimeBackend`] drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuntimeKind {
-    /// Conventional atomic read-modify-writes
-    /// ([`coup_runtime::AtomicBackend`]).
-    Atomic,
-    /// Software COUP: privatized buffers, on-read reduction
-    /// ([`coup_runtime::CoupBackend`]).
-    Coup,
-}
+pub use coup_runtime::BackendKind as RuntimeKind;
 
 /// What a [`RuntimeBackend`] run reports: `coup-runtime`'s throughput report
 /// (threads, updates, reads, wall-clock `elapsed`, and a `mops()` rate) —
@@ -688,10 +680,7 @@ impl RuntimeBackend {
     #[must_use]
     pub fn builder(&self, kernel: &dyn UpdateKernel) -> RuntimeBuilder {
         let mut builder = RuntimeBuilder::new(kernel.op(), kernel.slots())
-            .backend(match self.kind {
-                RuntimeKind::Atomic => BackendKind::Atomic,
-                RuntimeKind::Coup => BackendKind::Coup,
-            })
+            .backend(self.kind)
             .workers(self.threads);
         if let Some(threshold) = self.flush_threshold {
             builder = builder.flush_threshold(threshold);
@@ -838,8 +827,6 @@ impl RuntimeBackend {
             updates: totals.updates,
             reads: totals.reads,
             elapsed,
-            read_cost: metrics.read_cost,
-            buffer_stats: metrics.buffer_stats,
             metrics,
         };
         Ok((report, snapshot))

@@ -6,8 +6,6 @@
 //! the commutative operation they use (e.g. 4-byte histogram bins, 8-byte
 //! PageRank accumulators, 64-bit bitmap words).
 
-use serde::{Deserialize, Serialize};
-
 use coup_protocol::line::LINE_BYTES;
 
 /// Well-separated base addresses for workload data regions.
@@ -32,7 +30,7 @@ pub mod regions {
 }
 
 /// A linear array of fixed-width elements in the simulated address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArrayLayout {
     base: u64,
     elem_bytes: u64,

@@ -10,10 +10,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A synthetic grayscale "image": a stream of pixel values used by `hist`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Image {
     /// Pixel values, already scaled to bin indices in `0..bins`.
     pub pixels: Vec<u32>,
@@ -67,7 +66,7 @@ impl Image {
 /// every non-zero `(row, col)` adds `value * x[col]` to `y[row]`, so rows
 /// touched by non-zeros in columns processed by different threads are updated
 /// concurrently — the behaviour that makes `spmv` an update-heavy benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CscMatrix {
     /// Number of rows.
     pub rows: usize,
@@ -147,7 +146,7 @@ impl CscMatrix {
 }
 
 /// A directed graph in compressed sparse row form, used by `pgrank` and `bfs`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     /// Number of vertices.
     pub vertices: usize,
@@ -290,7 +289,7 @@ impl Graph {
 ///
 /// Threads own contiguous row blocks; cells on block boundaries are updated by
 /// both the owner and its neighbour (the ghost-cell pattern of §4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Grid {
     /// Number of rows.
     pub rows: usize,

@@ -54,6 +54,8 @@
 //!
 //! Run with: `cargo run --release --example runtime_throughput`
 
+use std::sync::Arc;
+
 use coup_protocol::ops::CommutativeOp;
 use coup_runtime::{
     run_contended, BackendKind, BufferConfig, ContendedSpec, CoupBackend, CoupRuntime, ReadTier,
@@ -61,7 +63,7 @@ use coup_runtime::{
 };
 use coup_runtime::{
     BenchKernelRow, BenchOverhead, BenchReadTierRow, BenchReport, BenchShardRow, BenchSweepRow,
-    Merge, MetricsSnapshot, TelemetryConfig, BENCH_SCHEMA,
+    Merge, MetricsSnapshot, TelemetryConfig, TelemetryRegistry, BENCH_SCHEMA,
 };
 use coup_workloads::bfs::BfsWorkload;
 use coup_workloads::hist::{HistScheme, HistWorkload};
@@ -130,8 +132,8 @@ fn sweep_read_mix(producers: usize, updates_per_thread: usize, facade: &mut Metr
             ra.mops(),
             rc.mops(),
             rc.mops() / ra.mops(),
-            rc.read_cost.buffer_words_per_read(),
-            rc.read_cost.retries,
+            rc.metrics.read_cost.buffer_words_per_read(),
+            rc.metrics.read_cost.retries,
         );
     }
     println!();
@@ -189,8 +191,8 @@ fn sweep_capacity(producers: usize, updates_per_thread: usize) {
                 "{skew:>9} | {label:>14} | {:>14.1} | {:>7.2}x | {:>10} | {:>12.3}",
                 rc.mops(),
                 rc.mops() / ra.mops(),
-                rc.buffer_stats.evictions,
-                rc.buffer_stats.eviction_rate(rc.updates),
+                rc.metrics.buffer_stats.evictions,
+                rc.metrics.buffer_stats.eviction_rate(rc.updates),
             );
         }
     }
@@ -359,12 +361,13 @@ fn run_big_pgrank(threads: usize) {
     let capacity = 64;
     let pgrank = PageRankWorkload::new(vertices, 1, 1, 42);
     let kernel = pgrank.kernel();
-    let probe = CoupBackend::with_config(
+    let probe = CoupBackend::new(
         CommutativeOp::AddU64,
         vertices,
         threads,
         DEFAULT_FLUSH_THRESHOLD,
         BufferConfig::bounded(capacity),
+        Arc::new(TelemetryRegistry::new(threads, TelemetryConfig::default())),
     );
     println!(
         "pgrank at {vertices} vertices ({} store lines, {} MiB store): \
@@ -386,7 +389,7 @@ fn run_big_pgrank(threads: usize) {
         report.mops(),
         "-",
         report.updates,
-        report.buffer_stats.evictions,
+        report.metrics.buffer_stats.evictions,
     );
 }
 

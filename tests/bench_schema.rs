@@ -6,7 +6,8 @@
 //! honest shard-row caps, the park/unpark gap bounded by the workers
 //! asleep at the sample point, kernel-row update counts backed by a
 //! non-zero applied count in the metrics snapshot, and the telemetry
-//! overhead inside its budget).
+//! overhead inside its budget) — plus README's kernel table, which must
+//! equal the committed file's kernel rows.
 
 use coup_runtime::{
     BenchKernelRow, BenchOverhead, BenchReadTierRow, BenchReport, BenchShardRow, BenchSweepRow,
@@ -190,6 +191,15 @@ fn kernel_updates_over_a_zero_applied_count_are_rejected() {
     check_accounting(&sample_report()).expect("the sample report's accounting is sound");
 }
 
+/// The `BENCH_runtime.json` at the workspace root, parsed.
+fn committed_report() -> BenchReport {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_runtime.json");
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|err| panic!("BENCH_runtime.json must be committed: {err}"));
+    BenchReport::from_json(&text)
+        .unwrap_or_else(|err| panic!("committed bench file must parse as v3: {err}"))
+}
+
 /// The committed `BENCH_runtime.json` at the workspace root parses as v3
 /// and satisfies the structural invariants: sweep points strictly ascending
 /// in producer count and reaching >= 64 (the regime where sharding must
@@ -201,11 +211,7 @@ fn kernel_updates_over_a_zero_applied_count_are_rejected() {
 /// [`check_accounting`].
 #[test]
 fn committed_bench_file_is_valid_v3() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_runtime.json");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|err| panic!("BENCH_runtime.json must be committed: {err}"));
-    let report = BenchReport::from_json(&text)
-        .unwrap_or_else(|err| panic!("committed bench file must parse as v3: {err}"));
+    let report = committed_report();
 
     assert!(!report.kernels.is_empty(), "kernel table is empty");
     assert!(
@@ -307,4 +313,37 @@ fn committed_bench_file_is_valid_v3() {
         report.metrics.stale_reads,
         report.metrics.snapshot_refreshes
     );
+}
+
+/// README's real-hardware kernel table is the committed file's kernel
+/// section, rounded to the table's precision. It was hand-copied once and
+/// drifted (pgrank read 0.73x while the file said 0.931). A test of its
+/// own rather than one more assertion in the one above, because CI re-runs
+/// that one against a *freshly emitted* file, which README cannot match.
+#[test]
+fn readme_kernel_table_matches_the_committed_bench_file() {
+    let report = committed_report();
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../README.md");
+    let readme = std::fs::read_to_string(&path)
+        .unwrap_or_else(|err| panic!("README.md must sit beside the bench file: {err}"));
+    let rows: Vec<&str> = readme
+        .lines()
+        .skip_while(|line| !line.starts_with("| kernel | verifies via |"))
+        .skip(2)
+        .take_while(|line| line.starts_with('|'))
+        .collect();
+    assert_eq!(rows.len(), report.kernels.len(), "README kernel rows");
+    for (row, kernel) in rows.iter().zip(&report.kernels) {
+        let name = kernel.kernel.split(' ').next().expect("kernel label");
+        let figures = format!(
+            "| {:.1} | {:.1} | {:.2}× |",
+            kernel.atomic_mops,
+            kernel.coup_mops,
+            kernel.coup_mops / kernel.atomic_mops
+        );
+        assert!(
+            row.starts_with(&format!("| {name}")) && row.ends_with(&figures),
+            "README row {row:?} drifted from BENCH_runtime.json: want `| {name}… {figures}`"
+        );
+    }
 }

@@ -256,7 +256,12 @@ fn new_kernels_verify_under_every_executor() {
             .unwrap_or_else(|e| panic!("sim/rmw: {e}"));
         let (atomic, coup) =
             compare_runtime_backends(kernel, 4).unwrap_or_else(|e| panic!("runtime: {e}"));
-        assert_eq!(atomic.updates, coup.updates, "{}", kernel.name());
+        // A dynamic kernel's update count depends on the schedule (two bfs
+        // workers racing the same check-then-set both issue the update), so
+        // only static kernels' counts are comparable between two runs.
+        if kernel.program(0, 4).is_none() {
+            assert_eq!(atomic.updates, coup.updates, "{}", kernel.name());
+        }
         assert!(
             atomic.mops() > 0.0 && coup.mops() > 0.0,
             "{}",

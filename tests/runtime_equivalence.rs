@@ -19,6 +19,8 @@
 //!   by the configured capacity — the bounded-footprint guarantee of the
 //!   sparse (software U-state eviction) buffers.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use coup_protocol::line::{LineData, LINE_BYTES};
@@ -26,13 +28,28 @@ use coup_protocol::ops::CommutativeOp;
 use coup_protocol::state::ProtocolKind;
 use coup_runtime::{
     expected_counts, run_contended, tag, AtomicBackend, BackendKind, BufferConfig, ContendedSpec,
-    CoupBackend, EvictionPolicy, ReadTier, RuntimeBuilder, UpdateBackend, DEFAULT_FLUSH_THRESHOLD,
+    CoupBackend, EvictionPolicy, ReadTier, RuntimeBuilder, TelemetryConfig, TelemetryRegistry,
+    UpdateBackend, DEFAULT_FLUSH_THRESHOLD,
 };
 use coup_sim::config::SystemConfig;
 use coup_workloads::hist::{HistScheme, HistWorkload};
 use coup_workloads::kernel::{ExecutionBackend, RuntimeBackend, RuntimeKind, UpdateKernel};
 use coup_workloads::pgrank::PageRankWorkload;
 use coup_workloads::refcount::{ImmediateRefcount, RefcountScheme};
+
+/// [`CoupBackend::new`] recording into a private default registry. Call
+/// sites that do not pin a capacity pass [`BufferConfig::from_env`], so the
+/// `COUP_BUFFER_CAPACITY=2` CI lane reruns them under eviction pressure.
+fn coup_backend(
+    op: CommutativeOp,
+    lanes: usize,
+    threads: usize,
+    flush_threshold: u32,
+    config: BufferConfig,
+) -> CoupBackend {
+    let telemetry = Arc::new(TelemetryRegistry::new(threads, TelemetryConfig::default()));
+    CoupBackend::new(op, lanes, threads, flush_threshold, config, telemetry)
+}
 
 fn any_op() -> impl Strategy<Value = CommutativeOp> {
     prop::sample::select(CommutativeOp::ALL.to_vec())
@@ -125,7 +142,7 @@ proptest! {
     ) {
         let threads = 4;
         let atomic = AtomicBackend::new(op, lanes);
-        let coup = CoupBackend::with_flush_threshold(op, lanes, threads, threshold);
+        let coup = coup_backend(op, lanes, threads, threshold, BufferConfig::from_env());
         for &(thread, lane_bits, value, kind) in &ops {
             let lane = (lane_bits as usize) % lanes;
             match kind {
@@ -230,7 +247,7 @@ proptest! {
         let lines = atomic.store().num_lines();
         let capacity = [1, 2, (lines / 4).max(1)][capacity_pick];
         let policy = if lru { EvictionPolicy::Lru } else { EvictionPolicy::Clock };
-        let coup = CoupBackend::with_config(
+        let coup = coup_backend(
             op,
             lanes,
             threads,
@@ -300,12 +317,12 @@ fn quiescent_equivalence_holds_across_buffer_capacities() {
         match capacity {
             Some(c) => {
                 assert!(
-                    report.buffer_stats.evictions > 0,
+                    report.metrics.buffer_stats.evictions > 0,
                     "capacity {c} over 128 lines must evict"
                 );
             }
             None => assert_eq!(
-                report.buffer_stats.evictions, 0,
+                report.metrics.buffer_stats.evictions, 0,
                 "unbounded buffers must never evict"
             ),
         }
@@ -343,7 +360,7 @@ fn zipf_skew_matches_reference_and_cuts_eviction_pressure() {
             "theta {} diverged from the sequential reference",
             spec.theta
         );
-        eviction_rates.push(report.buffer_stats.eviction_rate(report.updates));
+        eviction_rates.push(report.metrics.buffer_stats.eviction_rate(report.updates));
     }
     assert!(
         eviction_rates[1] < eviction_rates[0] / 2.0,
@@ -445,7 +462,7 @@ fn concurrent_subword_reads_never_lose_migrating_deltas() {
         let updates = (12_000u64 * stress_factor()).min(60_000);
         // Lanes 0..4 share the first 64-bit word at AddU16 (0..2 at AddU32):
         // lanes 1 and 2 are hot, their word-neighbours 0 and 3 must stay 0.
-        let coup = CoupBackend::with_flush_threshold(op, 8, threads, 1);
+        let coup = coup_backend(op, 8, threads, 1, BufferConfig::from_env());
         std::thread::scope(|scope| {
             let coup = &coup;
             for (writer, lane) in [(0usize, 1usize), (1, 2)] {
@@ -517,14 +534,14 @@ fn pgrank_on_a_million_line_store_stays_within_buffer_capacity() {
     let capacity = 64;
     let config = BufferConfig::bounded(capacity);
 
-    let huge = CoupBackend::with_config(op, vertices, threads, DEFAULT_FLUSH_THRESHOLD, config);
+    let huge = coup_backend(op, vertices, threads, DEFAULT_FLUSH_THRESHOLD, config);
     assert!(
         huge.store().num_lines() >= 1 << 20,
         "store must span at least one million cache lines, got {}",
         huge.store().num_lines()
     );
     assert_eq!(huge.capacity_lines(), capacity);
-    let tiny = CoupBackend::with_config(op, 1 << 10, threads, DEFAULT_FLUSH_THRESHOLD, config);
+    let tiny = coup_backend(op, 1 << 10, threads, DEFAULT_FLUSH_THRESHOLD, config);
     assert_eq!(
         huge.buffer_bytes_per_thread(),
         tiny.buffer_bytes_per_thread(),
@@ -546,7 +563,7 @@ fn pgrank_on_a_million_line_store_stays_within_buffer_capacity() {
         .expect("million-line pgrank must verify against the sequential reference");
     assert_eq!(report.updates as usize, pgrank.edges());
     assert!(
-        report.buffer_stats.evictions > 0,
+        report.metrics.buffer_stats.evictions > 0,
         "a 64-line buffer scattering over a million lines must evict"
     );
 }

@@ -29,12 +29,28 @@
 //! which satisfies the same contract trivially; it is asserted here so the
 //! property covers both backends of the equivalence matrix.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use coup_protocol::ops::CommutativeOp;
 use coup_runtime::{
-    AtomicBackend, BufferConfig, CoupBackend, StaleRead, UpdateBackend, DEFAULT_FLUSH_THRESHOLD,
+    AtomicBackend, BufferConfig, CoupBackend, StaleRead, TelemetryConfig, TelemetryRegistry,
+    UpdateBackend, DEFAULT_FLUSH_THRESHOLD,
 };
+
+/// [`CoupBackend::new`] over `AddU64` lanes, recording into a private
+/// default registry.
+fn coup_backend(
+    lanes: usize,
+    threads: usize,
+    flush_threshold: u32,
+    config: BufferConfig,
+) -> CoupBackend {
+    let op = CommutativeOp::AddU64;
+    let telemetry = Arc::new(TelemetryRegistry::new(threads, TelemetryConfig::default()));
+    CoupBackend::new(op, lanes, threads, flush_threshold, config, telemetry)
+}
 
 /// Iteration multiplier for the concurrency stress tests: 1 normally, 8 when
 /// `COUP_STRESS` is set (the CI release stress lane).
@@ -68,7 +84,7 @@ proptest! {
         } else {
             BufferConfig::default()
         };
-        let coup = CoupBackend::with_config(CommutativeOp::AddU64, lanes, threads, threshold, config);
+        let coup = coup_backend(lanes, threads, threshold, config);
         let atomic = AtomicBackend::new(CommutativeOp::AddU64, lanes);
         for &(thread, line_bits, aligned, kind) in &ops {
             let line = (line_bits as usize) % lines;
@@ -115,14 +131,13 @@ proptest! {
 /// exact read; the stale value must never overtake the later one.
 #[test]
 fn concurrent_stale_reads_cover_the_exact_value_under_eviction_pressure() {
-    let op = CommutativeOp::AddU64;
     let writers = 4usize;
     let observers = 3usize;
     let threads = writers + observers;
     let lanes = 64usize; // 8 store lines: capacity 2 evicts on every switch
     let updates = 30_000u64 * stress_factor();
     for config in [BufferConfig::bounded(2), BufferConfig::default()] {
-        let coup = CoupBackend::with_config(op, lanes, threads, DEFAULT_FLUSH_THRESHOLD, config);
+        let coup = coup_backend(lanes, threads, DEFAULT_FLUSH_THRESHOLD, config);
         std::thread::scope(|scope| {
             let coup = &coup;
             for writer in 0..writers {

@@ -9,8 +9,8 @@
 //! * the Prometheus and JSON exporters round-trip a *real* runtime snapshot
 //!   exactly (the unit tests cover synthetic snapshots; this covers one with
 //!   live histogram spreads);
-//! * every [`ThroughputReport`] carries a full snapshot whose `read_cost` /
-//!   `buffer_stats` agree with the report's own copies;
+//! * every [`ThroughputReport`] carries the full snapshot covering its run
+//!   (the only place a report's `read_cost` / `buffer_stats` live);
 //! * with telemetry *disabled* — by runtime config here, by compile-time
 //!   feature in the `--no-default-features` CI lane — the kernel battery
 //!   produces identical results while every registry counter stays zero.
@@ -199,26 +199,18 @@ fn reports_carry_the_full_snapshot() {
         .workers(2)
         .build();
     let report = run_contended(&runtime, 2, &spec);
-    // The convenience copies and the snapshot are the same observation.
-    assert_eq!(report.read_cost, report.metrics.read_cost);
-    assert_eq!(report.buffer_stats, report.metrics.buffer_stats);
     // Reads in the contended harness are synchronous handle reads, not
     // submissions, so the submitted counter is exactly the update count.
     assert_eq!(report.updates, report.metrics.updates_submitted);
     let result = runtime.shutdown();
-    assert_eq!(result.report.read_cost, result.report.metrics.read_cost);
-    assert_eq!(
-        result.report.buffer_stats,
-        result.report.metrics.buffer_stats
-    );
+    assert_eq!(result.report.updates, result.report.metrics.updates_applied);
 
     // The kernel executor threads the same snapshot through its report.
     let hist = HistWorkload::new(50_000, 64, HistScheme::Shared, 11);
     let report = RuntimeBackend::new(RuntimeKind::Coup, 2)
         .execute(&hist.kernel())
         .expect("hist verifies");
-    assert_eq!(report.read_cost, report.metrics.read_cost);
-    assert_eq!(report.buffer_stats, report.metrics.buffer_stats);
+    assert!(report.metrics.buffer_stats.privatized > 0);
 }
 
 #[cfg(feature = "telemetry")]
