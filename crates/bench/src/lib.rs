@@ -1,8 +1,8 @@
 //! Shared helpers for the COUP benchmark harness.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper's
-//! evaluation (see DESIGN.md for the experiment index), and the Criterion
-//! benches in `benches/` time scaled-down versions of the same experiments.
+//! evaluation (see DESIGN.md for the experiment index); `src/bin/coupbench/`
+//! is the repository's benchmark (see `/BENCHMARK.json`).
 
 use coup::experiments::Scale;
 

@@ -26,7 +26,7 @@ use coup_workloads::spmv::SpmvWorkload;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Small inputs and few cores: seconds per experiment, used by tests and
-    /// `cargo bench`.
+    /// the `fig*` binaries' default runs.
     Small,
     /// Larger inputs and the paper's core counts: minutes per experiment,
     /// used by the `fig*` binaries when passed `--paper`.

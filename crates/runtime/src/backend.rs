@@ -12,10 +12,9 @@
 //!   of every *active writer* of the line — the threads named by the line's
 //!   writer-presence bitmap, exactly like a COUP read collecting U-state
 //!   copies from the sharers the directory knows about. When a worker touches
-//!   more distinct lines than its buffer holds, an eviction policy
-//!   ([`EvictionPolicy`]) picks a victim slot and *migrates its delta into the
-//!   [`SharedStore`]* before the slot is re-tagged
-//!   — the software analogue of a U-state cache eviction, which is what keeps
+//!   more distinct lines than its buffer holds, a CLOCK (second-chance) scan
+//!   picks a victim slot and *migrates its delta into the [`SharedStore`]*
+//!   before the slot is re-tagged — the software analogue of a U-state cache eviction, which is what keeps
 //!   COUP viable when the working set dwarfs the private cache (paper §3.1.2).
 //!
 //! # The flush-epoch / read-hold protocol
@@ -192,26 +191,12 @@ impl BufferStats {
     }
 }
 
-/// Which slot a capacity-bounded buffer sacrifices when a worker privatizes
-/// more distinct lines than it can hold.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub enum EvictionPolicy {
-    /// CLOCK (second chance): every buffered update marks its slot; the
-    /// victim scan clears marks and takes the first unmarked slot. One bit of
-    /// state per slot, no per-access ordering cost — the default.
-    #[default]
-    Clock,
-    /// Least-recently-used: every buffered update stamps its slot with a
-    /// per-worker tick; the victim is the slot with the oldest stamp in the
-    /// probe window. Exact recency at the price of a counter write per
-    /// update.
-    Lru,
-}
-
-/// Sizing and replacement configuration of a [`CoupBackend`]'s per-worker
-/// privatized buffers.
+/// Sizing of a [`CoupBackend`]'s per-worker privatized buffers. Capacity
+/// conflicts are resolved by CLOCK (second chance): every buffered update
+/// marks its slot; the victim scan clears marks and takes the first unmarked
+/// slot — one bit of state per slot, no per-access ordering cost.
 ///
-/// The default (unbounded, CLOCK) gives every store line its own slot —
+/// The default (unbounded) gives every store line its own slot —
 /// functionally the dense mirror of earlier revisions, with identical
 /// zero-eviction behaviour. Bounding `capacity_lines` is what makes
 /// huge-array workloads (pgrank at millions of vertices) feasible: per-worker
@@ -224,8 +209,6 @@ pub struct BufferConfig {
     /// of two (minimum 1) and capped at the smallest power of two covering
     /// the store's lines — the same size `None` resolves to.
     pub capacity_lines: Option<usize>,
-    /// Replacement policy for capacity conflicts.
-    pub policy: EvictionPolicy,
 }
 
 impl BufferConfig {
@@ -241,72 +224,47 @@ impl BufferConfig {
     pub fn bounded(capacity_lines: usize) -> Self {
         BufferConfig {
             capacity_lines: Some(capacity_lines),
-            ..BufferConfig::default()
         }
     }
 
-    /// Returns `self` with the given replacement policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: EvictionPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// The configuration the `COUP_BUFFER_CAPACITY` / `COUP_BUFFER_POLICY`
-    /// environment variables select; unset variables leave the default
-    /// (unbounded, CLOCK). `COUP_BUFFER_CAPACITY` takes a line count, or
-    /// `0`/`unbounded` for no bound; `COUP_BUFFER_POLICY` takes `clock` or
-    /// `lru`. [`crate::RuntimeBuilder::build`] consults this when no
-    /// [`buffer_config`](crate::RuntimeBuilder::buffer_config) was given
-    /// (and nothing else in the library does), so an entire test suite can
-    /// be rerun under tiny capacities (CI does, at capacity 2) to exercise
-    /// the eviction path without any code change.
+    /// The configuration the `COUP_BUFFER_CAPACITY` environment variable
+    /// selects — a line count, or `0`/`unbounded` for no bound; unset leaves
+    /// the default (unbounded). [`crate::RuntimeBuilder::build`] consults
+    /// this when no [`buffer_config`](crate::RuntimeBuilder::buffer_config)
+    /// was given (and nothing else in the library does), so an entire test
+    /// suite can be rerun under tiny capacities (CI does, at capacity 2) to
+    /// exercise the eviction path without any code change.
     ///
     /// # Panics
     ///
-    /// Panics on a *set but invalid* value (see [`BufferConfig::parse`]):
-    /// a typo'd capacity or policy silently falling back to the default
-    /// would run the suite in a different regime than the operator asked
-    /// for, which is far worse than failing loudly.
+    /// Panics on a *set but invalid* value (see [`BufferConfig::parse`]): a
+    /// typo'd capacity silently falling back to the default would run the
+    /// suite in a different regime than the operator asked for, which is far
+    /// worse than failing loudly.
     #[must_use]
     pub fn from_env() -> Self {
-        Self::parse(
-            std::env::var("COUP_BUFFER_CAPACITY").ok().as_deref(),
-            std::env::var("COUP_BUFFER_POLICY").ok().as_deref(),
-        )
+        Self::parse(std::env::var("COUP_BUFFER_CAPACITY").ok().as_deref())
     }
 
-    /// Parses the environment-variable forms (see [`BufferConfig::from_env`]).
+    /// Parses the environment-variable form (see [`BufferConfig::from_env`]).
     ///
     /// # Panics
     ///
     /// Panics with a clear message when a provided value is invalid —
-    /// `capacity` must be a non-negative line count or `unbounded`, and
-    /// `policy` must be `clock` or `lru`. `None` (variable unset) keeps the
-    /// default.
+    /// `capacity` must be a non-negative line count or `unbounded`. `None`
+    /// (variable unset) keeps the default.
     #[must_use]
-    pub fn parse(capacity: Option<&str>, policy: Option<&str>) -> Self {
-        let mut cfg = BufferConfig::default();
+    pub fn parse(capacity: Option<&str>) -> Self {
         match capacity {
-            Some("0" | "unbounded") => cfg.capacity_lines = None,
+            None | Some("0" | "unbounded") => BufferConfig::unbounded(),
             Some(text) => match text.parse::<usize>() {
-                Ok(lines) => cfg.capacity_lines = Some(lines),
+                Ok(lines) => BufferConfig::bounded(lines),
                 Err(_) => panic!(
                     "invalid COUP_BUFFER_CAPACITY {text:?}: expected a line count \
                      (e.g. \"64\") or \"0\"/\"unbounded\" for no bound"
                 ),
             },
-            None => {}
         }
-        match policy {
-            Some("lru") => cfg.policy = EvictionPolicy::Lru,
-            Some("clock") => cfg.policy = EvictionPolicy::Clock,
-            Some(other) => {
-                panic!("invalid COUP_BUFFER_POLICY {other:?}: expected \"clock\" or \"lru\"")
-            }
-            None => {}
-        }
-        cfg
     }
 }
 
@@ -481,7 +439,7 @@ fn tag_of(line: usize) -> u64 {
 /// buffered delta.
 ///
 /// Single-writer: only the owning worker stores to the slot words, tags,
-/// pending counts, and policy state; readers of other threads load tags,
+/// pending counts, and CLOCK state; readers of other threads load tags,
 /// epochs, and words during reductions.
 ///
 /// Indexing is set-associative like a hardware cache: a line's *home* slot is
@@ -505,13 +463,10 @@ struct ThreadBuffer {
     epochs: Box<[AtomicU64]>,
     /// Unflushed updates per slot; owner-only.
     pending: Box<[AtomicU32]>,
-    /// Replacement state per slot: CLOCK reference bit or LRU stamp.
-    /// Owner-only.
+    /// CLOCK reference bit per slot. Owner-only.
     marks: Box<[AtomicU64]>,
     /// CLOCK hand: rotation offset applied within a victim scan. Owner-only.
     hand: AtomicUsize,
-    /// LRU tick source. Owner-only.
-    tick: AtomicU64,
     /// Lines privatized (slot claims). Owner-only.
     privatized: AtomicU64,
     /// Dirty-victim migrations. Owner-only stores; the bump is Release and
@@ -550,7 +505,6 @@ impl ThreadBuffer {
             pending: (0..capacity).map(|_| AtomicU32::new(0)).collect(),
             marks: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
             hand: AtomicUsize::new(0),
-            tick: AtomicU64::new(0),
             privatized: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             flushes: AtomicU64::new(0),
@@ -580,19 +534,6 @@ impl ThreadBuffer {
             }
         }
         None
-    }
-
-    /// Records a use of `idx` for the replacement policy. Owner-only.
-    #[inline]
-    fn touch(&self, idx: usize, policy: EvictionPolicy) {
-        match policy {
-            EvictionPolicy::Clock => self.marks[idx].store(1, Ordering::Relaxed),
-            EvictionPolicy::Lru => {
-                let tick = self.tick.load(Ordering::Relaxed) + 1;
-                self.tick.store(tick, Ordering::Relaxed);
-                self.marks[idx].store(tick, Ordering::Relaxed);
-            }
-        }
     }
 }
 
@@ -627,7 +568,6 @@ pub struct CoupBackend {
     telemetry: Arc<TelemetryRegistry>,
     geometry: LaneGeometry,
     flush_threshold: u32,
-    policy: EvictionPolicy,
 }
 
 /// Default per-line update budget before a privatized line is flushed to the
@@ -712,7 +652,6 @@ impl CoupBackend {
             telemetry,
             geometry,
             flush_threshold: flush_threshold.max(1),
-            policy: config.policy,
         }
     }
 
@@ -745,7 +684,7 @@ impl CoupBackend {
 
     /// Claims a slot in `thread`'s buffer for `line` and publishes the tag.
     /// Prefers an empty slot in the probe window; otherwise evicts the
-    /// policy's victim, migrating its delta into the store first if dirty.
+    /// CLOCK victim, migrating its delta into the store first if dirty.
     /// Returns the claimed slot index, or `None` when every candidate slot
     /// holds a read-held line — evicting one would churn its epochs and
     /// starve the escalated reader the hold protects, so the caller must
@@ -821,38 +760,23 @@ impl CoupBackend {
                 .load(Ordering::Relaxed)
                 > 0
         };
-        match self.policy {
-            EvictionPolicy::Clock => {
-                let start = buf.hand.load(Ordering::Relaxed) % buf.window;
-                // Two sweeps: the first clears reference bits, the second
-                // must find an unmarked, unheld slot if one exists.
-                for step in 0..(2 * buf.window) {
-                    let i = (start + step) % buf.window;
-                    let idx = (line + i) & buf.mask;
-                    if held(idx) {
-                        continue;
-                    }
-                    if buf.marks[idx].load(Ordering::Relaxed) != 0 {
-                        buf.marks[idx].store(0, Ordering::Relaxed);
-                        continue;
-                    }
-                    buf.hand.store((i + 1) % buf.window, Ordering::Relaxed);
-                    return Some(idx);
-                }
-                None
+        let start = buf.hand.load(Ordering::Relaxed) % buf.window;
+        // Two sweeps: the first clears reference bits, the second must find
+        // an unmarked, unheld slot if one exists.
+        for step in 0..(2 * buf.window) {
+            let i = (start + step) % buf.window;
+            let idx = (line + i) & buf.mask;
+            if held(idx) {
+                continue;
             }
-            EvictionPolicy::Lru => {
-                let mut best: Option<(usize, u64)> = None;
-                for i in 0..buf.window {
-                    let idx = (line + i) & buf.mask;
-                    let stamp = buf.marks[idx].load(Ordering::Relaxed);
-                    if !held(idx) && best.is_none_or(|(_, s)| stamp < s) {
-                        best = Some((idx, stamp));
-                    }
-                }
-                best.map(|(idx, _)| idx)
+            if buf.marks[idx].load(Ordering::Relaxed) != 0 {
+                buf.marks[idx].store(0, Ordering::Relaxed);
+                continue;
             }
+            buf.hand.store((i + 1) % buf.window, Ordering::Relaxed);
+            return Some(idx);
         }
+        None
     }
 
     /// Drains slot `idx` of `thread`'s buffer into the store: swap each word
@@ -1103,7 +1027,8 @@ impl UpdateBackend for CoupBackend {
                 }
             },
         };
-        buf.touch(idx, self.policy);
+        // CLOCK reference bit: this slot was used since the last victim scan.
+        buf.marks[idx].store(1, Ordering::Relaxed);
         let pending = &buf.pending[idx];
         let count = pending.load(Ordering::Relaxed).saturating_add(1);
         if count == 1 {
@@ -1451,51 +1376,49 @@ mod tests {
         }
     }
 
-    /// The same interleaving agreement, but at capacity 1 and 2 with both
-    /// policies, so every line switch evicts through `privatize`.
+    /// The same interleaving agreement, but at capacity 1 and 2, so every
+    /// line switch evicts through `privatize`.
     #[test]
     fn backends_agree_under_tiny_capacities_and_both_policies() {
         for capacity in [1usize, 2] {
-            for policy in [EvictionPolicy::Clock, EvictionPolicy::Lru] {
-                let op = CommutativeOp::AddU32;
-                let lanes = 64; // 4 store lines at AddU32
-                let atomic = AtomicBackend::new(op, lanes);
-                let coup = coup_backend(
-                    op,
-                    lanes,
-                    3,
-                    DEFAULT_FLUSH_THRESHOLD,
-                    BufferConfig::bounded(capacity).with_policy(policy),
-                );
-                assert_eq!(coup.capacity_lines(), capacity);
-                let mut x = 0x9E37_79B9_u64;
-                for step in 0..3000 {
-                    x = x
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    let thread = (x >> 16) as usize % 3;
-                    let index = (x >> 24) as usize % lanes;
-                    if step % 5 == 0 {
-                        assert_eq!(
-                            atomic.read(thread, index),
-                            coup.read(thread, index),
-                            "read mismatch at capacity {capacity} ({policy:?}) step {step}"
-                        );
-                    } else {
-                        atomic.update(thread, index, x >> 40);
-                        coup.update(thread, index, x >> 40);
-                    }
+            let op = CommutativeOp::AddU32;
+            let lanes = 64; // 4 store lines at AddU32
+            let atomic = AtomicBackend::new(op, lanes);
+            let coup = coup_backend(
+                op,
+                lanes,
+                3,
+                DEFAULT_FLUSH_THRESHOLD,
+                BufferConfig::bounded(capacity),
+            );
+            assert_eq!(coup.capacity_lines(), capacity);
+            let mut x = 0x9E37_79B9_u64;
+            for step in 0..3000 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let thread = (x >> 16) as usize % 3;
+                let index = (x >> 24) as usize % lanes;
+                if step % 5 == 0 {
+                    assert_eq!(
+                        atomic.read(thread, index),
+                        coup.read(thread, index),
+                        "read mismatch at capacity {capacity} step {step}"
+                    );
+                } else {
+                    atomic.update(thread, index, x >> 40);
+                    coup.update(thread, index, x >> 40);
                 }
-                assert_eq!(
-                    atomic.snapshot(),
-                    coup.snapshot(),
-                    "final state mismatch at capacity {capacity} ({policy:?})"
-                );
-                assert!(
-                    coup.buffer_stats().evictions > 0,
-                    "capacity {capacity} over 4 lines must evict"
-                );
             }
+            assert_eq!(
+                atomic.snapshot(),
+                coup.snapshot(),
+                "final state mismatch at capacity {capacity}"
+            );
+            assert!(
+                coup.buffer_stats().evictions > 0,
+                "capacity {capacity} over 4 lines must evict"
+            );
         }
     }
 
@@ -1615,31 +1538,19 @@ mod tests {
 
     #[test]
     fn buffer_config_parses_environment_forms() {
-        assert_eq!(BufferConfig::parse(None, None), BufferConfig::unbounded());
+        assert_eq!(BufferConfig::parse(None), BufferConfig::unbounded());
+        assert_eq!(BufferConfig::parse(Some("2")), BufferConfig::bounded(2));
         assert_eq!(
-            BufferConfig::parse(Some("2"), None),
-            BufferConfig::bounded(2)
-        );
-        assert_eq!(
-            BufferConfig::parse(Some("unbounded"), Some("lru")),
-            BufferConfig::unbounded().with_policy(EvictionPolicy::Lru)
-        );
-        assert_eq!(
-            BufferConfig::parse(Some("0"), Some("clock")),
+            BufferConfig::parse(Some("unbounded")),
             BufferConfig::unbounded()
         );
+        assert_eq!(BufferConfig::parse(Some("0")), BufferConfig::unbounded());
     }
 
     #[test]
     #[should_panic(expected = "invalid COUP_BUFFER_CAPACITY \"not-a-number\"")]
     fn invalid_capacity_env_value_panics_instead_of_falling_back() {
-        let _ = BufferConfig::parse(Some("not-a-number"), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid COUP_BUFFER_POLICY \"fifo\"")]
-    fn invalid_policy_env_value_panics_instead_of_falling_back() {
-        let _ = BufferConfig::parse(None, Some("fifo"));
+        let _ = BufferConfig::parse(Some("not-a-number"));
     }
 
     #[test]
@@ -1937,30 +1848,24 @@ mod tests {
     #[test]
     fn eviction_prefers_unheld_victims() {
         let lanes_per_line = 8;
-        for policy in [EvictionPolicy::Clock, EvictionPolicy::Lru] {
-            let b = coup_backend(
-                CommutativeOp::AddU64,
-                4 * lanes_per_line,
-                2,
-                DEFAULT_FLUSH_THRESHOLD,
-                BufferConfig::bounded(2).with_policy(policy),
-            );
-            b.update(0, 0, 1); // line 0 resident
-            b.update(0, lanes_per_line, 2); // line 1 resident
-            b.line_meta[0].read_holds.fetch_add(1, Ordering::AcqRel); // ord: read-hold
-            b.update(0, 2 * lanes_per_line, 3); // line 2 must displace line 1
-            assert_eq!(
-                b.store().load_lane(0),
-                0,
-                "{policy:?}: held line 0 must stay buffered"
-            );
-            assert_eq!(
-                b.store().load_lane(lanes_per_line),
-                2,
-                "{policy:?}: unheld line 1 was the victim"
-            );
-            b.line_meta[0].read_holds.fetch_sub(1, Ordering::AcqRel); // ord: read-hold
-        }
+        let b = coup_backend(
+            CommutativeOp::AddU64,
+            4 * lanes_per_line,
+            2,
+            DEFAULT_FLUSH_THRESHOLD,
+            BufferConfig::bounded(2),
+        );
+        b.update(0, 0, 1); // line 0 resident
+        b.update(0, lanes_per_line, 2); // line 1 resident
+        b.line_meta[0].read_holds.fetch_add(1, Ordering::AcqRel); // ord: read-hold
+        b.update(0, 2 * lanes_per_line, 3); // line 2 must displace line 1
+        assert_eq!(b.store().load_lane(0), 0, "held line 0 must stay buffered");
+        assert_eq!(
+            b.store().load_lane(lanes_per_line),
+            2,
+            "unheld line 1 was the victim"
+        );
+        b.line_meta[0].read_holds.fetch_sub(1, Ordering::AcqRel); // ord: read-hold
     }
 
     /// When capacity pressure and read holds collide (every victim candidate

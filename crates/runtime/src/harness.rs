@@ -3,8 +3,8 @@
 //!
 //! [`run_contended`] spawns *producer* threads that feed a [`CoupRuntime`]
 //! through [`LaneHandle`](crate::LaneHandle)s — the service shape: producers
-//! batch updates into the MPSC submission queue, the runtime's resident
-//! workers drain them into the backend, and the optional read admixture runs
+//! batch updates into their own SPSC submission rings, the runtime's
+//! resident workers drain them into the backend, and the optional read admixture runs
 //! synchronously on the producer threads. Because each producer's stream
 //! depends only on `(seed, producer)`, the multiset of updates is identical
 //! across runs, so for the non-floating-point operations two runtimes driven

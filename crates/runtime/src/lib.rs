@@ -27,7 +27,7 @@
 //! | update-request message from any core | a batch published into the producer's own SPSC shard ring (`ring.rs`) and drained by the resident worker owning that slot stripe — one Release store per batch, no producer ever serialises on another |
 //! | read triggering a reduction          | [`UpdateBackend::read`]: reader folds the partials of the line's *active writers* (per-line writer bitmap) |
 //! | directory sharer list                | per-line writer-presence bitmap (`LineMeta`)           |
-//! | eviction of a U line                 | capacity eviction ([`EvictionPolicy`]): the victim slot's delta migrates into the store, then the slot is re-tagged |
+//! | eviction of a U line                 | capacity eviction (CLOCK victim): the victim slot's delta migrates into the store, then the slot is re-tagged |
 //! | voluntary U-line writeback           | per-line flush budget draining a slot into the store   |
 //! | baseline protocol (MESI + `lock op`) | [`AtomicBackend`]: atomic RMW per update               |
 //!
@@ -82,7 +82,7 @@
 pub mod backend;
 pub mod bench;
 pub mod harness;
-#[cfg(all(test, coup_model, feature = "model"))]
+#[cfg(all(test, coup_model))]
 mod model_tests;
 mod ring;
 pub mod runtime;
@@ -92,8 +92,8 @@ pub mod telemetry;
 pub mod trace;
 
 pub use backend::{
-    AtomicBackend, BufferConfig, BufferStats, CoupBackend, EvictionPolicy, ReadCost, StaleRead,
-    UpdateBackend, DEFAULT_FLUSH_THRESHOLD, MAX_COUP_THREADS, PROBE_WINDOW, READ_RETRY_LIMIT,
+    AtomicBackend, BufferConfig, BufferStats, CoupBackend, ReadCost, StaleRead, UpdateBackend,
+    DEFAULT_FLUSH_THRESHOLD, MAX_COUP_THREADS, PROBE_WINDOW, READ_RETRY_LIMIT,
 };
 pub use bench::{
     BenchKernelRow, BenchOverhead, BenchReadTierRow, BenchReport, BenchShardRow, BenchSweepRow,

@@ -1,17 +1,16 @@
 //! Exhaustive model checks of the runtime's lock-free protocols.
 //!
-//! Compiled only under `--cfg coup_model` with the `model` feature, where
-//! the `crate::sync` facade routes every atomic, mutex, condvar, and thread
-//! spawn through the `loom` shim: a deterministic scheduler that explores
-//! every interleaving a bounded number of preemptions admits, over a
-//! C11-style weak memory model (per-location modification order +
-//! happens-before clocks), so `Relaxed` loads really can observe stale
-//! values here.
+//! Compiled only under `--cfg coup_model`, where the `crate::sync` facade
+//! routes every atomic, mutex, condvar, and thread spawn through the `loom`
+//! shim: a deterministic scheduler that explores every interleaving a
+//! bounded number of preemptions admits, over a C11-style weak memory model
+//! (per-location modification order + happens-before clocks), so `Relaxed`
+//! loads really can observe stale values here.
 //!
 //! Run with:
 //!
 //! ```text
-//! RUSTFLAGS="--cfg coup_model" cargo test -p coup-runtime --features model model_tests
+//! RUSTFLAGS="--cfg coup_model" cargo test -p coup-runtime model_tests
 //! ```
 //!
 //! Each protocol test is paired with a **mutation check**: under
@@ -332,7 +331,7 @@ fn shard_retire_hands_off_the_final_publication() {
         };
         let mut cache = ShardCache::default();
         let mut total = 0u64;
-        let mut drain = |dir: &ShardDirectory, cache: &mut ShardCache, total: &mut u64| {
+        let drain = |dir: &ShardDirectory, cache: &mut ShardCache, total: &mut u64| {
             *total += dir.drain_pass(
                 0,
                 1,
@@ -392,6 +391,57 @@ fn queue_wake_publishes_the_mailbox_it_announces() {
         assert_eq!(mailbox.load(Ordering::Relaxed), 7);
         publisher.join().unwrap();
     });
+}
+
+/// Protocol 8b — the refresher's *timed* park on the same word: a demand
+/// (`notify()`, what `refresh_now` sends) or shutdown (`close()`) racing
+/// [`Parker::park_timeout`]'s arming RMW is either detected by the arm or
+/// bumps a word that already counts the sleeper, so the loop below — the
+/// refresher's own `status → work → park_timeout` cycle — always gets to see
+/// the status move, and once it has, the word the demander stored before
+/// demanding must be visible: a demanded snapshot has to cover the demand.
+/// (The model's timed wait is the schedule where the interval expires
+/// first; the real-clock interruption is `ring::tests`' job.)
+///
+/// Mutation pairing: `WAKE_PUBLISH` weakened to `Relaxed` admits the
+/// interleaving of protocol 8 on this path too: the demander's bump (or
+/// close bit) reaches the waiter's acquire status RMW without the
+/// demander's clock, so the status has moved yet the mailbox load is free
+/// to return stale 0 — caught by the mailbox assert.
+#[test]
+fn timed_park_never_sleeps_through_a_demand() {
+    use crate::ring::Parker;
+    use crate::sync::atomic::{AtomicU64, Ordering};
+    for demand in [Parker::notify, Parker::close] {
+        loom::model(move || {
+            let parker = Arc::new(Parker::new());
+            let mailbox = Arc::new(AtomicU64::new(0));
+            let idle = parker.status();
+            let demander = {
+                let parker = Arc::clone(&parker);
+                let mailbox = Arc::clone(&mailbox);
+                thread::spawn(move || {
+                    mailbox.store(7, Ordering::Relaxed);
+                    demand(&parker);
+                })
+            };
+            let mut status = idle;
+            while status == idle {
+                let moved = parker.park_timeout(status, std::time::Duration::from_secs(3600));
+                status = parker.status();
+                assert!(
+                    !moved || status != idle,
+                    "park_timeout reported a demand the status word does not hold"
+                );
+            }
+            assert_eq!(
+                mailbox.load(Ordering::Relaxed),
+                7,
+                "demand observed without the word stored before it"
+            );
+            demander.join().unwrap();
+        });
+    }
 }
 
 /// Protocol 9 — drain quiescence: a worker bumps the shared applied count

@@ -31,7 +31,6 @@
 //! | `shard-retire`  | producer's RETIRED store              | drainer's state load                      |
 //! | `queue-wake`    | publisher's epoch bump / close        | sleeper's arming RMW                      |
 //! | `drain-quiesce` | worker's applied-count bump           | `drain()`'s applied-count load            |
-//! | `refresh-wake`  | demand/close bump on the refresh gate | refresher's status / arming RMW           |
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Condvar, Mutex};
@@ -165,7 +164,7 @@ impl SpscRing {
     /// `false` when the ring is full. The runtime's `Submitter` batches
     /// publications instead; this is the model tests' and stress tests'
     /// direct handle on the protocol.
-    #[cfg_attr(not(any(test, coup_model)), allow(dead_code))]
+    #[cfg(test)]
     pub(crate) fn push(&self, lane: usize, value: u64) -> bool {
         let tail = self.tail.0.load(Ordering::Relaxed);
         if tail.wrapping_sub(self.head()) >= self.capacity() {
@@ -318,13 +317,7 @@ impl Parker {
     /// runtime hangs its park telemetry there so armed-but-not-slept calls
     /// cost nothing.
     pub(crate) fn park(&self, expected: u64, on_sleep: impl FnOnce()) -> ParkResult {
-        // Arm: register as a sleeper. The RMW reads the newest word, so a
-        // publication that beat us is always detected here; Acquire pairs
-        // with the publisher's Release bump so the re-check that follows a
-        // detected bump also sees the data published before it.
-        let prev = self.word.fetch_add(SLEEPER_ONE, Ordering::Acquire); // ord: queue-wake
-        if prev & !SLEEPER_MASK != expected {
-            self.word.fetch_sub(SLEEPER_ONE, Ordering::Relaxed);
+        if !self.arm(expected) {
             return ParkResult::Moved;
         }
         on_sleep();
@@ -347,119 +340,48 @@ impl Parker {
         self.word.fetch_sub(SLEEPER_ONE, Ordering::Relaxed);
         ParkResult::Slept
     }
-}
 
-// ---------------------------------------------------------------------------
-// Refresh gate
-// ---------------------------------------------------------------------------
-
-/// The background refresher's park point: the [`Parker`] word protocol with
-/// a *timed* sleep, so the refresher wakes on its interval with nobody
-/// notifying it, yet an on-demand refresh (`CoupRuntime::refresh_now`) or
-/// shutdown close still interrupts the sleep immediately via the same
-/// no-missed-wakeup arm/bump discipline. Tag group `refresh-wake`: the
-/// demand/close bumps are the release side, the refresher's status and
-/// arming RMWs the acquire side — same shape as `queue-wake`, kept as its
-/// own group so the lint/sanitizer coverage checks prove the refresher's
-/// edges are exercised independently of the drain queue's.
-pub(crate) struct RefreshGate {
-    /// `sleepers (16 bits) | closed (1 bit) | demand epoch (47 bits)`.
-    word: AtomicU64,
-    mutex: Mutex<()>,
-    cv: Condvar,
-}
-
-impl std::fmt::Debug for RefreshGate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let word = self.word.load(Ordering::Relaxed);
-        f.debug_struct("RefreshGate")
-            .field("sleepers", &(word & SLEEPER_MASK))
-            .field("closed", &(word & CLOSED_BIT != 0))
-            .field("demands", &(word >> 17))
-            .finish()
-    }
-}
-
-impl RefreshGate {
-    pub(crate) fn new() -> Self {
-        RefreshGate {
-            word: AtomicU64::new(0),
-            mutex: Mutex::new(()),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// The demand-epoch+closed status, read before the refresher publishes
-    /// and re-checked by the arming RMW in [`RefreshGate::park_timeout`] —
-    /// an Acquire RMW for the same reason as [`Parker::status`]: it must
-    /// carry the release chain of the demand bump it observes.
-    pub(crate) fn status(&self) -> u64 {
-        self.word.fetch_add(0, Ordering::Acquire) & !SLEEPER_MASK // ord: refresh-wake
-    }
-
-    /// True once [`RefreshGate::close`] ran.
-    pub(crate) fn is_closed(&self) -> bool {
-        self.word.load(Ordering::Relaxed) & CLOSED_BIT != 0
-    }
-
-    /// Demands an immediate refresh: bump the epoch and wake the refresher
-    /// if it is asleep. Release so the refresher's arming/status Acquire
-    /// sees everything the demander published before asking.
-    pub(crate) fn notify(&self) {
-        let prev = self.word.fetch_add(EPOCH_ONE, Ordering::Release); // ord: refresh-wake
-        if prev & SLEEPER_MASK != 0 {
-            let guard = self
-                .mutex
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            self.cv.notify_all();
-            drop(guard);
-        }
-    }
-
-    /// Marks the gate closed (shutdown): the refresher wakes, publishes a
-    /// final snapshot, and exits.
-    pub(crate) fn close(&self) {
-        self.word.fetch_or(CLOSED_BIT, Ordering::Release); // ord: refresh-wake
-        let guard = self
-            .mutex
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        self.cv.notify_all();
-        drop(guard);
-    }
-
-    /// Sleeps until `timeout` elapses or the status moves past `expected`
-    /// (a demand bump or close), whichever is first. Returns `true` when
-    /// the status moved — the caller should treat spurious wakeups and
-    /// timeouts alike (`false`) and refresh anyway; an early snapshot is
-    /// always safe. The arming RMW makes the demand/sleep race safe exactly
-    /// as in [`Parker::park`].
+    /// [`Parker::park`] with a deadline, for the snapshot refresher: sleeps
+    /// until `timeout` elapses or the status moves past `expected` (an
+    /// on-demand `CoupRuntime::refresh_now` bump, or the shutdown close),
+    /// whichever is first. Returns `true` when the status moved; timeouts
+    /// and spurious wakeups alike return `false` — the refresher publishes
+    /// either way, since an early snapshot is always safe.
     pub(crate) fn park_timeout(&self, expected: u64, timeout: std::time::Duration) -> bool {
-        let prev = self.word.fetch_add(SLEEPER_ONE, Ordering::Acquire); // ord: refresh-wake
-        if prev & !SLEEPER_MASK != expected {
-            self.word.fetch_sub(SLEEPER_ONE, Ordering::Relaxed);
+        if !self.arm(expected) {
             return true;
         }
-        let guard = self
+        let moved = || self.word.load(Ordering::Relaxed) & !SLEEPER_MASK != expected;
+        let mut guard = self
             .mutex
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // Fresh by the mutex: every demander bumps the word before taking
-        // this lock, so the re-check under it cannot miss a bump.
-        let moved = if self.word.load(Ordering::Relaxed) & !SLEEPER_MASK != expected {
-            true
-        } else {
-            let (guard, _expired) = self
+        // Fresh by the mutex, as in `park`: a bump that beat the lock is
+        // seen here, a later one notifies the condvar.
+        if !moved() {
+            (guard, _) = self
                 .cv
                 .wait_timeout(guard, timeout)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let moved = self.word.load(Ordering::Relaxed) & !SLEEPER_MASK != expected;
-            drop(guard);
-            moved
-        };
+        }
+        let moved = moved();
+        drop(guard);
         self.word.fetch_sub(SLEEPER_ONE, Ordering::Relaxed);
         moved
+    }
+
+    /// Arms: registers as a sleeper, or — when the status already moved
+    /// past `expected` — backs out and returns `false`. The RMW reads the
+    /// newest word, so a publication that beat us is always detected here;
+    /// Acquire pairs with the publisher's Release bump so the re-check that
+    /// follows a detected bump also sees the data published before it.
+    fn arm(&self, expected: u64) -> bool {
+        let prev = self.word.fetch_add(SLEEPER_ONE, Ordering::Acquire); // ord: queue-wake
+        let armed = prev & !SLEEPER_MASK == expected;
+        if !armed {
+            self.word.fetch_sub(SLEEPER_ONE, Ordering::Relaxed);
+        }
+        armed
     }
 }
 
@@ -572,11 +494,6 @@ impl ShardDirectory {
             high_water: AtomicU64::new(0),
             freed: Parker::new(),
         }
-    }
-
-    #[cfg_attr(not(any(test, coup_model)), allow(dead_code))]
-    pub(crate) fn slot_count(&self) -> usize {
-        self.slots.len()
     }
 
     pub(crate) fn slot(&self, index: usize) -> &ShardSlot {
@@ -792,7 +709,7 @@ mod tests {
 
     #[test]
     fn refresh_gate_times_out_detects_demands_and_closes() {
-        let gate = RefreshGate::new();
+        let gate = Parker::new();
         let status = gate.status();
         // No demand: the short sleep expires.
         assert!(!gate.park_timeout(status, std::time::Duration::from_millis(1)));
@@ -801,7 +718,7 @@ mod tests {
         gate.notify();
         assert!(gate.park_timeout(status, std::time::Duration::from_secs(3600)));
         // Close wakes a refresher parked on a long timeout.
-        let gate = Arc::new(RefreshGate::new());
+        let gate = Arc::new(Parker::new());
         let status = gate.status();
         let sleeper = {
             let gate = Arc::clone(&gate);
@@ -820,7 +737,6 @@ mod tests {
     #[test]
     fn directory_claims_are_distinct_and_recycle_after_retire_and_drain() {
         let dir = ShardDirectory::new(2, 8);
-        assert_eq!(dir.slot_count(), 2);
         let a = dir.claim().expect("slot 0");
         let b = dir.claim().expect("slot 1");
         assert_eq!((a.slot, b.slot), (0, 1));

@@ -84,9 +84,7 @@ use crate::backend::{
     AtomicBackend, BufferConfig, CoupBackend, StaleRead, UpdateBackend, DEFAULT_FLUSH_THRESHOLD,
 };
 use crate::harness::ThroughputReport;
-use crate::ring::{
-    ParkResult, Parker, RefreshGate, ShardCache, ShardDirectory, ShardGrant, QUIESCE_PUBLISH,
-};
+use crate::ring::{ParkResult, Parker, ShardCache, ShardDirectory, ShardGrant, QUIESCE_PUBLISH};
 use crate::telemetry::{MetricsSnapshot, TelemetryConfig, TelemetryRegistry};
 use crate::trace::TraceKind;
 
@@ -182,11 +180,10 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Telemetry configuration: runtime kill-switch, trace-ring capacity,
-    /// and trace sampling rate (default: enabled, 1024-event rings, no
-    /// sampling). Pass [`TelemetryConfig::disabled`] for the zero-recording
-    /// baseline; compiling without the `telemetry` cargo feature removes
-    /// even the disabled-check branch.
+    /// Telemetry configuration: the runtime kill-switch (default: enabled).
+    /// Pass [`TelemetryConfig::disabled`] for the zero-recording baseline;
+    /// compiling without the `telemetry` cargo feature removes even the
+    /// disabled-check branch.
     #[must_use]
     pub fn telemetry(mut self, config: TelemetryConfig) -> Self {
         self.telemetry = config;
@@ -218,9 +215,9 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Sparse-buffer sizing and replacement of the COUP backend. Without this
-    /// the runtime honours `COUP_BUFFER_CAPACITY` / `COUP_BUFFER_POLICY`
-    /// (see [`BufferConfig::from_env`]) and defaults to unbounded buffers.
+    /// Sparse-buffer sizing of the COUP backend. Without this the runtime
+    /// honours `COUP_BUFFER_CAPACITY` (see [`BufferConfig::from_env`]) and
+    /// defaults to unbounded buffers.
     #[must_use]
     pub fn buffer_config(mut self, config: BufferConfig) -> Self {
         self.buffer_config = Some(config);
@@ -307,7 +304,7 @@ impl RuntimeBuilder {
             refreshes: AtomicU64::new(0),
             snap_words: (0..self.lanes).map(|_| AtomicU64::new(0)).collect(),
             snap_epoch: AtomicU64::new(0),
-            refresh: RefreshGate::new(),
+            refresh: Parker::new(),
             telemetry,
             epoch: Instant::now(),
         });
@@ -395,7 +392,7 @@ struct Shared {
     /// Acquire it before loading [`Shared::snap_words`].
     snap_epoch: AtomicU64,
     /// The refresher's timed park point (demand / close edges).
-    refresh: RefreshGate,
+    refresh: Parker,
     /// The metrics registry + trace rings, shared with the backend.
     telemetry: Arc<TelemetryRegistry>,
     /// Base instant for the nanosecond timestamps in the shard slots'
@@ -553,7 +550,7 @@ impl Shared {
     }
 
     /// Body of the `coup-refresher` thread: publish, sleep up to `interval`
-    /// on the refresh gate (a demand or close interrupts the sleep), repeat.
+    /// on the refresh parker (a demand or close interrupts the sleep), repeat.
     /// The publish runs *before* the close check so shutdown always gets one
     /// final snapshot covering everything visible at close time.
     fn refresher_loop(&self, interval: Duration) {
@@ -1284,7 +1281,7 @@ impl CoupRuntime {
     }
 
     /// Publishes a fresh snapshot now. With a live refresher this demands a
-    /// wake through the refresh gate and waits for the epoch to advance;
+    /// wake through the refresh parker and waits for the epoch to advance;
     /// without one ([`RuntimeBuilder::refresh_interval`] unset) it publishes
     /// inline on the calling thread. Either way, on return
     /// [`CoupRuntime::stale_snapshot`] serves a snapshot no older than this
@@ -1933,7 +1930,7 @@ mod tests {
         rt.drain();
         rt.refresh_now();
         assert_eq!(rt.stale_snapshot().0[0], 7);
-        // Shutdown closes the refresh gate and joins the refresher.
+        // Shutdown closes the refresh parker and joins the refresher.
         let result = rt.shutdown();
         assert_eq!(result.snapshot[0], 7);
         assert!(result.report.metrics.snapshot_refreshes >= 3);

@@ -309,7 +309,7 @@ mod tests {
     // The sanitizer's shadow atomics carry a mutex-guarded publication
     // record per word, so the one-line layout guarantee only holds for the
     // std and model facades.
-    #[cfg(not(all(coup_san, feature = "san")))]
+    #[cfg(not(coup_san))]
     #[test]
     fn padded_line_is_one_cache_line() {
         assert_eq!(std::mem::size_of::<PaddedLine>(), 64);

@@ -4,22 +4,23 @@
 //! Normally these re-exports are exactly `std`. Two cfg-gated backends swap
 //! in without any call-site changes:
 //!
-//! * `--cfg coup_model` + `model` feature → the `loom` shim, whose types run
-//!   inside a deterministic model-checking scheduler with C11-style weak
-//!   memory (per-location modification order + happens-before clocks), so
-//!   the `model_tests` module can exhaustively explore interleavings of the
+//! * `--cfg coup_model` → the `loom` shim, whose types run inside a
+//!   deterministic model-checking scheduler with C11-style weak memory
+//!   (per-location modification order + happens-before clocks), so the
+//!   `model_tests` module can exhaustively explore interleavings of the
 //!   runtime's lock-free protocols. Outside a `loom::model(..)` execution
 //!   the shim types transparently delegate to `std`.
-//! * `--cfg coup_san` + `san` feature → the `coup-san` happens-before
-//!   sanitizer: every atomic delegates to a real std atomic while shadow
-//!   vector clocks and publication records track which `ord:`-tagged site
-//!   published every observed value, cross-checked at runtime against the
-//!   static site table `coup-lint` extracts from this directory (see
-//!   `tests/san_battery.rs`). Runs on real threads at full speed, so the
-//!   whole tier-1 suite and the stress battery execute under it in CI.
+//! * `--cfg coup_san` → the `coup-san` happens-before sanitizer: every
+//!   atomic delegates to a real std atomic while shadow vector clocks and
+//!   publication records track which `ord:`-tagged site published every
+//!   observed value, cross-checked at runtime against the static site table
+//!   `coup-lint` extracts from this directory (see `tests/san_battery.rs`).
+//!   Runs on real threads at full speed, so the whole tier-1 suite and the
+//!   stress battery execute under it in CI.
 //!
-//! If both cfgs are set, the model backend wins (the sanitizer needs real
-//! threads, which the model scheduler replaces).
+//! Each cfg is the whole gate (the manifest pulls `loom` / `coup-san` in
+//! under the same cfg), and setting both is a compile error: the sanitizer
+//! needs real threads, which the model scheduler replaces.
 //!
 //! House rules (enforced by `coup-lint`, see `crates/lint`):
 //! - no `std::sync::atomic` imports anywhere in this crate outside this file;
@@ -31,21 +32,27 @@
 //! The per-protocol pairing tables live in ARCHITECTURE.md under
 //! "The memory-ordering contract".
 
-#[cfg(all(coup_model, feature = "model"))]
+#[cfg(all(coup_model, coup_san))]
+compile_error!(
+    "`--cfg coup_model` and `--cfg coup_san` are mutually exclusive: the sanitizer shadows \
+     real threads, which the model scheduler replaces"
+);
+
+#[cfg(coup_model)]
 pub(crate) use loom::{
     hint,
     sync::{atomic, Condvar, Mutex, MutexGuard},
     thread,
 };
 
-#[cfg(all(coup_san, feature = "san", not(all(coup_model, feature = "model"))))]
+#[cfg(all(coup_san, not(coup_model)))]
 pub(crate) use coup_san::{
     hint,
     sync::{atomic, Condvar, Mutex, MutexGuard},
     thread,
 };
 
-#[cfg(not(any(all(coup_model, feature = "model"), all(coup_san, feature = "san"))))]
+#[cfg(not(any(coup_model, coup_san)))]
 pub(crate) use std::{
     hint,
     sync::{atomic, Condvar, Mutex, MutexGuard},
@@ -57,11 +64,7 @@ pub(crate) use std::{
 /// type-checks if the facade type *unifies* with the `std` type, so any
 /// accidental indirection in the default arm fails `cargo test` at
 /// compile time rather than silently costing performance.
-#[cfg(all(
-    test,
-    not(all(coup_model, feature = "model")),
-    not(all(coup_san, feature = "san"))
-))]
+#[cfg(all(test, not(any(coup_model, coup_san))))]
 mod std_facade_identity {
     fn is_std_atomic_u64(x: &std::sync::atomic::AtomicU64) -> &std::sync::atomic::AtomicU64 {
         x

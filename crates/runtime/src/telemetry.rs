@@ -11,11 +11,11 @@
 //! between observations.
 //!
 //! The event-trace half lives in [`crate::trace`]; this module owns the
-//! sampling gate and the drain API. With the `telemetry` cargo feature
-//! disabled the registry allocates nothing and every recording call is an
-//! empty inline function — the zero-cost compile-out path — while
-//! [`MetricsSnapshot`], the [`Merge`] trait, and both exporters stay
-//! available so reports keep the same shape (histograms all zero).
+//! drain API. With the `telemetry` cargo feature disabled the registry
+//! allocates nothing and every recording call is an empty inline function —
+//! the zero-cost compile-out path — while [`MetricsSnapshot`], the [`Merge`]
+//! trait, and both exporters stay available so reports keep the same shape
+//! (histograms all zero).
 
 use std::time::Instant;
 
@@ -129,32 +129,18 @@ pub struct TelemetryConfig {
     /// every recording call is one predictable branch. (The `telemetry`
     /// cargo feature removes even that branch at compile time.)
     pub enabled: bool,
-    /// Per-worker trace-ring capacity in events, rounded up to a power of
-    /// two; 0 disables event tracing while keeping the histograms.
-    pub trace_capacity: usize,
-    /// Trace sampling rate: record every `2^sample_shift`-th event per
-    /// worker. 0 records everything.
-    pub sample_shift: u32,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
-        TelemetryConfig {
-            enabled: true,
-            trace_capacity: 1024,
-            sample_shift: 0,
-        }
+        TelemetryConfig { enabled: true }
     }
 }
 
 impl TelemetryConfig {
     /// Everything off at runtime: no histogram blocks, no trace rings.
     pub fn disabled() -> Self {
-        TelemetryConfig {
-            enabled: false,
-            trace_capacity: 0,
-            sample_shift: 0,
-        }
+        TelemetryConfig { enabled: false }
     }
 }
 
@@ -162,8 +148,11 @@ impl TelemetryConfig {
 mod registry_impl {
     use crate::sync::atomic::{AtomicU64, Ordering};
 
-    use super::{bucket_index, HistogramSnapshot, TelemetryConfig, HIST_BUCKETS};
+    use super::{bucket_index, HistogramSnapshot, HIST_BUCKETS};
     use crate::trace::TraceRing;
+
+    /// Per-worker trace-ring capacity, in events.
+    const TRACE_CAPACITY: usize = 1024;
 
     /// A histogram of relaxed atomics; recording is `leading_zeros` plus two
     /// relaxed `fetch_add`s (RMW rather than plain store only because block
@@ -205,29 +194,21 @@ mod registry_impl {
         pub(crate) staleness: AtomicHistogram,
         pub(crate) queue_parks: AtomicU64,
         pub(crate) queue_unparks: AtomicU64,
-        pub(crate) trace_tick: AtomicU64,
     }
 
     pub(crate) struct Inner {
         pub(crate) blocks: Box<[WorkerBlock]>,
         pub(crate) rings: Box<[TraceRing]>,
-        pub(crate) sample_mask: u64,
     }
 
     impl Inner {
-        pub(crate) fn new(workers: usize, config: TelemetryConfig) -> Self {
+        pub(crate) fn new(workers: usize) -> Self {
             let workers = workers.max(1);
-            let rings = if config.trace_capacity == 0 {
-                Vec::new()
-            } else {
-                (0..workers)
-                    .map(|_| TraceRing::new(config.trace_capacity))
-                    .collect()
-            };
             Inner {
                 blocks: (0..workers).map(|_| WorkerBlock::default()).collect(),
-                rings: rings.into_boxed_slice(),
-                sample_mask: (1u64 << config.sample_shift.min(63)) - 1,
+                rings: (0..workers)
+                    .map(|_| TraceRing::new(TRACE_CAPACITY))
+                    .collect(),
             }
         }
 
@@ -253,7 +234,6 @@ mod registry_impl {
 /// [`crate::CoupRuntime::metrics`] / [`crate::TelemetryHandle`] or, for a
 /// standalone backend, the histograms folded by the owner.
 pub struct TelemetryRegistry {
-    config: TelemetryConfig,
     anchor: Instant,
     #[cfg(feature = "telemetry")]
     inner: Option<registry_impl::Inner>,
@@ -262,25 +242,21 @@ pub struct TelemetryRegistry {
 impl std::fmt::Debug for TelemetryRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TelemetryRegistry")
-            .field("config", &self.config)
             .field("enabled", &self.is_enabled())
             .finish()
     }
 }
 
 impl TelemetryRegistry {
-    /// Builds a registry with one padded counter block (and, if configured,
-    /// one trace ring) per worker.
+    /// Builds a registry with one padded counter block and one trace ring
+    /// per worker (nothing at all when `config` is disabled).
     pub fn new(workers: usize, config: TelemetryConfig) -> Self {
         #[cfg(not(feature = "telemetry"))]
-        let _ = workers;
+        let _ = (workers, config);
         TelemetryRegistry {
-            config,
             anchor: Instant::now(),
             #[cfg(feature = "telemetry")]
-            inner: config
-                .enabled
-                .then(|| registry_impl::Inner::new(workers, config)),
+            inner: config.enabled.then(|| registry_impl::Inner::new(workers)),
         }
     }
 
@@ -414,21 +390,11 @@ impl TelemetryRegistry {
         self.trace(worker, TraceKind::QueueUnpark, 0);
     }
 
-    /// Records one structured trace event, subject to the sampling rate.
+    /// Records one structured trace event.
     #[inline]
     pub(crate) fn trace(&self, worker: usize, kind: TraceKind, line: usize) {
         #[cfg(feature = "telemetry")]
         if let Some(inner) = &self.inner {
-            if inner.rings.is_empty() {
-                return;
-            }
-            let block = inner.block(worker);
-            let tick = block
-                .trace_tick
-                .fetch_add(1, crate::sync::atomic::Ordering::Relaxed);
-            if tick & inner.sample_mask != 0 {
-                return;
-            }
             let index = if worker < inner.rings.len() {
                 worker
             } else {
@@ -500,7 +466,7 @@ pub struct MetricsSnapshot {
     /// Wakes after a counted park; parks minus unparks bounds the threads
     /// currently asleep.
     pub queue_unparks: u64,
-    /// Trace events recorded into the rings (post-sampling).
+    /// Trace events recorded into the rings.
     pub trace_recorded: u64,
     /// Trace events lost to ring overwrite before a drain reached them.
     pub trace_dropped: u64,
@@ -1433,24 +1399,5 @@ mod tests {
         assert_eq!(snap.queue_unparks, 0);
         assert_eq!(snap.trace_recorded, 0);
         assert!(registry.drain_trace().is_empty());
-    }
-
-    #[cfg(feature = "telemetry")]
-    #[test]
-    fn sampling_thins_the_trace_but_not_the_histograms() {
-        let config = TelemetryConfig {
-            enabled: true,
-            trace_capacity: 4096,
-            sample_shift: 3, // keep every 8th event
-        };
-        let registry = TelemetryRegistry::new(1, config);
-        for line in 0..800 {
-            registry.trace(0, TraceKind::Privatize, line);
-            registry.record_occupancy(0, 1);
-        }
-        let mut snap = MetricsSnapshot::default();
-        registry.fill(&mut snap);
-        assert_eq!(snap.trace_recorded, 100, "1 in 8 of 800 events kept");
-        assert_eq!(snap.occupancy.count(), 800, "histograms are never sampled");
     }
 }

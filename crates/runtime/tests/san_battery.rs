@@ -3,13 +3,22 @@
 //! happens-before report is clean, every tag group was dynamically
 //! exercised, and the static site table round-trips byte-identically.
 //!
-//! Build: `RUSTFLAGS="--cfg coup_san" cargo test -p coup-runtime
-//! --features san --test san_battery`. Under
+//! Build: `RUSTFLAGS="--cfg coup_san" cargo test -p coup-runtime --test
+//! san_battery`. Under
 //! `--cfg coup_san_mutation="ring_publish"` or `="epoch_publish"` the
 //! clean battery is compiled out and replaced by a detection test that
 //! *requires* the sanitizer to flag the weakened ordering — the
 //! real-thread analogue of the model checker's inverted mutation lane.
-#![cfg(all(coup_san, feature = "san"))]
+#![cfg(coup_san)]
+// The mutation lanes compile the clean battery out, which leaves the
+// drivers it alone calls unused.
+#![cfg_attr(
+    any(
+        coup_san_mutation = "ring_publish",
+        coup_san_mutation = "epoch_publish"
+    ),
+    allow(dead_code)
+)]
 
 use std::sync::Arc;
 
@@ -93,16 +102,16 @@ fn exercise_backend() {
 
 /// ring-publish, ring-consume, shard-claim, shard-retire, queue-wake,
 /// drain-quiesce, job-pause, trace-ticket, plus the tiered-read protocols:
-/// stale-pending (the bound's pending-counter walk), snap-publish (the
-/// refresher's epoch seal) and refresh-wake (the refresher gate's
-/// demand/close edges): the submission-queue and runtime-facade protocols.
+/// stale-pending (the bound's pending-counter walk) and snap-publish (the
+/// refresher's epoch seal): the submission-queue and runtime-facade
+/// protocols.
 fn exercise_runtime() {
     let rt = RuntimeBuilder::new(CommutativeOp::AddU64, 64)
         .workers(2)
         .batch_capacity(4)
         .queue_capacity(8)
-        // A resident refresher: its park/notify cycle drives `refresh-wake`
-        // and every published snapshot seals via `snap-publish`.
+        // A resident refresher: its timed park/notify cycle rides
+        // `queue-wake` and every published snapshot seals via `snap-publish`.
         .refresh_interval(std::time::Duration::from_millis(1))
         .build();
     // Spawn the resident workers before the producer flood (handles spawn
@@ -138,8 +147,8 @@ fn exercise_runtime() {
     assert_eq!(rt.read(0) + (1..64).map(|l| rt.read(l)).sum::<u64>(), 2002);
     // The stale tier: the bound's writer-bitmap + pending-counter walk
     // acquires each buffer's pending publishes (`stale-pending`), and a
-    // demanded refresh exercises the gate's notify edge (`refresh-wake`)
-    // plus the snapshot epoch's Acquire side (`snap-publish`).
+    // demanded refresh exercises the refresh parker's notify edge
+    // (`queue-wake`) plus the snapshot epoch's Acquire side (`snap-publish`).
     let stale = rt.read_stale(0);
     assert!(
         stale.value + stale.staleness >= rt.read(0),

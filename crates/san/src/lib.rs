@@ -1,7 +1,7 @@
 //! # coup-san: a happens-before sanitizer behind the sync facade
 //!
 //! The third backend for `coup_runtime::sync` (alongside `std` and the
-//! loom-style model shim). Selected by `--cfg coup_san --features san`,
+//! loom-style model shim). Selected by `--cfg coup_san`,
 //! it mirrors the `std::sync` API surface the runtime uses — call sites
 //! do not change — while every wrapper delegates to a *real* std atomic
 //! and maintains shadow state: per-thread vector clocks, per-atomic

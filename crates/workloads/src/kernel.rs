@@ -657,9 +657,8 @@ impl RuntimeBackend {
         self
     }
 
-    /// Overrides the COUP backend's sparse-buffer configuration (capacity
-    /// and eviction policy). Without this the backend honours the
-    /// `COUP_BUFFER_CAPACITY`/`COUP_BUFFER_POLICY` environment variables and
+    /// Overrides the COUP backend's sparse-buffer capacity. Without this the
+    /// backend honours the `COUP_BUFFER_CAPACITY` environment variable and
     /// defaults to unbounded buffers.
     #[must_use]
     pub fn with_buffer_config(mut self, config: BufferConfig) -> Self {
@@ -668,8 +667,7 @@ impl RuntimeBackend {
     }
 
     /// Overrides the runtime's telemetry configuration — use
-    /// [`TelemetryConfig::disabled`] to measure instrumentation overhead, or
-    /// a custom trace capacity / sampling rate for detailed event capture.
+    /// [`TelemetryConfig::disabled`] to measure instrumentation overhead.
     #[must_use]
     pub fn with_telemetry(mut self, config: TelemetryConfig) -> Self {
         self.telemetry = Some(config);

@@ -175,7 +175,6 @@ fn sweep_capacity(producers: usize, updates_per_thread: usize) {
         ] {
             let config = BufferConfig {
                 capacity_lines: capacity,
-                ..BufferConfig::default()
             };
             let coup = RuntimeBuilder::new(CommutativeOp::AddU64, spec.lanes)
                 .workers(WORKERS)

@@ -24,7 +24,7 @@ use proptest::prelude::*;
 
 use coup_protocol::ops::CommutativeOp;
 use coup_protocol::state::ProtocolKind;
-use coup_runtime::{BackendKind, BufferConfig, EvictionPolicy, RuntimeBuilder};
+use coup_runtime::{BackendKind, BufferConfig, RuntimeBuilder};
 use coup_sim::config::SystemConfig;
 use coup_workloads::bfs::BfsWorkload;
 use coup_workloads::kernel::{
@@ -47,16 +47,13 @@ proptest! {
         seed: u64,
         workers_pick in 0usize..4,
         capacity_pick in 0usize..3,
-        lru in any::<bool>(),
     ) {
         let workers = [1usize, 2, 4, 8][workers_pick];
         let capacity = [Some(2usize), Some(64), None][capacity_pick];
-        let policy = if lru { EvictionPolicy::Lru } else { EvictionPolicy::Clock };
         let config = match capacity {
             Some(lines) => BufferConfig::bounded(lines),
             None => BufferConfig::unbounded(),
-        }
-        .with_policy(policy);
+        };
         let workload = SpmvWorkload::new(n, nnz_per_col, seed);
         let kernel = workload.kernel();
         let (_, atomic) = RuntimeBackend::new(RuntimeKind::Atomic, workers)
@@ -76,7 +73,7 @@ proptest! {
             if let Some(mismatch) = cross.mismatch(c, a) {
                 panic!(
                     "y[{row}] diverges between backends ({workers} workers, \
-                     capacity {capacity:?}, {policy:?}): coup {mismatch}"
+                     capacity {capacity:?}): coup {mismatch}"
                 );
             }
         }

@@ -28,8 +28,8 @@ use coup_protocol::ops::CommutativeOp;
 use coup_protocol::state::ProtocolKind;
 use coup_runtime::{
     expected_counts, run_contended, tag, AtomicBackend, BackendKind, BufferConfig, ContendedSpec,
-    CoupBackend, EvictionPolicy, ReadTier, RuntimeBuilder, TelemetryConfig, TelemetryRegistry,
-    UpdateBackend, DEFAULT_FLUSH_THRESHOLD,
+    CoupBackend, ReadTier, RuntimeBuilder, TelemetryConfig, TelemetryRegistry, UpdateBackend,
+    DEFAULT_FLUSH_THRESHOLD,
 };
 use coup_sim::config::SystemConfig;
 use coup_workloads::hist::{HistScheme, HistWorkload};
@@ -238,7 +238,6 @@ proptest! {
         op in integer_op(),
         lanes in 1usize..64,
         capacity_pick in 0usize..3,
-        lru in any::<bool>(),
         threshold in 1u32..6,
         ops in prop::collection::vec((0usize..4, any::<u64>(), any::<u64>(), 0u32..10), 0..80),
     ) {
@@ -246,13 +245,12 @@ proptest! {
         let atomic = AtomicBackend::new(op, lanes);
         let lines = atomic.store().num_lines();
         let capacity = [1, 2, (lines / 4).max(1)][capacity_pick];
-        let policy = if lru { EvictionPolicy::Lru } else { EvictionPolicy::Clock };
         let coup = coup_backend(
             op,
             lanes,
             threads,
             threshold,
-            BufferConfig::bounded(capacity).with_policy(policy),
+            BufferConfig::bounded(capacity),
         );
         for &(thread, lane_bits, value, kind) in &ops {
             let lane = (lane_bits as usize) % lanes;
@@ -260,14 +258,14 @@ proptest! {
                 0 => prop_assert_eq!(
                     atomic.read(thread, lane),
                     coup.read(thread, lane),
-                    "read mismatch for {} at lane {} (capacity {}, {:?})",
-                    op, lane, capacity, policy
+                    "read mismatch for {} at lane {} (capacity {})",
+                    op, lane, capacity
                 ),
                 1 => prop_assert_eq!(
                     atomic.update_read(thread, lane, value),
                     coup.update_read(thread, lane, value),
-                    "update_read mismatch for {} at lane {} (capacity {}, {:?})",
-                    op, lane, capacity, policy
+                    "update_read mismatch for {} at lane {} (capacity {})",
+                    op, lane, capacity
                 ),
                 _ => {
                     atomic.update(thread, lane, value);
@@ -277,7 +275,7 @@ proptest! {
         }
         prop_assert_eq!(
             atomic.snapshot(), coup.snapshot(),
-            "final state mismatch for {} (capacity {}, {:?})", op, capacity, policy
+            "final state mismatch for {} (capacity {})", op, capacity
         );
     }
 }
@@ -302,7 +300,6 @@ fn quiescent_equivalence_holds_across_buffer_capacities() {
     for capacity in [Some(1), Some(2), Some(64), None] {
         let config = BufferConfig {
             capacity_lines: capacity,
-            ..BufferConfig::default()
         };
         let coup = RuntimeBuilder::new(op, spec.lanes)
             .workers(4)
