@@ -53,9 +53,6 @@ use std::path::Path;
 /// [`render_sites_json`].
 pub const SITES_SCHEMA: &str = "coup-lint-sites/v1";
 
-/// Schema identifier of the report JSON emitted by [`render_report_json`].
-pub const REPORT_SCHEMA: &str = "coup-lint/v1";
-
 /// One lint finding, anchored to a file and 1-based line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
@@ -98,15 +95,6 @@ impl SiteKind {
             SiteKind::Direct => "direct",
             SiteKind::ConstDef => "const-def",
             SiteKind::ConstUse => "const-use",
-        }
-    }
-
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "direct" => Some(SiteKind::Direct),
-            "const-def" => Some(SiteKind::ConstDef),
-            "const-use" => Some(SiteKind::ConstUse),
-            _ => None,
         }
     }
 }
@@ -783,8 +771,7 @@ fn json_str_list(items: &[String]) -> String {
 
 /// Renders a site table as deterministic JSON (schema
 /// [`SITES_SCHEMA`]): one object per line, sorted by `(file, line)`, so
-/// the output is diffable and byte-stable across runs — the battery test
-/// asserts it round-trips byte-identically through [`parse_sites_json`].
+/// the output is diffable and byte-stable across runs.
 #[must_use]
 pub fn render_sites_json(table: &SiteTable) -> String {
     let mut out = String::new();
@@ -822,41 +809,6 @@ pub fn render_sites_json(table: &SiteTable) -> String {
         out.push_str("\n  ");
     }
     out.push_str("]\n}\n");
-    out
-}
-
-/// Renders a full lint report as JSON (schema [`REPORT_SCHEMA`]). The
-/// format changes nothing about exit-code semantics: `violations == 0`
-/// exactly when text mode would have exited 0.
-#[must_use]
-pub fn render_report_json(report: &Report) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": ");
-    out.push_str(&json_str(REPORT_SCHEMA));
-    out.push_str(&format!(
-        ",\n  \"files\": {},\n  \"violations\": {},\n  \"diagnostics\": [",
-        report.files,
-        report.diagnostics.len()
-    ));
-    for (i, d) in report.diagnostics.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        out.push_str(&format!(
-            "{{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}}}",
-            json_str(&d.file),
-            d.line,
-            json_str(d.rule),
-            json_str(&d.message),
-        ));
-    }
-    if !report.diagnostics.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n  \"paired_tags\": ");
-    out.push_str(&json_str_list(&report.paired_tags));
-    out.push_str("\n}\n");
     out
 }
 
@@ -927,254 +879,6 @@ pub fn render_pairing_table(table: &SiteTable) -> String {
         out.push_str(&format!("| `{tag}` | {} | {} |\n", cell(true), cell(false)));
     }
     out
-}
-
-// --- minimal JSON parsing (just enough for the sites schema) -----------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Bool(bool),
-    Num(u64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-struct JsonP<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl JsonP<'_> {
-    fn ws(&mut self) {
-        while self.b.get(self.i).is_some_and(|c| c.is_ascii_whitespace()) {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        if self.b.get(self.i) == Some(&c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", c as char, self.i))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.ws();
-        match self.b.get(self.i) {
-            Some(b'{') => {
-                self.i += 1;
-                let mut fields = Vec::new();
-                self.ws();
-                if self.b.get(self.i) == Some(&b'}') {
-                    self.i += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    self.ws();
-                    let key = self.string()?;
-                    self.ws();
-                    self.eat(b':')?;
-                    let val = self.value()?;
-                    fields.push((key, val));
-                    self.ws();
-                    match self.b.get(self.i) {
-                        Some(b',') => self.i += 1,
-                        Some(b'}') => {
-                            self.i += 1;
-                            return Ok(Json::Obj(fields));
-                        }
-                        _ => return Err(format!("expected `,` or `}}` at byte {}", self.i)),
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.i += 1;
-                let mut items = Vec::new();
-                self.ws();
-                if self.b.get(self.i) == Some(&b']') {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    self.ws();
-                    match self.b.get(self.i) {
-                        Some(b',') => self.i += 1,
-                        Some(b']') => {
-                            self.i += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(format!("expected `,` or `]` at byte {}", self.i)),
-                    }
-                }
-            }
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.lit("true").map(|()| Json::Bool(true)),
-            Some(b'f') => self.lit("false").map(|()| Json::Bool(false)),
-            Some(c) if c.is_ascii_digit() => {
-                let start = self.i;
-                while self.b.get(self.i).is_some_and(u8::is_ascii_digit) {
-                    self.i += 1;
-                }
-                std::str::from_utf8(&self.b[start..self.i])
-                    .ok()
-                    .and_then(|s| s.parse().ok())
-                    .map(Json::Num)
-                    .ok_or_else(|| format!("bad number at byte {start}"))
-            }
-            _ => Err(format!("unexpected value at byte {}", self.i)),
-        }
-    }
-
-    fn lit(&mut self, word: &str) -> Result<(), String> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(())
-        } else {
-            Err(format!("bad literal at byte {}", self.i))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.b.get(self.i) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.i += 1;
-                    // Re-decode as UTF-8 safe: we pushed chars below.
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    let esc = self.b.get(self.i).copied();
-                    self.i += 1;
-                    match esc {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .b
-                                .get(self.i..self.i + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32)
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.i))?;
-                            self.i += 4;
-                            out.push(hex);
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.i)),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.i += c.len_utf8();
-                }
-            }
-        }
-    }
-}
-
-fn json_get<'a>(fields: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn json_strings(v: &Json, what: &str) -> Result<Vec<String>, String> {
-    let Json::Arr(items) = v else {
-        return Err(format!("`{what}` is not an array"));
-    };
-    items
-        .iter()
-        .map(|i| match i {
-            Json::Str(s) => Ok(s.clone()),
-            _ => Err(format!("`{what}` contains a non-string")),
-        })
-        .collect()
-}
-
-/// Parses site-table JSON produced by [`render_sites_json`].
-///
-/// # Errors
-///
-/// Returns a description of the first structural problem: wrong schema
-/// tag, missing field, or type mismatch.
-pub fn parse_sites_json(text: &str) -> Result<SiteTable, String> {
-    let mut p = JsonP {
-        b: text.as_bytes(),
-        i: 0,
-    };
-    let v = p.value()?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(format!("trailing bytes at byte {}", p.i));
-    }
-    let Json::Obj(fields) = v else {
-        return Err("top level is not an object".into());
-    };
-    match json_get(&fields, "schema") {
-        Some(Json::Str(s)) if s == SITES_SCHEMA => {}
-        Some(Json::Str(s)) => {
-            return Err(format!("unknown schema `{s}`, expected `{SITES_SCHEMA}`"))
-        }
-        _ => return Err("missing `schema`".into()),
-    }
-    let files = json_strings(
-        json_get(&fields, "files").ok_or("missing `files`")?,
-        "files",
-    )?;
-    let Some(Json::Arr(raw_sites)) = json_get(&fields, "sites") else {
-        return Err("missing `sites` array".into());
-    };
-    let mut sites = Vec::with_capacity(raw_sites.len());
-    for (n, raw) in raw_sites.iter().enumerate() {
-        let Json::Obj(f) = raw else {
-            return Err(format!("site {n} is not an object"));
-        };
-        let str_field = |key: &str| -> Result<String, String> {
-            match json_get(f, key) {
-                Some(Json::Str(s)) => Ok(s.clone()),
-                _ => Err(format!("site {n}: missing string `{key}`")),
-            }
-        };
-        let kind = SiteKind::parse(&str_field("kind")?)
-            .ok_or_else(|| format!("site {n}: unknown kind"))?;
-        let line = match json_get(f, "line") {
-            Some(Json::Num(l)) => usize::try_from(*l).map_err(|_| format!("site {n}: bad line"))?,
-            _ => return Err(format!("site {n}: missing number `line`")),
-        };
-        let fence = match json_get(f, "fence") {
-            Some(Json::Bool(b)) => *b,
-            _ => return Err(format!("site {n}: missing bool `fence`")),
-        };
-        sites.push(Site {
-            file: str_field("file")?,
-            line,
-            kind,
-            via: str_field("via")?,
-            fence,
-            orderings: json_strings(
-                json_get(f, "orderings").ok_or_else(|| format!("site {n}: missing `orderings`"))?,
-                "orderings",
-            )?,
-            tags: json_strings(
-                json_get(f, "tags").ok_or_else(|| format!("site {n}: missing `tags`"))?,
-                "tags",
-            )?,
-        });
-    }
-    Ok(SiteTable { files, sites })
 }
 
 #[cfg(test)]

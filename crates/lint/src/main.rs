@@ -8,9 +8,8 @@
 //!
 //! Options:
 //!
-//! - `--format text|json|github` — diagnostics as human text (default),
-//!   machine-readable JSON (schema `coup-lint/v1`), or GitHub Actions
-//!   `::error` annotations.
+//! - `--format text|github` — diagnostics as human text (default) or
+//!   GitHub Actions `::error` annotations.
 //! - `--sites <PATH|->` — write the static site table (schema
 //!   `coup-lint-sites/v1`) to `PATH`, or to stdout with `-`.
 //! - `--pairing-table` — print the markdown pairing-tag table
@@ -24,20 +23,17 @@ use std::fs;
 use std::path::Path;
 use std::process::ExitCode;
 
-use coup_lint::{
-    render_github, render_pairing_table, render_report_json, render_sites_json, Report,
-};
+use coup_lint::{render_github, render_pairing_table, render_sites_json, Report};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Format {
     Text,
-    Json,
     Github,
 }
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: coup-lint [--format text|json|github] [--sites PATH|-] \
+        "usage: coup-lint [--format text|github] [--sites PATH|-] \
          [--pairing-table] [PATH]..."
     );
     ExitCode::from(2)
@@ -55,7 +51,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--format" => match it.next().as_deref() {
                 Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
                 Some("github") => format = Format::Github,
                 _ => return usage(),
             },
@@ -145,14 +140,6 @@ fn main() -> ExitCode {
                     merged.diagnostics.len(),
                     merged.files
                 ));
-            }
-        }
-        Format::Json => {
-            let json = render_report_json(&merged);
-            if to_stderr {
-                eprint!("{json}");
-            } else {
-                print!("{json}");
             }
         }
         Format::Github => {

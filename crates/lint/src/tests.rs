@@ -239,33 +239,33 @@ fn cfg_gated_const_pair_keeps_the_strong_contract() {
 // --- site table + renders -----------------------------------------------
 
 #[test]
-fn site_table_round_trips_byte_identically() {
-    let report = report_one("a.rs", CONST_SRC);
-    let table = report.site_table();
+fn site_table_renders_one_stable_line_per_site() {
+    let table = report_one("a.rs", CONST_SRC).site_table();
     let rendered = render_sites_json(&table);
-    let parsed = parse_sites_json(&rendered).expect("rendered JSON parses");
-    assert_eq!(parsed, table);
-    assert_eq!(
-        render_sites_json(&parsed),
-        rendered,
-        "round-trip changed bytes"
+    assert!(
+        rendered.starts_with(
+            "{\n  \"schema\": \"coup-lint-sites/v1\",\n  \"files\": [\n    \"a.rs\"\n  ],\n  \"sites\": [\n"
+        ),
+        "{rendered}"
     );
+    assert!(
+        rendered.contains(concat!(
+            "\n    {\"file\": \"a.rs\", \"line\": 3, \"kind\": \"const-def\", \"via\": \"PUBLISH\", ",
+            "\"fence\": false, \"orderings\": [\"Release\"], \"tags\": [\"const-edge\"]},\n"
+        )),
+        "{rendered}"
+    );
+    assert_eq!(rendered.matches("{\"file\": ").count(), table.sites.len());
+    assert!(rendered.ends_with("\n  ]\n}\n"), "{rendered}");
 }
 
 #[test]
-fn report_json_and_github_renders_have_stable_shapes() {
+fn github_render_has_a_stable_shape() {
     let report = report_one(
         "a.rs",
         "fn f(x: &AtomicU64) { x.store(1, Ordering::Release); }\n",
     );
     assert_eq!(report.diagnostics.len(), 1);
-    let json = render_report_json(&report);
-    assert!(json.contains("\"schema\": \"coup-lint/v1\""), "{json}");
-    assert!(json.contains("\"violations\": 1"), "{json}");
-    assert!(json.contains("\"rule\": \"R-TAG\""), "{json}");
-    let parsed_clean = render_report_json(&report_one("a.rs", "fn f() {}\n"));
-    assert!(parsed_clean.contains("\"violations\": 0"), "{parsed_clean}");
-
     let gh = render_github(&report.diagnostics);
     assert!(
         gh.starts_with("::error file=a.rs,line=1,title=coup-lint R-TAG::"),
@@ -398,14 +398,5 @@ fn the_real_runtime_tree_emits_a_resolvable_site_table() {
         tags.len() >= 14,
         "only {} distinct tags: {tags:?}",
         tags.len()
-    );
-
-    let rendered = render_sites_json(&table);
-    let parsed = parse_sites_json(&rendered).expect("rendered JSON parses");
-    assert_eq!(parsed, table);
-    assert_eq!(
-        render_sites_json(&parsed),
-        rendered,
-        "round-trip changed bytes"
     );
 }

@@ -104,18 +104,6 @@ pub struct ReadCost {
 }
 
 impl ReadCost {
-    /// The counters accumulated since an `earlier` snapshot of the same
-    /// backend (counters are cumulative and monotone).
-    #[must_use]
-    pub fn since(&self, earlier: &ReadCost) -> ReadCost {
-        ReadCost {
-            reads: self.reads - earlier.reads,
-            buffer_words: self.buffer_words - earlier.buffer_words,
-            retries: self.retries - earlier.retries,
-            escalations: self.escalations - earlier.escalations,
-        }
-    }
-
     /// Mean buffer words loaded per read — the effective writer fan-in the
     /// read path paid for. Zero when no reads were served.
     #[must_use]
@@ -1665,14 +1653,15 @@ mod tests {
             for _ in 0..reads {
                 assert_eq!(b.read(threads - 1, 3), 5);
             }
-            let cost = b.read_cost().since(&before);
-            assert_eq!(cost.reads, reads, "{threads} threads");
+            let after = b.read_cost();
+            assert_eq!(after.reads - before.reads, reads, "{threads} threads");
             assert_eq!(
-                cost.buffer_words, reads,
+                after.buffer_words - before.buffer_words,
+                reads,
                 "one buffer word per read at {threads} threads"
             );
-            assert_eq!(cost.retries, 0, "{threads} threads");
-            assert_eq!(cost.escalations, 0, "{threads} threads");
+            assert_eq!(after.retries, before.retries, "{threads} threads");
+            assert_eq!(after.escalations, before.escalations, "{threads} threads");
         }
     }
 
@@ -1693,14 +1682,14 @@ mod tests {
         for t in [0usize, 5, 9] {
             b.update(t, 2, 1);
         }
-        let before = b.read_cost();
+        let before = b.read_cost().buffer_words;
         assert_eq!(b.read(31, 2), 3);
-        assert_eq!(b.read_cost().since(&before).buffer_words, 3);
+        assert_eq!(b.read_cost().buffer_words - before, 3);
         // A flush retires a writer from the bitmap; the next read pays less.
         b.flush(5);
-        let before = b.read_cost();
+        let before = b.read_cost().buffer_words;
         assert_eq!(b.read(31, 2), 3);
-        assert_eq!(b.read_cost().since(&before).buffer_words, 2);
+        assert_eq!(b.read_cost().buffer_words - before, 2);
     }
 
     #[test]
@@ -1819,8 +1808,8 @@ mod tests {
             assert_eq!((stale.value, stale.staleness), (0, 8));
         }
         assert_eq!(
-            b.read_cost().since(&before),
-            ReadCost::default(),
+            b.read_cost(),
+            before,
             "stale reads are invisible to the exact-read cost counters"
         );
         assert_eq!(b.line_meta[0].read_holds.load(Ordering::Relaxed), 0);

@@ -80,7 +80,6 @@
 #![forbid(unsafe_code)]
 
 pub mod backend;
-pub mod bench;
 pub mod harness;
 #[cfg(all(test, coup_model))]
 mod model_tests;
@@ -94,10 +93,6 @@ pub mod trace;
 pub use backend::{
     AtomicBackend, BufferConfig, BufferStats, CoupBackend, ReadCost, StaleRead, UpdateBackend,
     DEFAULT_FLUSH_THRESHOLD, MAX_COUP_THREADS, PROBE_WINDOW, READ_RETRY_LIMIT,
-};
-pub use bench::{
-    BenchKernelRow, BenchOverhead, BenchReadTierRow, BenchReport, BenchShardRow, BenchSweepRow,
-    BENCH_SCHEMA,
 };
 pub use harness::{
     expected_counts, run_contended, splitmix64, ContendedSpec, LaneSampler, ReadTier,

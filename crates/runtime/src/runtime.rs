@@ -611,12 +611,6 @@ impl TelemetryHandle {
         self.metrics().to_prometheus()
     }
 
-    /// The current snapshot as a JSON object.
-    #[must_use]
-    pub fn json(&self) -> String {
-        self.metrics().to_json()
-    }
-
     /// Drains the structured event trace accumulated since the last drain
     /// (any drainer's — the rings have one shared cursor each), merged
     /// across workers and sorted by timestamp.
@@ -1305,8 +1299,7 @@ impl CoupRuntime {
     }
 
     /// Per-shard lifetime statistics (claims, updates drained, liveness)
-    /// for every directory slot ever claimed — the per-shard rows of the
-    /// bench JSON come from here.
+    /// for every directory slot ever claimed.
     #[must_use]
     pub fn shard_stats(&self) -> Vec<ShardStat> {
         self.shared.directory.stats()
@@ -1324,8 +1317,8 @@ impl CoupRuntime {
         self.shared.metrics()
     }
 
-    /// A new clonable telemetry observer handle (live metrics, Prometheus /
-    /// JSON exports, trace drain) — hand it to a monitor thread the way
+    /// A new clonable telemetry observer handle (live metrics, Prometheus
+    /// export, trace drain) — hand it to a monitor thread the way
     /// [`CoupRuntime::submitter`] hands out producers.
     #[must_use]
     pub fn telemetry(&self) -> TelemetryHandle {

@@ -1,5 +1,5 @@
 //! Live telemetry: a lock-free per-worker metrics registry, consistent
-//! snapshots, and machine-readable exporters.
+//! snapshots, and the Prometheus text exporter.
 //!
 //! The registry holds one cache-line-aligned block of atomic histograms per
 //! worker. Hot-path sites in `backend.rs` / `runtime.rs` bump their own
@@ -14,7 +14,7 @@
 //! drain API. With the `telemetry` cargo feature disabled the registry
 //! allocates nothing and every recording call is an empty inline function —
 //! the zero-cost compile-out path — while [`MetricsSnapshot`], the [`Merge`]
-//! trait, and both exporters stay available so reports keep the same shape
+//! trait, and the exporter stay available so reports keep the same shape
 //! (histograms all zero).
 
 use std::time::Instant;
@@ -492,129 +492,108 @@ pub struct MetricsSnapshot {
     pub staleness: HistogramSnapshot,
 }
 
-/// A meta-table row: `(prometheus name, help text, JSON key, field)`. The
-/// field column is a `&mut` accessor that serves reads too (through a copy
-/// — the snapshot is `Copy`), so a row names its field exactly once.
+/// A meta-table row: `(prometheus name, help text, field)`. The field
+/// column is a `&mut` accessor that serves reads too (through a copy — the
+/// snapshot is `Copy`), so a row names its field exactly once.
 type MetaRow<T> = (
-    &'static str,
     &'static str,
     &'static str,
     fn(&mut MetricsSnapshot) -> &mut T,
 );
 
 /// One row per scalar counter — the only enumeration of them besides the
-/// struct itself. Both exporters, both parsers and the `since`/`merge`
-/// algebra walk this table, so a new counter is a struct field plus one row
-/// here. A JSON key `parent.key` nests the value in the object `parent`;
-/// rows sharing a parent are adjacent. Row 0 is the uptime gauge ([`Merge`]
-/// takes its max).
+/// struct itself. The exporter, its parser and the `since`/`merge` algebra
+/// walk this table, so a new counter is a struct field plus one row here.
+/// Row 0 is the uptime gauge ([`Merge`] takes its max).
 const COUNTER_META: &[MetaRow<u64>] = &[
     (
         "coup_uptime_nanoseconds",
         "Nanoseconds since the telemetry registry was created.",
-        "uptime_ns",
         |m| &mut m.uptime_ns,
     ),
     (
         "coup_updates_submitted_total",
         "Updates accepted into the submission queue.",
-        "updates_submitted",
         |m| &mut m.updates_submitted,
     ),
     (
         "coup_updates_applied_total",
         "Updates applied to the backend by drainers and jobs.",
-        "updates_applied",
         |m| &mut m.updates_applied,
     ),
     (
         "coup_handle_reads_total",
         "Synchronous reads served through external handles.",
-        "handle_reads",
         |m| &mut m.handle_reads,
     ),
     (
         "coup_stale_reads_total",
         "Relaxed-tier reads served through the facade.",
-        "stale_reads",
         |m| &mut m.stale_reads,
     ),
     (
         "coup_snapshot_refreshes_total",
         "Eventually-consistent snapshots published by the refresher.",
-        "snapshot_refreshes",
         |m| &mut m.snapshot_refreshes,
     ),
     (
         "coup_queue_parks_total",
         "Parker sleeps: empty stripe, full ring, or paused worker.",
-        "queue_parks",
         |m| &mut m.queue_parks,
     ),
     (
         "coup_queue_unparks_total",
         "Wakes after a counted park (pairs with coup_queue_parks_total).",
-        "queue_unparks",
         |m| &mut m.queue_unparks,
     ),
     (
         "coup_trace_events_recorded_total",
         "Trace events recorded into the per-worker rings.",
-        "trace_recorded",
         |m| &mut m.trace_recorded,
     ),
     (
         "coup_trace_events_dropped_total",
         "Trace events lost to ring overwrite before a drain.",
-        "trace_dropped",
         |m| &mut m.trace_dropped,
     ),
     (
         "coup_reads_total",
         "Synchronous reads served by the backend.",
-        "read_cost.reads",
         |m| &mut m.read_cost.reads,
     ),
     (
         "coup_read_buffer_words_total",
         "Private buffer words folded across all reads.",
-        "read_cost.buffer_words",
         |m| &mut m.read_cost.buffer_words,
     ),
     (
         "coup_read_retries_total",
         "Read validation retries (concurrent migrations).",
-        "read_cost.retries",
         |m| &mut m.read_cost.retries,
     ),
     (
         "coup_read_escalations_total",
         "Reads escalated to the read-hold slow path.",
-        "read_cost.escalations",
         |m| &mut m.read_cost.escalations,
     ),
     (
         "coup_lines_privatized_total",
         "Store lines claimed into private buffer slots.",
-        "buffer_stats.privatized",
         |m| &mut m.buffer_stats.privatized,
     ),
     (
         "coup_evictions_total",
         "Dirty victims migrated store-ward by capacity pressure.",
-        "buffer_stats.evictions",
         |m| &mut m.buffer_stats.evictions,
     ),
     (
         "coup_flushes_total",
         "Slot migrations into the store (threshold or explicit).",
-        "buffer_stats.flushes",
         |m| &mut m.buffer_stats.flushes,
     ),
     (
         "coup_held_bypasses_total",
         "Updates routed around read-held buffers via direct RMW.",
-        "buffer_stats.held_bypasses",
         |m| &mut m.buffer_stats.held_bypasses,
     ),
 ];
@@ -624,61 +603,44 @@ pub const HIST_COUNT: usize = 7;
 
 /// One row per histogram: the histogram counterpart of [`COUNTER_META`].
 const HIST_META: [MetaRow<HistogramSnapshot>; HIST_COUNT] = [
-    (
-        "coup_read_width",
-        "Buffer words folded per read.",
-        "read_width",
-        |m| &mut m.read_width,
-    ),
+    ("coup_read_width", "Buffer words folded per read.", |m| {
+        &mut m.read_width
+    }),
     (
         "coup_read_retries_per_read",
         "Validation retries per read.",
-        "read_retries",
         |m| &mut m.read_retries,
     ),
     (
         "coup_queue_dwell_microseconds",
         "Microseconds a batch spent queued before a drainer popped it.",
-        "queue_dwell_us",
         |m| &mut m.queue_dwell_us,
     ),
-    (
-        "coup_batch_size",
-        "Operations per popped batch.",
-        "batch_size",
-        |m| &mut m.batch_size,
-    ),
+    ("coup_batch_size", "Operations per popped batch.", |m| {
+        &mut m.batch_size
+    }),
     (
         "coup_buffer_occupancy",
         "Resident private lines at each privatization.",
-        "occupancy",
         |m| &mut m.occupancy,
     ),
     (
         "coup_flush_words",
         "Non-identity words applied per slot migration.",
-        "flush_words",
         |m| &mut m.flush_words,
     ),
     (
         "coup_staleness",
         "Staleness bound returned per relaxed-tier read.",
-        "staleness",
         |m| &mut m.staleness,
     ),
 ];
-
-/// Splits a meta-table JSON key into `(parent object, key)`; the parent is
-/// empty for a top-level key.
-fn json_path(json: &str) -> (&str, &str) {
-    json.split_once('.').unwrap_or(("", json))
-}
 
 impl MetricsSnapshot {
     /// Scalar counter values in [`COUNTER_META`] order.
     fn counter_values(&self) -> [u64; COUNTER_META.len()] {
         let mut copy = *self;
-        std::array::from_fn(|row| *(COUNTER_META[row].3)(&mut copy))
+        std::array::from_fn(|row| *(COUNTER_META[row].2)(&mut copy))
     }
 
     /// Every histogram the snapshot carries, paired with its metric name, in
@@ -783,7 +745,7 @@ impl MetricsSnapshot {
                 cumulative[hist][bucket] = Some(value);
             } else if let Some(base) = name_part.strip_suffix("_sum") {
                 let hist = hist_index(base).ok_or_else(|| format!("unknown histogram {base}"))?;
-                (HIST_META[hist].3)(&mut snap).sum = value;
+                (HIST_META[hist].2)(&mut snap).sum = value;
             } else if let Some(base) = name_part.strip_suffix("_count") {
                 let hist = hist_index(base).ok_or_else(|| format!("unknown histogram {base}"))?;
                 counts[hist] = Some(value);
@@ -792,7 +754,7 @@ impl MetricsSnapshot {
                     .iter()
                     .position(|(name, ..)| *name == name_part)
                     .ok_or_else(|| format!("unknown metric {name_part}"))?;
-                *(COUNTER_META[index].3)(&mut snap) = value;
+                *(COUNTER_META[index].2)(&mut snap) = value;
             }
         }
         for (hist, buckets) in cumulative.iter().enumerate() {
@@ -803,7 +765,7 @@ impl MetricsSnapshot {
                 if running < previous {
                     return Err(format!("{name} buckets are not cumulative"));
                 }
-                (HIST_META[hist].3)(&mut snap).buckets[index] = running - previous;
+                (HIST_META[hist].2)(&mut snap).buckets[index] = running - previous;
                 previous = running;
             }
             if let Some(count) = counts[hist] {
@@ -814,85 +776,6 @@ impl MetricsSnapshot {
                 }
             } else {
                 return Err(format!("{name} is missing its _count series"));
-            }
-        }
-        Ok(snap)
-    }
-
-    /// Renders the snapshot as a JSON object (hand-rolled: the workspace
-    /// carries no serializer). Keys mirror the struct fields; histograms
-    /// nest under `"histograms"` as `{"sum": n, "buckets": [...]}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let mut values = self.counter_values().into_iter();
-        for rows in COUNTER_META.chunk_by(|a, b| json_path(a.2).0 == json_path(b.2).0) {
-            let fields: Vec<String> = rows
-                .iter()
-                .zip(&mut values)
-                .map(|(row, value)| format!("\"{}\": {value}", json_path(row.2).1))
-                .collect();
-            let parent = json_path(rows[0].2).0;
-            if parent.is_empty() {
-                for field in &fields {
-                    out.push_str(&format!("  {field},\n"));
-                }
-            } else {
-                out.push_str(&format!("  \"{parent}\": {{{}}},\n", fields.join(", ")));
-            }
-        }
-        let hists: Vec<String> = HIST_META
-            .iter()
-            .zip(self.histograms())
-            .map(|((.., key, _), (_, hist))| {
-                let buckets: Vec<String> = hist.buckets.iter().map(u64::to_string).collect();
-                format!(
-                    "    \"{key}\": {{\"sum\": {}, \"buckets\": [{}]}}",
-                    hist.sum,
-                    buckets.join(", ")
-                )
-            })
-            .collect();
-        out.push_str(&format!(
-            "  \"histograms\": {{\n{}\n  }}\n}}",
-            hists.join(",\n")
-        ));
-        out
-    }
-
-    /// Parses the output of [`MetricsSnapshot::to_json`] back into a
-    /// snapshot (exact round-trip; everything is an integer).
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        Self::from_value(&json::parse(text)?)
-    }
-
-    /// Builds a snapshot from an already-parsed JSON value — the embedded
-    /// `"metrics"` subtree of a bench report parses through the same code
-    /// path as a standalone snapshot file.
-    pub(crate) fn from_value(value: &json::Value) -> Result<Self, String> {
-        let root = value.as_object("snapshot")?;
-        let mut snap = MetricsSnapshot::default();
-        for (.., json, slot) in COUNTER_META {
-            let (parent, key) = json_path(json);
-            let fields = match parent {
-                "" => root,
-                parent => json::get(root, parent)?.as_object(parent)?,
-            };
-            *slot(&mut snap) = json::get_u64(fields, key)?;
-        }
-        let hists = json::get(root, "histograms")?.as_object("histograms")?;
-        for (.., key, slot) in HIST_META {
-            let hist = json::get(hists, key)?.as_object(key)?;
-            let slot = slot(&mut snap);
-            slot.sum = json::get_u64(hist, "sum")?;
-            let buckets = json::get(hist, "buckets")?.as_array(key)?;
-            if buckets.len() != HIST_BUCKETS {
-                return Err(format!(
-                    "{key} has {} buckets, expected {HIST_BUCKETS}",
-                    buckets.len()
-                ));
-            }
-            for (out, value) in slot.buckets.iter_mut().zip(buckets) {
-                *out = value.as_u64(key)?;
             }
         }
         Ok(snap)
@@ -909,273 +792,6 @@ impl Merge for MetricsSnapshot {
         }
         for ((.., slot), (_, extra)) in HIST_META.iter().zip(other.histograms()) {
             slot(self).merge(&extra);
-        }
-    }
-}
-
-/// The dependency-free JSON subset parser backing
-/// [`MetricsSnapshot::from_json`] (the workspace carries no serializer).
-pub(crate) mod json {
-    /// A parsed JSON value; integers that fit `u64` stay exact.
-    #[derive(Debug, Clone, PartialEq)]
-    pub(crate) enum Value {
-        Object(Vec<(String, Value)>),
-        Array(Vec<Value>),
-        UInt(u64),
-        Float(f64),
-        Str(String),
-        Bool(bool),
-        Null,
-    }
-
-    impl Value {
-        pub(crate) fn as_object(&self, what: &str) -> Result<&[(String, Value)], String> {
-            match self {
-                Value::Object(fields) => Ok(fields),
-                other => Err(format!("{what}: expected object, got {other:?}")),
-            }
-        }
-
-        pub(crate) fn as_array(&self, what: &str) -> Result<&[Value], String> {
-            match self {
-                Value::Array(items) => Ok(items),
-                other => Err(format!("{what}: expected array, got {other:?}")),
-            }
-        }
-
-        pub(crate) fn as_u64(&self, what: &str) -> Result<u64, String> {
-            match self {
-                Value::UInt(n) => Ok(*n),
-                other => Err(format!("{what}: expected unsigned integer, got {other:?}")),
-            }
-        }
-    }
-
-    pub(crate) fn get<'v>(fields: &'v [(String, Value)], key: &str) -> Result<&'v Value, String> {
-        fields
-            .iter()
-            .find(|(name, _)| name == key)
-            .map(|(_, value)| value)
-            .ok_or_else(|| format!("missing key {key:?}"))
-    }
-
-    pub(crate) fn get_u64(fields: &[(String, Value)], key: &str) -> Result<u64, String> {
-        get(fields, key)?.as_u64(key)
-    }
-
-    pub(crate) fn parse(text: &str) -> Result<Value, String> {
-        let mut parser = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        parser.skip_ws();
-        let value = parser.value()?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return Err(format!("trailing data at byte {}", parser.pos));
-        }
-        Ok(value)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn skip_ws(&mut self) {
-            while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn expect(&mut self, byte: u8) -> Result<(), String> {
-            if self.peek() == Some(byte) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!(
-                    "expected {:?} at byte {}, found {:?}",
-                    byte as char,
-                    self.pos,
-                    self.peek().map(|b| b as char)
-                ))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b't') => self.literal("true", Value::Bool(true)),
-                Some(b'f') => self.literal("false", Value::Bool(false)),
-                Some(b'n') => self.literal("null", Value::Null),
-                Some(b'-' | b'0'..=b'9') => self.number(),
-                other => Err(format!(
-                    "unexpected {:?} at byte {}",
-                    other.map(|b| b as char),
-                    self.pos
-                )),
-            }
-        }
-
-        fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                Ok(value)
-            } else {
-                Err(format!("bad literal at byte {}", self.pos))
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Value::Object(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                let value = self.value()?;
-                fields.push((key, value));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Value::Object(fields));
-                    }
-                    other => {
-                        return Err(format!(
-                            "expected ',' or '}}' at byte {}, found {:?}",
-                            self.pos,
-                            other.map(|b| b as char)
-                        ))
-                    }
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Value::Array(items));
-            }
-            loop {
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Value::Array(items));
-                    }
-                    other => {
-                        return Err(format!(
-                            "expected ',' or ']' at byte {}, found {:?}",
-                            self.pos,
-                            other.map(|b| b as char)
-                        ))
-                    }
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.peek() {
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        let escaped = self
-                            .peek()
-                            .ok_or_else(|| "unterminated escape".to_string())?;
-                        out.push(match escaped {
-                            b'"' => '"',
-                            b'\\' => '\\',
-                            b'/' => '/',
-                            b'n' => '\n',
-                            b't' => '\t',
-                            b'r' => '\r',
-                            other => return Err(format!("unsupported escape \\{}", other as char)),
-                        });
-                        self.pos += 1;
-                    }
-                    Some(byte) => {
-                        // Multi-byte UTF-8 passes through unchanged.
-                        let start = self.pos;
-                        let mut end = self.pos + 1;
-                        if byte >= 0x80 {
-                            while end < self.bytes.len() && self.bytes[end] & 0xC0 == 0x80 {
-                                end += 1;
-                            }
-                        }
-                        out.push_str(
-                            std::str::from_utf8(&self.bytes[start..end])
-                                .map_err(|_| "invalid UTF-8 in string".to_string())?,
-                        );
-                        self.pos = end;
-                    }
-                    None => return Err("unterminated string".to_string()),
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.pos;
-            if self.peek() == Some(b'-') {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-            let mut float = false;
-            if self.peek() == Some(b'.') {
-                float = true;
-                self.pos += 1;
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
-            }
-            if matches!(self.peek(), Some(b'e' | b'E')) {
-                float = true;
-                self.pos += 1;
-                if matches!(self.peek(), Some(b'+' | b'-')) {
-                    self.pos += 1;
-                }
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
-            }
-            let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                .map_err(|_| "invalid number".to_string())?;
-            if !float {
-                if let Ok(n) = text.parse::<u64>() {
-                    return Ok(Value::UInt(n));
-                }
-            }
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| format!("bad number {text:?}"))
         }
     }
 }
@@ -1316,31 +932,6 @@ mod tests {
         assert!(MetricsSnapshot::from_prometheus(&lied).is_err());
         // Unknown metrics are rejected.
         assert!(MetricsSnapshot::from_prometheus("bogus_metric 1").is_err());
-    }
-
-    #[test]
-    fn json_round_trips_exactly() {
-        let snap = sample_snapshot();
-        let text = snap.to_json();
-        let parsed = MetricsSnapshot::from_json(&text).expect("parses");
-        assert_eq!(parsed, snap);
-        // And the zero snapshot too.
-        let zero = MetricsSnapshot::default();
-        assert_eq!(
-            MetricsSnapshot::from_json(&zero.to_json()).expect("parses"),
-            zero
-        );
-    }
-
-    #[test]
-    fn json_parser_rejects_corruption() {
-        assert!(MetricsSnapshot::from_json("{").is_err());
-        assert!(MetricsSnapshot::from_json("{}").is_err());
-        assert!(MetricsSnapshot::from_json("[1, 2]").is_err());
-        let truncated_buckets = sample_snapshot()
-            .to_json()
-            .replace("\"buckets\": [", "\"buckets\": [1, ");
-        assert!(MetricsSnapshot::from_json(&truncated_buckets).is_err());
     }
 
     #[cfg(feature = "telemetry")]

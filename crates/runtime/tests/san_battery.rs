@@ -1,7 +1,7 @@
 //! The sanitizer battery: drives every `ord:` pairing group of the runtime
 //! on real threads under the `coup-san` facade, then asserts the
-//! happens-before report is clean, every tag group was dynamically
-//! exercised, and the static site table round-trips byte-identically.
+//! happens-before report is clean and every tag group was dynamically
+//! exercised.
 //!
 //! Build: `RUSTFLAGS="--cfg coup_san" cargo test -p coup-runtime --test
 //! san_battery`. Under
@@ -217,20 +217,6 @@ fn battery_exercises_every_tag_group_and_verifies_clean() {
         "uncovered `ord:` tag groups: {:?} (covered: {:?})",
         report.uncovered_tags,
         report.covered_tags
-    );
-
-    // Cross-check the other direction: the site table the sanitizer loaded
-    // is the same one `coup-lint --sites` emits, byte for byte.
-    let runtime_src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
-    let lint_report = coup_lint::lint_dir(&runtime_src).expect("lint scan");
-    assert!(lint_report.is_clean(), "{:?}", lint_report.diagnostics);
-    let table = lint_report.site_table();
-    let rendered = coup_lint::render_sites_json(&table);
-    let reparsed = coup_lint::parse_sites_json(&rendered).expect("rendered table parses");
-    assert_eq!(
-        coup_lint::render_sites_json(&reparsed),
-        rendered,
-        "site table does not round-trip byte-identically"
     );
 }
 

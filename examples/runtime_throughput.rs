@@ -38,14 +38,8 @@
 //!    overhead taken as the *median* pair and asserted against the ≤5%
 //!    budget (a single pair is one scheduler hiccup away from either sign).
 //!
-//! The kernel table, the submission sweep, the read-tier sweep, the
-//! overhead measurement, and the merged
-//! [`MetricsSnapshot`](coup_runtime::MetricsSnapshot) of every facade-path
-//! section (so the committed accounting shows the submitted/applied/read
-//! volume actually measured, not zeros) are also written to
-//! `BENCH_runtime.json` (schema `coup-bench-runtime/v3`, written and parsed
-//! by [`coup_runtime::bench`], documented in the README) so perf
-//! trajectories are machine-diffable across commits.
+//! Everything is printed; nothing is written. Repeated, paired trials with
+//! a reported spread are `coupbench`'s job (see `BENCHMARK.json`).
 //!
 //! On a many-core machine the COUP advantage grows with the core count
 //! (private buffers eliminate the coherence ping-pong of the hot lines); on
@@ -59,11 +53,7 @@ use std::sync::Arc;
 use coup_protocol::ops::CommutativeOp;
 use coup_runtime::{
     run_contended, BackendKind, BufferConfig, ContendedSpec, CoupBackend, CoupRuntime, ReadTier,
-    RuntimeBuilder, DEFAULT_FLUSH_THRESHOLD,
-};
-use coup_runtime::{
-    BenchKernelRow, BenchOverhead, BenchReadTierRow, BenchReport, BenchShardRow, BenchSweepRow,
-    Merge, MetricsSnapshot, TelemetryConfig, TelemetryRegistry, BENCH_SCHEMA,
+    RuntimeBuilder, TelemetryConfig, TelemetryRegistry, DEFAULT_FLUSH_THRESHOLD,
 };
 use coup_workloads::bfs::BfsWorkload;
 use coup_workloads::hist::{HistScheme, HistWorkload};
@@ -110,7 +100,7 @@ fn sweep_producers(op: CommutativeOp, updates_per_thread: usize) {
     println!();
 }
 
-fn sweep_read_mix(producers: usize, updates_per_thread: usize, facade: &mut MetricsSnapshot) {
+fn sweep_read_mix(producers: usize, updates_per_thread: usize) {
     println!(
         "update/read mix at {producers} producers (reads reduce only the buffers \
          in the line's writer bitmap)"
@@ -126,7 +116,6 @@ fn sweep_read_mix(producers: usize, updates_per_thread: usize, facade: &mut Metr
         let ra = run_contended(&atomic, producers, &spec);
         let rc = run_contended(&coup, producers, &spec);
         assert_eq!(atomic.snapshot(), coup.snapshot(), "backends must agree");
-        facade.merge(&rc.metrics);
         println!(
             "{reads_per_1000:>12} | {:>14.1} | {:>14.1} | {:>7.2}x | {:>12.2} | {:>9}",
             ra.mops(),
@@ -200,22 +189,18 @@ fn sweep_capacity(producers: usize, updates_per_thread: usize) {
 
 /// The sharded-submission sweep: producer counts 8 → 1024 against both
 /// backends, total update volume held roughly constant so the sweep
-/// measures submission-path scaling, not more work. Each point records the
-/// COUP run's park/unpark totals and its per-shard `(slot, claims,
-/// drained)` rows for `BENCH_runtime.json` — capped at the heaviest-drained
-/// [`SWEEP_SHARD_ROWS`] slots, with the omission counted, never silent.
-const SWEEP_SHARD_ROWS: usize = 16;
-
-fn sweep_submission(facade: &mut MetricsSnapshot) -> Vec<BenchSweepRow> {
+/// measures submission-path scaling, not more work. Each point prints the
+/// COUP run's park total and how many directory shards its producers
+/// claimed.
+fn sweep_submission() {
     println!(
         "sharded submission sweep, 64 shared lanes, ~4M updates total, \
-         {WORKERS} resident workers (per-shard rows land in BENCH_runtime.json)"
+         {WORKERS} resident workers"
     );
     println!(
         "{:>9} | {:>14} | {:>14} | {:>8} | {:>7} | {:>12}",
         "producers", "atomic (Mops)", "coup (Mops)", "speedup", "parks", "shards used"
     );
-    let mut rows = Vec::new();
     for producers in [8usize, 64, 256, 1024] {
         let per_thread = (4_000_000 / producers).max(1_000);
         let spec = ContendedSpec::contended(per_thread);
@@ -224,20 +209,7 @@ fn sweep_submission(facade: &mut MetricsSnapshot) -> Vec<BenchSweepRow> {
         let ra = run_contended(&atomic, producers, &spec);
         let rc = run_contended(&coup, producers, &spec);
         assert_eq!(atomic.snapshot(), coup.snapshot(), "backends must agree");
-        let mut shards: Vec<BenchShardRow> = coup
-            .shard_stats()
-            .into_iter()
-            .filter(|s| s.claims > 0)
-            .map(|s| BenchShardRow {
-                slot: s.slot,
-                claims: s.claims,
-                drained: s.drained,
-            })
-            .collect();
-        let claimed = shards.len();
-        shards.sort_by(|a, b| b.drained.cmp(&a.drained).then(a.slot.cmp(&b.slot)));
-        shards.truncate(SWEEP_SHARD_ROWS);
-        facade.merge(&rc.metrics);
+        let claimed = coup.shard_stats().iter().filter(|s| s.claims > 0).count();
         println!(
             "{producers:>9} | {:>14.1} | {:>14.1} | {:>7.2}x | {:>7} | {:>12}",
             ra.mops(),
@@ -246,18 +218,8 @@ fn sweep_submission(facade: &mut MetricsSnapshot) -> Vec<BenchSweepRow> {
             rc.metrics.queue_parks,
             claimed,
         );
-        rows.push(BenchSweepRow {
-            producers,
-            atomic_mops: ra.mops(),
-            coup_mops: rc.mops(),
-            queue_parks: rc.metrics.queue_parks,
-            queue_unparks: rc.metrics.queue_unparks,
-            shards,
-            shards_omitted: claimed.saturating_sub(SWEEP_SHARD_ROWS),
-        });
     }
     println!();
-    rows
 }
 
 /// The read-tier sweep: the same read-heavy contended mix (the refcount-like
@@ -267,11 +229,7 @@ fn sweep_submission(facade: &mut MetricsSnapshot) -> Vec<BenchSweepRow> {
 /// delta bound, no reduction, no read hold). A background refresher keeps an
 /// eventually-consistent snapshot ticking alongside, the way a monitoring
 /// deployment would run it.
-fn sweep_read_tier(
-    producers: usize,
-    updates_per_thread: usize,
-    facade: &mut MetricsSnapshot,
-) -> Vec<BenchReadTierRow> {
+fn sweep_read_tier(producers: usize, updates_per_thread: usize) {
     // The refcount-style fan-out shape: as many resident workers as
     // producers, so an exact read may have to reduce every worker's
     // buffered partial while a stale read stays one bitmap walk — this is
@@ -287,7 +245,6 @@ fn sweep_read_tier(
         "{:>12} | {:>14} | {:>14} | {:>14} | {:>12} | {:>13}",
         "reads/1000", "atomic (Mops)", "exact (Mops)", "stale (Mops)", "vs exact", "vs atomic"
     );
-    let mut rows = Vec::new();
     for reads_per_1000 in [100u32, 300, 500] {
         let spec = ContendedSpec::contended(updates_per_thread).with_reads(reads_per_1000);
         let atomic = RuntimeBuilder::new(CommutativeOp::AddU64, spec.lanes)
@@ -310,8 +267,6 @@ fn sweep_read_tier(
             stale.snapshot(),
             "the stale tier changes what reads observe, never the update stream"
         );
-        facade.merge(&re.metrics);
-        facade.merge(&rs.metrics);
         println!(
             "{reads_per_1000:>12} | {:>14.1} | {:>14.1} | {:>14.1} | {:>+11.1}% | {:>+12.1}%",
             ra.mops(),
@@ -320,18 +275,11 @@ fn sweep_read_tier(
             (rs.mops() / re.mops() - 1.0) * 100.0,
             (rs.mops() / ra.mops() - 1.0) * 100.0,
         );
-        rows.push(BenchReadTierRow {
-            reads_per_1000,
-            atomic_mops: ra.mops(),
-            exact_mops: re.mops(),
-            stale_mops: rs.mops(),
-        });
     }
     println!();
-    rows
 }
 
-fn run_kernel(name: &'static str, kernel: &dyn UpdateKernel, threads: usize) -> BenchKernelRow {
+fn run_kernel(name: &str, kernel: &dyn UpdateKernel, threads: usize) {
     let (atomic, coup) = compare_runtime_backends(kernel, threads)
         .expect("both runs verify against the sequential reference");
     println!(
@@ -342,13 +290,6 @@ fn run_kernel(name: &'static str, kernel: &dyn UpdateKernel, threads: usize) -> 
         coup.updates,
         coup.reads,
     );
-    BenchKernelRow {
-        kernel: name.to_string(),
-        atomic_mops: atomic.mops(),
-        coup_mops: coup.mops(),
-        updates: coup.updates,
-        reads: coup.reads,
-    }
 }
 
 /// The bounded-footprint demonstration: pgrank over a million-line store
@@ -392,17 +333,6 @@ fn run_big_pgrank(threads: usize) {
     );
 }
 
-/// What the telemetry-overhead section measured: the same kernel with the
-/// registry live and with the runtime kill-switch thrown.
-struct OverheadRow {
-    enabled_mops: f64,
-    disabled_mops: f64,
-    /// Enabled-vs-disabled slowdown of the *median* interleaved pair, in
-    /// percent; negative means the enabled run was faster (noise floor).
-    overhead_pct: f64,
-    metrics: MetricsSnapshot,
-}
-
 /// The telemetry-overhead acceptance budget: the instrumented hot path may
 /// cost at most this much against the kill-switched one.
 const OVERHEAD_BUDGET_PCT: f64 = 5.0;
@@ -417,8 +347,9 @@ fn median(mut values: Vec<f64>) -> f64 {
 /// — so both sides of every pair see the same machine weather. The reported
 /// overhead is the median per-pair slowdown, asserted against
 /// [`OVERHEAD_BUDGET_PCT`]: a single pair is one scheduler hiccup away from
-/// either sign, and gating the budget on it would flap.
-fn measure_overhead(threads: usize, reps: usize) -> OverheadRow {
+/// either sign, and gating the budget on it would flap. A negative figure
+/// means the enabled run was faster (noise floor).
+fn measure_overhead(threads: usize, reps: usize) {
     assert!(
         reps >= 3,
         "the median needs at least three interleaved pairs"
@@ -429,7 +360,6 @@ fn measure_overhead(threads: usize, reps: usize) -> OverheadRow {
     let hist = HistWorkload::new(1_000_000, 256, HistScheme::Shared, 42);
     let kernel = hist.kernel();
     let mut pairs = Vec::new();
-    let mut metrics = MetricsSnapshot::default();
     for _ in 0..reps {
         let on = RuntimeBackend::new(RuntimeKind::Coup, threads)
             .with_telemetry(TelemetryConfig::default())
@@ -439,7 +369,6 @@ fn measure_overhead(threads: usize, reps: usize) -> OverheadRow {
             .with_telemetry(TelemetryConfig::disabled())
             .execute(&kernel)
             .expect("hist verifies with telemetry off");
-        metrics.merge(&on.metrics);
         pairs.push((on.mops(), off.mops()));
     }
     let enabled_mops = median(pairs.iter().map(|p| p.0).collect());
@@ -459,60 +388,6 @@ fn measure_overhead(threads: usize, reps: usize) -> OverheadRow {
         "median telemetry overhead {overhead_pct:.2}% busts the \
          {OVERHEAD_BUDGET_PCT}% budget (pairs: {pairs:?})"
     );
-    OverheadRow {
-        enabled_mops,
-        disabled_mops,
-        overhead_pct,
-        metrics,
-    }
-}
-
-/// Serialises the run into `BENCH_runtime.json` (schema [`BENCH_SCHEMA`];
-/// see README). The writer and parser live together in
-/// [`coup_runtime::bench`], and the whole report is round-tripped through
-/// [`BenchReport::from_json`] before the file is written, so a report that
-/// would not parse back never lands on disk.
-fn emit_bench_json(
-    threads: usize,
-    rows: Vec<BenchKernelRow>,
-    sweep: Vec<BenchSweepRow>,
-    tiers: Vec<BenchReadTierRow>,
-    overhead: OverheadRow,
-    mut facade: MetricsSnapshot,
-) {
-    // The committed snapshot merges every facade-path section's delta with
-    // the instrumented kernel run's, so the accounting counters
-    // (updates_submitted / updates_applied / handle_reads / stale_reads)
-    // reflect the volume the report's rows actually measured — a file whose
-    // kernel rows claim updates over an all-zero snapshot is the bug the
-    // schema tests now reject.
-    facade.merge(&overhead.metrics);
-    let report = BenchReport {
-        threads,
-        workers: WORKERS,
-        kernels: rows,
-        submission_sweep: sweep,
-        read_tier_sweep: tiers,
-        telemetry_overhead: BenchOverhead {
-            kernel: "hist (1M px, 256b)".to_string(),
-            threads,
-            enabled_mops: overhead.enabled_mops,
-            disabled_mops: overhead.disabled_mops,
-            overhead_pct: overhead.overhead_pct,
-        },
-        metrics: facade,
-    };
-    let json = report.to_json();
-    let parsed =
-        BenchReport::from_json(&json).expect("bench report must round-trip through its own JSON");
-    assert_eq!(parsed, report, "bench JSON round-trip changed the report");
-    match std::fs::write("BENCH_runtime.json", &json) {
-        Ok(()) => println!(
-            "wrote BENCH_runtime.json ({BENCH_SCHEMA}, {} bytes)",
-            json.len()
-        ),
-        Err(err) => println!("could not write BENCH_runtime.json: {err}"),
-    }
 }
 
 fn main() {
@@ -524,42 +399,35 @@ fn main() {
     // The read-mix crossover across producer counts: the writer-bitmap read
     // path pays O(active writers) per read, so where the crossover lands
     // depends on how many writers stay hot, not on the producer count.
-    let mut facade = MetricsSnapshot::default();
     for producers in [2usize, 4, 8, 16] {
-        sweep_read_mix(producers, 400_000, &mut facade);
+        sweep_read_mix(producers, 400_000);
     }
     sweep_capacity(4, 400_000);
-    let sweep = sweep_submission(&mut facade);
-    let tiers = sweep_read_tier(8, 400_000, &mut facade);
+    sweep_submission();
+    sweep_read_tier(8, 400_000);
 
     println!("workload kernels through ExecutionBackend at {threads} threads");
     println!(
         "{:>20} | {:>14} | {:>14} | {:>8} |",
         "kernel", "atomic (Mops)", "coup (Mops)", "speedup"
     );
-    let mut rows = Vec::new();
     let hist = HistWorkload::new(1_000_000, 256, HistScheme::Shared, 42);
-    rows.push(run_kernel("hist (1M px, 256b)", &hist.kernel(), threads));
+    run_kernel("hist (1M px, 256b)", &hist.kernel(), threads);
     let pgrank = PageRankWorkload::new(2_000, 32, 4, 42);
-    rows.push(run_kernel("pgrank (2k v, x4)", &pgrank.kernel(), threads));
+    run_kernel("pgrank (2k v, x4)", &pgrank.kernel(), threads);
     let refcount = ImmediateRefcount::new(64, 150_000, false, RefcountScheme::Coup, 42);
-    rows.push(run_kernel(
-        "refcount (64 ctrs)",
-        &refcount.kernel(),
-        threads,
-    ));
+    run_kernel("refcount (64 ctrs)", &refcount.kernel(), threads);
     // The update-rich workloads this PR kernelized: floating-point scatter
     // (verified under the relative tolerance), the dynamic level-synchronous
     // visited bitmap, and the delayed-reclamation epoch scheme.
     let spmv = SpmvWorkload::new(20_000, 16, 42);
-    rows.push(run_kernel("spmv (20k², 16nnz)", &spmv.kernel(), threads));
+    run_kernel("spmv (20k², 16nnz)", &spmv.kernel(), threads);
     let bfs = BfsWorkload::new(200_000, 8, 42);
-    rows.push(run_kernel("bfs (200k v)", &bfs.kernel(), threads));
+    run_kernel("bfs (200k v)", &bfs.kernel(), threads);
     let delayed = DelayedRefcount::new(4_096, 8, 50_000, DelayedScheme::CoupBitmap, 42);
-    rows.push(run_kernel("refcount-delayed", &delayed.kernel(), threads));
+    run_kernel("refcount-delayed", &delayed.kernel(), threads);
     run_big_pgrank(threads);
     println!();
 
-    let overhead = measure_overhead(threads, 5);
-    emit_bench_json(threads, rows, sweep, tiers, overhead, facade);
+    measure_overhead(threads, 5);
 }
