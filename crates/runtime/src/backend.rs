@@ -43,6 +43,7 @@
 //!    bounded memory and reader progress both survive.
 
 use crate::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use crate::sync::weakened_if;
 use std::sync::Arc;
 
 /// Orderings the `coup_model_mutation` CI lane deliberately weakens to prove
@@ -60,18 +61,10 @@ use std::sync::Arc;
 /// `--cfg coup_san_mutation="epoch_publish"` weakens `EPOCH_PUBLISH` alone
 /// so the real-thread sanitizer lane can prove it has teeth (see
 /// `tests/san_battery.rs`).
-#[cfg(not(any(coup_model_mutation, coup_san_mutation = "epoch_publish")))]
-const EPOCH_PUBLISH: Ordering = Ordering::Release; // ord: seqlock-epoch
-#[cfg(not(coup_model_mutation))]
-const WRITER_RETIRE: Ordering = Ordering::AcqRel; // ord: writer-bitmap
-#[cfg(not(coup_model_mutation))]
-const EVICTION_FOLD: Ordering = Ordering::Acquire; // ord: evict-stats
-#[cfg(any(coup_model_mutation, coup_san_mutation = "epoch_publish"))]
-const EPOCH_PUBLISH: Ordering = Ordering::Relaxed;
-#[cfg(coup_model_mutation)]
-const WRITER_RETIRE: Ordering = Ordering::Relaxed;
-#[cfg(coup_model_mutation)]
-const EVICTION_FOLD: Ordering = Ordering::Relaxed;
+#[rustfmt::skip]
+const EPOCH_PUBLISH: Ordering = weakened_if(cfg!(any(coup_model_mutation, coup_san_mutation = "epoch_publish")), Ordering::Release); // ord: seqlock-epoch
+const WRITER_RETIRE: Ordering = weakened_if(cfg!(coup_model_mutation), Ordering::AcqRel); // ord: writer-bitmap
+const EVICTION_FOLD: Ordering = weakened_if(cfg!(coup_model_mutation), Ordering::Acquire); // ord: evict-stats
 
 use coup_protocol::line::{LineData, WORDS_PER_LINE};
 use coup_protocol::ops::CommutativeOp;
@@ -85,7 +78,9 @@ use crate::trace::TraceKind;
 /// counters stay zero; [`CoupBackend`] reads reduce over the buffers of the
 /// line's active writers, and these counters make that cost — and the
 /// seqlock's retry/escalation behaviour — assertable in tests and visible in
-/// throughput reports.
+/// throughput reports. Each read is tallied once, in the telemetry registry's
+/// read histograms, and these are derived from them — so they stay zero with
+/// telemetry disabled or compiled out, like every registry-backed series.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ReadCost {
     /// Reads served (including the reads [`UpdateBackend::snapshot`] issues).
@@ -342,13 +337,6 @@ pub trait UpdateBackend: Send + Sync {
     /// Every lane's value. Exact once all workers have finished and flushed.
     fn snapshot(&self) -> Vec<u64>;
 
-    /// Cumulative [`ReadCost`] counters for this backend. The default is all
-    /// zeros, correct for backends whose reads are a single store load;
-    /// [`CoupBackend`] reports its reduction work here.
-    fn read_cost(&self) -> ReadCost {
-        ReadCost::default()
-    }
-
     /// Cumulative [`BufferStats`] counters for this backend. The default is
     /// all zeros, correct for backends without privatized buffers;
     /// [`CoupBackend`] reports its privatization/eviction/flush work here.
@@ -525,20 +513,6 @@ impl ThreadBuffer {
     }
 }
 
-/// Per-thread read-cost tally, padded to its own cache line so two readers
-/// never false-share a counter word. Worker `t` usually adds to slot `t`
-/// alone, but slot 0 is shared with out-of-range callers (e.g. a snapshot
-/// from a non-worker thread), so the adds must stay `fetch_add`s;
-/// [`CoupBackend::read_cost`] folds the slots.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct ReadCostCounters {
-    reads: AtomicU64,
-    buffer_words: AtomicU64,
-    retries: AtomicU64,
-    escalations: AtomicU64,
-}
-
 /// Software COUP: sparse, capacity-bounded privatized per-thread buffers
 /// absorb updates with plain stores; reads reduce on demand across the
 /// buffers of the line's *active writers* (tracked by a per-line bitmap);
@@ -550,9 +524,8 @@ pub struct CoupBackend {
     buffers: Vec<ThreadBuffer>,
     /// One `LineMeta` (writer bitmap + read-hold latch) per store shard.
     line_meta: Box<[crate::store::LineMeta]>,
-    /// One padded counter block per worker; slot `t` is written by `t` only.
-    read_costs: Box<[ReadCostCounters]>,
-    /// Histogram registry + trace rings, shared with the owning runtime.
+    /// Read tallies, histograms and trace rings, shared with the owning
+    /// runtime.
     telemetry: Arc<TelemetryRegistry>,
     geometry: LaneGeometry,
     flush_threshold: u32,
@@ -636,7 +609,6 @@ impl CoupBackend {
             line_meta: (0..num_lines)
                 .map(|_| crate::store::LineMeta::default())
                 .collect(),
-            read_costs: (0..threads).map(|_| ReadCostCounters::default()).collect(),
             telemetry,
             geometry,
             flush_threshold: flush_threshold.max(1),
@@ -647,6 +619,15 @@ impl CoupBackend {
     #[must_use]
     pub fn store(&self) -> &SharedStore {
         &self.store
+    }
+
+    /// Cumulative [`ReadCost`] of this backend's reads, folded from its
+    /// telemetry registry (all zeros when that registry is disabled).
+    #[must_use]
+    pub fn read_cost(&self) -> ReadCost {
+        let mut snap = crate::telemetry::MetricsSnapshot::default();
+        self.telemetry.fill(&mut snap);
+        snap.read_cost
     }
 
     /// Resolved per-worker buffer capacity, in lines (the configured bound
@@ -965,10 +946,7 @@ impl CoupBackend {
     #[cfg(any(test, coup_san))]
     pub fn read_escalated(&self, thread: usize, index: usize) -> u64 {
         let slot = self.geometry.slot(index);
-        let mut cost = ReadCost {
-            reads: 1,
-            ..ReadCost::default()
-        };
+        let mut cost = ReadCost::default();
         self.reduce_with_hold(thread, slot, index, &mut cost)
     }
 }
@@ -1087,36 +1065,19 @@ impl UpdateBackend for CoupBackend {
         // proof), and the retry loop is bounded: after [`READ_RETRY_LIMIT`]
         // invalidated passes the reader escalates to a flush-deferring hold
         // that forces the line quiescent instead of spinning forever.
-        let mut cost = ReadCost {
-            reads: 1,
-            ..ReadCost::default()
-        };
-        let mut attempts = 0u32;
+        let mut cost = ReadCost::default();
         let value = loop {
             if let Some(value) = self.try_reduce(slot, index, &mut cost) {
                 break value;
             }
             cost.retries += 1;
-            attempts += 1;
-            if attempts >= READ_RETRY_LIMIT {
+            if cost.retries >= u64::from(READ_RETRY_LIMIT) {
                 break self.reduce_with_hold(thread, slot, index, &mut cost);
             }
             crate::sync::hint::spin_loop();
         };
-        // Owner-only slot (shared slot 0 absorbs out-of-range callers, e.g.
-        // a snapshot taken from a non-worker thread; fetch_add keeps that
-        // safe), so the tallies stay off other readers' cache lines.
-        let counters = self.read_costs.get(thread).unwrap_or(&self.read_costs[0]);
-        counters.reads.fetch_add(cost.reads, Ordering::Relaxed);
-        counters
-            .buffer_words
-            .fetch_add(cost.buffer_words, Ordering::Relaxed);
-        counters.retries.fetch_add(cost.retries, Ordering::Relaxed);
-        counters
-            .escalations
-            .fetch_add(cost.escalations, Ordering::Relaxed);
         self.telemetry
-            .record_read(thread, cost.buffer_words, cost.retries);
+            .record_read(thread, cost.buffer_words, cost.retries, cost.escalations);
         value
     }
 
@@ -1188,19 +1149,6 @@ impl UpdateBackend for CoupBackend {
         (0..self.store.len())
             .map(|index| self.read(0, index))
             .collect()
-    }
-
-    fn read_cost(&self) -> ReadCost {
-        let mut total = ReadCost::default();
-        for counters in &self.read_costs {
-            total.merge(&ReadCost {
-                reads: counters.reads.load(Ordering::Relaxed),
-                buffer_words: counters.buffer_words.load(Ordering::Relaxed),
-                retries: counters.retries.load(Ordering::Relaxed),
-                escalations: counters.escalations.load(Ordering::Relaxed),
-            });
-        }
-        total
     }
 
     fn buffer_stats(&self) -> BufferStats {
@@ -1643,6 +1591,7 @@ mod tests {
     /// The acceptance bar of the writer-bitmap read path: one active writer
     /// on a line costs exactly one buffer-word load per read, no matter how
     /// many worker buffers the backend carries.
+    #[cfg(feature = "telemetry")]
     #[test]
     fn read_on_a_line_with_one_writer_loads_one_buffer_word() {
         for threads in [2usize, 8, 32, MAX_COUP_THREADS] {
@@ -1665,6 +1614,7 @@ mod tests {
         }
     }
 
+    #[cfg(feature = "telemetry")]
     #[test]
     fn read_on_a_cold_line_loads_no_buffer_words() {
         let b = ambient_backend(CommutativeOp::AddU64, 8, 16);
@@ -1675,6 +1625,7 @@ mod tests {
         assert_eq!(b.read_cost().reads, 10);
     }
 
+    #[cfg(feature = "telemetry")]
     #[test]
     fn read_cost_tracks_active_writers_not_threads() {
         let threads = 32;
@@ -1690,6 +1641,28 @@ mod tests {
         let before = b.read_cost().buffer_words;
         assert_eq!(b.read(31, 2), 3);
         assert_eq!(b.read_cost().buffer_words - before, 2);
+    }
+
+    /// The kill switch's promise: a disabled registry changes no read's
+    /// value and tallies nothing; the backend-native buffer counters flow.
+    #[test]
+    fn disabled_registry_does_no_read_bookkeeping() {
+        let telemetry = Arc::new(TelemetryRegistry::new(4, TelemetryConfig::disabled()));
+        let b = CoupBackend::new(
+            CommutativeOp::AddU64,
+            8,
+            4,
+            DEFAULT_FLUSH_THRESHOLD,
+            BufferConfig::from_env(),
+            telemetry,
+        );
+        b.update(0, 2, 10);
+        b.update(3, 2, 5);
+        assert_eq!(b.read(1, 2), 15);
+        assert_eq!(b.read_escalated(1, 2), 15);
+        assert_eq!(b.snapshot()[2], 15);
+        assert_eq!(b.read_cost(), ReadCost::default());
+        assert!(b.buffer_stats().privatized > 0);
     }
 
     #[test]

@@ -347,6 +347,8 @@ mod tests {
             crate::backend::ReadCost::default(),
             "atomic reads are plain loads"
         );
+        // Read cost lives in the registry `--no-default-features` compiles out.
+        #[cfg(feature = "telemetry")]
         assert_eq!(
             rc.metrics.read_cost.reads, rc.reads,
             "every coup read of the run is accounted"

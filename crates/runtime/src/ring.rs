@@ -33,7 +33,7 @@
 //! | `drain-quiesce` | worker's applied-count bump           | `drain()`'s applied-count load            |
 
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{Condvar, Mutex};
+use crate::sync::{weakened_if, Condvar, Mutex};
 use std::sync::Arc;
 
 /// Orderings the `coup_model_mutation` CI lane weakens to `Relaxed` to prove
@@ -53,22 +53,12 @@ use std::sync::Arc;
 /// `--cfg coup_san_mutation="ring_publish"` weakens `RING_PUBLISH` alone so
 /// the real-thread sanitizer lane can prove *it* has teeth too (see
 /// `tests/san_battery.rs`).
-#[cfg(not(any(coup_model_mutation, coup_san_mutation = "ring_publish")))]
-pub(crate) const RING_PUBLISH: Ordering = Ordering::Release; // ord: ring-publish
-#[cfg(not(coup_model_mutation))]
-pub(crate) const SHARD_RETIRE: Ordering = Ordering::Release; // ord: shard-retire
-#[cfg(not(coup_model_mutation))]
-pub(crate) const WAKE_PUBLISH: Ordering = Ordering::Release; // ord: queue-wake
-#[cfg(not(coup_model_mutation))]
-pub(crate) const QUIESCE_PUBLISH: Ordering = Ordering::Release; // ord: drain-quiesce
-#[cfg(any(coup_model_mutation, coup_san_mutation = "ring_publish"))]
-pub(crate) const RING_PUBLISH: Ordering = Ordering::Relaxed;
-#[cfg(coup_model_mutation)]
-pub(crate) const SHARD_RETIRE: Ordering = Ordering::Relaxed;
-#[cfg(coup_model_mutation)]
-pub(crate) const WAKE_PUBLISH: Ordering = Ordering::Relaxed;
-#[cfg(coup_model_mutation)]
-pub(crate) const QUIESCE_PUBLISH: Ordering = Ordering::Relaxed;
+#[rustfmt::skip]
+pub(crate) const RING_PUBLISH: Ordering = weakened_if(cfg!(any(coup_model_mutation, coup_san_mutation = "ring_publish")), Ordering::Release); // ord: ring-publish
+pub(crate) const SHARD_RETIRE: Ordering = weakened_if(cfg!(coup_model_mutation), Ordering::Release); // ord: shard-retire
+pub(crate) const WAKE_PUBLISH: Ordering = weakened_if(cfg!(coup_model_mutation), Ordering::Release); // ord: queue-wake
+#[rustfmt::skip]
+pub(crate) const QUIESCE_PUBLISH: Ordering = weakened_if(cfg!(coup_model_mutation), Ordering::Release); // ord: drain-quiesce
 
 /// Pads (and aligns) a hot atomic to its own cache line so the producer's
 /// tail and the consumer's head never false-share.

@@ -73,7 +73,7 @@
 
 use crate::sync;
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{Mutex, MutexGuard};
+use crate::sync::{weakened_if, Mutex, MutexGuard};
 use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -343,10 +343,7 @@ const SUBMIT_MASK: u64 = SUBMIT_CLOSED - 1;
 /// off this one Release. The `coup_model_mutation` CI lane weakens it to
 /// `Relaxed`; the paired model test observes a bumped epoch over a stale
 /// snapshot word and fails, proving the edge is load-bearing.
-#[cfg(not(coup_model_mutation))]
-pub(crate) const SNAP_PUBLISH: Ordering = Ordering::Release; // ord: snap-publish
-#[cfg(coup_model_mutation)]
-pub(crate) const SNAP_PUBLISH: Ordering = Ordering::Relaxed;
+pub(crate) const SNAP_PUBLISH: Ordering = weakened_if(cfg!(coup_model_mutation), Ordering::Release); // ord: snap-publish
 
 /// State shared by the runtime, its resident workers, and every handle.
 struct Shared {
@@ -569,8 +566,8 @@ impl Shared {
     }
 
     /// Assembles a full [`MetricsSnapshot`]: submission counters, the
-    /// backend's per-worker counter folds, and the registry's histograms and
-    /// trace totals. No stop-the-world — workers keep running while this
+    /// backend's buffer-stats fold, and the registry's read cost, histograms
+    /// and trace totals. No stop-the-world — workers keep running while this
     /// sums their blocks.
     fn metrics(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot {
@@ -579,7 +576,6 @@ impl Shared {
             handle_reads: self.handle_reads.load(Ordering::Relaxed),
             stale_reads: self.stale_reads.load(Ordering::Relaxed),
             snapshot_refreshes: self.refreshes.load(Ordering::Relaxed),
-            read_cost: self.backend.read_cost(),
             buffer_stats: self.backend.buffer_stats(),
             ..MetricsSnapshot::default()
         };

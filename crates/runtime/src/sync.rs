@@ -59,6 +59,18 @@ pub(crate) use std::{
     thread,
 };
 
+/// The one definition of every ordering constant a mutation lane attacks:
+/// `strong`, or `Relaxed` when `mutated` (the constant's own `cfg!` test), so
+/// no constant can lose its weakened twin. Definitions stay on one line
+/// (`#[rustfmt::skip]` if need be): `coup-lint` resolves them line by line.
+pub(crate) const fn weakened_if(mutated: bool, strong: atomic::Ordering) -> atomic::Ordering {
+    if mutated {
+        atomic::Ordering::Relaxed
+    } else {
+        strong
+    }
+}
+
 /// Compile-time proof that the default build's facade is a plain `std`
 /// re-export — not a wrapper with the same name. Each helper only
 /// type-checks if the facade type *unifies* with the `std` type, so any

@@ -15,11 +15,14 @@
 //! allocates nothing and every recording call is an empty inline function —
 //! the zero-cost compile-out path — while [`MetricsSnapshot`], the [`Merge`]
 //! trait, and the exporter stay available so reports keep the same shape
-//! (histograms all zero).
+//! (read cost, parks, histograms and trace all zero; the backend-native
+//! [`BufferStats`] still flows).
 
 use std::time::Instant;
 
 use crate::backend::{BufferStats, ReadCost};
+#[cfg(feature = "telemetry")]
+use crate::sync::atomic::Ordering;
 use crate::trace::{TraceEvent, TraceKind};
 
 /// Number of buckets in every fixed-bucket histogram.
@@ -31,7 +34,7 @@ pub const HIST_BUCKETS: usize = 16;
 
 /// Merging for per-worker (or per-run) counter aggregates.
 ///
-/// Every counter struct the runtime reports — [`ReadCost`], [`BufferStats`],
+/// Every counter struct the runtime folds — [`BufferStats`],
 /// [`HistogramSnapshot`], [`MetricsSnapshot`], and the workload executor's
 /// per-worker counts — folds through this one trait, replacing the three
 /// hand-rolled merge loops that used to live in the harness, the runtime
@@ -39,15 +42,6 @@ pub const HIST_BUCKETS: usize = 16;
 pub trait Merge {
     /// Accumulates `other` into `self` field by field.
     fn merge(&mut self, other: &Self);
-}
-
-impl Merge for ReadCost {
-    fn merge(&mut self, other: &Self) {
-        self.reads += other.reads;
-        self.buffer_words += other.buffer_words;
-        self.retries += other.retries;
-        self.escalations += other.escalations;
-    }
 }
 
 impl Merge for BufferStats {
@@ -125,9 +119,10 @@ impl Merge for HistogramSnapshot {
 /// [`crate::RuntimeBuilder::telemetry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Runtime kill-switch: when false the registry allocates nothing and
-    /// every recording call is one predictable branch. (The `telemetry`
-    /// cargo feature removes even that branch at compile time.)
+    /// Runtime kill-switch: when false the registry allocates nothing, every
+    /// recording call is one predictable branch, and its series (read cost,
+    /// parks, histograms, trace) stay zero. (The `telemetry` cargo feature
+    /// removes even that branch at compile time.)
     pub enabled: bool,
 }
 
@@ -192,6 +187,7 @@ mod registry_impl {
         pub(crate) occupancy: AtomicHistogram,
         pub(crate) flush_words: AtomicHistogram,
         pub(crate) staleness: AtomicHistogram,
+        pub(crate) read_escalations: AtomicU64,
         pub(crate) queue_parks: AtomicU64,
         pub(crate) queue_unparks: AtomicU64,
     }
@@ -212,16 +208,21 @@ mod registry_impl {
             }
         }
 
-        /// Clamps out-of-range recorders (external handle readers pass
-        /// `usize::MAX`) onto block 0.
+        /// The one identity rule: worker `w` records into block and ring
+        /// `w`; any out-of-range recorder (external handle readers pass
+        /// `usize::MAX`) clamps onto index 0.
         #[inline]
-        pub(crate) fn block(&self, worker: usize) -> &WorkerBlock {
-            let index = if worker < self.blocks.len() {
+        pub(crate) fn index(&self, worker: usize) -> usize {
+            if worker < self.blocks.len() {
                 worker
             } else {
                 0
-            };
-            &self.blocks[index]
+            }
+        }
+
+        #[inline]
+        pub(crate) fn block(&self, worker: usize) -> &WorkerBlock {
+            &self.blocks[self.index(worker)]
         }
     }
 }
@@ -301,18 +302,24 @@ impl TelemetryRegistry {
         }
     }
 
-    /// Records one synchronous read: how many buffer words it folded and
-    /// how many validation retries it burned.
+    /// Records one synchronous read — the only place a read is tallied: the
+    /// buffer words it folded, the validation retries it burned, whether it
+    /// escalated. [`MetricsSnapshot::read_cost`] is derived from these.
     #[inline]
-    pub(crate) fn record_read(&self, worker: usize, width: u64, retries: u64) {
+    pub(crate) fn record_read(&self, worker: usize, width: u64, retries: u64, escalations: u64) {
         #[cfg(feature = "telemetry")]
         if let Some(inner) = &self.inner {
             let block = inner.block(worker);
             block.read_width.record(width);
             block.read_retries.record(retries);
+            if escalations != 0 {
+                block
+                    .read_escalations
+                    .fetch_add(escalations, Ordering::Relaxed);
+            }
         }
         #[cfg(not(feature = "telemetry"))]
-        let _ = (worker, width, retries);
+        let _ = (worker, width, retries, escalations);
     }
 
     /// Records one popped submission batch: its size and queue dwell time.
@@ -369,7 +376,7 @@ impl TelemetryRegistry {
             inner
                 .block(worker)
                 .queue_parks
-                .fetch_add(1, crate::sync::atomic::Ordering::Relaxed);
+                .fetch_add(1, Ordering::Relaxed);
         }
         self.trace(worker, TraceKind::QueuePark, 0);
     }
@@ -385,7 +392,7 @@ impl TelemetryRegistry {
             inner
                 .block(worker)
                 .queue_unparks
-                .fetch_add(1, crate::sync::atomic::Ordering::Relaxed);
+                .fetch_add(1, Ordering::Relaxed);
         }
         self.trace(worker, TraceKind::QueueUnpark, 0);
     }
@@ -395,25 +402,24 @@ impl TelemetryRegistry {
     pub(crate) fn trace(&self, worker: usize, kind: TraceKind, line: usize) {
         #[cfg(feature = "telemetry")]
         if let Some(inner) = &self.inner {
-            let index = if worker < inner.rings.len() {
-                worker
-            } else {
-                0
-            };
+            let index = inner.index(worker);
             inner.rings[index].record(self.uptime_ns(), index, kind, line);
         }
         #[cfg(not(feature = "telemetry"))]
         let _ = (worker, kind, line);
     }
 
-    /// Folds the registry's own counters (histograms, parks, trace totals,
-    /// uptime) into `snap`; the caller supplies the backend and queue
-    /// counters.
+    /// Folds the registry's own counters (read cost, histograms, parks,
+    /// trace totals, uptime) into `snap`; the caller supplies the buffer and
+    /// queue counters. `read_cost` is derived from the two read histograms.
     pub(crate) fn fill(&self, snap: &mut MetricsSnapshot) {
         snap.uptime_ns = self.uptime_ns();
         #[cfg(feature = "telemetry")]
         if let Some(inner) = &self.inner {
             for block in inner.blocks.iter() {
+                // Escalations before the buckets: a read bumps its buckets
+                // first, so `escalations <= reads` holds for a live observer.
+                snap.read_cost.escalations += block.read_escalations.load(Ordering::Relaxed);
                 snap.read_width.merge(&block.read_width.snapshot());
                 snap.read_retries.merge(&block.read_retries.snapshot());
                 snap.queue_dwell_us.merge(&block.queue_dwell_us.snapshot());
@@ -421,17 +427,16 @@ impl TelemetryRegistry {
                 snap.occupancy.merge(&block.occupancy.snapshot());
                 snap.flush_words.merge(&block.flush_words.snapshot());
                 snap.staleness.merge(&block.staleness.snapshot());
-                snap.queue_parks += block
-                    .queue_parks
-                    .load(crate::sync::atomic::Ordering::Relaxed);
-                snap.queue_unparks += block
-                    .queue_unparks
-                    .load(crate::sync::atomic::Ordering::Relaxed);
+                snap.queue_parks += block.queue_parks.load(Ordering::Relaxed);
+                snap.queue_unparks += block.queue_unparks.load(Ordering::Relaxed);
             }
             for ring in inner.rings.iter() {
                 snap.trace_recorded += ring.recorded();
                 snap.trace_dropped += ring.dropped();
             }
+            snap.read_cost.reads = snap.read_width.count();
+            snap.read_cost.buffer_words = snap.read_width.sum;
+            snap.read_cost.retries = snap.read_retries.sum;
         }
     }
 }
@@ -470,11 +475,11 @@ pub struct MetricsSnapshot {
     pub trace_recorded: u64,
     /// Trace events lost to ring overwrite before a drain reached them.
     pub trace_dropped: u64,
-    /// Merged read-path cost counters (reads, folded words, retries,
-    /// escalations).
+    /// Read-path cost (reads, folded words, retries, escalations), derived
+    /// from the registry's read histograms — zero with telemetry off.
     pub read_cost: ReadCost,
     /// Merged buffer life-cycle counters (privatizations, evictions,
-    /// flushes, held bypasses).
+    /// flushes, held bypasses), backend-native: they flow with telemetry off.
     pub buffer_stats: BufferStats,
     /// Buffer words folded per synchronous read.
     pub read_width: HistogramSnapshot,
@@ -939,9 +944,9 @@ mod tests {
     fn registry_folds_per_worker_blocks() {
         let registry = TelemetryRegistry::new(4, TelemetryConfig::default());
         assert!(registry.is_enabled());
-        registry.record_read(0, 3, 1);
-        registry.record_read(2, 5, 0);
-        registry.record_read(usize::MAX, 2, 0); // clamps onto block 0
+        registry.record_read(0, 3, 1, 1);
+        registry.record_read(2, 5, 0, 0);
+        registry.record_read(usize::MAX, 2, 0, 0); // clamps onto block 0
         registry.record_queue_pop(1, 256, 12);
         registry.record_occupancy(3, 7);
         registry.record_flush_words(2, 9);
@@ -955,6 +960,11 @@ mod tests {
         assert_eq!(snap.read_width.sum, 10);
         assert_eq!(snap.read_retries.count(), 3);
         assert_eq!(snap.read_retries.sum, 1);
+        // Read cost is derived from the two read histograms.
+        assert_eq!(snap.read_cost.reads, 3);
+        assert_eq!(snap.read_cost.buffer_words, 10);
+        assert_eq!(snap.read_cost.retries, 1);
+        assert_eq!(snap.read_cost.escalations, 1);
         assert_eq!(snap.batch_size.count(), 1);
         assert_eq!(snap.queue_dwell_us.sum, 12);
         assert_eq!(snap.occupancy.sum, 7);
@@ -979,13 +989,14 @@ mod tests {
     fn disabled_registry_records_nothing() {
         let registry = TelemetryRegistry::new(4, TelemetryConfig::disabled());
         assert!(!registry.is_enabled());
-        registry.record_read(0, 3, 1);
+        registry.record_read(0, 3, 1, 1);
         registry.record_park(0);
         registry.record_unpark(0);
         registry.trace(0, TraceKind::Flush, 9);
         let mut snap = MetricsSnapshot::default();
         registry.fill(&mut snap);
         assert_eq!(snap.read_width.count(), 0);
+        assert_eq!(snap.read_cost, ReadCost::default());
         assert_eq!(snap.queue_parks, 0);
         assert_eq!(snap.queue_unparks, 0);
         assert_eq!(snap.trace_recorded, 0);

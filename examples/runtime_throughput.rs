@@ -343,12 +343,13 @@ fn median(mut values: Vec<f64>) -> f64 {
 }
 
 /// Measures telemetry overhead on the hist kernel: `reps` *interleaved*
-/// pairs of runs — telemetry enabled (default config), then runtime-disabled
-/// — so both sides of every pair see the same machine weather. The reported
-/// overhead is the median per-pair slowdown, asserted against
-/// [`OVERHEAD_BUDGET_PCT`]: a single pair is one scheduler hiccup away from
-/// either sign, and gating the budget on it would flap. A negative figure
-/// means the enabled run was faster (noise floor).
+/// pairs of runs — telemetry enabled (default config) and runtime-disabled,
+/// alternating which side goes first so warm-up and drift favour neither.
+/// The reported overhead is the median per-pair slowdown; a negative figure
+/// means the enabled run was faster (noise floor). It is asserted against
+/// [`OVERHEAD_BUDGET_PCT`] only when the pairs' inter-quartile spread is
+/// below the budget; otherwise the box cannot resolve a budget-sized
+/// difference and the result prints as `unresolved` — a tie, not a failure.
 fn measure_overhead(threads: usize, reps: usize) {
     assert!(
         reps >= 3,
@@ -359,30 +360,41 @@ fn measure_overhead(threads: usize, reps: usize) {
     );
     let hist = HistWorkload::new(1_000_000, 256, HistScheme::Shared, 42);
     let kernel = hist.kernel();
+    let run = |config: TelemetryConfig| {
+        RuntimeBackend::new(RuntimeKind::Coup, threads)
+            .with_telemetry(config)
+            .execute(&kernel)
+            .expect("hist verifies with telemetry on and off")
+            .mops()
+    };
     let mut pairs = Vec::new();
-    for _ in 0..reps {
-        let on = RuntimeBackend::new(RuntimeKind::Coup, threads)
-            .with_telemetry(TelemetryConfig::default())
-            .execute(&kernel)
-            .expect("hist verifies with telemetry on");
-        let off = RuntimeBackend::new(RuntimeKind::Coup, threads)
-            .with_telemetry(TelemetryConfig::disabled())
-            .execute(&kernel)
-            .expect("hist verifies with telemetry off");
-        pairs.push((on.mops(), off.mops()));
+    for rep in 0..reps {
+        pairs.push(if rep % 2 == 0 {
+            let on = run(TelemetryConfig::default());
+            (on, run(TelemetryConfig::disabled()))
+        } else {
+            let off = run(TelemetryConfig::disabled());
+            (run(TelemetryConfig::default()), off)
+        });
     }
     let enabled_mops = median(pairs.iter().map(|p| p.0).collect());
     let disabled_mops = median(pairs.iter().map(|p| p.1).collect());
-    let overhead_pct = median(
-        pairs
-            .iter()
-            .map(|(on, off)| (off / on - 1.0) * 100.0)
-            .collect(),
-    );
+    let mut overheads: Vec<f64> = pairs
+        .iter()
+        .map(|(on, off)| (off / on - 1.0) * 100.0)
+        .collect();
+    println!("  per-pair overhead %: {overheads:.2?}");
+    overheads.sort_by(f64::total_cmp);
+    let overhead_pct = overheads[reps / 2];
+    let spread_pct = overheads[3 * reps / 4] - overheads[reps / 4];
     println!(
-        "  {:>10} | {:>14.1} Mops\n  {:>10} | {:>14.1} Mops\n  {:>10} | {:>13.2}%\n",
-        "enabled", enabled_mops, "disabled", disabled_mops, "overhead", overhead_pct,
+        "  {:>10} | {:>14.1} Mops\n  {:>10} | {:>14.1} Mops\n  {:>10} | {:>13.2}%\n  {:>10} | {:>13.2}%\n",
+        "enabled", enabled_mops, "disabled", disabled_mops, "overhead", overhead_pct, "iq spread", spread_pct,
     );
+    if spread_pct >= OVERHEAD_BUDGET_PCT {
+        println!("  unresolved (spread {spread_pct:.2} %): budget not asserted");
+        return;
+    }
     assert!(
         overhead_pct <= OVERHEAD_BUDGET_PCT,
         "median telemetry overhead {overhead_pct:.2}% busts the \

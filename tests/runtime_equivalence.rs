@@ -496,6 +496,8 @@ fn concurrent_subword_reads_never_lose_migrating_deltas() {
         });
         assert_eq!(coup.snapshot()[..4], [0, updates, updates, 0]);
         let cost = coup.read_cost();
+        // Read cost is registry-backed: compiled out, the bound below is 0 <= 0.
+        #[cfg(feature = "telemetry")]
         assert!(cost.reads > 0);
         assert!(
             cost.buffer_words <= (cost.reads + cost.retries) * 2,

@@ -21,7 +21,7 @@ use proptest::prelude::*;
 
 use coup_protocol::ops::CommutativeOp;
 use coup_runtime::{
-    run_contended, BufferConfig, ContendedSpec, Merge, MetricsSnapshot, RuntimeBuilder,
+    run_contended, BufferConfig, ContendedSpec, Merge, MetricsSnapshot, ReadCost, RuntimeBuilder,
     TelemetryConfig, TraceKind,
 };
 use coup_workloads::hist::{HistScheme, HistWorkload};
@@ -178,6 +178,7 @@ fn exporters_round_trip_a_live_snapshot() {
         .build();
     let report = run_contended(&runtime, 4, &spec);
     let snap = report.metrics;
+    #[cfg(feature = "telemetry")]
     assert!(snap.read_cost.reads > 0, "spec admixes reads");
 
     let text = snap.to_prometheus();
@@ -259,8 +260,7 @@ mod enabled {
         let result = runtime.shutdown();
         let snap = result.report.metrics;
         // Every backend read records exactly one width and one retry sample.
-        assert_eq!(snap.read_width.count(), snap.read_cost.reads);
-        assert_eq!(snap.read_retries.count(), snap.read_cost.reads);
+        assert_eq!(snap.read_width.count(), snap.read_retries.count());
         // Every popped batch records exactly one size and one dwell sample,
         // and, quiesced, their ops sum to the applied counter.
         assert_eq!(snap.batch_size.count(), snap.queue_dwell_us.count());
@@ -287,6 +287,7 @@ mod enabled {
         // The kill switch silences the registry-backed series...
         assert_eq!(off.0.metrics.occupancy.count(), 0);
         assert_eq!(off.0.metrics.trace_recorded, 0);
+        assert_eq!(off.0.metrics.read_cost, ReadCost::default());
         // ...but the backend-native counters still flow.
         assert!(off.0.metrics.buffer_stats.privatized > 0);
         assert!(on.0.metrics.occupancy.count() > 0);
@@ -348,6 +349,7 @@ mod disabled {
         assert_eq!(report.metrics.occupancy.count(), 0);
         assert_eq!(report.metrics.batch_size.count(), 0);
         assert_eq!(report.metrics.trace_recorded, 0);
+        assert_eq!(report.metrics.read_cost, ReadCost::default());
         // ...backend-native counters still flow (they predate telemetry).
         assert!(report.metrics.buffer_stats.privatized > 0);
         // And the exporter still emits a valid, parseable document.
