@@ -13,7 +13,7 @@ use std::fmt;
 use coup_protocol::line::LineAddr;
 
 use crate::geometry::CacheGeometry;
-use crate::replacement::{ReplacementPolicy, SetReplacementState};
+use crate::replacement::SetReplacementState;
 
 /// Outcome of [`CacheArray::insert`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,7 +60,6 @@ struct Set<T> {
 #[derive(Debug, Clone)]
 pub struct CacheArray<T> {
     geometry: CacheGeometry,
-    policy: ReplacementPolicy,
     sets: Vec<Set<T>>,
     /// Fast path for "is this line resident anywhere" checks in large arrays.
     resident: HashMap<LineAddr, u64>,
@@ -70,24 +69,17 @@ pub struct CacheArray<T> {
 }
 
 impl<T> CacheArray<T> {
-    /// Creates an empty array with the default (LRU) replacement policy.
+    /// Creates an empty array (LRU replacement).
     #[must_use]
     pub fn new(geometry: CacheGeometry) -> Self {
-        Self::with_policy(geometry, ReplacementPolicy::Lru)
-    }
-
-    /// Creates an empty array with an explicit replacement policy.
-    #[must_use]
-    pub fn with_policy(geometry: CacheGeometry, policy: ReplacementPolicy) -> Self {
         let sets = (0..geometry.num_sets())
             .map(|_| Set {
                 ways: (0..geometry.ways()).map(|_| None).collect(),
-                repl: SetReplacementState::new(policy, geometry.ways()),
+                repl: SetReplacementState::new(geometry.ways()),
             })
             .collect();
         CacheArray {
             geometry,
-            policy,
             sets,
             resident: HashMap::new(),
             hits: 0,
@@ -100,12 +92,6 @@ impl<T> CacheArray<T> {
     #[must_use]
     pub fn geometry(&self) -> CacheGeometry {
         self.geometry
-    }
-
-    /// The replacement policy in use.
-    #[must_use]
-    pub fn policy(&self) -> ReplacementPolicy {
-        self.policy
     }
 
     /// Number of lines currently resident.

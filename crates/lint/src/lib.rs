@@ -24,34 +24,35 @@
 //!   site (`Acquire`/`AcqRel`, or an acquire fence) across the linted
 //!   tree. A one-sided tag is a protocol with a missing half: a publish
 //!   nobody reads, or a read nothing orders.
+//! - **R-MUTATION** — an ordering constant weakened by
+//!   `cfg!(coup_mutation = "<value>")` must carry `<value>` as one of its
+//!   own `ord:` tags: the tag is the one name CI's per-edge kill lanes, the
+//!   owning model test and the sanitizer's coverage report all key on.
 //!
 //! String literals and comments are stripped before token scanning —
 //! including multi-line strings, raw strings with any number of `#`s, and
 //! nested block comments — so `"SeqCst"` in a panic message or `Release`
 //! in prose never trips a rule. Named ordering constants
-//! (`const FOO: Ordering = Ordering::Release;`) are resolved: their use
+//! (`const FOO: Ordering = Ordering::Release;`, or the same wrapped in
+//! `weakened_if(cfg!(coup_mutation = "…"), …)`) are resolved: their use
 //! sites inherit the definition's ordering and `ord:` tags, which is what
-//! lets the mutation cfgs swap a constant to `Relaxed` without moving the
-//! contract — the lint (and the site table it emits for `coup-san`) always
-//! describes the strong definition.
+//! lets a mutation lane swap a constant to `Relaxed` without moving the
+//! contract — the lint (and the site table `coup-san` builds from it)
+//! always describes the strong definition.
 //!
-//! Beyond diagnostics, the lint emits a **static site table**
-//! ([`SiteTable`], schema `coup-lint-sites/v1`): every source line whose
-//! effective ordering is non-`Relaxed`, with its orderings, tags, and how
-//! the ordering arrived (literal token, constant definition, or constant
-//! use). The `coup-san` sanitizer cross-checks its dynamic edges against
-//! this table, and CI regenerates ARCHITECTURE.md's pairing-tag table from
-//! [`render_pairing_table`].
+//! Beyond diagnostics, the lint builds a **static site table**
+//! ([`SiteTable`]): every source line whose effective ordering is
+//! non-`Relaxed`, with its orderings, tags, and how the ordering arrived
+//! (literal token, constant definition, or constant use). The `coup-san`
+//! sanitizer calls [`lint_dir`] in-process and cross-checks its dynamic
+//! edges against this table, and CI regenerates ARCHITECTURE.md's
+//! pairing-tag table from [`render_pairing_table`].
 
 use std::collections::HashSet;
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
-
-/// Schema identifier of the site-table JSON emitted by
-/// [`render_sites_json`].
-pub const SITES_SCHEMA: &str = "coup-lint-sites/v1";
 
 /// One lint finding, anchored to a file and 1-based line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,7 +61,8 @@ pub struct Diagnostic {
     pub file: String,
     /// 1-based line number of the offending site.
     pub line: usize,
-    /// Stable rule identifier: `R-IMPORT`, `R-SEQCST`, `R-TAG`, `R-PAIR`.
+    /// Stable rule identifier: `R-IMPORT`, `R-SEQCST`, `R-TAG`, `R-PAIR`,
+    /// `R-MUTATION`.
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
@@ -87,18 +89,6 @@ pub enum SiteKind {
     ConstUse,
 }
 
-impl SiteKind {
-    /// Stable string form used in the JSON schema.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SiteKind::Direct => "direct",
-            SiteKind::ConstDef => "const-def",
-            SiteKind::ConstUse => "const-use",
-        }
-    }
-}
-
 /// One entry of the static site table: a source line whose effective
 /// memory ordering is non-`Relaxed`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,8 +106,8 @@ pub struct Site {
     pub fence: bool,
     /// Effective non-`Relaxed` ordering tokens, sorted and deduped. For a
     /// const use these are the *strong* definition's ordering even when a
-    /// mutation cfg compiles the `Relaxed` twin — the table describes the
-    /// contract, not the build.
+    /// `coup_mutation` build compiles it to `Relaxed` — the table describes
+    /// the contract, not the build.
     pub orderings: Vec<String>,
     /// `ord:` pairing tags in effect (local comment plus, for const uses,
     /// the definition's), sorted and deduped; `allow-seqcst` excluded.
@@ -446,6 +436,14 @@ fn const_def(code: &str) -> Option<(String, &'static str)> {
         .map(|o| (name.to_string(), *o))
 }
 
+/// The `<value>` of a `coup_mutation = "<value>"` test on one *raw* source
+/// line (the sanitized line has its string literals blanked).
+fn mutation_value(raw: &str) -> Option<&str> {
+    let (_, rest) = raw.split_once("coup_mutation")?;
+    let (_, rest) = rest.split_once('"')?;
+    rest.split_once('"').map(|(value, _)| value)
+}
+
 fn push_unique<T: PartialEq>(v: &mut Vec<T>, item: T) {
     if !v.contains(&item) {
         v.push(item);
@@ -474,24 +472,41 @@ pub fn lint_sources(sources: &[(String, String)]) -> Report {
         .collect();
 
     // Pass B: register named ordering constants. Only non-Relaxed
-    // definitions enter the registry — the `coup_*_mutation` twins are
-    // Relaxed by construction and untagged, and letting them in would
-    // erase the strong definition's contract. First strong def wins.
+    // definitions enter the registry — a cfg-gated `Relaxed` twin is
+    // untagged, and letting it in would erase the strong definition's
+    // contract. First strong def wins.
     let mut consts: Vec<ConstInfo> = Vec::new();
     let mut def_lines: HashSet<(usize, usize)> = HashSet::new();
     for (fidx, lines) in sanitized.iter().enumerate() {
-        for (idx, (code, _)) in lines.iter().enumerate() {
+        let (file, content) = &sources[fidx];
+        for (idx, ((code, _), raw)) in lines.iter().zip(content.lines()).enumerate() {
             let Some((name, ordering)) = const_def(code) else {
                 continue;
             };
             def_lines.insert((fidx, idx));
+            let tags = line_tags(lines, idx);
+            if let Some(value) = mutation_value(raw) {
+                if !tags.iter().any(|t| t == value) {
+                    report.diagnostics.push(Diagnostic {
+                        file: file.clone(),
+                        line: idx + 1,
+                        rule: "R-MUTATION",
+                        message: format!(
+                            "`{name}` is weakened by `coup_mutation = \"{value}\"` but its \
+                             `ord:` tags are [{}]: the mutation value must be the \
+                             constant's own tag",
+                            tags.join(", ")
+                        ),
+                    });
+                }
+            }
             if ordering == "Relaxed" || consts.iter().any(|c| c.name == name) {
                 continue;
             }
             consts.push(ConstInfo {
                 name,
                 ordering,
-                tags: line_tags(lines, idx),
+                tags,
             });
         }
     }
@@ -743,74 +758,6 @@ fn collect_rs(path: &Path, out: &mut Vec<std::path::PathBuf>) -> io::Result<()> 
 }
 
 // --- renderers ---------------------------------------------------------
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_str_list(items: &[String]) -> String {
-    let body: Vec<String> = items.iter().map(|s| json_str(s)).collect();
-    format!("[{}]", body.join(", "))
-}
-
-/// Renders a site table as deterministic JSON (schema
-/// [`SITES_SCHEMA`]): one object per line, sorted by `(file, line)`, so
-/// the output is diffable and byte-stable across runs.
-#[must_use]
-pub fn render_sites_json(table: &SiteTable) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": ");
-    out.push_str(&json_str(SITES_SCHEMA));
-    out.push_str(",\n  \"files\": [");
-    for (i, f) in table.files.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        out.push_str(&json_str(f));
-    }
-    if !table.files.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n  \"sites\": [");
-    for (i, s) in table.sites.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        out.push_str(&format!(
-            "{{\"file\": {}, \"line\": {}, \"kind\": {}, \"via\": {}, \"fence\": {}, \"orderings\": {}, \"tags\": {}}}",
-            json_str(&s.file),
-            s.line,
-            json_str(s.kind.as_str()),
-            json_str(&s.via),
-            s.fence,
-            json_str_list(&s.orderings),
-            json_str_list(&s.tags),
-        ));
-    }
-    if !table.sites.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
-}
 
 fn gh_escape(s: &str) -> String {
     s.replace('%', "%25")

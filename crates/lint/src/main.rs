@@ -1,6 +1,6 @@
 //! `coup-lint [OPTIONS] [PATH]...` — lints Rust sources for the runtime's
 //! atomics house rules (facade imports, SeqCst allowlist, `// ord:`
-//! pairing tags) and emits the static site table consumed by `coup-san`.
+//! pairing tags, mutation values that name their own tag).
 //!
 //! With no path arguments it lints `crates/runtime/src`, i.e. it expects
 //! to run from the workspace root, which is what CI and
@@ -10,20 +10,17 @@
 //!
 //! - `--format text|github` — diagnostics as human text (default) or
 //!   GitHub Actions `::error` annotations.
-//! - `--sites <PATH|->` — write the static site table (schema
-//!   `coup-lint-sites/v1`) to `PATH`, or to stdout with `-`.
 //! - `--pairing-table` — print the markdown pairing-tag table
 //!   (regenerated into ARCHITECTURE.md by the CI doc-drift guard).
 //!
-//! When `--pairing-table` or `--sites -` owns stdout, diagnostics move to
-//! stderr. Exit codes are stable across all formats: `0` clean, `1`
-//! diagnostics found, `2` usage or I/O error.
+//! When `--pairing-table` owns stdout, diagnostics move to stderr. Exit
+//! codes are stable across all formats: `0` clean, `1` diagnostics found,
+//! `2` usage or I/O error.
 
-use std::fs;
 use std::path::Path;
 use std::process::ExitCode;
 
-use coup_lint::{render_github, render_pairing_table, render_sites_json, Report};
+use coup_lint::{render_github, render_pairing_table, Report};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Format {
@@ -32,17 +29,13 @@ enum Format {
 }
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: coup-lint [--format text|github] [--sites PATH|-] \
-         [--pairing-table] [PATH]..."
-    );
+    eprintln!("usage: coup-lint [--format text|github] [--pairing-table] [PATH]...");
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut format = Format::Text;
-    let mut sites_out: Option<String> = None;
     let mut pairing = false;
     let mut paths: Vec<String> = Vec::new();
 
@@ -53,10 +46,6 @@ fn main() -> ExitCode {
                 Some("text") => format = Format::Text,
                 Some("github") => format = Format::Github,
                 _ => return usage(),
-            },
-            "--sites" => match it.next() {
-                Some(path) => sites_out = Some(path),
-                None => return usage(),
             },
             "--pairing-table" => pairing = true,
             flag if flag.starts_with("--") => return usage(),
@@ -101,25 +90,14 @@ fn main() -> ExitCode {
         .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     merged.paired_tags.sort();
 
-    let table = merged.site_table();
-    if let Some(dest) = &sites_out {
-        let json = render_sites_json(&table);
-        if dest == "-" {
-            print!("{json}");
-        } else if let Err(err) = fs::write(dest, json) {
-            eprintln!("coup-lint: {dest}: {err}");
-            return ExitCode::from(2);
-        }
-    }
     if pairing {
-        print!("{}", render_pairing_table(&table));
+        print!("{}", render_pairing_table(&merged.site_table()));
     }
 
-    // When a table owns stdout, diagnostics move to stderr so the table
+    // When the table owns stdout, diagnostics move to stderr so the table
     // output stays machine-consumable.
-    let to_stderr = pairing || sites_out.as_deref() == Some("-");
     let emit = |line: &str| {
-        if to_stderr {
+        if pairing {
             eprintln!("{line}");
         } else {
             println!("{line}");
@@ -147,7 +125,7 @@ fn main() -> ExitCode {
                 emit(&format!("coup-lint: {} files clean", merged.files));
             } else {
                 let annotations = render_github(&merged.diagnostics);
-                if to_stderr {
+                if pairing {
                     eprint!("{annotations}");
                 } else {
                     print!("{annotations}");

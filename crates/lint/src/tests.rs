@@ -162,7 +162,7 @@ fn nested_block_comments_spanning_lines_do_not_trip_rules() {
 fn cfg_gated_sites_keep_tags_from_above_the_attribute() {
     // The `ord:` comment sits above a `#[cfg(...)]` gate; the tag walk
     // must skip the attribute line instead of treating it as code.
-    let src = "// ord: gated-edge\n#[cfg(not(coup_model_mutation))]\nfn publish(x: &AtomicU64) {\n    // ord: gated-edge\n    #[cfg(feature = \"extra\")]\n    x.store(1, Ordering::Release);\n}\nfn consume(x: &AtomicU64) -> u64 {\n    x.load(Ordering::Acquire) // ord: gated-edge\n}\n";
+    let src = "// ord: gated-edge\n#[cfg(not(weak_twin))]\nfn publish(x: &AtomicU64) {\n    // ord: gated-edge\n    #[cfg(feature = \"extra\")]\n    x.store(1, Ordering::Release);\n}\nfn consume(x: &AtomicU64) -> u64 {\n    x.load(Ordering::Acquire) // ord: gated-edge\n}\n";
     let diags = lint_one("a.rs", src);
     assert!(diags.is_empty(), "{diags:?}");
 }
@@ -180,7 +180,7 @@ fn identifiers_ending_in_r_or_b_are_not_string_openers() {
 
 // --- ordering constants -------------------------------------------------
 
-const CONST_SRC: &str = "// Strong definition carries the contract.\n// ord: const-edge\npub(crate) const PUBLISH: Ordering = Ordering::Release;\n#[cfg(coup_model_mutation)]\npub(crate) const PUBLISH: Ordering = Ordering::Relaxed;\nuse crate::other::PUBLISH;\nfn publish(x: &AtomicU64) {\n    x.store(1, PUBLISH);\n}\nfn consume(x: &AtomicU64) -> u64 {\n    x.load(Ordering::Acquire) // ord: const-edge\n}\n";
+const CONST_SRC: &str = "// Strong definition carries the contract.\n// ord: const-edge\npub(crate) const PUBLISH: Ordering = Ordering::Release;\n#[cfg(weak_twin)]\npub(crate) const PUBLISH: Ordering = Ordering::Relaxed;\nuse crate::other::PUBLISH;\nfn publish(x: &AtomicU64) {\n    x.store(1, PUBLISH);\n}\nfn consume(x: &AtomicU64) -> u64 {\n    x.load(Ordering::Acquire) // ord: const-edge\n}\n";
 
 #[test]
 fn ordering_const_uses_inherit_the_definitions_ordering_and_tags() {
@@ -224,7 +224,7 @@ fn a_relaxed_only_const_is_not_a_site() {
 fn cfg_gated_const_pair_keeps_the_strong_contract() {
     // Definition order reversed: the Relaxed twin first must not shadow
     // the strong definition.
-    let src = "#[cfg(coup_model_mutation)]\npub(crate) const EDGE: Ordering = Ordering::Relaxed;\n// ord: swap-edge\n#[cfg(not(coup_model_mutation))]\npub(crate) const EDGE: Ordering = Ordering::AcqRel;\nfn f(x: &AtomicU64) { x.fetch_add(1, EDGE); }\n";
+    let src = "#[cfg(weak_twin)]\npub(crate) const EDGE: Ordering = Ordering::Relaxed;\n// ord: swap-edge\n#[cfg(not(weak_twin))]\npub(crate) const EDGE: Ordering = Ordering::AcqRel;\nfn f(x: &AtomicU64) { x.fetch_add(1, EDGE); }\n";
     let report = report_one("a.rs", src);
     assert!(report.is_clean(), "{:?}", report.diagnostics);
     assert_eq!(report.paired_tags, vec!["swap-edge".to_string()]);
@@ -236,28 +236,43 @@ fn cfg_gated_const_pair_keeps_the_strong_contract() {
     assert_eq!(use_site.orderings, vec!["AcqRel".to_string()]);
 }
 
-// --- site table + renders -----------------------------------------------
+// --- mutation values ----------------------------------------------------
+
+/// `EDGE` as `sync.rs` spells a mutable constant, weakened by `value`.
+fn mutable_const_src(value: &str) -> String {
+    format!(
+        "use super::weakened_if;\n\
+         pub(crate) const EDGE: Ordering = weakened_if(cfg!(coup_mutation = \"{value}\"), Ordering::Release); // ord: own-edge\n\
+         fn publish(x: &AtomicU64) {{ x.store(1, EDGE); }}\n\
+         fn consume(x: &AtomicU64) -> u64 {{ x.load(Ordering::Acquire) }} // ord: own-edge\n"
+    )
+}
 
 #[test]
-fn site_table_renders_one_stable_line_per_site() {
-    let table = report_one("a.rs", CONST_SRC).site_table();
-    let rendered = render_sites_json(&table);
-    assert!(
-        rendered.starts_with(
-            "{\n  \"schema\": \"coup-lint-sites/v1\",\n  \"files\": [\n    \"a.rs\"\n  ],\n  \"sites\": [\n"
-        ),
-        "{rendered}"
-    );
-    assert!(
-        rendered.contains(concat!(
-            "\n    {\"file\": \"a.rs\", \"line\": 3, \"kind\": \"const-def\", \"via\": \"PUBLISH\", ",
-            "\"fence\": false, \"orderings\": [\"Release\"], \"tags\": [\"const-edge\"]},\n"
-        )),
-        "{rendered}"
-    );
-    assert_eq!(rendered.matches("{\"file\": ").count(), table.sites.len());
-    assert!(rendered.ends_with("\n  ]\n}\n"), "{rendered}");
+fn a_mutation_value_naming_its_own_tag_passes_and_still_resolves() {
+    let report = report_one("sync.rs", &mutable_const_src("own-edge"));
+    assert!(report.is_clean(), "{:?}", report.diagnostics);
+    assert_eq!(report.paired_tags, vec!["own-edge".to_string()]);
+    let def = &report.sites[0];
+    assert_eq!((def.line, def.kind), (2, SiteKind::ConstDef));
+    assert_eq!(def.orderings, vec!["Release".to_string()]);
 }
+
+#[test]
+fn a_mutation_value_drifting_from_the_tag_is_r_mutation_at_the_definition() {
+    let diags = lint_one("sync.rs", &mutable_const_src("own_edge"));
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert!(
+        diags[0].to_string().starts_with(
+            "sync.rs:2: [R-MUTATION] `EDGE` is weakened by `coup_mutation = \"own_edge\"` \
+             but its `ord:` tags are [own-edge]"
+        ),
+        "{}",
+        diags[0]
+    );
+}
+
+// --- renders ------------------------------------------------------------
 
 #[test]
 fn github_render_has_a_stable_shape() {
@@ -311,6 +326,33 @@ fn the_real_runtime_tree_is_clean() {
         "expected the full runtime tree, scanned only {} files",
         report.files
     );
+    // The nine mutable edges: every ordering constant is defined in
+    // `sync.rs`, one per tag, each under the tag CI's kill lanes name.
+    let mut defs: Vec<(&str, &str)> = report
+        .sites
+        .iter()
+        .filter(|s| s.kind == SiteKind::ConstDef)
+        .map(|s| {
+            assert_eq!(s.file, "sync.rs", "{} defined outside sync.rs", s.via);
+            assert_eq!(s.tags.len(), 1, "{} carries {:?}", s.via, s.tags);
+            (s.tags[0].as_str(), s.via.as_str())
+        })
+        .collect();
+    defs.sort_unstable();
+    assert_eq!(
+        defs,
+        [
+            ("drain-quiesce", "QUIESCE_PUBLISH"),
+            ("evict-stats", "EVICTION_FOLD"),
+            ("queue-wake", "WAKE_PUBLISH"),
+            ("ring-publish", "RING_PUBLISH"),
+            ("seqlock-epoch", "EPOCH_PUBLISH"),
+            ("shard-retire", "SHARD_RETIRE"),
+            ("snap-publish", "SNAP_PUBLISH"),
+            ("trace-ticket", "TICKET_PUBLISH"),
+            ("writer-bitmap", "WRITER_RETIRE"),
+        ]
+    );
 }
 
 /// The sharded submission fabric's ordering contract, as tag groups:
@@ -344,39 +386,24 @@ fn the_real_runtime_tree_pairs_the_sharded_submission_tags() {
     }
 }
 
-/// The static site table over the committed tree: the mutation-candidate
-/// ordering constants must resolve (definition + at least one use site
-/// inheriting their ordering), every site must carry an ordering, and the
-/// whole table must survive a JSON round-trip byte-identically — this is
-/// the contract `coup-san` loads at runtime.
+/// The static site table over the committed tree: every ordering constant
+/// must have at least one use site inheriting its ordering and every site
+/// must carry an ordering — this is the contract `coup-san` loads at
+/// runtime.
 #[test]
 fn the_real_runtime_tree_emits_a_resolvable_site_table() {
     let report = runtime_report();
     let table = report.site_table();
     assert!(table.sites.len() >= 30, "only {} sites", table.sites.len());
 
-    for name in [
-        "EPOCH_PUBLISH",
-        "WRITER_RETIRE",
-        "EVICTION_FOLD",
-        "TICKET_PUBLISH",
-        "RING_PUBLISH",
-        "SHARD_RETIRE",
-        "WAKE_PUBLISH",
-        "QUIESCE_PUBLISH",
-    ] {
-        let def = table
-            .sites
-            .iter()
-            .find(|s| s.kind == SiteKind::ConstDef && s.via == name);
-        let def = def.unwrap_or_else(|| panic!("no const-def site for {name}"));
-        assert!(!def.tags.is_empty(), "{name} def has no tags");
+    for def in table.sites.iter().filter(|s| s.kind == SiteKind::ConstDef) {
         assert!(
             table
                 .sites
                 .iter()
-                .any(|s| s.kind == SiteKind::ConstUse && s.via.contains(name)),
-            "no use site inherits {name}"
+                .any(|s| s.kind == SiteKind::ConstUse && s.via.contains(&def.via)),
+            "no use site inherits {}",
+            def.via
         );
     }
 

@@ -108,84 +108,6 @@ fn github_format_emits_error_annotations() {
 }
 
 #[test]
-fn sites_to_stdout_round_trips_and_diagnostics_move_to_stderr() {
-    let dir = scratch_dir("sites");
-    fs::write(
-        dir.join("proto.rs"),
-        concat!(
-            "// ord: cli-edge\n",
-            "pub(crate) const PUBLISH: Ordering = Ordering::Release;\n",
-            "fn f(x: &AtomicU64) {\n",
-            "    x.store(1, PUBLISH);\n",
-            "    x.load(Ordering::Acquire); // ord: cli-edge\n",
-            "    x.swap(0, Ordering::SeqCst);\n",
-            "}\n",
-        ),
-    )
-    .unwrap();
-    let out = run_lint(&["--sites", "-", dir.to_str().unwrap()]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    // The seeded R-SEQCST keeps stdout machine-consumable: diagnostics on
-    // stderr, exit code still 1.
-    assert_eq!(out.status.code(), Some(1), "stdout: {stdout}");
-    assert!(stderr.contains("[R-SEQCST]"), "stderr: {stderr}");
-    assert!(!stdout.contains("R-SEQCST"), "stdout: {stdout}");
-
-    let table = coup_lint::lint_dir(&dir)
-        .expect("scratch tree is readable")
-        .site_table();
-    assert_eq!(
-        stdout,
-        coup_lint::render_sites_json(&table),
-        "stdout is exactly the rendered site table"
-    );
-    assert_eq!(table.files, vec!["proto.rs".to_string()]);
-    assert!(
-        table
-            .sites
-            .iter()
-            .any(|s| s.line == 2 && s.kind == coup_lint::SiteKind::ConstDef && s.via == "PUBLISH"),
-        "{:?}",
-        table.sites
-    );
-    assert!(
-        table
-            .sites
-            .iter()
-            .any(|s| s.line == 4 && s.kind == coup_lint::SiteKind::ConstUse),
-        "{:?}",
-        table.sites
-    );
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn sites_to_file_matches_stdout_output() {
-    let dir = scratch_dir("sites-file");
-    fs::write(
-        dir.join("ok.rs"),
-        "fn f(x: &AtomicU64) {\n    // ord: edge\n    x.store(1, Ordering::Release);\n    x.load(Ordering::Acquire); // ord: edge\n}\n",
-    )
-    .unwrap();
-    let sites_path = dir.join("sites.json");
-    let out = run_lint(&[
-        "--sites",
-        sites_path.to_str().unwrap(),
-        dir.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(0));
-    // stdout keeps the normal summary when the table goes to a file.
-    assert!(String::from_utf8_lossy(&out.stdout).contains("files clean"));
-    let written = fs::read_to_string(&sites_path).expect("sites file written");
-    let stdout_run = run_lint(&["--sites", "-", dir.to_str().unwrap()]);
-    // The scratch dir now holds sites.json too, but only .rs files are
-    // scanned, so the two tables are identical.
-    assert_eq!(written, String::from_utf8_lossy(&stdout_run.stdout));
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn pairing_table_prints_markdown_rows() {
     let dir = scratch_dir("pairing");
     fs::write(
@@ -214,5 +136,10 @@ fn unknown_flags_exit_two() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
 
     let out = run_lint(&["--format", "yaml"]);
+    assert_eq!(out.status.code(), Some(2));
+
+    // The site table is in-process only (`coup_lint::lint_dir`): the flag
+    // that used to dump it as JSON is gone, not silently accepted.
+    let out = run_lint(&["--sites", "-"]);
     assert_eq!(out.status.code(), Some(2));
 }

@@ -43,28 +43,8 @@
 //!    bounded memory and reader progress both survive.
 
 use crate::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use crate::sync::weakened_if;
+use crate::sync::{EPOCH_PUBLISH, EVICTION_FOLD, WRITER_RETIRE};
 use std::sync::Arc;
-
-/// Orderings the `coup_model_mutation` CI lane deliberately weakens to prove
-/// the model suite has teeth: each constant names one *load-bearing* edge of
-/// a lock-free protocol — an edge whose weakening admits a concrete bad
-/// interleaving — and `model_tests.rs` documents that interleaving for each.
-/// Production builds always resolve to the strong ordering.
-///
-/// Not every Release in this file qualifies: the eviction-count publish, for
-/// instance, is doubly covered (the migrate fence's `rel_pending` already
-/// orders the `privatized` bump before it), so weakening *it* changes
-/// nothing observable. The mutation for the stats handshake therefore
-/// attacks the fold-side Acquire instead, which is singly covered.
-///
-/// `--cfg coup_san_mutation="epoch_publish"` weakens `EPOCH_PUBLISH` alone
-/// so the real-thread sanitizer lane can prove it has teeth (see
-/// `tests/san_battery.rs`).
-#[rustfmt::skip]
-const EPOCH_PUBLISH: Ordering = weakened_if(cfg!(any(coup_model_mutation, coup_san_mutation = "epoch_publish")), Ordering::Release); // ord: seqlock-epoch
-const WRITER_RETIRE: Ordering = weakened_if(cfg!(coup_model_mutation), Ordering::AcqRel); // ord: writer-bitmap
-const EVICTION_FOLD: Ordering = weakened_if(cfg!(coup_model_mutation), Ordering::Acquire); // ord: evict-stats
 
 use coup_protocol::line::{LineData, WORDS_PER_LINE};
 use coup_protocol::ops::CommutativeOp;
@@ -1315,7 +1295,7 @@ mod tests {
     /// The same interleaving agreement, but at capacity 1 and 2, so every
     /// line switch evicts through `privatize`.
     #[test]
-    fn backends_agree_under_tiny_capacities_and_both_policies() {
+    fn backends_agree_under_tiny_capacities() {
         for capacity in [1usize, 2] {
             let op = CommutativeOp::AddU32;
             let lanes = 64; // 4 store lines at AddU32

@@ -13,21 +13,18 @@
 //! RUSTFLAGS="--cfg coup_model" cargo test -p coup-runtime model_tests
 //! ```
 //!
-//! Each protocol test is paired with a **mutation check**: under
-//! `--cfg coup_model_mutation` one named ordering per protocol is weakened
-//! to `Relaxed` (`EPOCH_PUBLISH`, `WRITER_RETIRE`, `EVICTION_FOLD` in
-//! `backend.rs`; `TICKET_PUBLISH` in `trace.rs`; `RING_PUBLISH`,
-//! `SHARD_RETIRE`, `WAKE_PUBLISH`, `QUIESCE_PUBLISH` in `ring.rs`;
-//! `SNAP_PUBLISH` in `runtime.rs`), and the
-//! test below that names it must *fail* — CI's mutation lane asserts
-//! exactly that, proving these tests have teeth rather than passing
-//! vacuously. One ring edge is deliberately *shielded* from mutation —
-//! the ring-consume head store, documented at the constants in `ring.rs` —
-//! and the shard-claim CAS is a literal `AcqRel` (one RMW is both sides of
-//! its own edge, so there is no single-sided constant to weaken). The
-//! end-to-end shutdown test and the parker close test carry no ordering
-//! mutation of their own; their teeth are the model's *deadlock detector*,
-//! exercised by the shim's own
+//! Each protocol test owns one **mutation**: `--cfg coup_mutation="<tag>"`
+//! weakens the one ordering constant carrying that `ord:` tag (the block
+//! beside `weakened_if` in `sync.rs`) to `Relaxed`, and the test whose name
+//! starts with the tag in snake case must then *fail* — CI's per-edge lane
+//! runs `model_tests::<tag_snake>` for every value and inverts the exit
+//! code, proving each test has teeth of its own rather than riding on a
+//! neighbour's. The eight tags with no constant are listed with their
+//! reasons in ARCHITECTURE.md's edge table (`ring-consume`'s head store, for
+//! one, is unobservable in the model's execution-order semantics; the
+//! shard-claim CAS is a literal `AcqRel`, both sides of its own edge). The
+//! end-to-end shutdown test and the timed-park test own no tag; the former's
+//! teeth are the model's *deadlock detector*, exercised by the shim's own
 //! `missed_condvar_wakeup_is_reported_as_deadlock` self-test.
 
 use std::sync::Arc;
@@ -70,7 +67,7 @@ fn small_backend(
 /// recheck branches to the stale still-set value (the clear landed mid-pass).
 /// Result: r2 == 0 after r1 == 3, caught by the monotonicity assert.
 #[test]
-fn seqlock_flush_reads_never_tear_and_stay_monotone() {
+fn seqlock_epoch_reads_never_tear_and_stay_monotone() {
     loom::model(|| {
         let backend = small_backend(8, 2, 64, BufferConfig::unbounded());
         let writer = {
@@ -107,7 +104,7 @@ fn seqlock_flush_reads_never_tear_and_stay_monotone() {
 /// skips the buffer as the protocol intends — and reads stale store 0.
 /// Again r2 == 0 after r1 == 3, caught by the monotonicity assert.
 #[test]
-fn bitmap_retire_publishes_the_reduce_it_promises() {
+fn writer_bitmap_retire_publishes_the_reduce_it_promises() {
     loom::model(|| {
         let backend = small_backend(8, 2, 1, BufferConfig::unbounded());
         let writer = {
@@ -142,9 +139,9 @@ fn bitmap_retire_publishes_the_reduce_it_promises() {
 /// `privatized` load may return stale 0 — `1 ≤ 0` fails. (The publish side
 /// is the one edge whose weakening is *not* observable: the migrate fence
 /// already orders the bump before it, which is why the mutation attacks the
-/// fold side — see the constant's comment in `backend.rs`.)
+/// fold side — see the edge block's comment in `sync.rs`.)
 #[test]
-fn eviction_count_never_exceeds_privatized_for_any_observer() {
+fn evict_stats_count_never_exceeds_privatized_for_any_observer() {
     loom::model(|| {
         let backend = small_backend(16, 1, 64, BufferConfig::bounded(1));
         let writer = {
@@ -183,7 +180,7 @@ fn eviction_count_never_exceeds_privatized_for_any_observer() {
 /// stale words — caught by the stamp/kind consistency asserts below.
 #[cfg(feature = "telemetry")]
 #[test]
-fn trace_ring_drains_are_lossy_but_never_torn() {
+fn trace_ticket_drains_are_lossy_but_never_torn() {
     use crate::trace::{TraceKind, TraceRing};
     loom::model(|| {
         let ring = Arc::new(TraceRing::new(2));
@@ -313,8 +310,8 @@ fn ring_publish_carries_the_slot_writes_it_announces() {
 /// Mutation pairing: `SHARD_RETIRE` weakened to `Relaxed` admits this
 /// interleaving: the drainer's state load returns RETIRED with no
 /// happens-before to the producer's push, its tail load returns the stale
-/// empty frontier, `is_drained()` holds, and the slot is recycled with the
-/// update still in the ring — afterwards the slot is FREE, every later
+/// empty frontier, its consume pass drains nothing, and the slot is recycled
+/// with the update still in the ring — afterwards the slot is FREE, every later
 /// drain pass skips it, and the final tally comes up one short.
 #[test]
 fn shard_retire_hands_off_the_final_publication() {
@@ -458,8 +455,8 @@ fn timed_park_never_sleeps_through_a_demand() {
 /// result load is free to return stale 0 — caught by the result assert.
 #[test]
 fn drain_quiesce_makes_applied_work_visible() {
-    use crate::ring::QUIESCE_PUBLISH;
     use crate::sync::atomic::{AtomicU64, Ordering};
+    use crate::sync::QUIESCE_PUBLISH;
     loom::model(|| {
         let applied = Arc::new(AtomicU64::new(0));
         let result = Arc::new(AtomicU64::new(0));
@@ -504,8 +501,8 @@ fn drain_quiesce_makes_applied_work_visible() {
 /// load is free to return stale 0 — caught by the word assert.
 #[test]
 fn snap_publish_seals_the_snapshot_words_it_announces() {
-    use crate::runtime::SNAP_PUBLISH;
     use crate::sync::atomic::{AtomicU64, Ordering};
+    use crate::sync::SNAP_PUBLISH;
     loom::model(|| {
         let word = Arc::new(AtomicU64::new(0));
         let epoch = Arc::new(AtomicU64::new(0));

@@ -33,32 +33,8 @@
 //! | `drain-quiesce` | worker's applied-count bump           | `drain()`'s applied-count load            |
 
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{weakened_if, Condvar, Mutex};
+use crate::sync::{Condvar, Mutex, RING_PUBLISH, SHARD_RETIRE, WAKE_PUBLISH};
 use std::sync::Arc;
-
-/// Orderings the `coup_model_mutation` CI lane weakens to `Relaxed` to prove
-/// the sharded-submission model tests have teeth. Each names one
-/// *load-bearing* edge — an edge whose weakening admits a concrete bad
-/// interleaving that `model_tests.rs` documents and catches. Production
-/// builds always resolve to the strong ordering.
-///
-/// The one deliberately *shielded* edge is `ring-consume` (the consumer's
-/// head store): in the model's execution-order semantics a consumer's slot
-/// reads have already happened when the head store executes, so weakening it
-/// is unobservable there — on real hardware it is what keeps a producer from
-/// overwriting a slot whose loads are still in flight. It therefore carries
-/// a tag but no mutation; the mutations attack the four singly-covered
-/// edges below instead.
-///
-/// `--cfg coup_san_mutation="ring_publish"` weakens `RING_PUBLISH` alone so
-/// the real-thread sanitizer lane can prove *it* has teeth too (see
-/// `tests/san_battery.rs`).
-#[rustfmt::skip]
-pub(crate) const RING_PUBLISH: Ordering = weakened_if(cfg!(any(coup_model_mutation, coup_san_mutation = "ring_publish")), Ordering::Release); // ord: ring-publish
-pub(crate) const SHARD_RETIRE: Ordering = weakened_if(cfg!(coup_model_mutation), Ordering::Release); // ord: shard-retire
-pub(crate) const WAKE_PUBLISH: Ordering = weakened_if(cfg!(coup_model_mutation), Ordering::Release); // ord: queue-wake
-#[rustfmt::skip]
-pub(crate) const QUIESCE_PUBLISH: Ordering = weakened_if(cfg!(coup_model_mutation), Ordering::Release); // ord: drain-quiesce
 
 /// Pads (and aligns) a hot atomic to its own cache line so the producer's
 /// tail and the consumer's head never false-share.
@@ -180,14 +156,15 @@ impl SpscRing {
             apply(lane, value);
         }
         // Free the consumed slots; Release so the producer's Acquire in
-        // `head()` orders these loads before any overwrite (see the module
-        // doc on why this edge is shielded from mutation).
+        // `head()` orders these loads before any overwrite (`sync.rs`'s
+        // edge block says why this edge has no mutation).
         self.head.0.store(tail, Ordering::Release); // ord: ring-consume
         tail - head
     }
 
     /// True when every published update has been consumed (consumer only —
     /// the producer's view of `tail` is its own mirror).
+    #[cfg(test)]
     pub(crate) fn is_drained(&self) -> bool {
         self.tail() == self.head.0.load(Ordering::Relaxed)
     }
@@ -270,9 +247,9 @@ impl Parker {
     /// Publication: bump the epoch, and wake sleepers if the arm counter
     /// says there are any. The Release on the bump is the edge that lets a
     /// sleeper whose arm detected the bump see the data published just
-    /// before it ([`WAKE_PUBLISH`] — the mutated build loses exactly that
-    /// visibility). The condvar path needs no such edge: the mutex already
-    /// orders it.
+    /// before it ([`WAKE_PUBLISH`] — `coup_mutation = "queue-wake"` loses
+    /// exactly that visibility). The condvar path needs no such edge: the
+    /// mutex already orders it.
     pub(crate) fn notify(&self) {
         let prev = self.word.fetch_add(EPOCH_ONE, WAKE_PUBLISH);
         if prev & SLEEPER_MASK != 0 {
@@ -533,8 +510,10 @@ impl ShardDirectory {
 
     /// Retires a claimed slot (producer drop): the RETIRED store's Release
     /// ([`SHARD_RETIRE`]) is what guarantees the drainer that acquires it an
-    /// up-to-date view of the ring's final tail — the mutated build loses
-    /// exactly that, and the directory model test catches the lost update.
+    /// up-to-date view of the ring's final tail — `coup_mutation =
+    /// "shard-retire"` loses exactly that, and
+    /// `model_tests::shard_retire_hands_off_the_final_publication` catches
+    /// the update a prematurely recycled slot strands.
     pub(crate) fn retire(&self, grant: &ShardGrant) {
         self.slots[grant.slot]
             .state
@@ -601,10 +580,11 @@ impl ShardDirectory {
                 // A producer may be parked on the full edge.
                 slot.space.notify();
             }
-            if lifecycle == STATE_RETIRED && ring.is_drained() {
+            if lifecycle == STATE_RETIRED {
                 // The producer is gone and (thanks to the shard-retire
-                // acquire above) its final tail is visible and consumed:
-                // recycle the slot for the next claimer.
+                // acquire above) its final tail was visible to the consume
+                // pass just made, so the ring is drained without re-reading
+                // the tail: recycle the slot for the next claimer.
                 slot.state.store(STATE_FREE | gen, Ordering::Release); // ord: shard-claim
                 self.freed.notify();
             }

@@ -73,7 +73,7 @@
 
 use crate::sync;
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{weakened_if, Mutex, MutexGuard};
+use crate::sync::{Mutex, MutexGuard, QUIESCE_PUBLISH, SNAP_PUBLISH};
 use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -84,7 +84,7 @@ use crate::backend::{
     AtomicBackend, BufferConfig, CoupBackend, StaleRead, UpdateBackend, DEFAULT_FLUSH_THRESHOLD,
 };
 use crate::harness::ThroughputReport;
-use crate::ring::{ParkResult, Parker, ShardCache, ShardDirectory, ShardGrant, QUIESCE_PUBLISH};
+use crate::ring::{ParkResult, Parker, ShardCache, ShardDirectory, ShardGrant};
 use crate::telemetry::{MetricsSnapshot, TelemetryConfig, TelemetryRegistry};
 use crate::trace::TraceKind;
 
@@ -333,17 +333,6 @@ impl RuntimeBuilder {
 /// indivisible RMW — the gate cannot race shutdown.
 const SUBMIT_CLOSED: u64 = 1 << 63;
 const SUBMIT_MASK: u64 = SUBMIT_CLOSED - 1;
-
-/// The snapshot-publication edge: the refresher (or an inline
-/// [`CoupRuntime::refresh_now`]) fills every word of
-/// [`Shared::snap_words`] with Relaxed stores and then bumps
-/// [`Shared::snap_epoch`] with this ordering. A reader that Acquires epoch
-/// `N` therefore sees every word of snapshot `N` or later — the whole
-/// eventual-consistency contract of [`CoupRuntime::stale_snapshot`] hangs
-/// off this one Release. The `coup_model_mutation` CI lane weakens it to
-/// `Relaxed`; the paired model test observes a bumped epoch over a stale
-/// snapshot word and fails, proving the edge is load-bearing.
-pub(crate) const SNAP_PUBLISH: Ordering = weakened_if(cfg!(coup_model_mutation), Ordering::Release); // ord: snap-publish
 
 /// State shared by the runtime, its resident workers, and every handle.
 struct Shared {

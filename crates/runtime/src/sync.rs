@@ -29,6 +29,9 @@
 //!   comment naming its pairing group, and every tag must have both a
 //!   release-side and an acquire-side site somewhere in the crate.
 //!
+//! - an ordering constant weakened by `coup_mutation = "<value>"` names its
+//!   own `ord:` tag as the value (the block beside [`weakened_if`] below).
+//!
 //! The per-protocol pairing tables live in ARCHITECTURE.md under
 //! "The memory-ordering contract".
 
@@ -59,10 +62,8 @@ pub(crate) use std::{
     thread,
 };
 
-/// The one definition of every ordering constant a mutation lane attacks:
 /// `strong`, or `Relaxed` when `mutated` (the constant's own `cfg!` test), so
-/// no constant can lose its weakened twin. Definitions stay on one line
-/// (`#[rustfmt::skip]` if need be): `coup-lint` resolves them line by line.
+/// no edge below can lose its weakened twin.
 pub(crate) const fn weakened_if(mutated: bool, strong: atomic::Ordering) -> atomic::Ordering {
     if mutated {
         atomic::Ordering::Relaxed
@@ -70,6 +71,51 @@ pub(crate) const fn weakened_if(mutated: bool, strong: atomic::Ordering) -> atom
         strong
     }
 }
+
+/// The nine *load-bearing* edges, each under the one name it has everywhere:
+/// its `ord:` tag. `--cfg coup_mutation="<tag>"` weakens that constant alone
+/// to `Relaxed`, and CI's per-edge lanes — which take their values from this
+/// block — require both `model_tests::<tag in snake case>` (under
+/// `coup_model`) and the unchanged sanitizer battery (under `coup_san`) to
+/// fail for each. `Cargo.toml`'s `check-cfg` lists the same nine values, so a
+/// value misspelled here does not compile under `-D warnings`, and
+/// `coup-lint` (R-MUTATION) rejects a constant whose value is not its own
+/// tag. Production builds always resolve to the strong ordering.
+///
+/// An edge qualifies when weakening it admits a concrete bad interleaving,
+/// documented at its model test. The eight tags with no constant here are
+/// doubly covered or single-RMW edges (ARCHITECTURE.md's edge table gives
+/// the reason for each): the eviction-count publish, for instance, is
+/// already ordered by the migrate fence, which is why `evict-stats` attacks
+/// the fold-side Acquire; `ring-consume`'s head store is unobservable in the
+/// model's execution-order semantics, though on real hardware it is what
+/// keeps a producer from overwriting a slot whose loads are still in flight.
+#[rustfmt::skip] // one definition per line: `coup-lint` resolves them line by line
+mod edges {
+    use super::{atomic::Ordering, weakened_if};
+
+    /// `migrate_slot`'s even-epoch store closing the seqlock window.
+    pub(crate) const EPOCH_PUBLISH: Ordering = weakened_if(cfg!(coup_mutation = "seqlock-epoch"), Ordering::Release); // ord: seqlock-epoch
+    /// `migrate_slot`'s writer-bit clear: a cleared bit promises the reduce.
+    pub(crate) const WRITER_RETIRE: Ordering = weakened_if(cfg!(coup_mutation = "writer-bitmap"), Ordering::AcqRel); // ord: writer-bitmap
+    /// `buffer_stats`' load of a buffer's eviction count.
+    pub(crate) const EVICTION_FOLD: Ordering = weakened_if(cfg!(coup_mutation = "evict-stats"), Ordering::Acquire); // ord: evict-stats
+    /// `TraceRing::record`'s ticket store vouching for the stamp and payload.
+    #[cfg(feature = "telemetry")]
+    pub(crate) const TICKET_PUBLISH: Ordering = weakened_if(cfg!(coup_mutation = "trace-ticket"), Ordering::Release); // ord: trace-ticket
+    /// `SpscRing::publish`'s tail store: the ring's one publication edge.
+    pub(crate) const RING_PUBLISH: Ordering = weakened_if(cfg!(coup_mutation = "ring-publish"), Ordering::Release); // ord: ring-publish
+    /// `ShardDirectory::retire`'s RETIRED store handing over the final tail.
+    pub(crate) const SHARD_RETIRE: Ordering = weakened_if(cfg!(coup_mutation = "shard-retire"), Ordering::Release); // ord: shard-retire
+    /// `Parker::notify`'s epoch bump and `Parker::close`'s closed bit.
+    pub(crate) const WAKE_PUBLISH: Ordering = weakened_if(cfg!(coup_mutation = "queue-wake"), Ordering::Release); // ord: queue-wake
+    /// A worker's `applied` bump after a batch: what `drain()` acquires.
+    pub(crate) const QUIESCE_PUBLISH: Ordering = weakened_if(cfg!(coup_mutation = "drain-quiesce"), Ordering::Release); // ord: drain-quiesce
+    /// The snapshot epoch bump sealing the refresher's Relaxed word stores: a
+    /// reader that Acquires epoch `N` sees every word of snapshot `N` or later.
+    pub(crate) const SNAP_PUBLISH: Ordering = weakened_if(cfg!(coup_mutation = "snap-publish"), Ordering::Release); // ord: snap-publish
+}
+pub(crate) use edges::*;
 
 /// Compile-time proof that the default build's facade is a plain `std`
 /// re-export — not a wrapper with the same name. Each helper only

@@ -120,14 +120,9 @@ pub(crate) use ring::TraceRing;
 #[cfg(feature = "telemetry")]
 mod ring {
     use crate::sync::atomic::{fence, AtomicU64, Ordering};
-    use crate::sync::{weakened_if, Mutex};
+    use crate::sync::{Mutex, TICKET_PUBLISH};
 
     use super::{TraceEvent, TraceKind};
-
-    /// The ticket-publish ordering the `coup_model_mutation` CI lane
-    /// weakens to Relaxed; the trace-ring model test catches the torn
-    /// stamp/data pair the weakened build admits (see model_tests.rs).
-    const TICKET_PUBLISH: Ordering = weakened_if(cfg!(coup_model_mutation), Ordering::Release); // ord: trace-ticket
 
     const KIND_SHIFT: u32 = 56;
     const WORKER_SHIFT: u32 = 48;

@@ -4,21 +4,12 @@
 //! exercised.
 //!
 //! Build: `RUSTFLAGS="--cfg coup_san" cargo test -p coup-runtime --test
-//! san_battery`. Under
-//! `--cfg coup_san_mutation="ring_publish"` or `="epoch_publish"` the
-//! clean battery is compiled out and replaced by a detection test that
-//! *requires* the sanitizer to flag the weakened ordering — the
-//! real-thread analogue of the model checker's inverted mutation lane.
+//! san_battery`. CI's per-edge lane re-runs this file unchanged under every
+//! `--cfg coup_mutation="<tag>"` and requires it to *fail*: a weakened
+//! constant runs `Relaxed` at a site the table declares stronger, which
+//! `verify` reports as `unpublished-acquire` or
+//! `expected-ordering-never-ran` at the exact line.
 #![cfg(coup_san)]
-// The mutation lanes compile the clean battery out, which leaves the
-// drivers it alone calls unused.
-#![cfg_attr(
-    any(
-        coup_san_mutation = "ring_publish",
-        coup_san_mutation = "epoch_publish"
-    ),
-    allow(dead_code)
-)]
 
 use std::sync::Arc;
 
@@ -170,13 +161,9 @@ fn exercise_runtime() {
     assert_eq!(result.snapshot.iter().sum::<u64>(), 2002);
 }
 
-/// The clean half of the cross-check. One mega-test on purpose: the
+/// One mega-test on purpose: the
 /// sanitizer's ledgers are process-global, so a single verification point
 /// sees every protocol exercised above with nothing else interleaved.
-#[cfg(not(any(
-    coup_san_mutation = "ring_publish",
-    coup_san_mutation = "epoch_publish"
-)))]
 #[test]
 fn battery_exercises_every_tag_group_and_verifies_clean() {
     exercise_backend();
@@ -217,71 +204,5 @@ fn battery_exercises_every_tag_group_and_verifies_clean() {
         "uncovered `ord:` tag groups: {:?} (covered: {:?})",
         report.uncovered_tags,
         report.covered_tags
-    );
-}
-
-/// Inverted lane, ring half: with `RING_PUBLISH` weakened to `Relaxed`,
-/// a worker's Acquire of the tail must observe a publication that carried
-/// no Release edge — the sanitizer, not the model checker, has to flag it
-/// on real threads.
-#[cfg(coup_san_mutation = "ring_publish")]
-#[test]
-fn san_detects_weakened_ring_publish() {
-    let rt = RuntimeBuilder::new(CommutativeOp::AddU64, 16)
-        .workers(1)
-        .batch_capacity(2)
-        .build();
-    let mut sub = rt.submitter();
-    for i in 0..100u64 {
-        sub.push((i % 16) as usize, 1);
-    }
-    sub.flush();
-    rt.drain();
-    drop(sub);
-    let _ = rt.shutdown();
-
-    let report = coup_san::snapshot();
-    coup_san::write_report_if_requested(&report);
-    assert!(
-        report
-            .violations
-            .iter()
-            .any(|v| v.kind == "unpublished-acquire" && v.file == "ring.rs"),
-        "sanitizer missed the weakened RING_PUBLISH: {:?}",
-        report.violations
-    );
-}
-
-/// Inverted lane, backend half: with `EPOCH_PUBLISH` weakened to
-/// `Relaxed`, a reader's Acquire of a migrated slot's even epoch observes
-/// a write that carried no Release edge (the migrate fence does not cover
-/// the post-fence swaps — exactly the window the weakening opens).
-#[cfg(coup_san_mutation = "epoch_publish")]
-#[test]
-fn san_detects_weakened_epoch_publish() {
-    let backend = coup_backend(64, 2, 2, BufferConfig::unbounded());
-    std::thread::scope(|scope| {
-        scope
-            .spawn(|| {
-                backend.update(1, 5, 1);
-                backend.update(1, 5, 1); // second update migrates: epoch published
-                backend.update(1, 5, 1); // re-dirty so readers walk the epoch
-            })
-            .join()
-            .expect("writer thread");
-    });
-    // Reader on a different thread slot: its Acquire epoch load must see
-    // the Relaxed-written even epoch.
-    let _ = backend.read(0, 5);
-
-    let report = coup_san::snapshot();
-    coup_san::write_report_if_requested(&report);
-    assert!(
-        report
-            .violations
-            .iter()
-            .any(|v| v.kind == "unpublished-acquire" && v.file == "backend.rs"),
-        "sanitizer missed the weakened EPOCH_PUBLISH: {:?}",
-        report.violations
     );
 }

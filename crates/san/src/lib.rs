@@ -24,17 +24,13 @@
 //! * **expected-ordering-never-ran** — at snapshot time, a table entry
 //!   was exercised but none of its declared orderings ever executed.
 //!
-//! [`verify`] panics on any violation; [`snapshot`] returns the full
-//! [`SanReport`] including `ord:` tag coverage (which pairing tags were
-//! crossed by at least one observed happens-before edge), and
-//! `COUP_SAN_REPORT=<path>` dumps it as JSON (`coup-san-report/v1`).
+//! [`verify`] panics on any violation and otherwise returns the full
+//! [`SanReport`], including `ord:` tag coverage (which pairing tags were
+//! crossed by at least one observed happens-before edge).
 
 mod shadow;
 
-pub use shadow::{
-    render_report_json, snapshot, verify, write_report_if_requested, DynEdge, DynSite, SanReport,
-    Violation,
-};
+pub use shadow::{verify, DynEdge, DynSite, SanReport, Violation};
 
 /// Mirror of `std::hint` for the facade re-export.
 pub mod hint {

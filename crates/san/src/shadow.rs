@@ -245,9 +245,8 @@ impl StaticTable {
     }
 
     fn load() -> StaticTable {
-        let root = std::env::var("COUP_SAN_ROOT")
-            .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../runtime/src").to_string());
-        let report = match coup_lint::lint_dir(Path::new(&root)) {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../runtime/src");
+        let report = match coup_lint::lint_dir(Path::new(root)) {
             Ok(report) => report,
             Err(err) => {
                 return StaticTable::empty(Some(format!("lint_dir({root}): {err}")));
@@ -800,7 +799,7 @@ fn flush_current_thread() {
 /// Compute the full report: flush this thread, then run the snapshot-time
 /// checks (V3 expected-ordering-never-ran, tag coverage) over the merged
 /// global ledgers. Non-destructive — safe to call repeatedly.
-pub fn snapshot() -> SanReport {
+fn snapshot() -> SanReport {
     flush_current_thread();
     let table = table();
     let global = global().lock().unwrap_or_else(|e| e.into_inner());
@@ -934,11 +933,10 @@ pub fn snapshot() -> SanReport {
     }
 }
 
-/// Snapshot, optionally dump the report, and panic with every violation if
-/// any were found. The battery test's single assertion point.
+/// Snapshot and panic with every violation if any were found. The battery
+/// test's single assertion point.
 pub fn verify() -> SanReport {
     let report = snapshot();
-    write_report_if_requested(&report);
     if !report.violations.is_empty() {
         let mut msg = format!("coup-san: {} violation(s):\n", report.violations.len());
         for v in &report.violations {
@@ -953,104 +951,4 @@ pub fn verify() -> SanReport {
         panic!("coup-san: static site table failed to load: {err}");
     }
     report
-}
-
-fn js(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn js_list(items: &[String]) -> String {
-    let quoted: Vec<String> = items.iter().map(|s| format!("\"{}\"", js(s))).collect();
-    format!("[{}]", quoted.join(", "))
-}
-
-/// Render the ordering-coverage report as stable JSON
-/// (schema `coup-san-report/v1`; documented in ARCHITECTURE.md).
-pub fn render_report_json(report: &SanReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"coup-san-report/v1\",\n");
-    out.push_str(&format!("  \"threads\": {},\n", report.threads));
-    out.push_str(&format!("  \"table_entries\": {},\n", report.table_entries));
-    match &report.table_error {
-        Some(err) => out.push_str(&format!("  \"table_error\": \"{}\",\n", js(err))),
-        None => out.push_str("  \"table_error\": null,\n"),
-    }
-    out.push_str("  \"sites\": [\n");
-    for (i, s) in report.sites.iter().enumerate() {
-        let comma = if i + 1 < report.sites.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"file\": \"{}\", \"line\": {}, \"count\": {}, \"orderings\": {}}}{comma}\n",
-            js(&s.file),
-            s.line,
-            s.count,
-            js_list(&s.orderings)
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"edges\": [\n");
-    for (i, e) in report.edges.iter().enumerate() {
-        let comma = if i + 1 < report.edges.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"from\": \"{}:{}\", \"to\": \"{}:{}\", \"count\": {}, \"resolved\": {}}}{comma}\n",
-            js(&e.from_file),
-            e.from_line,
-            js(&e.to_file),
-            e.to_line,
-            e.count,
-            e.resolved
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"covered_tags\": {},\n",
-        js_list(&report.covered_tags)
-    ));
-    out.push_str(&format!(
-        "  \"uncovered_tags\": {},\n",
-        js_list(&report.uncovered_tags)
-    ));
-    out.push_str(&format!(
-        "  \"unexercised\": {},\n",
-        js_list(&report.unexercised)
-    ));
-    out.push_str("  \"violations\": [\n");
-    for (i, v) in report.violations.iter().enumerate() {
-        let comma = if i + 1 < report.violations.len() {
-            ","
-        } else {
-            ""
-        };
-        out.push_str(&format!(
-            "    {{\"kind\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\"}}{comma}\n",
-            js(v.kind),
-            js(&v.file),
-            v.line,
-            js(&v.message)
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
-}
-
-/// Honour `COUP_SAN_REPORT=<path>`: dump the JSON coverage report there.
-pub fn write_report_if_requested(report: &SanReport) {
-    if let Ok(path) = std::env::var("COUP_SAN_REPORT") {
-        if !path.is_empty() {
-            let _ = std::fs::write(&path, render_report_json(report));
-        }
-    }
 }

@@ -189,7 +189,9 @@ fn full_edge_parking_stress_keeps_counters_symmetric_and_loses_nothing() {
     );
     // The tiny rings must actually have exercised the park path; the
     // scaled-down run still parks thousands of times in practice, but keep
-    // the floor conservative to stay deterministic.
+    // the floor conservative to stay deterministic. (Park counts are
+    // registry-backed: compiled out, the symmetry above is 0 == 0.)
+    #[cfg(feature = "telemetry")]
     assert!(
         metrics.queue_parks > 0,
         "stress config never parked — the full edge was not exercised"
