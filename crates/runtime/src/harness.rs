@@ -17,12 +17,11 @@
 //! workloads, where a few keys are hot and the tail is long) — the regime
 //! where a small privatized buffer capacity covers most of the traffic.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use coup_protocol::ops::CommutativeOp;
 
-use crate::runtime::CoupRuntime;
-use crate::telemetry::MetricsSnapshot;
+use crate::runtime::{CoupRuntime, ThroughputReport};
 
 /// Which consistency tier the read admixture of a contended run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -166,39 +165,6 @@ impl LaneSampler {
                 idx.min(cdf.len() - 1)
             }
         }
-    }
-}
-
-/// Wall-clock result of one contended run.
-#[derive(Debug, Clone, Copy)]
-pub struct ThroughputReport {
-    /// Producer count of a harness run ([`run_contended`]) or resident
-    /// worker count of a runtime-lifetime report
-    /// ([`CoupRuntime::shutdown`](crate::CoupRuntime::shutdown)).
-    pub threads: usize,
-    /// Total updates applied (all producers).
-    pub updates: u64,
-    /// Total reads served (all producers).
-    pub reads: u64,
-    /// Wall-clock time of the whole run, including the final queue drain, so
-    /// backends cannot hide work in batches or buffers.
-    pub elapsed: Duration,
-    /// The full telemetry snapshot covering the run (a
-    /// [`MetricsSnapshot::since`] delta for phase reports, the lifetime
-    /// snapshot for [`CoupRuntime::shutdown`](crate::CoupRuntime::shutdown)
-    /// reports) — the one carrier of every counter, including the backend's
-    /// read-cost and privatized-buffer counters (all zero for the atomic
-    /// backend, whose reads are single store loads and which buffers
-    /// nothing).
-    pub metrics: MetricsSnapshot,
-}
-
-impl ThroughputReport {
-    /// Millions of operations (updates + reads) per second of wall time.
-    #[must_use]
-    pub fn mops(&self) -> f64 {
-        let ops = (self.updates + self.reads) as f64;
-        ops / self.elapsed.as_secs_f64().max(1e-12) / 1e6
     }
 }
 

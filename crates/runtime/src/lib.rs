@@ -10,9 +10,8 @@
 //!
 //! The public face of the crate is the service facade: a [`CoupRuntime`]
 //! (built by [`RuntimeBuilder`]) owns resident worker threads and hands out
-//! cheap, clonable, `Send` handles — the raw [`LaneHandle`], the typed
-//! [`CounterHandle`], or the bare write-only [`Submitter`] — through which
-//! any thread submits updates in batches. Resident workers drain the batches
+//! cheap, clonable, `Send` handles — the raw [`LaneHandle`] or the typed
+//! [`CounterHandle`] — through which any thread submits updates in batches. Resident workers drain the batches
 //! into per-worker privatized buffers; reads stay synchronous on the calling
 //! thread. [`CoupRuntime::run_workers`] runs worker-style kernels.
 //!
@@ -96,11 +95,10 @@ pub use backend::{
 };
 pub use harness::{
     expected_counts, run_contended, splitmix64, ContendedSpec, LaneSampler, ReadTier,
-    ThroughputReport,
 };
 pub use runtime::{
     tag, BackendKind, CounterHandle, CoupRuntime, JobCtx, LaneHandle, RuntimeBuilder,
-    RuntimeResult, ShardStat, Submitter, TelemetryHandle, DEFAULT_BATCH_CAPACITY,
+    RuntimeResult, ShardStat, TelemetryHandle, ThroughputReport, DEFAULT_BATCH_CAPACITY,
     DEFAULT_QUEUE_CAPACITY, DEFAULT_SHARD_SLOTS,
 };
 pub use store::SharedStore;

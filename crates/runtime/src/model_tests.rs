@@ -441,41 +441,40 @@ fn timed_park_never_sleeps_through_a_demand() {
     }
 }
 
-/// Protocol 9 — drain quiescence: a worker bumps the shared applied count
-/// ([`QUIESCE_PUBLISH`]) *after* applying a batch, and `drain()`'s acquire
-/// RMW of that count is the only edge through which the caller's
-/// subsequent reads see the applied data. The RMW release-sequence
-/// continuation is what lets one acquire observe *every* worker's clock
-/// even when their bumps interleave.
+/// Protocol 9 — drain quiescence, on the shipped [`Quiescence`]: a worker
+/// retires into the shared applied count ([`QUIESCE_PUBLISH`]) *after*
+/// applying a batch, and `drain()`'s acquire RMW of that count is the only
+/// edge through which the caller's subsequent reads see the applied data.
+/// The RMW release-sequence continuation is what lets one acquire observe
+/// *every* worker's clock even when their bumps interleave.
 ///
 /// Mutation pairing: `QUIESCE_PUBLISH` weakened to `Relaxed` admits this
 /// interleaving: the worker stores the result and bumps `applied`, but the
 /// relaxed RMW does not add the worker's clock to the counter's release
 /// chain; the waiter's acquire RMW reads the full count yet its relaxed
 /// result load is free to return stale 0 — caught by the result assert.
+/// (`retire` goes on to notify the waiters' parker, a `queue-wake` Release
+/// RMW; it cannot shield the edge, because the waiter samples the parker
+/// *before* it probes the count and may do both before either notify.)
 #[test]
 fn drain_quiesce_makes_applied_work_visible() {
+    use crate::runtime::Quiescence;
     use crate::sync::atomic::{AtomicU64, Ordering};
-    use crate::sync::QUIESCE_PUBLISH;
     loom::model(|| {
-        let applied = Arc::new(AtomicU64::new(0));
+        let quiesce = Arc::new(Quiescence::new());
+        assert!(quiesce.admit(2), "the gate is open");
         let result = Arc::new(AtomicU64::new(0));
         let workers: Vec<_> = (0..2u64)
             .map(|worker| {
-                let applied = Arc::clone(&applied);
+                let quiesce = Arc::clone(&quiesce);
                 let result = Arc::clone(&result);
                 thread::spawn(move || {
                     result.fetch_add(5 << (8 * worker), Ordering::Relaxed);
-                    applied.fetch_add(1, QUIESCE_PUBLISH);
+                    quiesce.retire(1);
                 })
             })
             .collect();
-        // drain()-style wait: fresh acquire RMW each probe; the scheduler's
-        // yield points make the spin finite in the model.
-        // ord: drain-quiesce
-        while applied.fetch_add(0, Ordering::Acquire) < 2 {
-            thread::yield_now();
-        }
+        quiesce.wait();
         assert_eq!(
             result.load(Ordering::Relaxed),
             (5 << 8) | 5,
@@ -487,12 +486,12 @@ fn drain_quiesce_makes_applied_work_visible() {
     });
 }
 
-/// Protocol 10 — snapshot publication: the refresher fills the snapshot
-/// words with Relaxed stores and seals them with one epoch bump carrying
-/// [`SNAP_PUBLISH`]; a reader whose Acquire epoch load observes epoch `N`
-/// must also observe every word of snapshot `N` or later. This is the
-/// whole eventual-consistency contract of `stale_snapshot`, modelled on
-/// the real constant over a one-word store.
+/// Protocol 10 — snapshot publication, on the shipped [`SnapshotCell`]: the
+/// refresher fills the snapshot words with Relaxed stores and seals them
+/// with one epoch bump carrying [`SNAP_PUBLISH`]; a reader whose Acquire
+/// epoch load observes epoch `N` must also observe every word of snapshot
+/// `N` or later. This is the whole eventual-consistency contract of
+/// `stale_snapshot`, over a one-word store.
 ///
 /// Mutation pairing: `SNAP_PUBLISH` weakened to `Relaxed` admits this
 /// interleaving: the publisher stores word 7 and bumps the epoch, but the
@@ -501,30 +500,18 @@ fn drain_quiesce_makes_applied_work_visible() {
 /// load is free to return stale 0 — caught by the word assert.
 #[test]
 fn snap_publish_seals_the_snapshot_words_it_announces() {
-    use crate::sync::atomic::{AtomicU64, Ordering};
-    use crate::sync::SNAP_PUBLISH;
+    use crate::runtime::SnapshotCell;
     loom::model(|| {
-        let word = Arc::new(AtomicU64::new(0));
-        let epoch = Arc::new(AtomicU64::new(0));
+        let cell = Arc::new(SnapshotCell::new(1));
         let publisher = {
-            let word = Arc::clone(&word);
-            let epoch = Arc::clone(&epoch);
-            thread::spawn(move || {
-                word.store(7, Ordering::Relaxed);
-                epoch.fetch_add(1, SNAP_PUBLISH);
-            })
+            let cell = Arc::clone(&cell);
+            thread::spawn(move || cell.publish(&[7]))
         };
-        // ord: snap-publish
-        if epoch.load(Ordering::Acquire) > 0 {
-            assert_eq!(
-                word.load(Ordering::Relaxed),
-                7,
-                "sealed epoch observed over a stale snapshot word"
-            );
+        let (words, epoch) = cell.read();
+        if epoch > 0 {
+            assert_eq!(words, [7], "sealed epoch observed over a stale word");
         }
-        publisher.join().unwrap();
-        // ord: snap-publish
-        assert_eq!(epoch.load(Ordering::Acquire), 1);
-        assert_eq!(word.load(Ordering::Relaxed), 7);
+        assert_eq!(publisher.join().unwrap(), 1);
+        assert_eq!(cell.read(), (vec![7], 1));
     });
 }

@@ -21,19 +21,13 @@
 //! which is the classic argument for why this protocol cannot miss a wakeup
 //! without needing any `SeqCst` fence.
 //!
-//! The memory-ordering contract (tags checked by `coup-lint`):
-//!
-//! | tag             | release side                          | acquire side                              |
-//! |-----------------|---------------------------------------|-------------------------------------------|
-//! | `ring-publish`  | producer's tail store                 | consumer's tail load                      |
-//! | `ring-consume`  | consumer's head store                 | producer's head load (space check)        |
-//! | `shard-claim`   | drainer's FREE store, claim CAS       | claim CAS (sees drained ring)             |
-//! | `shard-retire`  | producer's RETIRED store              | drainer's state load                      |
-//! | `queue-wake`    | publisher's epoch bump / close        | sleeper's arming RMW                      |
-//! | `drain-quiesce` | worker's applied-count bump           | `drain()`'s applied-count load            |
+//! The memory-ordering contract of the five tags this file owns
+//! (`ring-publish`, `ring-consume`, `shard-claim`, `shard-retire`,
+//! `queue-wake`) is ARCHITECTURE.md's edge table, under "The
+//! memory-ordering contract".
 
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{Condvar, Mutex, RING_PUBLISH, SHARD_RETIRE, WAKE_PUBLISH};
+use crate::sync::{lock, Condvar, Mutex, RING_PUBLISH, SHARD_RETIRE, WAKE_PUBLISH};
 use std::sync::Arc;
 
 /// Pads (and aligns) a hot atomic to its own cache line so the producer's
@@ -127,7 +121,7 @@ impl SpscRing {
     }
 
     /// Single-producer convenience push: write-then-publish one update,
-    /// `false` when the ring is full. The runtime's `Submitter` batches
+    /// `false` when the ring is full. The runtime's `LaneHandle` batches
     /// publications instead; this is the model tests' and stress tests'
     /// direct handle on the protocol.
     #[cfg(test)]
@@ -257,10 +251,7 @@ impl Parker {
             // condvar (notify reaches it) or still before its final epoch
             // re-check under this mutex (it will see the bump and not
             // sleep). Either way the wakeup cannot fall between.
-            let guard = self
-                .mutex
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let guard = lock(&self.mutex);
             self.cv.notify_all();
             drop(guard);
         }
@@ -270,10 +261,7 @@ impl Parker {
     /// every later `park` refuses to sleep through).
     pub(crate) fn close(&self) {
         self.word.fetch_or(CLOSED_BIT, WAKE_PUBLISH);
-        let guard = self
-            .mutex
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let guard = lock(&self.mutex);
         self.cv.notify_all();
         drop(guard);
     }
@@ -288,10 +276,7 @@ impl Parker {
             return ParkResult::Moved;
         }
         on_sleep();
-        let mut guard = self
-            .mutex
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut guard = lock(&self.mutex);
         loop {
             // Fresh by the mutex: every notifier bumps the word before
             // taking this lock, so once we hold it the bump is visible.
@@ -319,10 +304,7 @@ impl Parker {
             return true;
         }
         let moved = || self.word.load(Ordering::Relaxed) & !SLEEPER_MASK != expected;
-        let mut guard = self
-            .mutex
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut guard = lock(&self.mutex);
         // Fresh by the mutex, as in `park`: a bump that beat the lock is
         // seen here, a later one notifies the condvar.
         if !moved() {
@@ -407,8 +389,7 @@ pub(crate) struct ShardCache {
     entries: Vec<Option<(u64, Arc<SpscRing>)>>,
 }
 
-/// Per-slot lifetime statistics, surfaced by `CoupRuntime::shard_stats` and
-/// the bench JSON's per-shard rows.
+/// Per-slot lifetime statistics, surfaced by `CoupRuntime::shard_stats`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardStat {
     /// Directory slot index.
@@ -491,10 +472,7 @@ impl ShardDirectory {
                 continue;
             }
             let ring = {
-                let mut guard = slot
-                    .ring
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                let mut guard = lock(&slot.ring);
                 Arc::clone(guard.get_or_insert_with(|| Arc::new(SpscRing::new(self.ring_capacity))))
             };
             self.high_water
@@ -551,10 +529,7 @@ impl ShardDirectory {
             let ring = match &cache.entries[index] {
                 Some((cached_gen, ring)) if *cached_gen == gen => Arc::clone(ring),
                 _ => {
-                    let guard = slot
-                        .ring
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    let guard = lock(&slot.ring);
                     match guard.as_ref() {
                         Some(ring) => {
                             let ring = Arc::clone(ring);

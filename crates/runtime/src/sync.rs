@@ -62,6 +62,16 @@ pub(crate) use std::{
     thread,
 };
 
+/// Locks `mutex`, recovering the guard from poison — the crate's one poison
+/// policy: every mutex here guards state that is valid at each step (a unit
+/// token, a join-handle list, a lazily created ring), so a panic elsewhere
+/// never leaves it half-updated.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// `strong`, or `Relaxed` when `mutated` (the constant's own `cfg!` test), so
 /// no edge below can lose its weakened twin.
 pub(crate) const fn weakened_if(mutated: bool, strong: atomic::Ordering) -> atomic::Ordering {

@@ -1,8 +1,10 @@
-//! Live telemetry: a lock-free per-worker metrics registry, consistent
-//! snapshots, and the Prometheus text exporter.
+//! Live telemetry: a lock-free per-worker metrics registry
+//! (`telemetry/registry.rs`, the recording half), and — in this file — the
+//! consistent [`MetricsSnapshot`] it folds into, its merge/delta algebra and
+//! the Prometheus text exporter.
 //!
 //! The registry holds one cache-line-aligned block of atomic histograms per
-//! worker. Hot-path sites in `backend.rs` / `runtime.rs` bump their own
+//! worker. Hot-path sites in the backend and the runtime bump their own
 //! block with relaxed atomics — no locks, no sharing except for block 0,
 //! which doubles as the clamp target for out-of-range recorders (external
 //! producer threads doing synchronous handle reads). Reading is a per-worker
@@ -18,12 +20,13 @@
 //! (read cost, parks, histograms and trace all zero; the backend-native
 //! [`BufferStats`] still flows).
 
-use std::time::Instant;
-
 use crate::backend::{BufferStats, ReadCost};
-#[cfg(feature = "telemetry")]
-use crate::sync::atomic::Ordering;
-use crate::trace::{TraceEvent, TraceKind};
+
+mod registry;
+#[cfg(test)]
+mod tests;
+
+pub use registry::TelemetryRegistry;
 
 /// Number of buckets in every fixed-bucket histogram.
 ///
@@ -139,308 +142,6 @@ impl TelemetryConfig {
     }
 }
 
-#[cfg(feature = "telemetry")]
-mod registry_impl {
-    use crate::sync::atomic::{AtomicU64, Ordering};
-
-    use super::{bucket_index, HistogramSnapshot, HIST_BUCKETS};
-    use crate::trace::TraceRing;
-
-    /// Per-worker trace-ring capacity, in events.
-    const TRACE_CAPACITY: usize = 1024;
-
-    /// A histogram of relaxed atomics; recording is `leading_zeros` plus two
-    /// relaxed `fetch_add`s (RMW rather than plain store only because block
-    /// 0 is shared with clamped out-of-range recorders).
-    #[derive(Default)]
-    pub(crate) struct AtomicHistogram {
-        buckets: [AtomicU64; HIST_BUCKETS],
-        sum: AtomicU64,
-    }
-
-    impl AtomicHistogram {
-        #[inline]
-        pub(crate) fn record(&self, value: u64) {
-            self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(value, Ordering::Relaxed);
-        }
-
-        pub(crate) fn snapshot(&self) -> HistogramSnapshot {
-            let mut snap = HistogramSnapshot::default();
-            for (out, bucket) in snap.buckets.iter_mut().zip(self.buckets.iter()) {
-                *out = bucket.load(Ordering::Relaxed);
-            }
-            snap.sum = self.sum.load(Ordering::Relaxed);
-            snap
-        }
-    }
-
-    /// One worker's counters, padded to a cache line so neighbouring
-    /// workers' relaxed bumps never false-share.
-    #[derive(Default)]
-    #[repr(align(64))]
-    pub(crate) struct WorkerBlock {
-        pub(crate) read_width: AtomicHistogram,
-        pub(crate) read_retries: AtomicHistogram,
-        pub(crate) queue_dwell_us: AtomicHistogram,
-        pub(crate) batch_size: AtomicHistogram,
-        pub(crate) occupancy: AtomicHistogram,
-        pub(crate) flush_words: AtomicHistogram,
-        pub(crate) staleness: AtomicHistogram,
-        pub(crate) read_escalations: AtomicU64,
-        pub(crate) queue_parks: AtomicU64,
-        pub(crate) queue_unparks: AtomicU64,
-    }
-
-    pub(crate) struct Inner {
-        pub(crate) blocks: Box<[WorkerBlock]>,
-        pub(crate) rings: Box<[TraceRing]>,
-    }
-
-    impl Inner {
-        pub(crate) fn new(workers: usize) -> Self {
-            let workers = workers.max(1);
-            Inner {
-                blocks: (0..workers).map(|_| WorkerBlock::default()).collect(),
-                rings: (0..workers)
-                    .map(|_| TraceRing::new(TRACE_CAPACITY))
-                    .collect(),
-            }
-        }
-
-        /// The one identity rule: worker `w` records into block and ring
-        /// `w`; any out-of-range recorder (external handle readers pass
-        /// `usize::MAX`) clamps onto index 0.
-        #[inline]
-        pub(crate) fn index(&self, worker: usize) -> usize {
-            if worker < self.blocks.len() {
-                worker
-            } else {
-                0
-            }
-        }
-
-        #[inline]
-        pub(crate) fn block(&self, worker: usize) -> &WorkerBlock {
-            &self.blocks[self.index(worker)]
-        }
-    }
-}
-
-/// The lock-free metrics registry shared by a backend and its runtime.
-///
-/// Created once per [`crate::CoupRuntime`] (or by whoever constructs a
-/// standalone [`crate::CoupBackend`]) and shared via `Arc`; recording
-/// methods are crate-internal, observation goes through
-/// [`crate::CoupRuntime::metrics`] / [`crate::TelemetryHandle`] or, for a
-/// standalone backend, the histograms folded by the owner.
-pub struct TelemetryRegistry {
-    anchor: Instant,
-    #[cfg(feature = "telemetry")]
-    inner: Option<registry_impl::Inner>,
-}
-
-impl std::fmt::Debug for TelemetryRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TelemetryRegistry")
-            .field("enabled", &self.is_enabled())
-            .finish()
-    }
-}
-
-impl TelemetryRegistry {
-    /// Builds a registry with one padded counter block and one trace ring
-    /// per worker (nothing at all when `config` is disabled).
-    pub fn new(workers: usize, config: TelemetryConfig) -> Self {
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (workers, config);
-        TelemetryRegistry {
-            anchor: Instant::now(),
-            #[cfg(feature = "telemetry")]
-            inner: config.enabled.then(|| registry_impl::Inner::new(workers)),
-        }
-    }
-
-    /// True when recording actually happens: the `telemetry` cargo feature
-    /// is compiled in *and* the runtime kill-switch is on.
-    pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "telemetry")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            false
-        }
-    }
-
-    /// Nanoseconds since this registry was created (monotonic clock); the
-    /// timebase of every trace event timestamp.
-    pub fn uptime_ns(&self) -> u64 {
-        self.anchor.elapsed().as_nanos() as u64
-    }
-
-    /// Drains every un-drained trace event across all worker rings, merged
-    /// and sorted by timestamp. Lossy by design: entries overwritten before
-    /// a drain reached them are counted in
-    /// [`MetricsSnapshot::trace_dropped`], not returned.
-    pub fn drain_trace(&self) -> Vec<TraceEvent> {
-        #[cfg(feature = "telemetry")]
-        {
-            let mut events = Vec::new();
-            if let Some(inner) = &self.inner {
-                for ring in inner.rings.iter() {
-                    ring.drain_into(&mut events);
-                }
-            }
-            events.sort_by_key(|event| (event.timestamp_ns, event.worker, event.seq));
-            events
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            Vec::new()
-        }
-    }
-
-    /// Records one synchronous read — the only place a read is tallied: the
-    /// buffer words it folded, the validation retries it burned, whether it
-    /// escalated. [`MetricsSnapshot::read_cost`] is derived from these.
-    #[inline]
-    pub(crate) fn record_read(&self, worker: usize, width: u64, retries: u64, escalations: u64) {
-        #[cfg(feature = "telemetry")]
-        if let Some(inner) = &self.inner {
-            let block = inner.block(worker);
-            block.read_width.record(width);
-            block.read_retries.record(retries);
-            if escalations != 0 {
-                block
-                    .read_escalations
-                    .fetch_add(escalations, Ordering::Relaxed);
-            }
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (worker, width, retries, escalations);
-    }
-
-    /// Records one popped submission batch: its size and queue dwell time.
-    #[inline]
-    pub(crate) fn record_queue_pop(&self, worker: usize, batch: u64, dwell_us: u64) {
-        #[cfg(feature = "telemetry")]
-        if let Some(inner) = &self.inner {
-            let block = inner.block(worker);
-            block.batch_size.record(batch);
-            block.queue_dwell_us.record(dwell_us);
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (worker, batch, dwell_us);
-    }
-
-    /// Records the owner's resident-line count at a privatization.
-    #[inline]
-    pub(crate) fn record_occupancy(&self, worker: usize, resident: u64) {
-        #[cfg(feature = "telemetry")]
-        if let Some(inner) = &self.inner {
-            inner.block(worker).occupancy.record(resident);
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (worker, resident);
-    }
-
-    /// Records the staleness bound one relaxed-tier read returned.
-    #[inline]
-    pub(crate) fn record_stale_read(&self, worker: usize, staleness: u64) {
-        #[cfg(feature = "telemetry")]
-        if let Some(inner) = &self.inner {
-            inner.block(worker).staleness.record(staleness);
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (worker, staleness);
-    }
-
-    /// Records the non-identity word count of one slot migration.
-    #[inline]
-    pub(crate) fn record_flush_words(&self, worker: usize, words: u64) {
-        #[cfg(feature = "telemetry")]
-        if let Some(inner) = &self.inner {
-            inner.block(worker).flush_words.record(words);
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (worker, words);
-    }
-
-    /// Counts one drainer park (condvar sleep) and traces the park event.
-    #[inline]
-    pub(crate) fn record_park(&self, worker: usize) {
-        #[cfg(feature = "telemetry")]
-        if let Some(inner) = &self.inner {
-            inner
-                .block(worker)
-                .queue_parks
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        self.trace(worker, TraceKind::QueuePark, 0);
-    }
-
-    /// Counts one wake after a counted park and traces the unpark event.
-    /// Every [`TelemetryRegistry::record_park`] whose sleeper actually slept
-    /// is paired with exactly one `record_unpark` on the same worker index,
-    /// so `queue_parks - queue_unparks` bounds the threads asleep right now.
-    #[inline]
-    pub(crate) fn record_unpark(&self, worker: usize) {
-        #[cfg(feature = "telemetry")]
-        if let Some(inner) = &self.inner {
-            inner
-                .block(worker)
-                .queue_unparks
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        self.trace(worker, TraceKind::QueueUnpark, 0);
-    }
-
-    /// Records one structured trace event.
-    #[inline]
-    pub(crate) fn trace(&self, worker: usize, kind: TraceKind, line: usize) {
-        #[cfg(feature = "telemetry")]
-        if let Some(inner) = &self.inner {
-            let index = inner.index(worker);
-            inner.rings[index].record(self.uptime_ns(), index, kind, line);
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (worker, kind, line);
-    }
-
-    /// Folds the registry's own counters (read cost, histograms, parks,
-    /// trace totals, uptime) into `snap`; the caller supplies the buffer and
-    /// queue counters. `read_cost` is derived from the two read histograms.
-    pub(crate) fn fill(&self, snap: &mut MetricsSnapshot) {
-        snap.uptime_ns = self.uptime_ns();
-        #[cfg(feature = "telemetry")]
-        if let Some(inner) = &self.inner {
-            for block in inner.blocks.iter() {
-                // Escalations before the buckets: a read bumps its buckets
-                // first, so `escalations <= reads` holds for a live observer.
-                snap.read_cost.escalations += block.read_escalations.load(Ordering::Relaxed);
-                snap.read_width.merge(&block.read_width.snapshot());
-                snap.read_retries.merge(&block.read_retries.snapshot());
-                snap.queue_dwell_us.merge(&block.queue_dwell_us.snapshot());
-                snap.batch_size.merge(&block.batch_size.snapshot());
-                snap.occupancy.merge(&block.occupancy.snapshot());
-                snap.flush_words.merge(&block.flush_words.snapshot());
-                snap.staleness.merge(&block.staleness.snapshot());
-                snap.queue_parks += block.queue_parks.load(Ordering::Relaxed);
-                snap.queue_unparks += block.queue_unparks.load(Ordering::Relaxed);
-            }
-            for ring in inner.rings.iter() {
-                snap.trace_recorded += ring.recorded();
-                snap.trace_dropped += ring.dropped();
-            }
-            snap.read_cost.reads = snap.read_width.count();
-            snap.read_cost.buffer_words = snap.read_width.sum;
-            snap.read_cost.retries = snap.read_retries.sum;
-        }
-    }
-}
-
 /// A consistent point-in-time view of every runtime counter, assembled by
 /// [`crate::CoupRuntime::metrics`] (or carried on a
 /// [`crate::ThroughputReport`]) with a per-worker sum — no stop-the-world.
@@ -455,7 +156,8 @@ pub struct MetricsSnapshot {
     pub uptime_ns: u64,
     /// Updates accepted into the submission queue.
     pub updates_submitted: u64,
-    /// Updates applied to the backend by drainers and jobs.
+    /// Updates applied to the backend by resident drainers (jobs call the
+    /// backend directly and are not counted here).
     pub updates_applied: u64,
     /// Synchronous reads served through external handles.
     pub handle_reads: u64,
@@ -523,7 +225,7 @@ const COUNTER_META: &[MetaRow<u64>] = &[
     ),
     (
         "coup_updates_applied_total",
-        "Updates applied to the backend by drainers and jobs.",
+        "Updates applied to the backend by resident drainers.",
         |m| &mut m.updates_applied,
     ),
     (
@@ -798,208 +500,5 @@ impl Merge for MetricsSnapshot {
         for ((.., slot), (_, extra)) in HIST_META.iter().zip(other.histograms()) {
             slot(self).merge(&extra);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample_snapshot() -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot {
-            uptime_ns: 123_456_789,
-            updates_submitted: 1_000,
-            updates_applied: 998,
-            handle_reads: 7,
-            queue_parks: 3,
-            queue_unparks: 2,
-            trace_recorded: 40,
-            trace_dropped: 2,
-            read_cost: ReadCost {
-                reads: 12,
-                buffer_words: 30,
-                retries: 1,
-                escalations: 0,
-            },
-            buffer_stats: BufferStats {
-                privatized: 64,
-                evictions: 8,
-                flushes: 5,
-                held_bypasses: 1,
-            },
-            ..MetricsSnapshot::default()
-        };
-        for (i, value) in [0u64, 1, 2, 5, 9, 100, 70_000].iter().enumerate() {
-            snap.read_width.buckets[bucket_index(*value)] += 1 + i as u64;
-            snap.read_width.sum += value * (1 + i as u64);
-        }
-        snap.batch_size.buckets[9] = 4;
-        snap.batch_size.sum = 1024;
-        snap
-    }
-
-    #[test]
-    fn bucket_index_matches_powers_of_two() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_index(16_383), 14);
-        assert_eq!(bucket_index(16_384), 15);
-        assert_eq!(bucket_index(u64::MAX), 15);
-        // Every finite bucket's upper bound lands in its own bucket and the
-        // next value lands one bucket up.
-        for index in 0..HIST_BUCKETS - 1 {
-            let le = HistogramSnapshot::bucket_upper_bound(index).unwrap();
-            assert_eq!(bucket_index(le), index);
-            assert_eq!(bucket_index(le + 1), index + 1);
-        }
-        assert_eq!(
-            HistogramSnapshot::bucket_upper_bound(HIST_BUCKETS - 1),
-            None
-        );
-    }
-
-    #[test]
-    fn merge_and_since_are_inverses_on_counters() {
-        let a = sample_snapshot();
-        let mut width = HistogramSnapshot {
-            sum: 3,
-            ..HistogramSnapshot::default()
-        };
-        width.buckets[1] = 3;
-        let b = MetricsSnapshot {
-            updates_applied: 5,
-            read_cost: ReadCost {
-                reads: 2,
-                ..ReadCost::default()
-            },
-            read_width: width,
-            ..MetricsSnapshot::default()
-        };
-        let mut merged = a;
-        merged.merge(&b);
-        assert_eq!(merged.updates_applied, a.updates_applied + 5);
-        assert_eq!(merged.uptime_ns, a.uptime_ns, "uptime merges as max");
-        let recovered = merged.since(&b);
-        // since() subtracts uptime too, and b's uptime is 0.
-        assert_eq!(recovered, a);
-    }
-
-    #[test]
-    fn prometheus_round_trips_exactly() {
-        let snap = sample_snapshot();
-        let text = snap.to_prometheus();
-        let parsed = MetricsSnapshot::from_prometheus(&text).expect("parses");
-        assert_eq!(parsed, snap);
-    }
-
-    #[test]
-    fn prometheus_schema_has_every_family_typed() {
-        let text = sample_snapshot().to_prometheus();
-        for (name, ..) in COUNTER_META.iter() {
-            assert!(
-                text.contains(&format!("# HELP {name} ")),
-                "missing HELP {name}"
-            );
-            assert!(
-                text.contains(&format!("# TYPE {name} ")),
-                "missing TYPE {name}"
-            );
-        }
-        for (name, ..) in HIST_META.iter() {
-            assert!(
-                text.contains(&format!("# TYPE {name} histogram")),
-                "missing histogram TYPE for {name}"
-            );
-            assert!(
-                text.contains(&format!("{name}_bucket{{le=\"+Inf\"}}")),
-                "missing +Inf bucket for {name}"
-            );
-            assert!(text.contains(&format!("{name}_sum ")), "missing {name}_sum");
-            assert!(
-                text.contains(&format!("{name}_count ")),
-                "missing {name}_count"
-            );
-        }
-    }
-
-    #[test]
-    fn prometheus_parser_rejects_corruption() {
-        let snap = sample_snapshot();
-        let text = snap.to_prometheus();
-        // A truncated exposition is missing series.
-        let half = &text[..text.len() / 2];
-        assert!(MetricsSnapshot::from_prometheus(half).is_err());
-        // A count that disagrees with the +Inf bucket is rejected.
-        let lied = text.replace("coup_batch_size_count 4", "coup_batch_size_count 40");
-        assert!(MetricsSnapshot::from_prometheus(&lied).is_err());
-        // Unknown metrics are rejected.
-        assert!(MetricsSnapshot::from_prometheus("bogus_metric 1").is_err());
-    }
-
-    #[cfg(feature = "telemetry")]
-    #[test]
-    fn registry_folds_per_worker_blocks() {
-        let registry = TelemetryRegistry::new(4, TelemetryConfig::default());
-        assert!(registry.is_enabled());
-        registry.record_read(0, 3, 1, 1);
-        registry.record_read(2, 5, 0, 0);
-        registry.record_read(usize::MAX, 2, 0, 0); // clamps onto block 0
-        registry.record_queue_pop(1, 256, 12);
-        registry.record_occupancy(3, 7);
-        registry.record_flush_words(2, 9);
-        registry.record_park(1);
-        registry.record_unpark(1);
-        // The refresher's recorder id: clamps onto ring 0, and says so.
-        registry.trace(usize::MAX, TraceKind::SnapshotRefresh, 4);
-        let mut snap = MetricsSnapshot::default();
-        registry.fill(&mut snap);
-        assert_eq!(snap.read_width.count(), 3);
-        assert_eq!(snap.read_width.sum, 10);
-        assert_eq!(snap.read_retries.count(), 3);
-        assert_eq!(snap.read_retries.sum, 1);
-        // Read cost is derived from the two read histograms.
-        assert_eq!(snap.read_cost.reads, 3);
-        assert_eq!(snap.read_cost.buffer_words, 10);
-        assert_eq!(snap.read_cost.retries, 1);
-        assert_eq!(snap.read_cost.escalations, 1);
-        assert_eq!(snap.batch_size.count(), 1);
-        assert_eq!(snap.queue_dwell_us.sum, 12);
-        assert_eq!(snap.occupancy.sum, 7);
-        assert_eq!(snap.flush_words.sum, 9);
-        assert_eq!(snap.queue_parks, 1);
-        assert_eq!(snap.queue_unparks, 1);
-        assert!(snap.uptime_ns > 0);
-        // The park and unpark each traced an event; reads don't trace.
-        assert_eq!(snap.trace_recorded, 3);
-        let events = registry.drain_trace();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].kind, crate::trace::TraceKind::QueuePark);
-        assert_eq!(events[0].worker, 1);
-        assert_eq!(events[1].kind, crate::trace::TraceKind::QueueUnpark);
-        assert_eq!(events[1].worker, 1);
-        assert_eq!(events[2].kind, TraceKind::SnapshotRefresh);
-        assert_eq!(events[2].worker, 0, "the clamped ring index, not 255");
-    }
-
-    #[cfg(feature = "telemetry")]
-    #[test]
-    fn disabled_registry_records_nothing() {
-        let registry = TelemetryRegistry::new(4, TelemetryConfig::disabled());
-        assert!(!registry.is_enabled());
-        registry.record_read(0, 3, 1, 1);
-        registry.record_park(0);
-        registry.record_unpark(0);
-        registry.trace(0, TraceKind::Flush, 9);
-        let mut snap = MetricsSnapshot::default();
-        registry.fill(&mut snap);
-        assert_eq!(snap.read_width.count(), 0);
-        assert_eq!(snap.read_cost, ReadCost::default());
-        assert_eq!(snap.queue_parks, 0);
-        assert_eq!(snap.queue_unparks, 0);
-        assert_eq!(snap.trace_recorded, 0);
-        assert!(registry.drain_trace().is_empty());
     }
 }

@@ -16,7 +16,7 @@
 
 /// The structured event kinds the runtime records.
 ///
-/// Each maps to one hot-path site in `backend.rs` / `runtime.rs`; the `line`
+/// Each maps to one hot-path site in the backend or the runtime; the `line`
 /// field of the enclosing [`TraceEvent`] carries the store line (or lane)
 /// involved, and `0` where no line applies (queue events).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -107,17 +107,17 @@ fn exercise_runtime() {
         .build();
     // Spawn the resident workers before the producer flood (handles spawn
     // them lazily) so `run_workers` below really pauses live drainers.
-    let warmup = rt.submitter();
+    let warmup = rt.handle();
     drop(warmup);
 
     std::thread::scope(|scope| {
         for producer in 0..2 {
-            let mut sub = rt.submitter();
+            let mut sub = rt.handle();
             scope.spawn(move || {
                 for i in 0..1000u64 {
                     sub.push(((producer * 7 + i as usize) % 64) as usize, 1);
                 }
-                // Dropping the submitter publishes the tail batch and
+                // Dropping the handle publishes the tail batch and
                 // retires the shard slot (`shard-retire` release side).
             });
         }

@@ -53,8 +53,15 @@ impl SiteId {
         }
     }
 
-    fn basename(&self) -> &'static str {
-        self.file.rsplit(['/', '\\']).next().unwrap_or(self.file)
+    /// The file's path relative to the linted tree (`runtime/src`) — the
+    /// name the lint's site table files it under, so two `tests.rs` in
+    /// different directories stay apart — or the whole path for a file
+    /// outside that tree.
+    fn rel(&self) -> &'static str {
+        ["runtime/src/", "runtime\\src\\"]
+            .iter()
+            .find_map(|marker| self.file.rsplit_once(marker))
+            .map_or(self.file, |(_, rel)| rel)
     }
 }
 
@@ -219,10 +226,10 @@ struct Entry {
 
 #[derive(Debug)]
 struct StaticTable {
-    /// Basename → entries sorted by line.
+    /// Path relative to the linted root → entries sorted by line.
     by_file: HashMap<String, Vec<Entry>>,
-    /// Basenames of every file the lint pass scanned; files outside this
-    /// set are out of scope for the dynamic checks.
+    /// Root-relative paths of every file the lint pass scanned; files
+    /// outside this set are out of scope for the dynamic checks.
     scanned: HashSet<String>,
     /// Every tag in the table except `allow-seqcst` (a lint pragma, not a
     /// pairing contract) — the denominator of the coverage report.
@@ -246,28 +253,26 @@ impl StaticTable {
 
     fn load() -> StaticTable {
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../runtime/src");
-        let report = match coup_lint::lint_dir(Path::new(root)) {
-            Ok(report) => report,
-            Err(err) => {
-                return StaticTable::empty(Some(format!("lint_dir({root}): {err}")));
-            }
-        };
+        match coup_lint::lint_dir(Path::new(root)) {
+            Ok(report) => StaticTable::from_report(&report),
+            Err(err) => StaticTable::empty(Some(format!("lint_dir({root}): {err}"))),
+        }
+    }
+
+    /// Files every site under the name the lint reports for its file: the
+    /// path relative to the linted root, which [`SiteId::rel`] recovers from
+    /// a `#[track_caller]` location.
+    fn from_report(report: &coup_lint::Report) -> StaticTable {
         let table = report.site_table();
         let mut by_file: HashMap<String, Vec<Entry>> = HashMap::new();
         let mut tags: Vec<String> = Vec::new();
         let mut total = 0usize;
         for site in &table.sites {
-            let base = site
-                .file
-                .rsplit(['/', '\\'])
-                .next()
-                .unwrap_or(&site.file)
-                .to_string();
             let release_side = site
                 .orderings
                 .iter()
                 .any(|o| matches!(o.as_str(), "Release" | "AcqRel" | "SeqCst"));
-            by_file.entry(base).or_default().push(Entry {
+            by_file.entry(site.file.clone()).or_default().push(Entry {
                 line: site.line as u32,
                 matchable: site.kind != coup_lint::SiteKind::ConstDef,
                 release_side,
@@ -285,14 +290,9 @@ impl StaticTable {
             entries.sort_by_key(|e| e.line);
         }
         tags.sort();
-        let scanned = report
-            .scanned
-            .iter()
-            .map(|f| f.rsplit(['/', '\\']).next().unwrap_or(f).to_string())
-            .collect();
         StaticTable {
             by_file,
-            scanned,
+            scanned: report.scanned.iter().cloned().collect(),
             all_tags: tags,
             total_entries: total,
             error: None,
@@ -303,7 +303,7 @@ impl StaticTable {
     /// entry in `[line, line + WINDOW]` (the ordering token sits at or
     /// below the method-name token `#[track_caller]` reports).
     fn window_entry(&self, site: SiteId) -> Option<&Entry> {
-        let entries = self.by_file.get(site.basename())?;
+        let entries = self.by_file.get(site.rel())?;
         entries
             .iter()
             .filter(|e| e.matchable && e.line >= site.line && e.line <= site.line + WINDOW)
@@ -313,13 +313,12 @@ impl StaticTable {
     /// The table entry exactly at `site` (unpublished-acquire blames the
     /// writer only when its own line is a declared release-side site).
     fn exact_entry(&self, site: SiteId) -> Option<&Entry> {
-        let entries = self.by_file.get(site.basename())?;
+        let entries = self.by_file.get(site.rel())?;
         entries.iter().find(|e| e.matchable && e.line == site.line)
     }
 
     fn in_scope(&self, site: SiteId) -> bool {
-        (site.file.contains("runtime/src") || site.file.contains("runtime\\src"))
-            && self.scanned.contains(site.basename())
+        self.scanned.contains(site.rel())
     }
 }
 
@@ -389,14 +388,7 @@ impl ThreadCtx {
 impl Drop for ThreadCtx {
     fn drop(&mut self) {
         let mut global = global().lock().unwrap_or_else(|e| e.into_inner());
-        for (site, stat) in self.sites.drain() {
-            let merged = global.sites.entry(site).or_default();
-            merged.count += stat.count;
-            merged.mask |= stat.mask;
-        }
-        for (edge, count) in self.edges.drain() {
-            *global.edges.entry(edge).or_default() += count;
-        }
+        global.absorb(self.sites.drain(), self.edges.drain());
         let clock = std::mem::take(&mut self.clock);
         global.retired_clock.join(&clock);
         let slot = self.slot;
@@ -434,6 +426,24 @@ struct Global {
     seen: HashSet<(&'static str, &'static str, u32)>,
 }
 
+impl Global {
+    /// Merges one thread's site and edge ledgers into the process totals.
+    fn absorb(
+        &mut self,
+        sites: impl IntoIterator<Item = (SiteId, SiteDyn)>,
+        edges: impl IntoIterator<Item = ((SiteId, SiteId), u64)>,
+    ) {
+        for (site, stat) in sites {
+            let merged = self.sites.entry(site).or_default();
+            merged.count += stat.count;
+            merged.mask |= stat.mask;
+        }
+        for (edge, count) in edges {
+            *self.edges.entry(edge).or_default() += count;
+        }
+    }
+}
+
 fn global() -> &'static Mutex<Global> {
     static GLOBAL: OnceLock<Mutex<Global>> = OnceLock::new();
     GLOBAL.get_or_init(|| Mutex::new(Global::default()))
@@ -455,7 +465,7 @@ fn violation(kind: &'static str, site: SiteId, message: String) {
     if global.seen.insert((kind, site.file, site.line)) {
         global.violations.push(Violation {
             kind,
-            file: site.basename().to_string(),
+            file: site.rel().to_string(),
             line: site.line,
             message,
         });
@@ -484,7 +494,7 @@ fn check_static(site: SiteId, order: Ordering) {
             format!(
                 "{}:{} executed a {token} op but no `ord:`-tagged site table entry \
                  covers lines {}..={}",
-                site.basename(),
+                site.rel(),
                 site.line,
                 site.line,
                 site.line + WINDOW
@@ -495,7 +505,7 @@ fn check_static(site: SiteId, order: Ordering) {
             site,
             format!(
                 "{}:{} executed {token} but the site table entry at line {} declares [{}]",
-                site.basename(),
+                site.rel(),
                 site.line,
                 entry.line,
                 entry.orderings.join(", ")
@@ -533,9 +543,9 @@ fn check_unpublished(rec: &ShadowRec, reader: SiteId, slot: usize) {
         format!(
             "{}:{} acquired a value written by {}:{} (epoch {}), but that write carried \
              no Release edge despite its site table entry declaring [{}]",
-            reader.basename(),
+            reader.rel(),
             reader.line,
-            writer.basename(),
+            writer.rel(),
             writer.line,
             rec.epoch,
             entry.orderings.join(", ")
@@ -579,49 +589,36 @@ pub(crate) fn on_store(rec: &mut ShadowRec, site: SiteId, order: Ordering) {
     });
 }
 
-pub(crate) fn on_load(rec: &ShadowRec, site: SiteId, order: Ordering) {
-    with_ctx(|ctx| {
-        ctx.clock.tick(ctx.slot);
-        ctx.record_site(site, order);
-        check_static(site, order);
+/// The load half of a load or RMW: buffer the observed heads for a later
+/// acquire fence, and — for an acquire-side op — join and edge them now.
+fn observe(ctx: &mut ThreadCtx, rec: &ShadowRec, site: SiteId, order: Ordering) {
+    ctx.clock.tick(ctx.slot);
+    ctx.record_site(site, order);
+    check_static(site, order);
+    for head in &rec.heads {
+        if ctx.pend_acq.len() >= PEND_CAP {
+            break;
+        }
+        if !ctx.pend_acq.iter().any(|h| h.site == head.site) {
+            ctx.pend_acq.push(head.clone());
+        }
+    }
+    if is_acquire(order) {
         for head in &rec.heads {
-            if ctx.pend_acq.len() >= PEND_CAP {
-                break;
-            }
-            if !ctx.pend_acq.iter().any(|h| h.site == head.site) {
-                ctx.pend_acq.push(head.clone());
-            }
+            ctx.clock.join(&head.clock);
+            *ctx.edges.entry((head.site, site)).or_default() += 1;
         }
-        if is_acquire(order) {
-            for head in &rec.heads {
-                ctx.clock.join(&head.clock);
-                *ctx.edges.entry((head.site, site)).or_default() += 1;
-            }
-            check_unpublished(rec, site, ctx.slot);
-        }
-    });
+        check_unpublished(rec, site, ctx.slot);
+    }
+}
+
+pub(crate) fn on_load(rec: &ShadowRec, site: SiteId, order: Ordering) {
+    with_ctx(|ctx| observe(ctx, rec, site, order));
 }
 
 pub(crate) fn on_rmw(rec: &mut ShadowRec, site: SiteId, order: Ordering) {
     with_ctx(|ctx| {
-        ctx.clock.tick(ctx.slot);
-        ctx.record_site(site, order);
-        check_static(site, order);
-        for head in &rec.heads {
-            if ctx.pend_acq.len() >= PEND_CAP {
-                break;
-            }
-            if !ctx.pend_acq.iter().any(|h| h.site == head.site) {
-                ctx.pend_acq.push(head.clone());
-            }
-        }
-        if is_acquire(order) {
-            for head in &rec.heads {
-                ctx.clock.join(&head.clock);
-                *ctx.edges.entry((head.site, site)).or_default() += 1;
-            }
-            check_unpublished(rec, site, ctx.slot);
-        }
+        observe(ctx, rec, site, order);
         // RMWs continue release sequences: existing heads survive, and a
         // release RMW adds its own.
         let mut heads = std::mem::take(&mut rec.heads);
@@ -785,14 +782,7 @@ fn flush_current_thread() {
         let sites = std::mem::take(&mut ctx.sites);
         let edges = std::mem::take(&mut ctx.edges);
         let mut global = global().lock().unwrap_or_else(|e| e.into_inner());
-        for (site, stat) in sites {
-            let merged = global.sites.entry(site).or_default();
-            merged.count += stat.count;
-            merged.mask |= stat.mask;
-        }
-        for (edge, count) in edges {
-            *global.edges.entry(edge).or_default() += count;
-        }
+        global.absorb(sites, edges);
     });
 }
 
@@ -807,11 +797,11 @@ fn snapshot() -> SanReport {
 
     // Dynamic sites, sorted for stable output.
     let mut sites: Vec<(SiteId, SiteDyn)> = global.sites.iter().map(|(s, d)| (*s, *d)).collect();
-    sites.sort_by_key(|(s, _)| (s.basename(), s.line));
+    sites.sort_by_key(|(s, _)| (s.rel(), s.line));
     let dyn_sites: Vec<DynSite> = sites
         .iter()
         .map(|(s, d)| DynSite {
-            file: s.basename().to_string(),
+            file: s.rel().to_string(),
             line: s.line,
             count: d.count,
             orderings: mask_names(d.mask),
@@ -836,7 +826,7 @@ fn snapshot() -> SanReport {
             let mut runs = 0u64;
             let mut mask = 0u8;
             for (site, stat) in &sites {
-                if site.basename() == file.as_str() && site.line >= lo && site.line <= entry.line {
+                if site.rel() == file.as_str() && site.line >= lo && site.line <= entry.line {
                     runs += stat.count;
                     mask |= stat.mask;
                 }
@@ -887,7 +877,7 @@ fn snapshot() -> SanReport {
     // (documented limitation — the protocol exercise is what we measure).
     let mut edges: Vec<((SiteId, SiteId), u64)> =
         global.edges.iter().map(|(e, c)| (*e, *c)).collect();
-    edges.sort_by_key(|((f, t), _)| (f.basename(), f.line, t.basename(), t.line));
+    edges.sort_by_key(|((f, t), _)| (f.rel(), f.line, t.rel(), t.line));
     let mut covered: HashSet<String> = HashSet::new();
     let dyn_edges: Vec<DynEdge> = edges
         .iter()
@@ -902,9 +892,9 @@ fn snapshot() -> SanReport {
                 }
             }
             DynEdge {
-                from_file: from.basename().to_string(),
+                from_file: from.rel().to_string(),
                 from_line: from.line,
-                to_file: to.basename().to_string(),
+                to_file: to.rel().to_string(),
                 to_line: to.line,
                 count: *count,
                 resolved: from_entry.is_some() && to_entry.is_some(),
@@ -951,4 +941,33 @@ pub fn verify() -> SanReport {
         panic!("coup-san: static site table failed to load: {err}");
     }
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Two files of the linted tree that share a basename keep separate
+    /// table entries: a site resolves only against its own file's rows.
+    #[test]
+    fn same_named_files_in_different_directories_resolve_separately() {
+        let release = "fn f(x: &AtomicU64) {\n    x.store(1, Ordering::Release); // ord: demo\n}\n";
+        let acquire = "fn g(x: &AtomicU64) {\n\n\n    x.load(Ordering::Acquire); // ord: demo\n}\n";
+        let table = StaticTable::from_report(&coup_lint::lint_sources(&[
+            ("backend/tests.rs".to_string(), release.to_string()),
+            ("runtime/tests.rs".to_string(), acquire.to_string()),
+        ]));
+        let at = |file, line| SiteId { file, line };
+        let backend = at("crates/runtime/src/backend/tests.rs", 2);
+        let runtime = at("/abs/crates/runtime/src/runtime/tests.rs", 4);
+        assert_eq!(table.exact_entry(backend).unwrap().orderings, ["Release"]);
+        assert_eq!(table.exact_entry(runtime).unwrap().orderings, ["Acquire"]);
+        // Line 4 is a site of `runtime/tests.rs` only, and line 2's window
+        // (2..=6) must not reach across into the other file's line 4.
+        assert!(table.exact_entry(at(backend.file, 4)).is_none());
+        assert_eq!(table.window_entry(backend).unwrap().line, 2);
+        assert!(table.window_entry(at(backend.file, 3)).is_none());
+        assert!(table.in_scope(backend) && table.in_scope(runtime));
+        assert!(!table.in_scope(at("crates/other/src/backend/tests.rs", 2)));
+    }
 }

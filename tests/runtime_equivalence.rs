@@ -212,12 +212,12 @@ proptest! {
         let producers = 3usize;
         std::thread::scope(|scope| {
             for producer in 0..producers {
-                let mut submitter = runtime.submitter();
+                let mut handle = runtime.handle();
                 let ops = &ops;
                 scope.spawn(move || {
                     // Deterministic round-robin partition of the stream.
                     for (lane_bits, value) in ops.iter().skip(producer).step_by(producers) {
-                        submitter.push((*lane_bits as usize) % lanes, *value);
+                        handle.push((*lane_bits as usize) % lanes, *value);
                     }
                 }); // dropped without an explicit flush on purpose
             }

@@ -9,7 +9,7 @@
 //!   identical snapshot, which also equals the sequentially computed
 //!   reference. No update is lost or duplicated by ring wrap, slot
 //!   recycling, full-edge parking, or shutdown.
-//! * **Dropped unflushed submitters** — a `Submitter` dropped with a
+//! * **Dropped unflushed handles** — a `LaneHandle` dropped with a
 //!   partially filled batch still delivers that batch (its `Drop` submits).
 //! * **Producer churn** — producers that come and go mid-run recycle
 //!   directory slots (generation handshake) without losing the retiring
@@ -42,16 +42,16 @@ fn reference(producers: usize, count: usize) -> Vec<u64> {
 }
 
 /// Runs the program against a runtime: `producers` scoped threads, each
-/// pushing through its own `Submitter` and dropping it unflushed (the final
+/// pushing through its own `LaneHandle` and dropping it unflushed (the final
 /// partial batch travels via `Drop`).
 fn run_program(rt: &CoupRuntime, producers: usize, count: usize) {
     std::thread::scope(|scope| {
         for p in 0..producers {
-            let mut submitter = rt.submitter();
+            let mut handle = rt.handle();
             scope.spawn(move || {
                 for i in 0..count {
                     let lane = splitmix64(&mut ((p as u64) << 32 | i as u64 | 1)) as usize % LANES;
-                    submitter.push(lane, 1);
+                    handle.push(lane, 1);
                 }
                 // No flush(): Drop must deliver the unflushed remainder.
             });
