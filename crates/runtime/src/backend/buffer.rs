@@ -61,6 +61,11 @@ pub(super) struct ThreadBuffer {
     marks: Box<[AtomicU64]>,
     /// CLOCK hand: rotation offset applied within a victim scan. Owner-only.
     hand: AtomicUsize,
+    /// Admission candidate per *home* slot (`line & mask`): the tag of the
+    /// last line whose miss found that home's probe window full and was
+    /// turned away to the store, or [`EMPTY_TAG`]. A line displaces a
+    /// resident one only on its second such miss in a row. Owner-only.
+    candidates: Box<[AtomicU64]>,
     /// Lines privatized (slot claims). Owner-only.
     privatized: AtomicU64,
     /// Dirty-victim migrations. Owner-only stores; the bump is Release and
@@ -73,6 +78,9 @@ pub(super) struct ThreadBuffer {
     /// Updates routed straight to the store because every victim candidate
     /// was read-held. Owner-only.
     held_bypasses: AtomicU64,
+    /// Updates routed straight to the store because their line's first miss
+    /// on a full probe window is not admitted. Owner-only.
+    admission_bypasses: AtomicU64,
     /// Currently claimed (non-empty) slots — the occupancy the telemetry
     /// histogram samples at each privatization. Owner-only.
     resident: AtomicU64,
@@ -105,10 +113,12 @@ impl ThreadBuffer {
             pending: (0..capacity).map(|_| AtomicU32::new(0)).collect(),
             marks: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
             hand: AtomicUsize::new(0),
+            candidates: (0..capacity).map(|_| AtomicU64::new(EMPTY_TAG)).collect(),
             privatized: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             flushes: AtomicU64::new(0),
             held_bypasses: AtomicU64::new(0),
+            admission_bypasses: AtomicU64::new(0),
             resident: AtomicU64::new(0),
             mask: capacity - 1,
             window: PROBE_WINDOW.min(capacity),
@@ -120,10 +130,10 @@ impl ThreadBuffer {
     }
 
     /// Bytes of buffer state: the fixed bookkeeping plus, per slot, the
-    /// data line and its tag/epoch/mark/pending entries.
+    /// data line and its tag/epoch/mark/candidate/pending entries.
     pub(super) fn bytes(&self) -> usize {
         let per_slot = std::mem::size_of::<PaddedLine>()
-            + std::mem::size_of::<AtomicU64>() * 3 // tag, epoch, mark
+            + std::mem::size_of::<AtomicU64>() * 4 // tag, epoch, mark, candidate
             + std::mem::size_of::<AtomicU32>(); // pending
         std::mem::size_of::<ThreadBuffer>() + self.capacity() * per_slot
     }
@@ -180,13 +190,32 @@ impl ThreadBuffer {
 
 impl CoupBackend {
     /// Claims a slot in `thread`'s buffer for `line` and publishes the tag.
-    /// Prefers an empty slot in the probe window; otherwise evicts the
-    /// CLOCK victim, migrating its delta into the store first if dirty.
-    /// Returns the claimed slot index, or `None` when every candidate slot
-    /// holds a read-held line — evicting one would churn its epochs and
-    /// starve the escalated reader the hold protects, so the caller must
-    /// route this update around the buffer instead (see
-    /// [`CoupBackend::buffered_update`]). Owner-only.
+    /// Prefers an empty slot in the probe window; otherwise the line must
+    /// pass admission, and then evicts the CLOCK victim, migrating its delta
+    /// into the store first if dirty. Returns the claimed slot index, or
+    /// `None` when the update must go around the buffer as a direct store
+    /// RMW (see [`CoupBackend::buffered_update`]) — one bypass, two triggers,
+    /// each counted here:
+    ///
+    /// * **Admission.** A miss on a full window displaces a resident line
+    ///   only on the line's *second* such miss in a row at its home slot;
+    ///   the first records the line as the home's candidate and bypasses. A
+    ///   one-touch tail line thus costs one RMW — the atomic baseline —
+    ///   instead of a migration, and stops displacing the lines that do
+    ///   repeat; a cyclic scan over more same-home lines than the window
+    ///   holds keeps the first window's worth resident and sends the
+    ///   overflow to the store, one RMW each. The gate covers clean
+    ///   victims too; empty-slot claims — all an unbounded buffer ever
+    ///   makes, every line having its own home — never consult it.
+    /// * **Read holds.** An admitted line finds every victim candidate
+    ///   read-held — evicting one would churn its epochs and starve the
+    ///   escalated reader the hold protects. The line stays the candidate,
+    ///   so it claims a slot on its first miss after the hold drops.
+    ///
+    /// Owner-only. Out of line, so the hit path of `buffered_update` stays
+    /// a probe and a store.
+    #[cold]
+    #[inline(never)]
     fn privatize(&self, thread: usize, line: usize) -> Option<usize> {
         let buf = &self.buffers[thread];
         let empty = (0..buf.window)
@@ -194,7 +223,21 @@ impl CoupBackend {
             .find(|&idx| buf.tags[idx].load(Ordering::Relaxed) == EMPTY_TAG);
         let idx = match empty {
             Some(idx) => idx,
-            None => self.choose_victim(thread, line)?,
+            None => {
+                let candidate = &buf.candidates[line & buf.mask];
+                if candidate.load(Ordering::Relaxed) != tag_of(line) {
+                    candidate.store(tag_of(line), Ordering::Relaxed);
+                    bump(&buf.admission_bypasses);
+                    return None;
+                }
+                let Some(idx) = self.choose_victim(thread, line) else {
+                    bump(&buf.held_bypasses);
+                    self.telemetry.trace(thread, TraceKind::HeldBypass, line);
+                    return None;
+                };
+                candidate.store(EMPTY_TAG, Ordering::Relaxed);
+                idx
+            }
         };
         // Count the claim *before* any eviction below: the eviction bump is
         // Release and the stats fold loads `evictions` with Acquire first,
@@ -351,18 +394,16 @@ impl CoupBackend {
             None => match self.privatize(thread, slot.line) {
                 Some(idx) => idx,
                 None => {
-                    // Every victim candidate is read-held. Rather than force
-                    // an eviction that would keep invalidating the escalated
-                    // reader's seqlock passes (re-opening the starvation the
-                    // read hold exists to close), apply this one update
-                    // straight to the store — the atomic-baseline path.
-                    // Commutativity makes the detour invisible: the delta is
-                    // store-visible immediately, needs no writer bit, and
-                    // folds with any buffered partials in any order.
+                    // Not admitted, or every victim candidate is read-held
+                    // (a forced eviction would keep invalidating the
+                    // escalated reader's seqlock passes, re-opening the
+                    // starvation the read hold exists to close): apply this
+                    // one update straight to the store — the atomic-baseline
+                    // path. Commutativity makes the detour invisible: the
+                    // delta is store-visible immediately, needs no writer
+                    // bit, moves no epoch, tag or pending count, and folds
+                    // with any buffered partials in any order.
                     self.store.rmw_lane(index, value);
-                    bump(&buf.held_bypasses);
-                    self.telemetry
-                        .trace(thread, TraceKind::HeldBypass, slot.line);
                     return;
                 }
             },
@@ -452,6 +493,7 @@ impl CoupBackend {
                 evictions,
                 flushes: buf.flushes.load(Ordering::Relaxed),
                 held_bypasses: buf.held_bypasses.load(Ordering::Relaxed),
+                admission_bypasses: buf.admission_bypasses.load(Ordering::Relaxed),
             });
         }
         total

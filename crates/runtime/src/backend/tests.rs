@@ -5,6 +5,8 @@ use super::*;
 use crate::sync::atomic::Ordering;
 use crate::telemetry::{TelemetryConfig, TelemetryRegistry};
 
+mod admission;
+
 /// Iteration multiplier for the concurrency stress tests: 1 normally, 8
 /// when `COUP_STRESS` is set (the CI release stress lane).
 fn stress_factor() -> u64 {
@@ -196,7 +198,9 @@ fn eviction_lands_the_delta_then_retires_the_writer_bit() {
         "writer bit set while the delta is buffered"
     );
     assert_eq!(b.store().load_lane(0), 0, "delta still private");
-    b.update(0, lanes_per_line, 7); // line 1: evicts line 0 at capacity 1
+    b.update(0, lanes_per_line, 3); // line 1, first touch: not admitted
+    assert_eq!(b.store().load_lane(0), 0, "a bypass displaces nothing");
+    b.update(0, lanes_per_line, 4); // second touch: evicts line 0 at capacity 1
     assert_eq!(
         b.store().load_lane(0),
         5,
@@ -233,11 +237,14 @@ fn clean_victims_retag_without_migrating() {
     b.update(0, 0, 3);
     b.flush(0); // line 0's slot is now clean but still tagged
     assert_eq!(b.buffer_stats().flushes, 1);
-    b.update(0, lanes_per_line, 9); // claims the slot from clean line 0
+    b.update(0, lanes_per_line, 4); // first touch: clean victims are gated too
+    assert_eq!(b.buffer_stats().privatized, 1);
+    b.update(0, lanes_per_line, 5); // second touch claims the slot from clean line 0
     let stats = b.buffer_stats();
     assert_eq!(stats.evictions, 0, "clean displacement is not an eviction");
     assert_eq!(stats.privatized, 2);
-    b.update(0, 0, 4); // line 0 comes back, evicting dirty line 1
+    b.update(0, 0, 1); // line 0 comes back: first touch bypasses,
+    b.update(0, 0, 3); // the second evicts dirty line 1
     assert_eq!(b.buffer_stats().evictions, 1);
     assert_eq!(b.read(0, 0), 7);
     assert_eq!(b.read(0, lanes_per_line), 9);
@@ -615,13 +622,15 @@ fn eviction_prefers_unheld_victims() {
     b.update(0, 0, 1); // line 0 resident
     b.update(0, lanes_per_line, 2); // line 1 resident
     b.line_meta[0].read_holds.fetch_add(1, Ordering::AcqRel); // ord: read-hold
-    b.update(0, 2 * lanes_per_line, 3); // line 2 must displace line 1
+    b.update(0, 2 * lanes_per_line, 1); // line 2, first touch: not admitted
+    b.update(0, 2 * lanes_per_line, 2); // second touch must displace line 1
     assert_eq!(b.store().load_lane(0), 0, "held line 0 must stay buffered");
     assert_eq!(
         b.store().load_lane(lanes_per_line),
         2,
         "unheld line 1 was the victim"
     );
+    assert_eq!(b.read(1, 2 * lanes_per_line), 3, "bypassed + buffered");
     b.line_meta[0].read_holds.fetch_sub(1, Ordering::AcqRel); // ord: read-hold
 }
 
@@ -643,7 +652,8 @@ fn fully_held_window_routes_updates_around_the_buffer() {
     let idx = slot_of(&b, 0, 0);
     let epoch_before = b.buffers[0].sample_epoch(idx);
     b.line_meta[0].read_holds.fetch_add(1, Ordering::AcqRel); // ord: read-hold
-    b.update(0, lanes_per_line, 7); // the only victim candidate is held
+    b.update(0, lanes_per_line, 3); // first touch: not admitted
+    b.update(0, lanes_per_line, 4); // admitted, but the only victim is held
     assert_eq!(
         b.store().load_lane(lanes_per_line),
         7,
@@ -658,9 +668,12 @@ fn fully_held_window_routes_updates_around_the_buffer() {
     assert_eq!(b.read(1, 0), 5, "held line still reduces correctly");
     let stats = b.buffer_stats();
     assert_eq!(stats.held_bypasses, 1);
+    assert_eq!(stats.admission_bypasses, 1);
     assert_eq!(stats.evictions, 0);
     b.line_meta[0].read_holds.fetch_sub(1, Ordering::AcqRel); // ord: read-hold
-                                                              // Hold released: line 1 privatizes normally again, evicting line 0.
+
+    // Hold released: line 1 is still the candidate, so it privatizes on
+    // its next touch, evicting line 0.
     b.update(0, lanes_per_line, 1);
     assert_eq!(b.read(1, lanes_per_line), 8);
     assert_eq!(b.buffer_stats().evictions, 1);

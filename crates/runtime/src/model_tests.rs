@@ -92,6 +92,43 @@ fn seqlock_epoch_reads_never_tear_and_stay_monotone() {
     });
 }
 
+/// Protocol 1b — the same seqlock across a *re-tag*: a reader racing a dirty
+/// capacity eviction. `migrate_slot` drains the victim, reduces, retires the
+/// writer bit and hands the slot to the incoming line, all inside one
+/// odd-epoch window; a reader of the evicted line that overlaps any of it —
+/// the drained word, the new tag, the fallen bit — must retry rather than
+/// find the delta in neither place (0) or in both (6). The set-up runs
+/// before any thread exists, which keeps the explored schedules to the
+/// eviction itself: line 0 privatized and dirty, and line 1 turned away once
+/// (at capacity 1 its first touch is not admitted), so the writer's one
+/// update evicts.
+///
+/// Mutation pairing: shares `EPOCH_PUBLISH` with protocol 1 (the per-edge
+/// lane runs every `seqlock_epoch_…` test) and kills it alone: a reader
+/// that validates against the new even epoch without the edge to the reduce
+/// folds a stale store word with the already-drained slot and reads 0. It
+/// kills `WRITER_RETIRE` the same way, through the fallen bit.
+#[test]
+fn seqlock_epoch_reads_racing_a_dirty_eviction_never_tear() {
+    loom::model(|| {
+        let backend = small_backend(16, 2, 64, BufferConfig::bounded(1));
+        backend.update(0, 0, 3);
+        backend.update(0, 8, 1);
+        let writer = {
+            let b = Arc::clone(&backend);
+            thread::spawn(move || b.update(0, 8, 1))
+        };
+        for pass in 0..2 {
+            let seen = backend.read(1, 0);
+            assert_eq!(seen, 3, "read {pass} lost or doubled the evicted delta");
+        }
+        writer.join().unwrap();
+        assert_eq!(backend.read(1, 0), 3);
+        assert_eq!(backend.read(1, 8), 2);
+        assert_eq!(backend.buffer_stats().evictions, 1);
+    });
+}
+
 /// Protocol 2 — writer bitmap set/fold/clear vs. a concurrently retrying
 /// reader: with `flush_threshold == 1` every update announces its bit,
 /// stores the delta, and immediately migrates (fold + clear), so a reader
@@ -130,8 +167,9 @@ fn writer_bitmap_retire_publishes_the_reduce_it_promises() {
 /// Protocol 3 — the eviction handshake: `privatized` is bumped *before* a
 /// dirty victim's migration and the eviction count is published with
 /// Release after it, so `evictions ≤ privatized` must hold for any
-/// observer, however racy. A capacity-1 buffer plus an update to a second
-/// line forces exactly one dirty eviction (the software U-state eviction).
+/// observer, however racy. A capacity-1 buffer plus two updates to a second
+/// line — the first is not admitted and goes straight to the store — forces
+/// exactly one dirty eviction (the software U-state eviction).
 ///
 /// Mutation pairing: `EVICTION_FOLD` (the Acquire on the stats fold's
 /// `evictions` load) weakened to `Relaxed` lets the observer read
@@ -148,7 +186,8 @@ fn evict_stats_count_never_exceeds_privatized_for_any_observer() {
             let b = Arc::clone(&backend);
             thread::spawn(move || {
                 b.update(0, 0, 1); // privatize line 0, buffer a delta
-                b.update(0, 8, 1); // line 1: evicts dirty line 0
+                b.update(0, 8, 1); // line 1, first touch: bypasses
+                b.update(0, 8, 1); // second touch: evicts dirty line 0
             })
         };
         let stats = backend.buffer_stats();
@@ -164,7 +203,7 @@ fn evict_stats_count_never_exceeds_privatized_for_any_observer() {
         assert_eq!(quiesced.evictions, 1);
         // The evicted line's delta migrated; the resident line still folds.
         assert_eq!(backend.read(0, 0), 1);
-        assert_eq!(backend.read(0, 8), 1);
+        assert_eq!(backend.read(0, 8), 2);
     });
 }
 

@@ -53,6 +53,7 @@ impl Merge for BufferStats {
         self.evictions += other.evictions;
         self.flushes += other.flushes;
         self.held_bypasses += other.held_bypasses;
+        self.admission_bypasses += other.admission_bypasses;
     }
 }
 
@@ -181,7 +182,8 @@ pub struct MetricsSnapshot {
     /// from the registry's read histograms — zero with telemetry off.
     pub read_cost: ReadCost,
     /// Merged buffer life-cycle counters (privatizations, evictions,
-    /// flushes, held bypasses), backend-native: they flow with telemetry off.
+    /// flushes, held and admission bypasses), backend-native: they flow
+    /// with telemetry off.
     pub buffer_stats: BufferStats,
     /// Buffer words folded per synchronous read.
     pub read_width: HistogramSnapshot,
@@ -302,6 +304,11 @@ const COUNTER_META: &[MetaRow<u64>] = &[
         "coup_held_bypasses_total",
         "Updates routed around read-held buffers via direct RMW.",
         |m| &mut m.buffer_stats.held_bypasses,
+    ),
+    (
+        "coup_admission_bypasses_total",
+        "Updates of not-yet-admitted lines applied via direct RMW.",
+        |m| &mut m.buffer_stats.admission_bypasses,
     ),
 ];
 

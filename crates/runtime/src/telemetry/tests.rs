@@ -26,6 +26,7 @@ fn sample_snapshot() -> MetricsSnapshot {
             evictions: 8,
             flushes: 5,
             held_bypasses: 1,
+            admission_bypasses: 21,
         },
         ..MetricsSnapshot::default()
     };

@@ -147,11 +147,12 @@ fn live_monitor(telemetry: &TelemetryHandle, total_events: u64) -> u64 {
         }
         if tick % 8 == 0 || live {
             println!(
-                "    poll {tick:>3}: submitted {:>9}  applied {:>9}  privatized {:>7}                   evictions {:>6}  dwell-mean {:>6.1}us{}",
+                "    poll {tick:>3}: submitted {:>9}  applied {:>9}  privatized {:>7}                   evictions {:>6}  admission-bypasses {:>6}  dwell-mean {:>6.1}us{}",
                 snap.updates_submitted,
                 snap.updates_applied,
                 snap.buffer_stats.privatized,
                 snap.buffer_stats.evictions,
+                snap.buffer_stats.admission_bypasses,
                 snap.queue_dwell_us.mean(),
                 if live { "  [mid-run]" } else { "" },
             );

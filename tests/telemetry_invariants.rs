@@ -45,6 +45,7 @@ fn assert_monotone(a: &MetricsSnapshot, b: &MetricsSnapshot) {
     assert!(a.buffer_stats.evictions <= b.buffer_stats.evictions);
     assert!(a.buffer_stats.flushes <= b.buffer_stats.flushes);
     assert!(a.buffer_stats.held_bypasses <= b.buffer_stats.held_bypasses);
+    assert!(a.buffer_stats.admission_bypasses <= b.buffer_stats.admission_bypasses);
     for ((name, ha), (_, hb)) in a.histograms().iter().zip(b.histograms().iter()) {
         assert!(ha.sum <= hb.sum, "{name} sum went backwards");
         for (ba, bb) in ha.buckets.iter().zip(hb.buckets.iter()) {
@@ -117,9 +118,10 @@ fn mid_run_snapshots_are_monotone_and_consistent() {
 
 #[test]
 fn evictions_never_exceed_privatized_under_concurrent_observation() {
-    // Tiny capacity + many hot lines: every few updates displace a dirty
-    // victim, so the privatized/evictions pair is bumped at full rate while
-    // a monitor thread hammers the fold. One Acquire/Release slip and this
+    // Tiny capacity + many hot lines, each touched twice in a row (a first
+    // touch is not admitted): every other update displaces a dirty victim,
+    // so the privatized/evictions pair is bumped at full rate while a
+    // monitor thread hammers the fold. One Acquire/Release slip and this
     // trips within a handful of runs.
     let runtime = RuntimeBuilder::new(CommutativeOp::AddU64, 512)
         .workers(4)
@@ -148,8 +150,9 @@ fn evictions_never_exceed_privatized_under_concurrent_observation() {
             let mut handle = runtime.handle();
             scope.spawn(move || {
                 let mut lane = producer * 97;
-                for _ in 0..50_000 {
+                for _ in 0..25_000 {
                     lane = (lane * 131 + 11) % 512;
+                    handle.push(lane, 1);
                     handle.push(lane, 1);
                 }
             });
@@ -161,10 +164,11 @@ fn evictions_never_exceed_privatized_under_concurrent_observation() {
         let observations = monitor.join().expect("monitor panicked");
         assert!(observations > 0);
     });
-    let result = runtime.shutdown();
+    let stats = runtime.shutdown().report.metrics.buffer_stats;
     assert!(
-        result.report.metrics.buffer_stats.evictions > 0,
-        "capacity 2 over 512 hot lines must evict"
+        stats.evictions > 20_000,
+        "capacity 2 over 64 hot lines, each touched twice, must evict on well \
+         over a tenth of the 200,000 updates: {stats:?}"
     );
 }
 
@@ -222,7 +226,9 @@ mod enabled {
             .telemetry(TelemetryConfig::default())
             .build();
         let mut handle = runtime.handle();
-        for i in 0..20_000usize {
+        for i in 0..10_000usize {
+            // Twice in a row: a first touch of a full window is not admitted.
+            handle.push((i * 131 + 11) % 256, 1);
             handle.push((i * 131 + 11) % 256, 1);
         }
         drop(handle);
@@ -242,7 +248,11 @@ mod enabled {
         );
         assert!(
             events.iter().any(|e| e.kind == TraceKind::Evict),
-            "capacity 2 over 256 lines evicts"
+            "capacity 2 over 32 lines evicts on second touches"
+        );
+        assert!(
+            !events.iter().any(|e| e.kind == TraceKind::HeldBypass),
+            "nothing reads, and admission bypasses are not traced"
         );
         let snap = telemetry.metrics();
         assert!(snap.trace_recorded >= events.len() as u64);
