@@ -147,24 +147,6 @@ impl<T> CacheArray<T> {
         }
     }
 
-    /// Mutable lookup, updating recency and hit/miss counters.
-    #[must_use]
-    pub fn get_mut(&mut self, addr: LineAddr) -> Option<&mut T> {
-        match self.locate(addr) {
-            Some((set_idx, way_idx)) => {
-                self.hits += 1;
-                self.sets[set_idx].repl.touch(way_idx as u32);
-                self.sets[set_idx].ways[way_idx]
-                    .as_mut()
-                    .map(|w| &mut w.payload)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
     /// Mutable access without touching recency or counters.
     #[must_use]
     pub fn peek_mut(&mut self, addr: LineAddr) -> Option<&mut T> {
@@ -175,22 +157,6 @@ impl<T> CacheArray<T> {
             .flatten()
             .find(|w| w.addr == addr)
             .map(|w| &mut w.payload)
-    }
-
-    /// The line that would be evicted if `addr` were inserted now, if the
-    /// target set is full and `addr` is not already resident.
-    #[must_use]
-    pub fn victim_for(&self, addr: LineAddr) -> Option<(LineAddr, &T)> {
-        if self.contains(addr) {
-            return None;
-        }
-        let set_idx = self.geometry.set_of(addr) as usize;
-        let set = &self.sets[set_idx];
-        if set.ways.iter().any(Option::is_none) {
-            return None;
-        }
-        let way = set.repl.victim() as usize;
-        set.ways[way].as_ref().map(|w| (w.addr, &w.payload))
     }
 
     /// Inserts (or replaces) a line, evicting a victim if the set is full.
@@ -316,21 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn victim_for_predicts_eviction() {
-        let mut c = small();
-        c.insert(LineAddr(0), 1);
-        assert_eq!(c.victim_for(LineAddr(2)), None, "free way available");
-        c.insert(LineAddr(2), 2);
-        assert_eq!(c.victim_for(LineAddr(0)), None, "already resident");
-        let predicted = c.victim_for(LineAddr(4)).map(|(a, _)| a);
-        let actual = match c.insert(LineAddr(4), 3) {
-            InsertOutcome::Evicted { addr, .. } => Some(addr),
-            _ => None,
-        };
-        assert_eq!(predicted, actual);
-    }
-
-    #[test]
     fn remove_and_reinsert() {
         let mut c = small();
         c.insert(LineAddr(0), 7);
@@ -349,8 +300,14 @@ mod tests {
         assert_eq!(c.peek(LineAddr(0)), Some(&1));
         assert_eq!(c.peek(LineAddr(100)), None);
         assert_eq!(c.stats(), stats_before);
-        // Recency untouched: LRU victim should still be line 0 (inserted first).
-        assert_eq!(c.victim_for(LineAddr(4)).map(|(a, _)| a), Some(LineAddr(0)));
+        // Recency untouched: the LRU victim is still line 0 (inserted first).
+        assert_eq!(
+            c.insert(LineAddr(4), 3),
+            InsertOutcome::Evicted {
+                addr: LineAddr(0),
+                payload: 1
+            }
+        );
     }
 
     #[test]
@@ -359,9 +316,7 @@ mod tests {
         c.insert(LineAddr(0), 1);
         *c.peek_mut(LineAddr(0)).unwrap() = 5;
         assert_eq!(c.peek(LineAddr(0)), Some(&5));
-        *c.get_mut(LineAddr(0)).unwrap() += 1;
-        assert_eq!(c.peek(LineAddr(0)), Some(&6));
-        assert!(c.get_mut(LineAddr(64)).is_none());
+        assert!(c.peek_mut(LineAddr(64)).is_none());
     }
 
     #[test]

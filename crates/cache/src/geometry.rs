@@ -1,4 +1,4 @@
-//! Cache geometry: size, associativity, banking, and address mapping.
+//! Cache geometry: size, associativity, and address mapping.
 
 use std::fmt;
 
@@ -47,20 +47,6 @@ impl CacheGeometry {
         CacheGeometry { size_bytes, ways }
     }
 
-    /// Creates a fully-associative geometry holding `lines` lines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lines` is zero.
-    #[must_use]
-    pub fn fully_associative(lines: u32) -> Self {
-        assert!(lines > 0);
-        CacheGeometry {
-            size_bytes: u64::from(lines) * LINE_BYTES as u64,
-            ways: lines,
-        }
-    }
-
     /// Total capacity in bytes.
     #[must_use]
     pub const fn size_bytes(&self) -> u64 {
@@ -99,44 +85,6 @@ impl fmt::Display for CacheGeometry {
     }
 }
 
-/// Address-interleaved banking: maps a line to one of `banks` banks.
-///
-/// The paper's shared L3 and L4 caches are banked (8 banks each); lines are
-/// interleaved across banks so concurrent accesses to different lines spread
-/// over bank ports and reduction units.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BankMap {
-    banks: u32,
-}
-
-impl BankMap {
-    /// Creates a bank map over `banks` banks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `banks` is zero.
-    #[must_use]
-    pub fn new(banks: u32) -> Self {
-        assert!(banks > 0, "bank count must be positive");
-        BankMap { banks }
-    }
-
-    /// Number of banks.
-    #[must_use]
-    pub const fn banks(&self) -> u32 {
-        self.banks
-    }
-
-    /// The bank a line maps to.
-    #[must_use]
-    pub fn bank_of(&self, line: LineAddr) -> u32 {
-        // Mix the upper bits so strided access patterns spread across banks.
-        let x = line.0;
-        let mixed = x ^ (x >> 7) ^ (x >> 17);
-        (mixed % u64::from(self.banks)) as u32
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,9 +113,10 @@ mod tests {
 
     #[test]
     fn fully_associative_has_one_set() {
-        let g = CacheGeometry::fully_associative(12);
+        // As many ways as lines: a single set every address maps to.
+        let g = CacheGeometry::new(16 * LINE_BYTES as u64, 16);
         assert_eq!(g.num_sets(), 1);
-        assert_eq!(g.num_lines(), 12);
+        assert_eq!(g.num_lines(), 16);
         assert_eq!(g.set_of(LineAddr(123_456)), 0);
     }
 
@@ -181,18 +130,6 @@ mod tests {
     #[should_panic(expected = "multiple")]
     fn non_multiple_capacity_panics() {
         let _ = CacheGeometry::new(1000, 4);
-    }
-
-    #[test]
-    fn bank_map_covers_all_banks() {
-        let map = BankMap::new(8);
-        let mut seen = [false; 8];
-        for i in 0..4096u64 {
-            let b = map.bank_of(LineAddr(i));
-            assert!(b < 8);
-            seen[b as usize] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "some bank never used: {seen:?}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # coup-cache
 //!
 //! Cache structures for the COUP reproduction: parameterised set-associative
-//! arrays, LRU replacement state, and address/bank mapping. These are the
+//! arrays, LRU replacement state, and address mapping. These are the
 //! building blocks the `coup-sim` crate assembles into the four-level hierarchy
 //! of the paper's Table 1 (private L1s/L2s, banked shared L3 with in-cache
 //! directory, L4/global-directory chips).
@@ -33,5 +33,5 @@ pub mod geometry;
 pub mod replacement;
 
 pub use array::{CacheArray, InsertOutcome};
-pub use geometry::{BankMap, CacheGeometry};
+pub use geometry::CacheGeometry;
 pub use replacement::SetReplacementState;

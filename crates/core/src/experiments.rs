@@ -7,7 +7,6 @@
 //! the resulting rows; EXPERIMENTS.md records the measured shapes next to the
 //! paper's.
 
-use coup_protocol::ops::CommutativeOp;
 use coup_protocol::reduction::ReductionUnitConfig;
 use coup_protocol::state::ProtocolKind;
 use coup_sim::config::SystemConfig;
@@ -19,7 +18,7 @@ use coup_workloads::fluid::FluidWorkload;
 use coup_workloads::hist::{HistScheme, HistWorkload};
 use coup_workloads::pgrank::PageRankWorkload;
 use coup_workloads::refcount::{DelayedRefcount, DelayedScheme, ImmediateRefcount, RefcountScheme};
-use coup_workloads::runner::{run_workload, Workload};
+use coup_workloads::runner::{compare_protocols, run_workload, Workload};
 use coup_workloads::spmv::SpmvWorkload;
 
 /// How big to make each experiment's inputs.
@@ -73,14 +72,6 @@ impl ScalingPoint {
     pub fn speedup(&self) -> f64 {
         self.meusi.speedup_over(&self.mesi)
     }
-}
-
-fn compare_at(cfg: SystemConfig, workload: &dyn Workload) -> (RunStats, RunStats) {
-    let mesi = run_workload(cfg.with_protocol(ProtocolKind::Mesi), workload)
-        .expect("workload must verify under MESI");
-    let meusi = run_workload(cfg.with_protocol(ProtocolKind::Meusi), workload)
-        .expect("workload must verify under MEUSI");
-    (mesi, meusi)
 }
 
 /// The five benchmark workloads of Table 2, at the given scale, keyed by name.
@@ -190,37 +181,8 @@ pub fn fig8_verification(scale: Scale, three_level: bool) -> Vec<(u8, Exploratio
         .collect()
 }
 
-/// Fig. 10: per-application speedup of MESI and MEUSI over single-core MESI,
-/// as the core count grows.
-#[must_use]
-pub fn fig10_speedups(scale: Scale, app: &str) -> Vec<ScalingPoint> {
-    let workloads = paper_workloads(scale);
-    let (_, workload) = workloads
-        .into_iter()
-        .find(|(name, _)| *name == app)
-        .expect("unknown application");
-    scale
-        .core_counts()
-        .into_iter()
-        .map(|cores| {
-            let cfg = scale.system(cores, ProtocolKind::Mesi);
-            let (mesi, meusi) = compare_at(cfg, workload.as_ref());
-            ScalingPoint {
-                x: cores,
-                mesi,
-                meusi,
-            }
-        })
-        .collect()
-}
-
-/// Fig. 11: AMAT breakdown of MESI and MEUSI at a set of core counts.
-#[must_use]
-pub fn fig11_amat(scale: Scale, app: &str) -> Vec<ScalingPoint> {
-    let core_counts = match scale {
-        Scale::Small => vec![4, 8, 32],
-        Scale::Paper => vec![8, 32, 128],
-    };
+/// `app` under MESI and MEUSI at each of `core_counts`.
+fn scaling_points(scale: Scale, app: &str, core_counts: Vec<usize>) -> Vec<ScalingPoint> {
     let workloads = paper_workloads(scale);
     let (_, workload) = workloads
         .into_iter()
@@ -230,7 +192,8 @@ pub fn fig11_amat(scale: Scale, app: &str) -> Vec<ScalingPoint> {
         .into_iter()
         .map(|cores| {
             let cfg = scale.system(cores, ProtocolKind::Mesi);
-            let (mesi, meusi) = compare_at(cfg, workload.as_ref());
+            let (mesi, meusi) = compare_protocols(cfg, workload.as_ref())
+                .expect("workload must verify under both protocols");
             ScalingPoint {
                 x: cores,
                 mesi,
@@ -238,6 +201,23 @@ pub fn fig11_amat(scale: Scale, app: &str) -> Vec<ScalingPoint> {
             }
         })
         .collect()
+}
+
+/// Fig. 10: per-application speedup of MESI and MEUSI over single-core MESI,
+/// as the core count grows.
+#[must_use]
+pub fn fig10_speedups(scale: Scale, app: &str) -> Vec<ScalingPoint> {
+    scaling_points(scale, app, scale.core_counts())
+}
+
+/// Fig. 11: AMAT breakdown of MESI and MEUSI at a set of core counts.
+#[must_use]
+pub fn fig11_amat(scale: Scale, app: &str) -> Vec<ScalingPoint> {
+    let core_counts = match scale {
+        Scale::Small => vec![4, 8, 32],
+        Scale::Paper => vec![8, 32, 128],
+    };
+    scaling_points(scale, app, core_counts)
 }
 
 /// Fig. 12: hist under COUP vs. core-level and socket-level privatization, as
@@ -364,16 +344,6 @@ pub fn sensitivity_reduction_unit(scale: Scale, cores: usize) -> Vec<(&'static s
         .collect()
 }
 
-/// The commutative operation each Table-2 benchmark uses (for cross-checking
-/// against `coup_workloads::characteristics::table2`).
-#[must_use]
-pub fn workload_ops(scale: Scale) -> Vec<(&'static str, CommutativeOp)> {
-    paper_workloads(scale)
-        .into_iter()
-        .map(|(name, w)| (name, w.commutative_op()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,14 +440,17 @@ mod tests {
 
     #[test]
     fn workload_ops_match_table2() {
-        let ops = workload_ops(Scale::Small);
         let table = coup_workloads::characteristics::table2();
-        for (name, op) in ops {
+        for (name, workload) in paper_workloads(Scale::Small) {
             let row = table
                 .iter()
                 .find(|r| r.name == name || (r.name == "fldanim" && name == "fluidanimate"))
                 .unwrap();
-            assert_eq!(row.comm_op, op, "operation mismatch for {name}");
+            assert_eq!(
+                row.comm_op,
+                workload.commutative_op(),
+                "operation mismatch for {name}"
+            );
         }
     }
 }

@@ -86,25 +86,6 @@ impl OpClass {
             _ => false,
         }
     }
-
-    /// Whether switching from `self` to `other` requires a reduction (as
-    /// opposed to a plain invalidation).
-    ///
-    /// Leaving any update-only class requires gathering partial updates;
-    /// leaving read-only mode only requires dropping read permission.
-    #[must_use]
-    pub fn switch_needs_reduction(self, other: OpClass) -> bool {
-        self != other && matches!(self, OpClass::Update(_))
-    }
-
-    /// The commutative operation, if this class is an update class.
-    #[must_use]
-    pub fn update_op(self) -> Option<CommutativeOp> {
-        match self {
-            OpClass::ReadOnly => None,
-            OpClass::Update(op) => Some(op),
-        }
-    }
 }
 
 impl fmt::Display for OpClass {
@@ -162,21 +143,6 @@ mod tests {
         assert!(!cls.satisfies(AccessType::CommutativeUpdate(CommutativeOp::AddU64)));
         assert!(!cls.satisfies(AccessType::Read));
         assert!(!cls.satisfies(AccessType::Write));
-    }
-
-    #[test]
-    fn type_switch_reduction_rules() {
-        let add = OpClass::Update(CommutativeOp::AddU32);
-        let or = OpClass::Update(CommutativeOp::Or64);
-        let ro = OpClass::ReadOnly;
-        // Leaving an update class always needs a reduction.
-        assert!(add.switch_needs_reduction(ro));
-        assert!(add.switch_needs_reduction(or));
-        // Leaving read-only mode is a plain invalidation.
-        assert!(!ro.switch_needs_reduction(add));
-        // Staying in the same class needs nothing.
-        assert!(!add.switch_needs_reduction(add));
-        assert!(!ro.switch_needs_reduction(ro));
     }
 
     #[test]

@@ -52,14 +52,6 @@ pub enum Class {
     Update(OpId),
 }
 
-impl Class {
-    /// Whether the class buffers partial updates (i.e. is an update class).
-    #[must_use]
-    pub fn is_update(self) -> bool {
-        matches!(self, Class::Update(_))
-    }
-}
-
 impl fmt::Display for Class {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -152,20 +144,6 @@ impl L1State {
     #[must_use]
     pub fn readable(self) -> bool {
         matches!(self, L1State::N(Class::ReadOnly) | L1State::E | L1State::M)
-    }
-
-    /// Whether the state may hold a non-empty partial update.
-    #[must_use]
-    pub fn holds_partial(self) -> bool {
-        matches!(
-            self,
-            L1State::N(Class::Update(_))
-                | L1State::NI(Class::Update(_))
-                | L1State::NN {
-                    held: Class::Update(_),
-                    ..
-                }
-        )
     }
 }
 
@@ -952,13 +930,6 @@ mod tests {
         .is_stable());
         assert!(L1State::M.readable());
         assert!(!L1State::N(Class::Update(OP0)).readable());
-        assert!(L1State::N(Class::Update(OP0)).holds_partial());
-        assert!(!L1State::N(Class::ReadOnly).holds_partial());
-        assert!(L1State::NN {
-            held: Class::Update(OP0),
-            want: Class::ReadOnly
-        }
-        .holds_partial());
     }
 
     #[test]
@@ -972,7 +943,6 @@ mod tests {
             "NN[RO->U1]"
         );
         assert_eq!(Class::ReadOnly.to_string(), "RO");
-        assert!(Class::Update(OP0).is_update());
         assert_eq!(L1State::NI(Class::ReadOnly).to_string(), "NI[RO]");
     }
 }

@@ -184,8 +184,7 @@ pub enum DirPending {
 
 impl DirPending {
     /// Whether the directory can accept a new request.
-    #[must_use]
-    pub fn is_idle(self) -> bool {
+    fn is_idle(self) -> bool {
         self == DirPending::Idle
     }
 }

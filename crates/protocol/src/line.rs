@@ -159,13 +159,6 @@ impl LineData {
         self.reduce_from(op, partial);
         self
     }
-
-    /// True if every word equals the identity element of `op`, i.e. the partial
-    /// update is empty.
-    #[must_use]
-    pub fn is_identity(&self, op: CommutativeOp) -> bool {
-        self.words.iter().all(|&w| w == op.identity_word())
-    }
 }
 
 impl Default for LineData {
@@ -199,12 +192,6 @@ impl LineAddr {
     #[must_use]
     pub const fn containing(byte_addr: u64) -> Self {
         LineAddr(byte_addr / LINE_BYTES as u64)
-    }
-
-    /// The first byte address of this line.
-    #[must_use]
-    pub const fn base_byte_addr(self) -> u64 {
-        self.0 * LINE_BYTES as u64
     }
 
     /// The byte offset of `byte_addr` within this line.
@@ -241,10 +228,9 @@ mod tests {
         for op in CommutativeOp::ALL {
             let line = LineData::identity(op);
             assert!(
-                line.is_identity(op),
+                line.words().iter().all(|&w| w == op.identity_word()),
                 "identity line not recognised for {op:?}"
             );
-            assert!(line.words().iter().all(|&w| w == op.identity_word()));
         }
     }
 
@@ -366,10 +352,10 @@ mod tests {
     fn line_addr_round_trip() {
         let byte = 0x1234_5678u64;
         let line = LineAddr::containing(byte);
-        assert_eq!(line.base_byte_addr() % 64, 0);
-        assert!(byte - line.base_byte_addr() < 64);
+        let base = line.0 * LINE_BYTES as u64;
+        assert!(byte - base < 64);
         assert_eq!(line.offset_of(byte), (byte % 64) as usize);
-        assert_eq!(LineAddr::containing(line.base_byte_addr()), line);
+        assert_eq!(LineAddr::containing(base), line);
     }
 
     #[test]

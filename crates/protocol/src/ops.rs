@@ -69,9 +69,9 @@ impl fmt::Display for OpWidth {
 /// use coup_protocol::ops::CommutativeOp;
 ///
 /// let op = CommutativeOp::AddU32;
-/// let a = op.apply_word(op.identity_word(), op.broadcast(3));
-/// let b = op.apply_word(a, op.broadcast(4));
-/// // Two 32-bit lanes, each holding 3 + 4 = 7.
+/// // Two 32-bit lanes per word: 3 in each, then 4 added to each.
+/// let a = op.apply_word(op.identity_word(), 0x0000_0003_0000_0003);
+/// let b = op.apply_word(a, 0x0000_0004_0000_0004);
 /// assert_eq!(b, 0x0000_0007_0000_0007);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -177,8 +177,7 @@ impl CommutativeOp {
     /// Replicates a lane value across every lane of a 64-bit word.
     ///
     /// For 64-bit operations this is the value itself.
-    #[must_use]
-    pub fn broadcast(self, lane: u64) -> u64 {
+    fn broadcast(self, lane: u64) -> u64 {
         match self.width() {
             OpWidth::W16 => {
                 let v = lane & 0xFFFF;

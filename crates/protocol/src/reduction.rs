@@ -45,8 +45,7 @@ impl ReductionUnitConfig {
     }
 
     /// Cycles of occupancy to process one 64-byte line.
-    #[must_use]
-    pub fn cycles_per_line(&self) -> u64 {
+    fn cycles_per_line(&self) -> u64 {
         let line_bits = (WORDS_PER_LINE * 64) as u64;
         line_bits.div_ceil(u64::from(self.width_bits.max(1)))
     }
@@ -93,7 +92,6 @@ impl Default for ReductionUnitConfig {
 pub struct ReductionUnit {
     config: ReductionUnitConfig,
     lines_reduced: u64,
-    busy_cycles: u64,
 }
 
 impl ReductionUnit {
@@ -103,7 +101,6 @@ impl ReductionUnit {
         ReductionUnit {
             config,
             lines_reduced: 0,
-            busy_cycles: 0,
         }
     }
 
@@ -123,48 +120,13 @@ impl ReductionUnit {
     ) -> u64 {
         accumulator.reduce_from(op, partial);
         self.lines_reduced += 1;
-        let lat = self.config.latency_per_line();
-        self.busy_cycles += self.config.cycles_per_line();
-        lat
-    }
-
-    /// Folds a batch of partial updates into `accumulator` (a full reduction at
-    /// this unit) and returns the critical-path latency of the batch.
-    pub fn reduce_batch<'a, I>(
-        &mut self,
-        op: CommutativeOp,
-        accumulator: &mut LineData,
-        partials: I,
-    ) -> u64
-    where
-        I: IntoIterator<Item = &'a LineData>,
-    {
-        let mut n = 0usize;
-        for p in partials {
-            accumulator.reduce_from(op, p);
-            n += 1;
-        }
-        self.lines_reduced += n as u64;
-        self.busy_cycles += n as u64 * self.config.cycles_per_line();
-        self.config.reduction_latency(n)
+        self.config.latency_per_line()
     }
 
     /// Total number of line reductions performed.
     #[must_use]
     pub fn lines_reduced(&self) -> u64 {
         self.lines_reduced
-    }
-
-    /// Total cycles of datapath occupancy accumulated.
-    #[must_use]
-    pub fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
-    }
-
-    /// Resets the activity counters (not the configuration).
-    pub fn reset_stats(&mut self) {
-        self.lines_reduced = 0;
-        self.busy_cycles = 0;
     }
 }
 
@@ -213,11 +175,10 @@ mod tests {
         p0.apply_update(op, 0, 5);
         let mut p1 = LineData::identity(op);
         p1.apply_update(op, 0, 7);
-        let lat = unit.reduce_batch(op, &mut acc, [&p0, &p1]);
+        assert_eq!(unit.reduce_line(op, &mut acc, &p0), 3);
+        assert_eq!(unit.reduce_line(op, &mut acc, &p1), 3);
         assert_eq!(acc.lane(op, 0), 112);
-        assert_eq!(lat, 3 + 2);
         assert_eq!(unit.lines_reduced(), 2);
-        assert_eq!(unit.busy_cycles(), 4);
     }
 
     #[test]
@@ -231,9 +192,6 @@ mod tests {
         assert_eq!(acc.lane(op, 8), 0b1010);
         assert_eq!(lat, 8);
         assert_eq!(unit.lines_reduced(), 1);
-        unit.reset_stats();
-        assert_eq!(unit.lines_reduced(), 0);
-        assert_eq!(unit.busy_cycles(), 0);
     }
 
     #[test]

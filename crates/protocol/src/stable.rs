@@ -69,16 +69,6 @@ pub struct RequestPlan {
 }
 
 impl RequestPlan {
-    /// Number of third-party caches on the critical path of this request
-    /// (invalidations, downgrades, or reduction sources). This feeds the
-    /// AMAT "invalidation" component of Fig. 11.
-    #[must_use]
-    pub fn third_party_count(&self) -> usize {
-        self.invalidate_readers.len()
-            + self.reduce_from.len()
-            + usize::from(self.owner_action.is_some())
-    }
-
     /// Whether serving the request requires a reduction.
     #[must_use]
     pub fn needs_reduction(&self) -> bool {
@@ -564,7 +554,8 @@ mod tests {
         assert_eq!(plan.grant, PrivateState::Exclusive);
         assert_eq!(plan.next_entry.mode(), DirMode::Exclusive);
         assert!(plan.silent);
-        assert_eq!(plan.third_party_count(), 0);
+        assert!(plan.invalidate_readers.is_empty() && plan.reduce_from.is_empty());
+        assert_eq!(plan.owner_action, None);
     }
 
     #[test]
@@ -597,7 +588,7 @@ mod tests {
         assert_eq!(plan.next_entry.mode(), DirMode::ReadOnly);
         assert!(plan.next_entry.sharers().contains(7));
         assert!(plan.next_entry.sharers().contains(1));
-        assert_eq!(plan.third_party_count(), 1);
+        assert!(plan.invalidate_readers.is_empty() && plan.reduce_from.is_empty());
     }
 
     #[test]
@@ -616,7 +607,8 @@ mod tests {
         assert!(plan.needs_reduction());
         assert_eq!(plan.next_entry.mode(), DirMode::ReadOnly);
         assert_eq!(plan.next_entry.sharers().sole_member(), Some(0));
-        assert_eq!(plan.third_party_count(), 3);
+        assert!(plan.invalidate_readers.is_empty());
+        assert_eq!(plan.owner_action, None);
     }
 
     #[test]
@@ -647,7 +639,8 @@ mod tests {
         assert_eq!(plan.grant, PrivateState::Modified);
         assert_eq!(plan.invalidate_readers, SharerSet::from_iter([0, 2]));
         assert_eq!(plan.next_entry.sharers().sole_member(), Some(1));
-        assert_eq!(plan.third_party_count(), 2);
+        assert!(plan.reduce_from.is_empty());
+        assert_eq!(plan.owner_action, None);
     }
 
     #[test]
@@ -723,7 +716,8 @@ mod tests {
         assert!(plan.silent);
         assert_eq!(plan.grant, PrivateState::UpdateOnly(ADD));
         assert_eq!(plan.next_entry.sharers().len(), 2);
-        assert_eq!(plan.third_party_count(), 0);
+        assert!(plan.invalidate_readers.is_empty() && plan.reduce_from.is_empty());
+        assert_eq!(plan.owner_action, None);
     }
 
     #[test]

@@ -36,24 +36,6 @@ impl ProtocolKind {
     pub const fn has_exclusive_state(self) -> bool {
         matches!(self, ProtocolKind::Mesi | ProtocolKind::Meusi)
     }
-
-    /// The COUP-enabled counterpart of this protocol.
-    #[must_use]
-    pub const fn with_coup(self) -> ProtocolKind {
-        match self {
-            ProtocolKind::Msi | ProtocolKind::Musi => ProtocolKind::Musi,
-            ProtocolKind::Mesi | ProtocolKind::Meusi => ProtocolKind::Meusi,
-        }
-    }
-
-    /// The conventional (non-COUP) counterpart of this protocol.
-    #[must_use]
-    pub const fn without_coup(self) -> ProtocolKind {
-        match self {
-            ProtocolKind::Msi | ProtocolKind::Musi => ProtocolKind::Msi,
-            ProtocolKind::Mesi | ProtocolKind::Meusi => ProtocolKind::Mesi,
-        }
-    }
 }
 
 impl fmt::Display for ProtocolKind {
@@ -95,13 +77,6 @@ impl PrivateState {
             self,
             PrivateState::Shared | PrivateState::Exclusive | PrivateState::Modified
         )
-    }
-
-    /// Whether the state carries any payload that must be conveyed to the
-    /// directory when the line is evicted (dirty data or a partial update).
-    #[must_use]
-    pub const fn eviction_carries_payload(self) -> bool {
-        matches!(self, PrivateState::Modified | PrivateState::UpdateOnly(_))
     }
 
     /// Whether an access of the given type hits (can be satisfied locally
@@ -184,28 +159,6 @@ impl DirMode {
             _ => None,
         }
     }
-
-    /// Whether the directory must collect partial updates (perform a reduction)
-    /// before the line's value can be observed.
-    #[must_use]
-    pub const fn needs_reduction_before_read(self) -> bool {
-        matches!(self, DirMode::UpdateOnly(_))
-    }
-
-    /// Number of directory-tag encoding bits this mode family requires beyond a
-    /// plain sharer vector, for `n_ops` supported commutative operations.
-    ///
-    /// Used by the hardware-overhead accounting in the evaluation: MESI needs
-    /// 1 bit (exclusive vs. shared); MEUSI needs 1 extra bit plus
-    /// `ceil(log2(n_ops + 1))` bits of operation type.
-    #[must_use]
-    pub fn encoding_bits(coup: bool, n_ops: u32) -> u32 {
-        if coup {
-            2 + (n_ops + 1).next_power_of_two().trailing_zeros()
-        } else {
-            1
-        }
-    }
 }
 
 impl fmt::Display for DirMode {
@@ -228,10 +181,6 @@ mod tests {
 
     #[test]
     fn protocol_kind_coup_toggles() {
-        assert_eq!(ProtocolKind::Mesi.with_coup(), ProtocolKind::Meusi);
-        assert_eq!(ProtocolKind::Meusi.without_coup(), ProtocolKind::Mesi);
-        assert_eq!(ProtocolKind::Msi.with_coup(), ProtocolKind::Musi);
-        assert_eq!(ProtocolKind::Musi.without_coup(), ProtocolKind::Msi);
         assert!(ProtocolKind::Meusi.supports_update_only());
         assert!(ProtocolKind::Musi.supports_update_only());
         assert!(!ProtocolKind::Mesi.supports_update_only());
@@ -277,11 +226,6 @@ mod tests {
         assert!(PrivateState::Modified.has_data_value());
         assert!(!PrivateState::Invalid.has_data_value());
         assert!(!PrivateState::UpdateOnly(ADD).has_data_value());
-
-        assert!(PrivateState::Modified.eviction_carries_payload());
-        assert!(PrivateState::UpdateOnly(ADD).eviction_carries_payload());
-        assert!(!PrivateState::Shared.eviction_carries_payload());
-        assert!(!PrivateState::Exclusive.eviction_carries_payload());
     }
 
     #[test]
@@ -299,28 +243,6 @@ mod tests {
         );
         assert_eq!(DirMode::Exclusive.op_class(), None);
         assert_eq!(DirMode::Uncached.op_class(), None);
-    }
-
-    #[test]
-    fn reduction_needed_only_in_update_mode() {
-        assert!(DirMode::UpdateOnly(ADD).needs_reduction_before_read());
-        assert!(!DirMode::ReadOnly.needs_reduction_before_read());
-        assert!(!DirMode::Exclusive.needs_reduction_before_read());
-        assert!(!DirMode::Uncached.needs_reduction_before_read());
-    }
-
-    #[test]
-    fn directory_encoding_bits_match_paper_accounting() {
-        // MESI: exclusive vs shared — 1 bit.
-        assert_eq!(DirMode::encoding_bits(false, 0), 1);
-        // MEUSI with 8 ops: the paper counts 4 bits of op type (read-only or
-        // one of eight update types) plus the mode bit; our encoding charges
-        // 2 mode bits + ceil(log2(9)) = 4 type bits = 6 total, a conservative
-        // upper bound that is still "a few bits per tag".
-        let bits = DirMode::encoding_bits(true, 8);
-        assert!((4..=8).contains(&bits), "unexpected encoding bits: {bits}");
-        // Single-op MUSI: strictly fewer bits than the 8-op version.
-        assert!(DirMode::encoding_bits(true, 1) < bits);
     }
 
     #[test]

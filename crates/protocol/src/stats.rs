@@ -41,12 +41,6 @@ impl ProtocolStats {
         Self::default()
     }
 
-    /// Total number of reductions of either kind.
-    #[must_use]
-    pub fn total_reductions(&self) -> u64 {
-        self.full_reductions + self.partial_reductions
-    }
-
     /// Resets every counter to zero.
     pub fn reset(&mut self) {
         *self = Self::default();
@@ -109,7 +103,6 @@ mod tests {
         assert_eq!(a.partial_reductions, 4);
         assert_eq!(a.copies_invalidated, 5);
         assert_eq!(a.type_switches, 6);
-        assert_eq!(a.total_reductions(), 6);
     }
 
     #[test]

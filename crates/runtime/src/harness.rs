@@ -23,20 +23,6 @@ use coup_protocol::ops::CommutativeOp;
 
 use crate::runtime::{CoupRuntime, ThroughputReport};
 
-/// Which consistency tier the read admixture of a contended run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReadTier {
-    /// Exact reads through the O(active-writers) reduction path
-    /// ([`crate::LaneHandle::read`]) — the default, and the only tier whose
-    /// reads the sequential reference ([`expected_counts`]) models exactly.
-    #[default]
-    Exact,
-    /// Relaxed reads ([`crate::LaneHandle::read_stale`]): the store word plus
-    /// a staleness bound, no reductions, no read holds — the tier for
-    /// read-heavy mixes that tolerate bounded staleness.
-    Stale,
-}
-
 /// Parameters of one contended run.
 #[derive(Debug, Clone, Copy)]
 pub struct ContendedSpec {
@@ -52,10 +38,6 @@ pub struct ContendedSpec {
     /// larger values concentrate traffic on the low-numbered lanes
     /// (`theta ≈ 0.99` is the YCSB-style default for skewed key popularity).
     pub theta: f64,
-    /// Which tier serves the read admixture ([`ReadTier::Exact`] by
-    /// default). The update stream — and therefore the final snapshot — is
-    /// identical across tiers; only the read path changes.
-    pub read_tier: ReadTier,
 }
 
 impl ContendedSpec {
@@ -69,7 +51,6 @@ impl ContendedSpec {
             reads_per_1000: 0,
             seed: 0x5EED,
             theta: 0.0,
-            read_tier: ReadTier::Exact,
         }
     }
 
@@ -77,14 +58,6 @@ impl ContendedSpec {
     #[must_use]
     pub fn with_reads(mut self, reads_per_1000: u32) -> Self {
         self.reads_per_1000 = reads_per_1000.min(1000);
-        self
-    }
-
-    /// Selects the consistency tier of the read admixture (default
-    /// [`ReadTier::Exact`]).
-    #[must_use]
-    pub fn with_read_tier(mut self, read_tier: ReadTier) -> Self {
-        self.read_tier = read_tier;
         self
     }
 
@@ -221,10 +194,7 @@ pub fn run_contended(
                         let r = splitmix64(&mut state);
                         let lane = sampler.lane(r);
                         if r % 1000 < u64::from(spec.reads_per_1000) {
-                            checksum = checksum.wrapping_add(match spec.read_tier {
-                                ReadTier::Exact => lanes.read(lane),
-                                ReadTier::Stale => lanes.read_stale(lane).value,
-                            });
+                            checksum = checksum.wrapping_add(lanes.read(lane));
                             reads += 1;
                         } else {
                             lanes.push(lane, 1);
@@ -289,7 +259,6 @@ mod tests {
             reads_per_1000: 50,
             seed: 9,
             theta: 0.0,
-            read_tier: ReadTier::Exact,
         };
         let producers = 4;
         let atomic = RuntimeBuilder::new(op, spec.lanes)
@@ -333,7 +302,6 @@ mod tests {
             reads_per_1000: 0,
             seed: 1,
             theta: 0.0,
-            read_tier: ReadTier::Exact,
         };
         run_contended(&runtime, 1, &spec);
     }
@@ -350,36 +318,8 @@ mod tests {
             reads_per_1000: 0,
             seed: 1,
             theta: 0.0,
-            read_tier: ReadTier::Exact,
         };
         run_contended(&runtime, 1, &spec);
-    }
-
-    #[test]
-    fn stale_tier_preserves_the_update_stream_and_skips_reductions() {
-        let op = CommutativeOp::AddU64;
-        let spec = ContendedSpec::contended(3_000)
-            .with_reads(300)
-            .with_read_tier(ReadTier::Stale);
-        let producers = 4;
-        let coup = RuntimeBuilder::new(op, spec.lanes).workers(2).build();
-        let report = run_contended(&coup, producers, &spec);
-        // The update multiset is tier-independent: the final state still
-        // matches the sequential reference exactly.
-        assert_eq!(coup.snapshot(), expected_counts(&spec, producers, op));
-        assert!(report.reads > 0);
-        // Stale reads never enter the reduction path: zero read-side cost
-        // for the whole run, and every read accounted as a stale read.
-        assert_eq!(
-            report.metrics.read_cost,
-            crate::backend::ReadCost::default(),
-            "stale reads must bypass reductions"
-        );
-        assert_eq!(report.metrics.stale_reads, report.reads);
-        // The histogram lives in the registry, which `--no-default-features`
-        // compiles out.
-        #[cfg(feature = "telemetry")]
-        assert_eq!(report.metrics.staleness.count(), report.reads);
     }
 
     #[test]

@@ -93,9 +93,7 @@ pub use backend::{
     AtomicBackend, BufferConfig, BufferStats, CoupBackend, ReadCost, StaleRead, UpdateBackend,
     DEFAULT_FLUSH_THRESHOLD, MAX_COUP_THREADS, PROBE_WINDOW, READ_RETRY_LIMIT,
 };
-pub use harness::{
-    expected_counts, run_contended, splitmix64, ContendedSpec, LaneSampler, ReadTier,
-};
+pub use harness::{expected_counts, run_contended, splitmix64, ContendedSpec, LaneSampler};
 pub use runtime::{
     tag, BackendKind, CounterHandle, CoupRuntime, JobCtx, LaneHandle, RuntimeBuilder,
     RuntimeResult, ShardStat, TelemetryHandle, ThroughputReport, DEFAULT_BATCH_CAPACITY,

@@ -344,10 +344,14 @@ fn facade_stale_reads_bound_buffered_updates_and_count_in_metrics() {
     assert_eq!((stale.value, stale.staleness), (8, 0));
     let metrics = rt.metrics();
     assert_eq!(metrics.stale_reads, 2);
-    // The histogram lives in the registry, which `--no-default-features`
-    // compiles out.
+    // The histograms live in the registry, which `--no-default-features`
+    // compiles out. The one exact read is tallied; the two stale reads
+    // reduce nothing.
     #[cfg(feature = "telemetry")]
-    assert_eq!((metrics.staleness.count(), metrics.staleness.sum), (2, 8));
+    {
+        assert_eq!((metrics.staleness.count(), metrics.staleness.sum), (2, 8));
+        assert_eq!(metrics.read_cost.reads, 1);
+    }
 }
 
 #[test]

@@ -293,23 +293,24 @@ mod tests {
 
     #[test]
     fn loads_feed_values_back_into_programs() {
-        use crate::op::ThreadProgram as _;
+        /// Loads one word, recording what the machine passes to each call.
+        struct Recorder<'a>(&'a mut Vec<Option<u64>>);
+        impl crate::op::ThreadProgram for Recorder<'_> {
+            fn next(&mut self, last_value: Option<u64>) -> ThreadOp {
+                self.0.push(last_value);
+                match self.0.len() {
+                    1 => ThreadOp::Load { addr: 0x300 },
+                    _ => ThreadOp::Done,
+                }
+            }
+        }
 
         let mut m = Machine::new(SystemConfig::test_system(1, ProtocolKind::Mesi));
         m.memory().poke(0x300, 42);
-        let stats = m.run(vec![boxed(vec![
-            ThreadOp::Load { addr: 0x300 },
-            ThreadOp::Done,
-        ])]);
+        let mut fed = Vec::new();
+        let stats = m.run(vec![Box::new(Recorder(&mut fed))]);
         assert_eq!(stats.loads, 1);
-        // Drive an identical program manually to show the observed value matches
-        // what the machine would have fed back.
-        let mut program =
-            ScriptedProgram::new(vec![ThreadOp::Load { addr: 0x300 }, ThreadOp::Done]);
-        let _ = program.next(None);
-        let op = program.next(Some(m.memory().peek(0x300)));
-        assert_eq!(op, ThreadOp::Done);
-        assert_eq!(program.observed, vec![42]);
+        assert_eq!(fed, vec![None, Some(42)]);
     }
 
     #[test]

@@ -59,26 +59,6 @@ pub enum ThreadOp {
     Done,
 }
 
-impl ThreadOp {
-    /// Whether this operation accesses memory.
-    #[must_use]
-    pub const fn is_memory(&self) -> bool {
-        matches!(
-            self,
-            ThreadOp::Load { .. }
-                | ThreadOp::Store { .. }
-                | ThreadOp::AtomicRmw { .. }
-                | ThreadOp::CommutativeUpdate { .. }
-        )
-    }
-
-    /// Whether this is a commutative-update instruction.
-    #[must_use]
-    pub const fn is_commutative_update(&self) -> bool {
-        matches!(self, ThreadOp::CommutativeUpdate { .. })
-    }
-}
-
 impl fmt::Display for ThreadOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -125,27 +105,18 @@ pub type BoxedProgram<'a> = Box<dyn ThreadProgram + Send + 'a>;
 pub struct ScriptedProgram {
     ops: Vec<ThreadOp>,
     next: usize,
-    /// Values observed from loads, for test assertions.
-    pub observed: Vec<u64>,
 }
 
 impl ScriptedProgram {
     /// Creates a program that will emit `ops` in order.
     #[must_use]
     pub fn new(ops: Vec<ThreadOp>) -> Self {
-        ScriptedProgram {
-            ops,
-            next: 0,
-            observed: Vec::new(),
-        }
+        ScriptedProgram { ops, next: 0 }
     }
 }
 
 impl ThreadProgram for ScriptedProgram {
-    fn next(&mut self, last_value: Option<u64>) -> ThreadOp {
-        if let Some(v) = last_value {
-            self.observed.push(v);
-        }
+    fn next(&mut self, _last_value: Option<u64>) -> ThreadOp {
         let op = self.ops.get(self.next).copied().unwrap_or(ThreadOp::Done);
         self.next += 1;
         op
@@ -155,27 +126,6 @@ impl ThreadProgram for ScriptedProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn op_classification() {
-        assert!(ThreadOp::Load { addr: 0 }.is_memory());
-        assert!(ThreadOp::Store { addr: 0, value: 1 }.is_memory());
-        assert!(!ThreadOp::Compute(5).is_memory());
-        assert!(!ThreadOp::Done.is_memory());
-        let cu = ThreadOp::CommutativeUpdate {
-            addr: 8,
-            op: CommutativeOp::AddU64,
-            value: 1,
-        };
-        assert!(cu.is_memory());
-        assert!(cu.is_commutative_update());
-        let rmw = ThreadOp::AtomicRmw {
-            addr: 8,
-            op: CommutativeOp::AddU64,
-            value: 1,
-        };
-        assert!(!rmw.is_commutative_update());
-    }
 
     #[test]
     fn scripted_program_replays_and_records() {
@@ -189,7 +139,6 @@ mod tests {
         assert_eq!(p.next(Some(99)), ThreadOp::Done);
         // Emits Done forever afterwards.
         assert_eq!(p.next(None), ThreadOp::Done);
-        assert_eq!(p.observed, vec![99]);
     }
 
     #[test]

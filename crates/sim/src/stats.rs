@@ -87,14 +87,6 @@ pub struct TrafficStats {
     pub memory_bytes: u64,
 }
 
-impl TrafficStats {
-    /// Total bytes moved anywhere.
-    #[must_use]
-    pub fn total_bytes(&self) -> u64 {
-        self.offchip_bytes + self.onchip_bytes + self.memory_bytes
-    }
-}
-
 impl AddAssign for TrafficStats {
     fn add_assign(&mut self, rhs: Self) {
         self.offchip_bytes += rhs.offchip_bytes;
@@ -242,8 +234,10 @@ mod tests {
             onchip_bytes: 0,
             memory_bytes: 9,
         };
-        assert_eq!(t.offchip_bytes, 13);
-        assert_eq!(t.total_bytes(), 28);
+        assert_eq!(
+            (t.offchip_bytes, t.onchip_bytes, t.memory_bytes),
+            (13, 5, 10)
+        );
     }
 
     #[test]

@@ -74,19 +74,6 @@ pub struct Exploration {
     pub elapsed: Duration,
 }
 
-impl Exploration {
-    /// States visited per millisecond (a rough throughput figure).
-    #[must_use]
-    pub fn states_per_ms(&self) -> f64 {
-        let ms = self.elapsed.as_secs_f64() * 1e3;
-        if ms > 0.0 {
-            self.states as f64 / ms
-        } else {
-            self.states as f64
-        }
-    }
-}
-
 /// Exhaustively explores the reachable states of `config`, checking the
 /// structural invariants on every state (and value conservation on quiescent
 /// states when stores are disabled).
@@ -250,7 +237,6 @@ mod tests {
             e.states
         );
         assert!(e.transitions >= e.states - 1);
-        assert!(e.states_per_ms() > 0.0);
     }
 
     #[test]

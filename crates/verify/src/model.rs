@@ -66,8 +66,7 @@ impl ModelConfig {
 
     /// The number of agents in the model (cores plus the external agent for
     /// three-level configurations).
-    #[must_use]
-    pub fn agents(&self) -> usize {
+    fn agents(&self) -> usize {
         self.cores + usize::from(self.three_level)
     }
 }

@@ -24,7 +24,7 @@
 //!    contract dynamic kernels must uphold.
 //!
 //! The derived frontier sequence *is* the BFS level structure, so thread 0
-//! records it ([`BfsKernel::take_observed_levels`]) and tests compare the
+//! records it ([`BfsKernel::take_observed_distances`]) and tests compare the
 //! implied distances against a sequential reference BFS — exact equality,
 //! since OR-accumulation between barriers is deterministic regardless of the
 //! interleaving inside a level.
@@ -35,8 +35,8 @@ use coup_protocol::ops::CommutativeOp;
 use coup_sim::memsys::MemorySystem;
 use coup_sim::op::BoxedProgram;
 
-use crate::kernel::{sim_programs, KernelProgram, KernelStep, UpdateKernel};
-use crate::layout::{regions, ArrayLayout};
+use crate::kernel::{sim_programs, KernelProgram, KernelStep, KernelWorkload, UpdateKernel};
+use crate::layout::regions;
 use crate::runner::Workload;
 use crate::synth::Graph;
 
@@ -47,7 +47,6 @@ pub struct BfsWorkload {
     /// arrays instead of copying a graph per thread.
     graph: Arc<Graph>,
     root: usize,
-    bitmap: ArrayLayout,
     /// Vertices of each BFS level (root level included), precomputed as the
     /// sequential reference.
     levels: Vec<Vec<usize>>,
@@ -69,7 +68,6 @@ impl BfsWorkload {
         BfsWorkload {
             graph,
             root,
-            bitmap: ArrayLayout::new(regions::BITMAP, 8),
             levels,
         }
     }
@@ -163,24 +161,18 @@ pub struct BfsKernel<'a> {
 }
 
 impl BfsKernel<'_> {
-    /// The per-level frontiers (root level included) derived from the bitmap
-    /// words actually read during the most recent run, or `None` if no run
-    /// has completed since the last take. Each take clears the record, so
+    /// The distances implied by the per-level frontiers (root level
+    /// included) thread 0 derived from the bitmap words actually read during
+    /// the most recent run — `Some(level)` per reached vertex, `None` for
+    /// vertices the executed search never visited — or `None` if no run has
+    /// completed since the last take. Each take clears the record, so
     /// back-to-back runs on different backends can be checked independently.
     #[must_use]
-    pub fn take_observed_levels(&self) -> Option<Vec<Vec<usize>>> {
+    pub fn take_observed_distances(&self) -> Option<Vec<Option<usize>>> {
         self.observed
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .take()
-    }
-
-    /// The distances implied by [`BfsKernel::take_observed_levels`] (also
-    /// clears the record): `Some(level)` per reached vertex, `None` for
-    /// vertices the executed search never visited.
-    #[must_use]
-    pub fn take_observed_distances(&self) -> Option<Vec<Option<usize>>> {
-        self.take_observed_levels()
             .map(|levels| distances_of(&levels, self.workload.graph.vertices))
     }
 }
@@ -468,15 +460,7 @@ impl Workload for BfsWorkload {
     }
 
     fn verify(&self, mem: &MemorySystem, threads: usize) -> Result<(), String> {
-        let kernel = self.kernel();
-        let tolerance = kernel.tolerance();
-        for (word, &want) in kernel.expected(threads).iter().enumerate() {
-            let got = mem.peek(self.bitmap.addr(word));
-            if let Some(mismatch) = tolerance.mismatch(got, want) {
-                return Err(format!("visited-bitmap word {word} {mismatch}"));
-            }
-        }
-        Ok(())
+        KernelWorkload::new(&self.kernel()).verify(mem, threads)
     }
 }
 
@@ -537,7 +521,7 @@ mod tests {
             .expect("thread 0 records the derived levels");
         assert_eq!(distances, w.reference_distances());
         assert!(
-            kernel.take_observed_levels().is_none(),
+            kernel.take_observed_distances().is_none(),
             "taking the record clears it"
         );
     }

@@ -37,7 +37,7 @@
 //! relax to a per-lane relative-error bound.
 
 use coup_protocol::ops::CommutativeOp;
-use coup_runtime::{BufferConfig, Merge, ReadTier, RuntimeBuilder, TelemetryConfig};
+use coup_runtime::{BufferConfig, Merge, RuntimeBuilder, TelemetryConfig};
 use coup_sim::config::SystemConfig;
 use coup_sim::op::{BoxedProgram, ScriptedProgram, ThreadOp};
 use coup_sim::stats::RunStats;
@@ -278,6 +278,51 @@ impl KernelLayouts {
             aux: ArrayLayout::new(kernel.aux_region(), kernel.aux_elem_bytes()),
         }
     }
+
+    /// Lowers one abstract step onto the simulator: the op to issue, what the
+    /// value it returns means to a dynamic program, and — for the one step
+    /// with no single-op form, a [`KernelStep::UpdateRead`] without `rmw` —
+    /// the load that follows it.
+    fn lower(
+        &self,
+        rmw: bool,
+        step: KernelStep,
+    ) -> (ThreadOp, Feedback, Option<(ThreadOp, Feedback)>) {
+        let update = |slot, value| {
+            let (addr, op) = (self.output.addr(slot), self.op);
+            if rmw {
+                ThreadOp::AtomicRmw { addr, op, value }
+            } else {
+                ThreadOp::CommutativeUpdate { addr, op, value }
+            }
+        };
+        let read = |slot| {
+            let addr = self.output.word_addr(slot);
+            (ThreadOp::Load { addr }, Feedback::Lane { slot })
+        };
+        let plain = |op| (op, Feedback::Ignore, None);
+        match step {
+            KernelStep::LoadInput { index } => plain(ThreadOp::Load {
+                addr: self.input.word_addr(index),
+            }),
+            KernelStep::LoadAux { index } => plain(ThreadOp::Load {
+                addr: self.aux.word_addr(index),
+            }),
+            KernelStep::Compute(cycles) => plain(ThreadOp::Compute(cycles)),
+            KernelStep::Update { slot, value } => plain(update(slot, value)),
+            KernelStep::UpdateRead { slot, value } if rmw => {
+                (update(slot, value), Feedback::RmwNew { slot, value }, None)
+            }
+            KernelStep::UpdateRead { slot, value } => {
+                (update(slot, value), Feedback::Ignore, Some(read(slot)))
+            }
+            KernelStep::Read { slot } => {
+                let (load, feedback) = read(slot);
+                (load, feedback, None)
+            }
+            KernelStep::Barrier => plain(ThreadOp::Barrier),
+        }
+    }
 }
 
 /// Lowers a kernel onto simulator thread programs.
@@ -306,45 +351,10 @@ pub fn sim_programs<K: UpdateKernel + ?Sized>(
                     as BoxedProgram<'static>;
             }
             let mut ops = Vec::new();
-            kernel.for_each_step(t, threads, &mut |step| match step {
-                KernelStep::LoadInput { index } => {
-                    ops.push(ThreadOp::Load {
-                        addr: layouts.input.word_addr(index),
-                    });
-                }
-                KernelStep::LoadAux { index } => {
-                    ops.push(ThreadOp::Load {
-                        addr: layouts.aux.word_addr(index),
-                    });
-                }
-                KernelStep::Compute(cycles) => ops.push(ThreadOp::Compute(cycles)),
-                KernelStep::Update { slot, value } => {
-                    let addr = layouts.output.addr(slot);
-                    let op = layouts.op;
-                    if rmw {
-                        ops.push(ThreadOp::AtomicRmw { addr, op, value });
-                    } else {
-                        ops.push(ThreadOp::CommutativeUpdate { addr, op, value });
-                    }
-                }
-                KernelStep::UpdateRead { slot, value } => {
-                    let addr = layouts.output.addr(slot);
-                    let op = layouts.op;
-                    if rmw {
-                        ops.push(ThreadOp::AtomicRmw { addr, op, value });
-                    } else {
-                        ops.push(ThreadOp::CommutativeUpdate { addr, op, value });
-                        ops.push(ThreadOp::Load {
-                            addr: layouts.output.word_addr(slot),
-                        });
-                    }
-                }
-                KernelStep::Read { slot } => {
-                    ops.push(ThreadOp::Load {
-                        addr: layouts.output.word_addr(slot),
-                    });
-                }
-                KernelStep::Barrier => ops.push(ThreadOp::Barrier),
+            kernel.for_each_step(t, threads, &mut |step| {
+                let (op, _, then) = layouts.lower(rmw, step);
+                ops.push(op);
+                ops.extend(then.map(|(load, _)| load));
             });
             ops.push(ThreadOp::Done);
             Box::new(ScriptedProgram::new(ops)) as BoxedProgram<'static>
@@ -431,51 +441,10 @@ impl coup_sim::op::ThreadProgram for KernelSimProgram {
             self.done = true;
             return ThreadOp::Done;
         };
-        let KernelLayouts {
-            op,
-            output,
-            input,
-            aux,
-        } = self.layouts;
-        match step {
-            KernelStep::LoadInput { index } => ThreadOp::Load {
-                addr: input.word_addr(index),
-            },
-            KernelStep::LoadAux { index } => ThreadOp::Load {
-                addr: aux.word_addr(index),
-            },
-            KernelStep::Compute(cycles) => ThreadOp::Compute(cycles),
-            KernelStep::Update { slot, value } => {
-                let addr = output.addr(slot);
-                if self.rmw {
-                    ThreadOp::AtomicRmw { addr, op, value }
-                } else {
-                    ThreadOp::CommutativeUpdate { addr, op, value }
-                }
-            }
-            KernelStep::UpdateRead { slot, value } => {
-                let addr = output.addr(slot);
-                if self.rmw {
-                    self.feedback = Feedback::RmwNew { slot, value };
-                    ThreadOp::AtomicRmw { addr, op, value }
-                } else {
-                    self.pending = Some((
-                        ThreadOp::Load {
-                            addr: output.word_addr(slot),
-                        },
-                        Feedback::Lane { slot },
-                    ));
-                    ThreadOp::CommutativeUpdate { addr, op, value }
-                }
-            }
-            KernelStep::Read { slot } => {
-                self.feedback = Feedback::Lane { slot };
-                ThreadOp::Load {
-                    addr: output.word_addr(slot),
-                }
-            }
-            KernelStep::Barrier => ThreadOp::Barrier,
-        }
+        let (op, feedback, then) = self.layouts.lower(self.rmw, step);
+        self.feedback = feedback;
+        self.pending = then;
+        op
     }
 }
 
@@ -612,7 +581,6 @@ pub struct RuntimeBackend {
     flush_threshold: Option<u32>,
     buffer_config: Option<BufferConfig>,
     telemetry: Option<TelemetryConfig>,
-    read_tier: ReadTier,
 }
 
 impl RuntimeBackend {
@@ -630,24 +598,7 @@ impl RuntimeBackend {
             flush_threshold: None,
             buffer_config: None,
             telemetry: None,
-            read_tier: ReadTier::Exact,
         }
-    }
-
-    /// Serves [`KernelStep::Read`]s from the chosen consistency tier.
-    ///
-    /// [`ReadTier::Stale`] only affects *static* kernels, whose reads feed
-    /// the run's checksum but never its control flow — verification still
-    /// compares the exact shutdown snapshot, so the kernel's [`Tolerance`]
-    /// is honoured regardless of tier. Dynamic kernels
-    /// ([`UpdateKernel::program`]) derive their next steps from read values
-    /// (BFS builds each frontier from bitmap words), so they always read
-    /// exactly, whatever tier was requested. [`KernelStep::UpdateRead`]
-    /// (decrement-and-test) likewise stays exact on every tier.
-    #[must_use]
-    pub fn with_read_tier(mut self, read_tier: ReadTier) -> Self {
-        self.read_tier = read_tier;
-        self
     }
 
     /// Overrides the COUP backend's per-line flush budget.
@@ -710,12 +661,7 @@ impl Merge for WorkerCounts {
 }
 
 impl WorkerCounts {
-    fn apply(
-        &mut self,
-        ctx: &coup_runtime::JobCtx<'_>,
-        tier: ReadTier,
-        step: KernelStep,
-    ) -> Option<u64> {
+    fn apply(&mut self, ctx: &coup_runtime::JobCtx<'_>, step: KernelStep) -> Option<u64> {
         match step {
             // Input values are baked into the update steps and compute
             // delays model core cycles real cores spend elsewhere in this
@@ -736,10 +682,7 @@ impl WorkerCounts {
                 Some(value)
             }
             KernelStep::Read { slot } => {
-                let value = match tier {
-                    ReadTier::Exact => ctx.read(slot),
-                    ReadTier::Stale => ctx.read_stale(slot).value,
-                };
+                let value = ctx.read(slot);
                 self.checksum = self.checksum.wrapping_add(value);
                 self.reads += 1;
                 Some(value)
@@ -774,19 +717,16 @@ impl RuntimeBackend {
         // kernels are driven interactively, each worker feeding its own
         // program the lane values its reads return. Both backends pay the
         // same generation cost, so ratios stay fair.
-        let read_tier = self.read_tier;
         let (counts, elapsed) = runtime.run_workers(|ctx| {
             let mut counts = WorkerCounts::default();
             if let Some(mut program) = kernel.program(ctx.worker(), ctx.workers()) {
-                // Dynamic programs branch on what their reads return, so the
-                // relaxed tier is never sound here — they read exactly.
                 let mut last_read = None;
                 while let Some(step) = program.next(last_read.take()) {
-                    last_read = counts.apply(&ctx, ReadTier::Exact, step);
+                    last_read = counts.apply(&ctx, step);
                 }
             } else {
                 kernel.for_each_step(ctx.worker(), ctx.workers(), &mut |step| {
-                    counts.apply(&ctx, read_tier, step);
+                    counts.apply(&ctx, step);
                 });
             }
             counts.checksum = std::hint::black_box(counts.checksum);
@@ -912,45 +852,6 @@ mod tests {
             assert_eq!(report.reads, 4 * 6);
             assert!(report.mops() > 0.0);
         }
-    }
-
-    #[test]
-    fn stale_read_tier_verifies_static_kernels_on_both_runtime_backends() {
-        let kernel = CounterKernel {
-            slots: 6,
-            rounds: 50,
-        };
-        for kind in [RuntimeKind::Atomic, RuntimeKind::Coup] {
-            let report = RuntimeBackend::new(kind, 4)
-                .with_read_tier(ReadTier::Stale)
-                .execute(&kernel)
-                .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
-            // Stale reads change what the read pass *observes*, never the
-            // verified shutdown snapshot — the run still verifies exactly.
-            assert_eq!(report.updates, 4 * 6 * 50, "{kind:?}");
-            assert_eq!(report.reads, 4 * 6, "{kind:?}");
-            if kind == RuntimeKind::Coup {
-                // Every Read step went through the relaxed path: the
-                // staleness histogram (registry-backed, so compiled out
-                // with the feature) saw one sample per read, and no read
-                // paid a reduction.
-                #[cfg(feature = "telemetry")]
-                assert_eq!(report.metrics.staleness.count(), 4 * 6);
-                assert_eq!(report.metrics.read_cost.reads, 0);
-            }
-        }
-    }
-
-    #[test]
-    fn stale_read_tier_leaves_dynamic_programs_exact() {
-        // DynamicTotalKernel's program asserts its post-barrier read sees
-        // every thread's update — only true because dynamic kernels ignore
-        // the requested tier and read exactly.
-        let report = RuntimeBackend::new(RuntimeKind::Coup, 4)
-            .with_read_tier(ReadTier::Stale)
-            .execute(&DynamicTotalKernel)
-            .expect("dynamic kernels stay exact under the stale tier");
-        assert_eq!(report.metrics.staleness.count(), 0);
     }
 
     #[test]
@@ -1144,6 +1045,76 @@ mod tests {
             RuntimeBackend::new(kind, 1)
                 .execute(&kernel)
                 .unwrap_or_else(|e| panic!("runtime/{kind:?}: {e}"));
+        }
+    }
+
+    #[test]
+    fn static_and_dynamic_lowerings_emit_the_same_thread_ops() {
+        /// Every `KernelStep` variant, over 4-byte lanes so an element's
+        /// address and its containing word's differ.
+        const SCRIPT: [KernelStep; 7] = [
+            KernelStep::LoadInput { index: 3 },
+            KernelStep::LoadAux { index: 5 },
+            KernelStep::Compute(9),
+            KernelStep::Update { slot: 1, value: 2 },
+            KernelStep::UpdateRead { slot: 3, value: 4 },
+            KernelStep::Read { slot: 1 },
+            KernelStep::Barrier,
+        ];
+
+        /// `SCRIPT` as a static kernel, or replayed step by step by a
+        /// dynamic program.
+        struct ScriptKernel {
+            dynamic: bool,
+        }
+        struct Replay(std::array::IntoIter<KernelStep, 7>);
+        impl KernelProgram for Replay {
+            fn next(&mut self, _last_read: Option<u64>) -> Option<KernelStep> {
+                self.0.next()
+            }
+        }
+        impl UpdateKernel for ScriptKernel {
+            fn name(&self) -> &'static str {
+                "script"
+            }
+            fn op(&self) -> CommutativeOp {
+                CommutativeOp::AddU32
+            }
+            fn slots(&self) -> usize {
+                4
+            }
+            fn steps(&self, _t: usize, _n: usize) -> Vec<KernelStep> {
+                SCRIPT.to_vec()
+            }
+            fn program(&self, _t: usize, _n: usize) -> Option<Box<dyn KernelProgram>> {
+                self.dynamic
+                    .then(|| Box::new(Replay(SCRIPT.into_iter())) as Box<dyn KernelProgram>)
+            }
+            fn expected(&self, _threads: usize) -> Vec<u64> {
+                unreachable!("lowered, never run")
+            }
+        }
+
+        // Drives a lowered program the way the machine does: a value after
+        // every load and rmw, `None` after anything else.
+        let lowered = |dynamic, rmw| {
+            let mut program = sim_programs(&ScriptKernel { dynamic }, 1, rmw).remove(0);
+            let mut ops = Vec::new();
+            let mut last_value = None;
+            while ops.last() != Some(&ThreadOp::Done) {
+                let op = program.next(last_value);
+                let returns_value =
+                    matches!(op, ThreadOp::Load { .. } | ThreadOp::AtomicRmw { .. });
+                last_value = returns_value.then_some(0);
+                ops.push(op);
+            }
+            ops
+        };
+        for rmw in [false, true] {
+            let ops = lowered(false, rmw);
+            assert_eq!(ops, lowered(true, rmw), "rmw = {rmw}");
+            // Seven steps and `Done`; only an rmw serves `UpdateRead` in one op.
+            assert_eq!(ops.len(), if rmw { 8 } else { 9 });
         }
     }
 

@@ -23,8 +23,6 @@ pub mod regions {
     pub const PRIVATE: u64 = 0x5000_0000;
     /// Shared counters (reference counts).
     pub const COUNTERS: u64 = 0x6000_0000;
-    /// Work queues / frontiers.
-    pub const FRONTIER: u64 = 0x7000_0000;
     /// Size of each per-thread private slice, in bytes.
     pub const PRIVATE_STRIDE: u64 = 0x0080_0000;
 }
@@ -88,19 +86,6 @@ impl ArrayLayout {
         self.base
     }
 
-    /// Number of elements that share one cache line.
-    #[must_use]
-    pub fn elems_per_line(&self) -> usize {
-        (LINE_BYTES as u64 / self.elem_bytes) as usize
-    }
-
-    /// Total bytes occupied by `n` elements, rounded up to whole lines.
-    #[must_use]
-    pub fn footprint_bytes(&self, n: usize) -> u64 {
-        let raw = n as u64 * self.elem_bytes;
-        raw.div_ceil(LINE_BYTES as u64) * LINE_BYTES as u64
-    }
-
     /// Extracts element `i`'s value from the 64-bit word returned by loading
     /// [`ArrayLayout::word_addr`]`(i)`.
     #[must_use]
@@ -137,18 +122,8 @@ mod tests {
         assert_eq!(a.addr(0), regions::SHARED_OUTPUT);
         assert_eq!(a.addr(1), regions::SHARED_OUTPUT + 4);
         assert_eq!(a.addr(16), regions::SHARED_OUTPUT + 64);
-        assert_eq!(a.elems_per_line(), 16);
         assert_eq!(a.word_addr(1), regions::SHARED_OUTPUT);
         assert_eq!(a.word_addr(2), regions::SHARED_OUTPUT + 8);
-    }
-
-    #[test]
-    fn footprint_rounds_to_lines() {
-        let a = ArrayLayout::new(0, 8);
-        assert_eq!(a.footprint_bytes(0), 0);
-        assert_eq!(a.footprint_bytes(1), 64);
-        assert_eq!(a.footprint_bytes(8), 64);
-        assert_eq!(a.footprint_bytes(9), 128);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use coup_protocol::ops::CommutativeOp;
 use coup_sim::memsys::MemorySystem;
 use coup_sim::op::BoxedProgram;
 
-use crate::kernel::{sim_programs, KernelStep, UpdateKernel};
+use crate::kernel::{sim_programs, KernelStep, KernelWorkload, UpdateKernel};
 use crate::layout::{regions, ArrayLayout};
 use crate::runner::Workload;
 use crate::synth::Graph;
@@ -24,7 +24,6 @@ pub struct PageRankWorkload {
     graph: Graph,
     iterations: usize,
     rank: ArrayLayout,
-    next_rank: ArrayLayout,
 }
 
 impl PageRankWorkload {
@@ -35,7 +34,6 @@ impl PageRankWorkload {
             graph: Graph::power_law(vertices, avg_degree, seed),
             iterations: iterations.max(1),
             rank: ArrayLayout::new(regions::INPUT, 8),
-            next_rank: ArrayLayout::new(regions::SHARED_OUTPUT, 8),
         }
     }
 
@@ -181,15 +179,8 @@ impl Workload for PageRankWorkload {
         sim_programs(&self.kernel(), threads, false)
     }
 
-    fn verify(&self, mem: &MemorySystem, _threads: usize) -> Result<(), String> {
-        let expect = self.expected_next_rank();
-        for (v, &want) in expect.iter().enumerate() {
-            let got = mem.peek(self.next_rank.addr(v));
-            if got != want {
-                return Err(format!("next_rank[{v}] = {got}, expected {want}"));
-            }
-        }
-        Ok(())
+    fn verify(&self, mem: &MemorySystem, threads: usize) -> Result<(), String> {
+        KernelWorkload::new(&self.kernel()).verify(mem, threads)
     }
 }
 

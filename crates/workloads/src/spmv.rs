@@ -9,7 +9,7 @@ use coup_protocol::ops::{lanes, CommutativeOp};
 use coup_sim::memsys::MemorySystem;
 use coup_sim::op::BoxedProgram;
 
-use crate::kernel::{sim_programs, KernelStep, Tolerance, UpdateKernel};
+use crate::kernel::{sim_programs, KernelStep, KernelWorkload, Tolerance, UpdateKernel};
 use crate::layout::{regions, ArrayLayout};
 use crate::runner::Workload;
 use crate::synth::CscMatrix;
@@ -26,7 +26,6 @@ pub const SPMV_TOLERANCE: f64 = 1e-9;
 pub struct SpmvWorkload {
     matrix: CscMatrix,
     x: Vec<f64>,
-    y: ArrayLayout,
     x_layout: ArrayLayout,
     values_layout: ArrayLayout,
 }
@@ -41,16 +40,9 @@ impl SpmvWorkload {
         SpmvWorkload {
             matrix,
             x,
-            y: ArrayLayout::new(regions::SHARED_OUTPUT, 8),
             x_layout: ArrayLayout::new(regions::INPUT, 8),
             values_layout: ArrayLayout::new(regions::INPUT_AUX, 8),
         }
-    }
-
-    /// Matrix dimension.
-    #[must_use]
-    pub fn dimension(&self) -> usize {
-        self.matrix.rows
     }
 
     /// Number of non-zeros (the amount of scattered update work).
@@ -171,15 +163,7 @@ impl Workload for SpmvWorkload {
     }
 
     fn verify(&self, mem: &MemorySystem, threads: usize) -> Result<(), String> {
-        let kernel = self.kernel();
-        let tolerance = kernel.tolerance();
-        for (row, &want) in kernel.expected(threads).iter().enumerate() {
-            let got = mem.peek(self.y.addr(row));
-            if let Some(mismatch) = tolerance.mismatch(got, want) {
-                return Err(format!("y[{row}] {mismatch}"));
-            }
-        }
-        Ok(())
+        KernelWorkload::new(&self.kernel()).verify(mem, threads)
     }
 }
 
@@ -212,7 +196,6 @@ mod tests {
         let w = SpmvWorkload::new(10, 2, 0);
         assert_eq!(w.name(), "spmv");
         assert_eq!(w.commutative_op(), CommutativeOp::AddF64);
-        assert_eq!(w.dimension(), 10);
         assert!(w.nnz() >= 10);
     }
 

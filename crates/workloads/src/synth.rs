@@ -264,25 +264,6 @@ impl Graph {
         }
         visited
     }
-
-    /// One reference PageRank iteration: `next[v] = sum over in-edges (u,v) of
-    /// rank[u] / out_degree(u)` (damping handled by the caller).
-    #[must_use]
-    pub fn pagerank_iteration_reference(&self, rank: &[f64]) -> Vec<f64> {
-        assert_eq!(rank.len(), self.vertices);
-        let mut next = vec![0.0f64; self.vertices];
-        for (u, &rank_u) in rank.iter().enumerate() {
-            let out = self.neighbours(u);
-            if out.is_empty() {
-                continue;
-            }
-            let share = rank_u / out.len() as f64;
-            for &v in out {
-                next[v] += share;
-            }
-        }
-        next
-    }
 }
 
 /// A 2-D structured grid, used by the `fluidanimate`-like kernel.
@@ -425,19 +406,6 @@ mod tests {
             reached > 500,
             "BFS from vertex 0 reached only {reached} vertices"
         );
-    }
-
-    #[test]
-    fn pagerank_iteration_conserves_rank_of_non_dangling_vertices() {
-        let g = Graph::power_law(300, 6, 8);
-        let rank = vec![1.0 / 300.0; 300];
-        let next = g.pagerank_iteration_reference(&rank);
-        let contributed: f64 = (0..300)
-            .filter(|&v| !g.neighbours(v).is_empty())
-            .map(|v| rank[v])
-            .sum();
-        let received: f64 = next.iter().sum();
-        assert!((contributed - received).abs() < 1e-9);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! protocol and COUP's MEUSI, at several core counts — i.e. COUP never loses
 //! or duplicates an update and never lets a stale value be observed.
 
+use coup::experiments::{paper_workloads, Scale};
 use coup_protocol::state::ProtocolKind;
 use coup_sim::config::SystemConfig;
 use coup_workloads::bfs::BfsWorkload;
@@ -10,7 +11,7 @@ use coup_workloads::fluid::FluidWorkload;
 use coup_workloads::hist::{HistScheme, HistWorkload};
 use coup_workloads::pgrank::PageRankWorkload;
 use coup_workloads::refcount::{DelayedRefcount, DelayedScheme, ImmediateRefcount, RefcountScheme};
-use coup_workloads::runner::{run_workload, Workload};
+use coup_workloads::runner::{compare_protocols, run_workload, Workload};
 use coup_workloads::spmv::SpmvWorkload;
 
 fn check_all_protocols(workload: &dyn Workload, core_counts: &[usize]) {
@@ -92,7 +93,7 @@ fn coup_wins_on_update_heavy_workloads_at_scale() {
     let cfg = SystemConfig::test_system(cores, ProtocolKind::Mesi);
 
     let hist = HistWorkload::new(6_000, 512, HistScheme::Shared, 21);
-    let (mesi, meusi) = coup_workloads::runner::compare_protocols(cfg, &hist).unwrap();
+    let (mesi, meusi) = compare_protocols(cfg, &hist).unwrap();
     assert!(
         meusi.cycles < mesi.cycles,
         "COUP should beat MESI on hist: {} vs {}",
@@ -102,7 +103,7 @@ fn coup_wins_on_update_heavy_workloads_at_scale() {
     assert!(meusi.traffic.offchip_bytes <= mesi.traffic.offchip_bytes);
 
     let pgrank = PageRankWorkload::new(800, 8, 1, 22);
-    let (mesi, meusi) = coup_workloads::runner::compare_protocols(cfg, &pgrank).unwrap();
+    let (mesi, meusi) = compare_protocols(cfg, &pgrank).unwrap();
     assert!(
         meusi.cycles <= mesi.cycles,
         "COUP should not lose on pgrank: {} vs {}",
@@ -112,11 +113,27 @@ fn coup_wins_on_update_heavy_workloads_at_scale() {
 }
 
 #[test]
-fn high_level_api_agrees_with_direct_runner() {
-    let mut system = coup::CoupSystem::builder().cores(4).test_scale().build();
-    let w = SpmvWorkload::new(150, 5, 11);
-    let report = system.compare_workload(&w);
-    let direct = run_workload(SystemConfig::test_system(4, ProtocolKind::Meusi), &w).unwrap();
-    assert_eq!(report.meusi.commutative_updates, direct.commutative_updates);
-    assert_eq!(report.meusi.accesses, direct.accesses);
+fn paper_workloads_reproduce_the_committed_cycle_counts() {
+    // Simulated time is a pure function of the workload, the configuration
+    // and the protocol. Per app: MESI cycles and accesses, then MEUSI's. A
+    // change that moves any of these changed what the simulator models.
+    const GOLDEN: [(&str, [u64; 4]); 5] = [
+        ("hist", [48_532, 8_000, 16_108, 8_000]),
+        ("spmv", [17_383, 3_576, 14_821, 3_576]),
+        ("pgrank", [36_500, 4_232, 11_339, 4_232]),
+        ("bfs", [79_663, 11_011, 76_306, 11_012]),
+        ("fluidanimate", [6_989, 4_576, 6_989, 4_576]),
+    ];
+    let workloads = paper_workloads(Scale::Small);
+    assert_eq!(workloads.len(), GOLDEN.len());
+    let cfg = SystemConfig::test_system(8, ProtocolKind::Mesi);
+    for ((name, workload), (app, golden)) in workloads.iter().zip(GOLDEN) {
+        assert_eq!(*name, app);
+        let (mesi, meusi) = compare_protocols(cfg, workload.as_ref()).unwrap();
+        assert_eq!(
+            [mesi.cycles, mesi.accesses, meusi.cycles, meusi.accesses],
+            golden,
+            "{app}"
+        );
+    }
 }

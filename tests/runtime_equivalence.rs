@@ -28,7 +28,7 @@ use coup_protocol::ops::CommutativeOp;
 use coup_protocol::state::ProtocolKind;
 use coup_runtime::{
     expected_counts, run_contended, tag, AtomicBackend, BackendKind, BufferConfig, ContendedSpec,
-    CoupBackend, ReadTier, RuntimeBuilder, TelemetryConfig, TelemetryRegistry, UpdateBackend,
+    CoupBackend, RuntimeBuilder, TelemetryConfig, TelemetryRegistry, UpdateBackend,
     DEFAULT_FLUSH_THRESHOLD,
 };
 use coup_sim::config::SystemConfig;
@@ -176,7 +176,7 @@ proptest! {
         seed: u64,
     ) {
         let op = CommutativeOp::AddU64;
-        let spec = ContendedSpec { lanes, updates_per_thread: 500, reads_per_1000, seed, theta: 0.0, read_tier: ReadTier::Exact };
+        let spec = ContendedSpec { lanes, updates_per_thread: 500, reads_per_1000, seed, theta: 0.0 };
         let atomic = RuntimeBuilder::new(op, lanes).backend(BackendKind::Atomic).workers(2).build();
         let coup = RuntimeBuilder::new(op, lanes).workers(2).build();
         run_contended(&atomic, producers, &spec);
@@ -294,7 +294,6 @@ fn quiescent_equivalence_holds_across_buffer_capacities() {
         reads_per_1000: 20,
         seed: 0xC0FFEE,
         theta: 0.0,
-        read_tier: ReadTier::Exact,
     };
     let want = expected_counts(&spec, producers, op);
     for capacity in [Some(1), Some(2), Some(64), None] {
@@ -343,7 +342,6 @@ fn zipf_skew_matches_reference_and_cuts_eviction_pressure() {
         reads_per_1000: 0,
         seed: 0x5CA1E,
         theta: 0.0,
-        read_tier: ReadTier::Exact,
     };
     let skewed = uniform.zipf(0.99);
     let mut miss_shares = Vec::new();
