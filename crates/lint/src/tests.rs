@@ -326,7 +326,7 @@ fn the_real_runtime_tree_is_clean() {
         "expected the full runtime tree, scanned only {} files",
         report.files
     );
-    // The nine mutable edges: every ordering constant is defined in
+    // The eight mutable edges: every ordering constant is defined in
     // `sync.rs`, one per tag, each under the tag CI's kill lanes name.
     let mut defs: Vec<(&str, &str)> = report
         .sites
@@ -349,9 +349,28 @@ fn the_real_runtime_tree_is_clean() {
             ("seqlock-epoch", "EPOCH_PUBLISH"),
             ("shard-retire", "SHARD_RETIRE"),
             ("snap-publish", "SNAP_PUBLISH"),
-            ("trace-ticket", "TICKET_PUBLISH"),
             ("writer-bitmap", "WRITER_RETIRE"),
         ]
+    );
+    // `check-cfg` rejects an undeclared value but not a declared one that no
+    // constant carries, so the manifest's list must equal these tags.
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR")).join("../runtime/Cargo.toml");
+    let manifest = std::fs::read_to_string(manifest).expect("runtime manifest must be readable");
+    let (_, values) = manifest
+        .split_once("cfg(coup_mutation, values(")
+        .expect("runtime manifest declares no coup_mutation values");
+    let (values, _) = values
+        .split_once("))")
+        .expect("unterminated values(...) list");
+    let mut declared: Vec<&str> = values
+        .split(',')
+        .map(|v| v.trim().trim_matches('"'))
+        .collect();
+    declared.sort_unstable();
+    let tags: Vec<&str> = defs.iter().map(|&(tag, _)| tag).collect();
+    assert_eq!(
+        declared, tags,
+        "Cargo.toml's coup_mutation values vs sync.rs's edge block"
     );
 }
 

@@ -141,9 +141,6 @@ pub struct BufferStats {
     /// full probe window and was not admitted: a line displaces a resident
     /// one only on its second such miss in a row, so a miss costs one RMW
     /// until its line is touched twice. Unbounded buffers never count here.
-    /// Unlike a held bypass this records no trace event: a record is a
-    /// clock read plus a locked RMW, ~45 ns beside the ~17 ns store RMW it
-    /// would annotate.
     pub admission_bypasses: u64,
 }
 
@@ -382,8 +379,7 @@ pub struct CoupBackend {
     buffers: Vec<ThreadBuffer>,
     /// One `LineMeta` (writer bitmap + read-hold latch) per store shard.
     line_meta: Box<[LineMeta]>,
-    /// Read tallies, histograms and trace rings, shared with the owning
-    /// runtime.
+    /// Read tallies and histograms, shared with the owning runtime.
     telemetry: Arc<TelemetryRegistry>,
     geometry: LaneGeometry,
     flush_threshold: u32,

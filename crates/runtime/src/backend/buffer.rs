@@ -14,7 +14,6 @@ use crate::store::PaddedLine;
 use crate::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{EPOCH_PUBLISH, EVICTION_FOLD, WRITER_RETIRE};
 use crate::telemetry::Merge;
-use crate::trace::TraceKind;
 
 /// The empty-slot tag. A slot's tag is `line + 1` once claimed; tags only
 /// ever change claimed→claimed (re-tag on eviction), never back to empty.
@@ -232,7 +231,6 @@ impl CoupBackend {
                 }
                 let Some(idx) = self.choose_victim(thread, line) else {
                     bump(&buf.held_bypasses);
-                    self.telemetry.trace(thread, TraceKind::HeldBypass, line);
                     return None;
                 };
                 candidate.store(EMPTY_TAG, Ordering::Relaxed);
@@ -265,7 +263,6 @@ impl CoupBackend {
         }
         self.telemetry
             .record_occupancy(thread, buf.resident.load(Ordering::Relaxed));
-        self.telemetry.trace(thread, TraceKind::Privatize, line);
         Some(idx)
     }
 
@@ -314,7 +311,7 @@ impl CoupBackend {
     /// `Some(new_line)` is a capacity eviction — the slot is handed to the
     /// new line inside the same odd-epoch window, after the bitmap
     /// retirement — and `None` a threshold or explicit flush; the matching
-    /// counter bump and trace event happen here, once, for every caller.
+    /// counter bump happens here, once, for every caller.
     fn migrate_slot(&self, thread: usize, idx: usize, retag: Option<usize>) {
         let buf = &self.buffers[thread];
         let line = buf.line_of(idx);
@@ -375,10 +372,8 @@ impl CoupBackend {
         if retag.is_some() {
             let evictions = buf.evictions.load(Ordering::Relaxed) + 1;
             buf.evictions.store(evictions, Ordering::Release); // ord: evict-stats
-            self.telemetry.trace(thread, TraceKind::Evict, line);
         } else {
             bump(&buf.flushes);
-            self.telemetry.trace(thread, TraceKind::Flush, line);
         }
     }
 

@@ -7,7 +7,6 @@ use super::{CoupBackend, ReadCost, StaleRead, MAX_COUP_THREADS, READ_RETRY_LIMIT
 use crate::store::LaneSlot;
 use crate::sync::atomic::{fence, Ordering};
 use crate::sync::hint::spin_loop;
-use crate::trace::TraceKind;
 
 impl CoupBackend {
     /// One optimistic reduction pass over `slot`'s line: snapshot the writer
@@ -97,7 +96,6 @@ impl CoupBackend {
     /// so they cannot invalidate a pass.
     pub(super) fn reduce_with_hold(
         &self,
-        thread: usize,
         slot: LaneSlot,
         index: usize,
         cost: &mut ReadCost,
@@ -106,8 +104,6 @@ impl CoupBackend {
         // ord: read-hold
         meta.read_holds.fetch_add(1, Ordering::AcqRel);
         cost.escalations += 1;
-        self.telemetry
-            .trace(thread, TraceKind::ReadHoldEscalate, slot.line);
         let value = loop {
             if let Some(value) = self.try_reduce(slot, index, cost) {
                 break value;
@@ -127,10 +123,10 @@ impl CoupBackend {
     /// drive the `read-hold` sites and prove their ordering contract on
     /// real threads.
     #[cfg(any(test, coup_san))]
-    pub fn read_escalated(&self, thread: usize, index: usize) -> u64 {
+    pub fn read_escalated(&self, index: usize) -> u64 {
         let slot = self.geometry.slot(index);
         let mut cost = ReadCost::default();
-        self.reduce_with_hold(thread, slot, index, &mut cost)
+        self.reduce_with_hold(slot, index, &mut cost)
     }
 
     /// The untallied reduction behind [`CoupBackend::exact_read`] and
@@ -138,7 +134,7 @@ impl CoupBackend {
     /// reduction cost. `#[inline]`: the read path stays one function, as
     /// before the tally was split off it.
     #[inline]
-    fn reduce(&self, thread: usize, index: usize) -> (u64, ReadCost) {
+    fn reduce(&self, index: usize) -> (u64, ReadCost) {
         debug_assert!(index < self.store.len());
         let slot = self.geometry.slot(index);
         // On-demand reduction: global value ∘ the buffered partial of each
@@ -158,7 +154,7 @@ impl CoupBackend {
             }
             cost.retries += 1;
             if cost.retries >= u64::from(READ_RETRY_LIMIT) {
-                break self.reduce_with_hold(thread, slot, index, &mut cost);
+                break self.reduce_with_hold(slot, index, &mut cost);
             }
             spin_loop();
         };
@@ -168,7 +164,7 @@ impl CoupBackend {
     /// [`UpdateBackend::read`](super::UpdateBackend::read): one reduction,
     /// tallied — the only caller of `record_read`.
     pub(super) fn exact_read(&self, thread: usize, index: usize) -> u64 {
-        let (value, cost) = self.reduce(thread, index);
+        let (value, cost) = self.reduce(index);
         self.telemetry
             .record_read(thread, cost.buffer_words, cost.retries, cost.escalations);
         value
@@ -228,7 +224,7 @@ impl CoupBackend {
     /// not tallied.
     pub(super) fn reduce_all(&self) -> Vec<u64> {
         (0..self.store.len())
-            .map(|index| self.reduce(0, index).0)
+            .map(|index| self.reduce(index).0)
             .collect()
     }
 }

@@ -462,7 +462,7 @@ fn disabled_registry_does_no_read_bookkeeping() {
     b.update(0, 2, 10);
     b.update(3, 2, 5);
     assert_eq!(b.read(1, 2), 15);
-    assert_eq!(b.read_escalated(1, 2), 15);
+    assert_eq!(b.read_escalated(2), 15);
     assert_eq!(b.snapshot()[2], 15);
     assert_eq!(b.read_cost(), ReadCost::default());
     assert!(b.buffer_stats().privatized > 0);
@@ -687,7 +687,7 @@ fn escalated_reduction_returns_the_right_value_and_releases_the_hold() {
     b.update(2, 1, 31);
     let slot = b.geometry.slot(1);
     let mut cost = ReadCost::default();
-    assert_eq!(b.reduce_with_hold(0, slot, 1, &mut cost), 42);
+    assert_eq!(b.reduce_with_hold(slot, 1, &mut cost), 42);
     assert_eq!(cost.escalations, 1);
     assert_eq!(b.line_meta[slot.line].read_holds.load(Ordering::Relaxed), 0);
 }

@@ -87,7 +87,6 @@ pub mod runtime;
 pub mod store;
 mod sync;
 pub mod telemetry;
-pub mod trace;
 
 pub use backend::{
     AtomicBackend, BufferConfig, BufferStats, CoupBackend, ReadCost, StaleRead, UpdateBackend,
@@ -103,4 +102,3 @@ pub use store::SharedStore;
 pub use telemetry::{
     HistogramSnapshot, Merge, MetricsSnapshot, TelemetryConfig, TelemetryRegistry, HIST_BUCKETS,
 };
-pub use trace::{TraceEvent, TraceKind};

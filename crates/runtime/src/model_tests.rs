@@ -207,54 +207,7 @@ fn evict_stats_count_never_exceeds_privatized_for_any_observer() {
     });
 }
 
-/// Protocol 4 — trace-ring seqlock tickets: a drain racing recording (with
-/// wrap-around overwrites, capacity 2 vs. 3 records) may *drop* entries but
-/// must never yield a torn one — every drained event carries the stamp and
-/// payload of one committed `record` call, and accounting is exact.
-///
-/// Mutation pairing: `TICKET_PUBLISH` (the `seq + 1` ticket store in
-/// `TraceRing::record`) weakened to `Relaxed` lets the drainer's acquire
-/// load of the ticket succeed without the happens-before edge to the stamp
-/// and payload stores the ticket vouches for, so it assembles an event from
-/// stale words — caught by the stamp/kind consistency asserts below.
-#[cfg(feature = "telemetry")]
-#[test]
-fn trace_ticket_drains_are_lossy_but_never_torn() {
-    use crate::trace::{TraceKind, TraceRing};
-    loom::model(|| {
-        let ring = Arc::new(TraceRing::new(2));
-        let recorder = {
-            let r = Arc::clone(&ring);
-            thread::spawn(move || {
-                for i in 0..3u64 {
-                    r.record(1000 + 7 * i, 1, TraceKind::Evict, i as usize);
-                }
-            })
-        };
-        let mut events = Vec::new();
-        ring.drain_into(&mut events);
-        recorder.join().unwrap();
-        ring.drain_into(&mut events);
-        for pair in events.windows(2) {
-            assert!(pair[0].seq < pair[1].seq, "drain out of order: {events:?}");
-        }
-        for event in &events {
-            assert_eq!(event.kind, TraceKind::Evict, "torn event: {event:?}");
-            assert_eq!(event.worker, 1, "torn event: {event:?}");
-            assert_eq!(
-                event.timestamp_ns,
-                1000 + 7 * event.line as u64,
-                "stamp/payload mismatch: {event:?}"
-            );
-        }
-        assert_eq!(ring.recorded(), 3);
-        // Every recorded entry is either drained or counted dropped —
-        // exactly once.
-        assert_eq!(events.len() as u64 + ring.dropped(), 3);
-    });
-}
-
-/// Protocol 5 — the sharded submission path end to end: a producer pushing
+/// Protocol 4 — the sharded submission path end to end: a producer pushing
 /// a batch through its SPSC shard ring, a resident worker parking on its
 /// wake parker, and `shutdown` closing the runtime must always terminate
 /// with the batch applied — no missed-wakeup lost batch, no worker parked
@@ -299,7 +252,7 @@ fn queue_close_never_strands_a_parked_worker() {
     });
 }
 
-/// Protocol 6 — the ring's publication edge: the producer's tail store
+/// Protocol 5 — the ring's publication edge: the producer's tail store
 /// ([`RING_PUBLISH`]) must carry the relaxed slot writes that precede it,
 /// so a consumer whose acquire tail load observes the new frontier reads
 /// the batch's real contents.
@@ -340,7 +293,7 @@ fn ring_publish_carries_the_slot_writes_it_announces() {
     });
 }
 
-/// Protocol 7 — slot registration vs. drain: a producer that pushes its
+/// Protocol 6 — slot registration vs. drain: a producer that pushes its
 /// final batch and *retires* its shard grant hands the ring to the drainer
 /// through the RETIRED state store ([`SHARD_RETIRE`]). A drainer whose
 /// acquire state load observes RETIRED must also observe the final tail —
@@ -375,7 +328,7 @@ fn shard_retire_hands_off_the_final_publication() {
                 &mut |_slot, lane, value| {
                     assert_eq!((lane, value), (1, 9), "drained a torn update");
                 },
-                &mut |_slot, _count, _publish_ns| {},
+                &mut |_count, _publish_ns| {},
             );
         };
         // Racing pass: may observe any prefix of claim/push/retire.
@@ -388,7 +341,7 @@ fn shard_retire_hands_off_the_final_publication() {
     });
 }
 
-/// Protocol 8 — the parker's wake edge: `notify()`'s epoch bump
+/// Protocol 7 — the parker's wake edge: `notify()`'s epoch bump
 /// ([`WAKE_PUBLISH`]) must carry the publication that prompted it, so a
 /// sleeper whose status RMW observes the new epoch also observes the data
 /// and never goes (back) to sleep on work it cannot see.
@@ -429,7 +382,7 @@ fn queue_wake_publishes_the_mailbox_it_announces() {
     });
 }
 
-/// Protocol 8b — the refresher's *timed* park on the same word: a demand
+/// Protocol 7b — the refresher's *timed* park on the same word: a demand
 /// (`notify()`, what `refresh_now` sends) or shutdown (`close()`) racing
 /// [`Parker::park_timeout`]'s arming RMW is either detected by the arm or
 /// bumps a word that already counts the sleeper, so the loop below — the
@@ -440,7 +393,7 @@ fn queue_wake_publishes_the_mailbox_it_announces() {
 /// first; the real-clock interruption is `ring::tests`' job.)
 ///
 /// Mutation pairing: `WAKE_PUBLISH` weakened to `Relaxed` admits the
-/// interleaving of protocol 8 on this path too: the demander's bump (or
+/// interleaving of protocol 7 on this path too: the demander's bump (or
 /// close bit) reaches the waiter's acquire status RMW without the
 /// demander's clock, so the status has moved yet the mailbox load is free
 /// to return stale 0 — caught by the mailbox assert.
@@ -480,7 +433,7 @@ fn timed_park_never_sleeps_through_a_demand() {
     }
 }
 
-/// Protocol 9 — drain quiescence, on the shipped [`Quiescence`]: a worker
+/// Protocol 8 — drain quiescence, on the shipped [`Quiescence`]: a worker
 /// retires into the shared applied count ([`QUIESCE_PUBLISH`]) *after*
 /// applying a batch, and `drain()`'s acquire RMW of that count is the only
 /// edge through which the caller's subsequent reads see the applied data.
@@ -525,7 +478,7 @@ fn drain_quiesce_makes_applied_work_visible() {
     });
 }
 
-/// Protocol 10 — snapshot publication, on the shipped [`SnapshotCell`]: the
+/// Protocol 9 — snapshot publication, on the shipped [`SnapshotCell`]: the
 /// refresher fills the snapshot words with Relaxed stores and seals them
 /// with one epoch bump carrying [`SNAP_PUBLISH`]; a reader whose Acquire
 /// epoch load observes epoch `N` must also observe every word of snapshot

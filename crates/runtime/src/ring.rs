@@ -42,8 +42,7 @@ pub(crate) struct CachePadded<T>(pub(crate) T);
 
 /// A bounded single-producer/single-consumer ring of `(lane, value)` updates
 /// — the Lamport queue, in safe Rust: slot words are relaxed atomics and the
-/// Release/Acquire pair on `tail` is the only publication edge, exactly like
-/// the trace ring's ticket protocol.
+/// Release/Acquire pair on `tail` is the only publication edge.
 ///
 /// Cursors are monotonically increasing u64s; `cursor & mask` is the slot.
 /// The producer owns `tail` (store side) and reads `head` only to check for
@@ -500,7 +499,7 @@ impl ShardDirectory {
 
     /// One scan over the slots assigned to `worker` (slot index ≡ worker
     /// mod `workers`): consumes every published update via `apply(slot,
-    /// lane, value)`, reports per-slot batches via `on_batch(slot, count,
+    /// lane, value)`, reports per-slot batches via `on_batch(count,
     /// publish_ns)`, frees fully drained retired slots, and returns the
     /// total updates consumed.
     pub(crate) fn drain_pass(
@@ -509,7 +508,7 @@ impl ShardDirectory {
         workers: usize,
         cache: &mut ShardCache,
         apply: &mut dyn FnMut(usize, usize, u64),
-        on_batch: &mut dyn FnMut(usize, u64, u64),
+        on_batch: &mut dyn FnMut(u64, u64),
     ) -> u64 {
         let high = (self.high_water.load(Ordering::Relaxed) as usize).min(self.slots.len());
         if cache.entries.len() < high {
@@ -551,7 +550,7 @@ impl ShardDirectory {
             if drained > 0 {
                 total += drained;
                 slot.drained.fetch_add(drained, Ordering::Relaxed);
-                on_batch(index, drained, publish_ns);
+                on_batch(drained, publish_ns);
                 // A producer may be parked on the full edge.
                 slot.space.notify();
             }
@@ -699,7 +698,7 @@ mod tests {
             &mut |slot, lane, value| {
                 got.push((slot, lane, value));
             },
-            &mut |_, _, _| {},
+            &mut |_, _| {},
         );
         assert_eq!(drained, 1);
         assert_eq!(got, vec![(0, 3, 5)]);
@@ -712,7 +711,7 @@ mod tests {
         assert!(stats[0].live && stats[1].live);
         dir.retire(&b);
         dir.retire(&c);
-        let _ = dir.drain_pass(0, 1, &mut cache, &mut |_, _, _| {}, &mut |_, _, _| {});
+        let _ = dir.drain_pass(0, 1, &mut cache, &mut |_, _, _| {}, &mut |_, _| {});
         assert!(dir.stats().iter().all(|s| !s.live));
     }
 
@@ -730,7 +729,7 @@ mod tests {
             2,
             &mut cache,
             &mut |slot, _, _| slots.push(slot),
-            &mut |_, _, _| {},
+            &mut |_, _| {},
         );
         assert_eq!(drained, 2, "worker 1 of 2 owns slots 1 and 3");
         assert_eq!(slots, vec![1, 3]);

@@ -135,7 +135,7 @@ struct Shared {
     snap: SnapshotCell,
     /// The refresher's timed park point (demand / close edges).
     refresh: Parker,
-    /// The metrics registry + trace rings, shared with the backend; its
+    /// The metrics registry, shared with the backend; its
     /// uptime clock also stamps the shard slots' `last_publish_ns` (the
     /// dwell metric) and times the lifetime report.
     telemetry: Arc<TelemetryRegistry>,
@@ -180,7 +180,7 @@ impl Shared {
 
     /// Assembles a full [`MetricsSnapshot`]: submission counters, the
     /// backend's buffer-stats fold, and the registry's read cost, histograms
-    /// and trace totals. No stop-the-world — workers keep running while this
+    /// and parks. No stop-the-world — workers keep running while this
     /// sums their blocks.
     fn metrics(&self) -> MetricsSnapshot {
         let (updates_submitted, updates_applied) = self.quiesce.counts();
@@ -199,8 +199,8 @@ impl Shared {
 }
 
 /// The observer-side counterpart of [`LaneHandle`]: a clonable, `Send`
-/// handle a monitor thread can poll for live [`MetricsSnapshot`]s, rendered
-/// exports, and trace drains while producers and workers keep running.
+/// handle a monitor thread can poll for live [`MetricsSnapshot`]s and
+/// rendered exports while producers and workers keep running.
 #[derive(Debug, Clone)]
 pub struct TelemetryHandle {
     shared: Arc<Shared>,
@@ -219,14 +219,6 @@ impl TelemetryHandle {
     #[must_use]
     pub fn prometheus(&self) -> String {
         self.metrics().to_prometheus()
-    }
-
-    /// Drains the structured event trace accumulated since the last drain
-    /// (any drainer's — the rings have one shared cursor each), merged
-    /// across workers and sorted by timestamp.
-    #[must_use]
-    pub fn drain_trace(&self) -> Vec<crate::trace::TraceEvent> {
-        self.shared.telemetry.drain_trace()
     }
 }
 
@@ -416,7 +408,7 @@ impl CoupRuntime {
     }
 
     /// A new clonable telemetry observer handle (live metrics, Prometheus
-    /// export, trace drain) — hand it to a monitor thread the way
+    /// export) — hand it to a monitor thread the way
     /// [`CoupRuntime::handle`] hands out producers.
     #[must_use]
     pub fn telemetry(&self) -> TelemetryHandle {

@@ -8,7 +8,6 @@ use super::{CoupRuntime, Shared};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::lock;
 use crate::sync::{self, SNAP_PUBLISH};
-use crate::trace::TraceKind;
 
 /// The snapshot-publication protocol: one word per lane, filled with Relaxed
 /// stores and sealed as a unit by the [`SNAP_PUBLISH`] epoch bump. A reader
@@ -59,9 +58,7 @@ impl Shared {
     /// Publishes one eventually-consistent snapshot: the backend's
     /// non-destructive whole-store reduction into [`Shared::snap`].
     fn publish_snapshot(&self) {
-        let epoch = self.snap.publish(&self.backend.snapshot());
-        self.telemetry
-            .trace(usize::MAX, TraceKind::SnapshotRefresh, epoch as usize);
+        self.snap.publish(&self.backend.snapshot());
     }
 
     /// Body of the `coup-refresher` thread: publish, sleep up to `interval`

@@ -11,7 +11,6 @@ use crate::backend::StaleRead;
 use crate::ring::{Parker, ShardCache, ShardGrant};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{self, QUIESCE_PUBLISH};
-use crate::trace::TraceKind;
 
 /// How many times a producer on the full edge cedes the CPU before arming
 /// the parker. Zero under the model checker, so exhaustive executions hit
@@ -142,10 +141,9 @@ impl Shared {
                 self.workers,
                 &mut cache,
                 &mut |_slot, lane, value| self.backend.update(worker, lane, value),
-                &mut |slot, count, publish_ns| {
+                &mut |count, publish_ns| {
                     let dwell_us = self.telemetry.uptime_ns().saturating_sub(publish_ns) / 1_000;
                     self.telemetry.record_queue_pop(worker, count, dwell_us);
-                    self.telemetry.trace(worker, TraceKind::ShardDrain, slot);
                 },
             );
             if drained > 0 {

@@ -82,15 +82,16 @@ pub(crate) const fn weakened_if(mutated: bool, strong: atomic::Ordering) -> atom
     }
 }
 
-/// The nine *load-bearing* edges, each under the one name it has everywhere:
+/// The eight *load-bearing* edges, each under the one name it has everywhere:
 /// its `ord:` tag. `--cfg coup_mutation="<tag>"` weakens that constant alone
 /// to `Relaxed`, and CI's per-edge lanes — which take their values from this
 /// block — require both `model_tests::<tag in snake case>` (under
 /// `coup_model`) and the unchanged sanitizer battery (under `coup_san`) to
-/// fail for each. `Cargo.toml`'s `check-cfg` lists the same nine values, so a
-/// value misspelled here does not compile under `-D warnings`, and
-/// `coup-lint` (R-MUTATION) rejects a constant whose value is not its own
-/// tag. Production builds always resolve to the strong ordering.
+/// fail for each. `Cargo.toml`'s `check-cfg` lists the same eight values, so a
+/// value misspelled here does not compile under `-D warnings`, coup-lint's
+/// tests reject a listed value no constant here carries, and `coup-lint`
+/// (R-MUTATION) rejects a constant whose value is not its own tag.
+/// Production builds always resolve to the strong ordering.
 ///
 /// An edge qualifies when weakening it admits a concrete bad interleaving,
 /// documented at its model test. The eight tags with no constant here are
@@ -110,9 +111,6 @@ mod edges {
     pub(crate) const WRITER_RETIRE: Ordering = weakened_if(cfg!(coup_mutation = "writer-bitmap"), Ordering::AcqRel); // ord: writer-bitmap
     /// `buffer_stats`' load of a buffer's eviction count.
     pub(crate) const EVICTION_FOLD: Ordering = weakened_if(cfg!(coup_mutation = "evict-stats"), Ordering::Acquire); // ord: evict-stats
-    /// `TraceRing::record`'s ticket store vouching for the stamp and payload.
-    #[cfg(feature = "telemetry")]
-    pub(crate) const TICKET_PUBLISH: Ordering = weakened_if(cfg!(coup_mutation = "trace-ticket"), Ordering::Release); // ord: trace-ticket
     /// `SpscRing::publish`'s tail store: the ring's one publication edge.
     pub(crate) const RING_PUBLISH: Ordering = weakened_if(cfg!(coup_mutation = "ring-publish"), Ordering::Release); // ord: ring-publish
     /// `ShardDirectory::retire`'s RETIRED store handing over the final tail.

@@ -12,12 +12,11 @@
 //! folding the blocks, so every counter in it is individually monotone
 //! between observations.
 //!
-//! The event-trace half lives in [`crate::trace`]; this module owns the
-//! drain API. With the `telemetry` cargo feature disabled the registry
-//! allocates nothing and every recording call is an empty inline function —
-//! the zero-cost compile-out path — while [`MetricsSnapshot`], the [`Merge`]
+//! With the `telemetry` cargo feature disabled the registry allocates
+//! nothing and every recording call is an empty inline function — the
+//! zero-cost compile-out path — while [`MetricsSnapshot`], the [`Merge`]
 //! trait, and the exporter stay available so reports keep the same shape
-//! (read cost, parks, histograms and trace all zero; the backend-native
+//! (read cost, parks and histograms all zero; the backend-native
 //! [`BufferStats`] still flows).
 
 use crate::backend::{BufferStats, ReadCost};
@@ -125,7 +124,7 @@ impl Merge for HistogramSnapshot {
 pub struct TelemetryConfig {
     /// Runtime kill-switch: when false the registry allocates nothing, every
     /// recording call is one predictable branch, and its series (read cost,
-    /// parks, histograms, trace) stay zero. (The `telemetry` cargo feature
+    /// parks, histograms) stay zero. (The `telemetry` cargo feature
     /// removes even that branch at compile time.)
     pub enabled: bool,
 }
@@ -137,7 +136,7 @@ impl Default for TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// Everything off at runtime: no histogram blocks, no trace rings.
+    /// Everything off at runtime: no histogram blocks.
     pub fn disabled() -> Self {
         TelemetryConfig { enabled: false }
     }
@@ -174,9 +173,8 @@ pub struct MetricsSnapshot {
     /// Wakes after a counted park; parks minus unparks bounds the threads
     /// currently asleep.
     pub queue_unparks: u64,
-    /// Trace events recorded into the rings.
-    pub trace_recorded: u64,
-    /// Trace events lost to ring overwrite before a drain reached them.
+    /// Always 0: the runtime records no event trace. Kept, with its
+    /// exported family, only because existing scrapers read it by name.
     pub trace_dropped: u64,
     /// Read-path cost (reads, folded words, retries, escalations), derived
     /// from the registry's read histograms — zero with telemetry off.
@@ -256,13 +254,8 @@ const COUNTER_META: &[MetaRow<u64>] = &[
         |m| &mut m.queue_unparks,
     ),
     (
-        "coup_trace_events_recorded_total",
-        "Trace events recorded into the per-worker rings.",
-        |m| &mut m.trace_recorded,
-    ),
-    (
         "coup_trace_events_dropped_total",
-        "Trace events lost to ring overwrite before a drain.",
+        "Always 0: the runtime records no event trace.",
         |m| &mut m.trace_dropped,
     ),
     (

@@ -9,17 +9,12 @@ use super::Merge;
 use super::{MetricsSnapshot, TelemetryConfig};
 #[cfg(feature = "telemetry")]
 use crate::sync::atomic::Ordering;
-use crate::trace::{TraceEvent, TraceKind};
 
 #[cfg(feature = "telemetry")]
 mod registry_impl {
     use crate::sync::atomic::{AtomicU64, Ordering};
 
     use crate::telemetry::{bucket_index, HistogramSnapshot, HIST_BUCKETS};
-    use crate::trace::TraceRing;
-
-    /// Per-worker trace-ring capacity, in events.
-    const TRACE_CAPACITY: usize = 1024;
 
     /// A histogram of relaxed atomics; recording is `leading_zeros` plus two
     /// relaxed `fetch_add`s (RMW rather than plain store only because block
@@ -66,7 +61,6 @@ mod registry_impl {
 
     pub(crate) struct Inner {
         pub(crate) blocks: Box<[WorkerBlock]>,
-        pub(crate) rings: Box<[TraceRing]>,
     }
 
     impl Inner {
@@ -74,27 +68,20 @@ mod registry_impl {
             let workers = workers.max(1);
             Inner {
                 blocks: (0..workers).map(|_| WorkerBlock::default()).collect(),
-                rings: (0..workers)
-                    .map(|_| TraceRing::new(TRACE_CAPACITY))
-                    .collect(),
             }
         }
 
-        /// The one identity rule: worker `w` records into block and ring
-        /// `w`; any out-of-range recorder (external handle readers pass
-        /// `usize::MAX`) clamps onto index 0.
+        /// The one identity rule: worker `w` records into block `w`; any
+        /// out-of-range recorder (external handle readers pass
+        /// `usize::MAX`) clamps onto block 0.
         #[inline]
-        pub(crate) fn index(&self, worker: usize) -> usize {
-            if worker < self.blocks.len() {
+        pub(crate) fn block(&self, worker: usize) -> &WorkerBlock {
+            let index = if worker < self.blocks.len() {
                 worker
             } else {
                 0
-            }
-        }
-
-        #[inline]
-        pub(crate) fn block(&self, worker: usize) -> &WorkerBlock {
-            &self.blocks[self.index(worker)]
+            };
+            &self.blocks[index]
         }
     }
 }
@@ -121,8 +108,8 @@ impl std::fmt::Debug for TelemetryRegistry {
 }
 
 impl TelemetryRegistry {
-    /// Builds a registry with one padded counter block and one trace ring
-    /// per worker (nothing at all when `config` is disabled).
+    /// Builds a registry with one padded counter block per worker (nothing
+    /// at all when `config` is disabled).
     pub fn new(workers: usize, config: TelemetryConfig) -> Self {
         #[cfg(not(feature = "telemetry"))]
         let _ = (workers, config);
@@ -147,31 +134,10 @@ impl TelemetryRegistry {
     }
 
     /// Nanoseconds since this registry was created (monotonic clock); the
-    /// timebase of every trace event timestamp.
+    /// timebase of the queue-dwell stamps and of
+    /// [`MetricsSnapshot::uptime_ns`].
     pub fn uptime_ns(&self) -> u64 {
         self.anchor.elapsed().as_nanos() as u64
-    }
-
-    /// Drains every un-drained trace event across all worker rings, merged
-    /// and sorted by timestamp. Lossy by design: entries overwritten before
-    /// a drain reached them are counted in
-    /// [`MetricsSnapshot::trace_dropped`], not returned.
-    pub fn drain_trace(&self) -> Vec<TraceEvent> {
-        #[cfg(feature = "telemetry")]
-        {
-            let mut events = Vec::new();
-            if let Some(inner) = &self.inner {
-                for ring in inner.rings.iter() {
-                    ring.drain_into(&mut events);
-                }
-            }
-            events.sort_by_key(|event| (event.timestamp_ns, event.worker, event.seq));
-            events
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            Vec::new()
-        }
     }
 
     /// Records one synchronous read — the only place a read is tallied: the
@@ -240,7 +206,7 @@ impl TelemetryRegistry {
         let _ = (worker, words);
     }
 
-    /// Counts one drainer park (condvar sleep) and traces the park event.
+    /// Counts one drainer park (condvar sleep).
     #[inline]
     pub(crate) fn record_park(&self, worker: usize) {
         #[cfg(feature = "telemetry")]
@@ -250,10 +216,11 @@ impl TelemetryRegistry {
                 .queue_parks
                 .fetch_add(1, Ordering::Relaxed);
         }
-        self.trace(worker, TraceKind::QueuePark, 0);
+        #[cfg(not(feature = "telemetry"))]
+        let _ = worker;
     }
 
-    /// Counts one wake after a counted park and traces the unpark event.
+    /// Counts one wake after a counted park.
     /// Every [`TelemetryRegistry::record_park`] whose sleeper actually slept
     /// is paired with exactly one `record_unpark` on the same worker index,
     /// so `queue_parks - queue_unparks` bounds the threads asleep right now.
@@ -266,23 +233,12 @@ impl TelemetryRegistry {
                 .queue_unparks
                 .fetch_add(1, Ordering::Relaxed);
         }
-        self.trace(worker, TraceKind::QueueUnpark, 0);
-    }
-
-    /// Records one structured trace event.
-    #[inline]
-    pub(crate) fn trace(&self, worker: usize, kind: TraceKind, line: usize) {
-        #[cfg(feature = "telemetry")]
-        if let Some(inner) = &self.inner {
-            let index = inner.index(worker);
-            inner.rings[index].record(self.uptime_ns(), index, kind, line);
-        }
         #[cfg(not(feature = "telemetry"))]
-        let _ = (worker, kind, line);
+        let _ = worker;
     }
 
     /// Folds the registry's own counters (read cost, histograms, parks,
-    /// trace totals, uptime) into `snap`; the caller supplies the buffer and
+    /// uptime) into `snap`; the caller supplies the buffer and
     /// queue counters. `read_cost` is derived from the two read histograms.
     pub(crate) fn fill(&self, snap: &mut MetricsSnapshot) {
         snap.uptime_ns = self.uptime_ns();
@@ -301,10 +257,6 @@ impl TelemetryRegistry {
                 snap.staleness.merge(&block.staleness.snapshot());
                 snap.queue_parks += block.queue_parks.load(Ordering::Relaxed);
                 snap.queue_unparks += block.queue_unparks.load(Ordering::Relaxed);
-            }
-            for ring in inner.rings.iter() {
-                snap.trace_recorded += ring.recorded();
-                snap.trace_dropped += ring.dropped();
             }
             snap.read_cost.reads = snap.read_width.count();
             snap.read_cost.buffer_words = snap.read_width.sum;

@@ -3,7 +3,6 @@
 
 use super::*;
 use crate::backend::{BufferStats, ReadCost};
-use crate::trace::TraceKind;
 
 fn sample_snapshot() -> MetricsSnapshot {
     let mut snap = MetricsSnapshot {
@@ -13,7 +12,6 @@ fn sample_snapshot() -> MetricsSnapshot {
         handle_reads: 7,
         queue_parks: 3,
         queue_unparks: 2,
-        trace_recorded: 40,
         trace_dropped: 2,
         read_cost: ReadCost {
             reads: 12,
@@ -153,8 +151,6 @@ fn registry_folds_per_worker_blocks() {
     registry.record_flush_words(2, 9);
     registry.record_park(1);
     registry.record_unpark(1);
-    // The refresher's recorder id: clamps onto ring 0, and says so.
-    registry.trace(usize::MAX, TraceKind::SnapshotRefresh, 4);
     let mut snap = MetricsSnapshot::default();
     registry.fill(&mut snap);
     assert_eq!(snap.read_width.count(), 3);
@@ -173,16 +169,7 @@ fn registry_folds_per_worker_blocks() {
     assert_eq!(snap.queue_parks, 1);
     assert_eq!(snap.queue_unparks, 1);
     assert!(snap.uptime_ns > 0);
-    // The park and unpark each traced an event; reads don't trace.
-    assert_eq!(snap.trace_recorded, 3);
-    let events = registry.drain_trace();
-    assert_eq!(events.len(), 3);
-    assert_eq!(events[0].kind, crate::trace::TraceKind::QueuePark);
-    assert_eq!(events[0].worker, 1);
-    assert_eq!(events[1].kind, crate::trace::TraceKind::QueueUnpark);
-    assert_eq!(events[1].worker, 1);
-    assert_eq!(events[2].kind, TraceKind::SnapshotRefresh);
-    assert_eq!(events[2].worker, 0, "the clamped ring index, not 255");
+    assert_eq!(snap.trace_dropped, 0, "no event trace, nothing dropped");
 }
 
 #[cfg(feature = "telemetry")]
@@ -193,13 +180,10 @@ fn disabled_registry_records_nothing() {
     registry.record_read(0, 3, 1, 1);
     registry.record_park(0);
     registry.record_unpark(0);
-    registry.trace(0, TraceKind::Flush, 9);
     let mut snap = MetricsSnapshot::default();
     registry.fill(&mut snap);
     assert_eq!(snap.read_width.count(), 0);
     assert_eq!(snap.read_cost, ReadCost::default());
     assert_eq!(snap.queue_parks, 0);
     assert_eq!(snap.queue_unparks, 0);
-    assert_eq!(snap.trace_recorded, 0);
-    assert!(registry.drain_trace().is_empty());
 }

@@ -65,7 +65,7 @@ fn exercise_backend() {
     }
     // The escalated read path (read holds) never triggers on a quiet
     // backend, so drive it through the sanitizer hook.
-    let _ = backend.read_escalated(0, 3);
+    let _ = backend.read_escalated(3);
 
     // Dirty capacity evictions: a one-line buffer updated on two distinct
     // store lines must evict, and the stats fold acquires the eviction
@@ -92,7 +92,7 @@ fn exercise_backend() {
 }
 
 /// ring-publish, ring-consume, shard-claim, shard-retire, queue-wake,
-/// drain-quiesce, job-pause, trace-ticket, plus the tiered-read protocols:
+/// drain-quiesce, job-pause, plus the tiered-read protocols:
 /// stale-pending (the bound's pending-counter walk) and snap-publish (the
 /// refresher's epoch seal): the submission-queue and runtime-facade
 /// protocols.
@@ -153,10 +153,6 @@ fn exercise_runtime() {
         2002,
         "the drained store is fully visible to the refresher"
     );
-    // Draining the event trace acquires every worker's ticket publishes
-    // (`trace-ticket`).
-    let events = rt.telemetry().drain_trace();
-    assert!(!events.is_empty(), "tracing is on by default");
     let result = rt.shutdown();
     assert_eq!(result.snapshot.iter().sum::<u64>(), 2002);
 }

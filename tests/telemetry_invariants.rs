@@ -22,7 +22,7 @@ use proptest::prelude::*;
 use coup_protocol::ops::CommutativeOp;
 use coup_runtime::{
     run_contended, BufferConfig, ContendedSpec, Merge, MetricsSnapshot, ReadCost, RuntimeBuilder,
-    TelemetryConfig, TraceKind,
+    TelemetryConfig,
 };
 use coup_workloads::hist::{HistScheme, HistWorkload};
 use coup_workloads::kernel::{ExecutionBackend, RuntimeBackend, RuntimeKind};
@@ -35,7 +35,6 @@ fn assert_monotone(a: &MetricsSnapshot, b: &MetricsSnapshot) {
     assert!(a.updates_applied <= b.updates_applied);
     assert!(a.handle_reads <= b.handle_reads);
     assert!(a.queue_parks <= b.queue_parks);
-    assert!(a.trace_recorded <= b.trace_recorded);
     assert!(a.trace_dropped <= b.trace_dropped);
     assert!(a.read_cost.reads <= b.read_cost.reads);
     assert!(a.read_cost.buffer_words <= b.read_cost.buffer_words);
@@ -219,11 +218,10 @@ mod enabled {
     use super::*;
 
     #[test]
-    fn trace_ring_captures_the_eviction_story() {
+    fn bounded_runtime_exports_the_eviction_story() {
         let runtime = RuntimeBuilder::new(CommutativeOp::AddU64, 256)
             .workers(2)
             .buffer_config(BufferConfig::bounded(2))
-            .telemetry(TelemetryConfig::default())
             .build();
         let mut handle = runtime.handle();
         for i in 0..10_000usize {
@@ -233,29 +231,26 @@ mod enabled {
         }
         drop(handle);
         runtime.drain();
-        let telemetry = runtime.telemetry();
-        let events = telemetry.drain_trace();
-        assert!(!events.is_empty(), "a contended run must trace");
-        for pair in events.windows(2) {
-            assert!(
-                pair[0].timestamp_ns <= pair[1].timestamp_ns,
-                "drained trace must be time-ordered"
-            );
-        }
+        let text = runtime.telemetry().prometheus();
+        let stats = MetricsSnapshot::from_prometheus(&text)
+            .expect("exposition must parse")
+            .buffer_stats;
+        assert!(stats.privatized > 0, "first touches privatize");
         assert!(
-            events.iter().any(|e| e.kind == TraceKind::Privatize),
-            "first touches privatize"
-        );
-        assert!(
-            events.iter().any(|e| e.kind == TraceKind::Evict),
+            stats.evictions > 0,
             "capacity 2 over 32 lines evicts on second touches"
         );
         assert!(
-            !events.iter().any(|e| e.kind == TraceKind::HeldBypass),
-            "nothing reads, and admission bypasses are not traced"
+            stats.admission_bypasses > 0,
+            "a first touch of a full window is not admitted"
         );
-        let snap = telemetry.metrics();
-        assert!(snap.trace_recorded >= events.len() as u64);
+        assert_eq!(stats.held_bypasses, 0, "nothing reads, so nothing holds");
+        assert!(stats.evictions <= stats.privatized, "{stats:?}");
+        assert!(
+            text.lines()
+                .any(|l| l == "coup_trace_events_dropped_total 0"),
+            "the pinned family is exported, at 0"
+        );
         let _ = runtime.shutdown();
     }
 
@@ -296,7 +291,6 @@ mod enabled {
         assert_eq!(on.0.updates, off.0.updates);
         // The kill switch silences the registry-backed series...
         assert_eq!(off.0.metrics.occupancy.count(), 0);
-        assert_eq!(off.0.metrics.trace_recorded, 0);
         assert_eq!(off.0.metrics.read_cost, ReadCost::default());
         // ...but the backend-native counters still flow.
         assert!(off.0.metrics.buffer_stats.privatized > 0);
@@ -358,7 +352,6 @@ mod disabled {
         // Registry-backed series are zero by construction...
         assert_eq!(report.metrics.occupancy.count(), 0);
         assert_eq!(report.metrics.batch_size.count(), 0);
-        assert_eq!(report.metrics.trace_recorded, 0);
         assert_eq!(report.metrics.read_cost, ReadCost::default());
         // ...backend-native counters still flow (they predate telemetry).
         assert!(report.metrics.buffer_stats.privatized > 0);
@@ -382,7 +375,6 @@ mod disabled {
         let snap = runtime.metrics();
         assert_eq!(snap.updates_submitted, 10_000);
         assert_eq!(snap.updates_applied, 10_000);
-        assert!(runtime.telemetry().drain_trace().is_empty());
         let _ = runtime.shutdown();
     }
 }
