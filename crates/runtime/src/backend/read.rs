@@ -8,6 +8,10 @@ use crate::store::LaneSlot;
 use crate::sync::atomic::{fence, Ordering};
 use crate::sync::hint::spin_loop;
 
+/// Writers a reduction pass locates in its small scratch list; a line with
+/// more active writers takes the pass sized for [`MAX_COUP_THREADS`].
+const FEW_WRITERS: usize = 4;
+
 impl CoupBackend {
     /// One optimistic reduction pass over `slot`'s line: snapshot the writer
     /// bitmap, locate each named writer's slot and sample its epoch, fold the
@@ -35,13 +39,33 @@ impl CoupBackend {
     /// which implies the swap emptied the slot within the same odd-epoch
     /// window the validation rejects).
     fn try_reduce(&self, slot: LaneSlot, index: usize, cost: &mut ReadCost) -> Option<u64> {
+        // ord: writer-bitmap
+        let writers = self.line_meta[slot.line].writers.load(Ordering::Acquire);
+        // The list of located slots is sized by the writer count, not by
+        // MAX_COUP_THREADS: zeroing a 64-entry list (1.5 KB) on every pass
+        // cost a cold read more than the reduction it served.
+        if writers.count_ones() as usize <= FEW_WRITERS {
+            self.reduce_pass::<FEW_WRITERS>(slot, index, writers, cost)
+        } else {
+            self.reduce_pass::<MAX_COUP_THREADS>(slot, index, writers, cost)
+        }
+    }
+
+    /// The pass itself, over the `writers` bitmap [`CoupBackend::try_reduce`]
+    /// loaded, with room to locate `N ≥ writers.count_ones()` slots.
+    #[inline]
+    fn reduce_pass<const N: usize>(
+        &self,
+        slot: LaneSlot,
+        index: usize,
+        writers: u64,
+        cost: &mut ReadCost,
+    ) -> Option<u64> {
         let op = self.store.op();
         let identity = op.identity_lane();
         let meta = &self.line_meta[slot.line];
-        // ord: writer-bitmap
-        let writers = meta.writers.load(Ordering::Acquire);
         // (thread, slot index, sampled epoch) of each located writer slot.
-        let mut located = [(0usize, 0usize, 0u64); MAX_COUP_THREADS];
+        let mut located = [(0usize, 0usize, 0u64); N];
         let mut n = 0usize;
         let mut bits = writers;
         while bits != 0 {

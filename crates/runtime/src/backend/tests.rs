@@ -446,6 +446,24 @@ fn read_cost_tracks_active_writers_not_threads() {
     assert_eq!(b.read_cost().buffer_words - before, 2);
 }
 
+/// A pass locates its writers in a list sized by the writer count: four
+/// fit the small list, five and up take the one sized for every worker.
+/// Both sides of that split, and its edges, fold every writer exactly once.
+#[test]
+fn reads_fold_every_writer_on_both_sides_of_the_scratch_split() {
+    for writers in [0usize, 1, 4, 5, MAX_COUP_THREADS] {
+        let b = ambient_backend(CommutativeOp::AddU64, 8, MAX_COUP_THREADS);
+        for t in 0..writers {
+            b.update(t, 2, t as u64 + 1);
+        }
+        let want = (writers * (writers + 1) / 2) as u64;
+        assert_eq!(b.read(0, 2), want, "{writers} writers");
+        #[cfg(feature = "telemetry")]
+        assert_eq!(b.read_cost().buffer_words, writers as u64);
+        assert_eq!(b.read_escalated(2), want, "{writers} writers, held");
+    }
+}
+
 /// The kill switch's promise: a disabled registry changes no read's
 /// value and tallies nothing; the backend-native buffer counters flow.
 #[test]

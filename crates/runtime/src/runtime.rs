@@ -168,8 +168,8 @@ impl Shared {
 
     fn read(&self, lane: usize) -> u64 {
         self.handle_reads.fetch_add(1, Ordering::Relaxed);
-        // usize::MAX lands in the backend's shared out-of-band cost slot —
-        // handle readers are not workers and own no counter block.
+        // usize::MAX lands in the registry's extra block, which every
+        // handle reader shares and no worker writes.
         self.backend.read(usize::MAX, lane)
     }
 

@@ -4,13 +4,13 @@
 //! the Prometheus text exporter.
 //!
 //! The registry holds one cache-line-aligned block of atomic histograms per
-//! worker. Hot-path sites in the backend and the runtime bump their own
-//! block with relaxed atomics — no locks, no sharing except for block 0,
-//! which doubles as the clamp target for out-of-range recorders (external
-//! producer threads doing synchronous handle reads). Reading is a per-worker
-//! sum with no stop-the-world: [`MetricsSnapshot`] is assembled any time by
-//! folding the blocks, so every counter in it is individually monotone
-//! between observations.
+//! worker, plus one more that every out-of-range recorder (external
+//! producer threads doing synchronous handle reads) shares. Hot-path sites
+//! in the backend and the runtime bump their own block with relaxed atomics
+//! — no locks, and no line a worker and an external reader both write.
+//! Reading is a per-worker sum with no stop-the-world: [`MetricsSnapshot`]
+//! is assembled any time by folding the blocks, so every counter in it is
+//! individually monotone between observations.
 //!
 //! With the `telemetry` cargo feature disabled the registry allocates
 //! nothing and every recording call is an empty inline function — the
@@ -176,8 +176,9 @@ pub struct MetricsSnapshot {
     /// Always 0: the runtime records no event trace. Kept, with its
     /// exported family, only because existing scrapers read it by name.
     pub trace_dropped: u64,
-    /// Read-path cost (reads, folded words, retries, escalations), derived
-    /// from the registry's read histograms — zero with telemetry off.
+    /// Read-path cost (reads, folded words, retries, escalations): reads and
+    /// words derived from the read-width histogram, retries and escalations
+    /// counted — zero with telemetry off.
     pub read_cost: ReadCost,
     /// Merged buffer life-cycle counters (privatizations, evictions,
     /// flushes, held and admission bypasses), backend-native: they flow
@@ -185,8 +186,6 @@ pub struct MetricsSnapshot {
     pub buffer_stats: BufferStats,
     /// Buffer words folded per synchronous read.
     pub read_width: HistogramSnapshot,
-    /// Validation retries burned per synchronous read.
-    pub read_retries: HistogramSnapshot,
     /// Microseconds each popped batch spent queued.
     pub queue_dwell_us: HistogramSnapshot,
     /// Operations per popped batch.
@@ -306,18 +305,13 @@ const COUNTER_META: &[MetaRow<u64>] = &[
 ];
 
 /// Number of distinct histogram series a [`MetricsSnapshot`] carries.
-pub const HIST_COUNT: usize = 7;
+pub const HIST_COUNT: usize = 6;
 
 /// One row per histogram: the histogram counterpart of [`COUNTER_META`].
 const HIST_META: [MetaRow<HistogramSnapshot>; HIST_COUNT] = [
     ("coup_read_width", "Buffer words folded per read.", |m| {
         &mut m.read_width
     }),
-    (
-        "coup_read_retries_per_read",
-        "Validation retries per read.",
-        |m| &mut m.read_retries,
-    ),
     (
         "coup_queue_dwell_microseconds",
         "Microseconds a batch spent queued before a drainer popped it.",
@@ -351,10 +345,10 @@ impl MetricsSnapshot {
     }
 
     /// Every histogram the snapshot carries, paired with its metric name, in
-    /// a fixed order (`coup_read_width`, `coup_read_retries_per_read`,
-    /// `coup_queue_dwell_microseconds`, `coup_batch_size`,
-    /// `coup_buffer_occupancy`, `coup_flush_words`, `coup_staleness`) — for
-    /// callers that iterate the series uniformly instead of naming fields.
+    /// a fixed order (`coup_read_width`, `coup_queue_dwell_microseconds`,
+    /// `coup_batch_size`, `coup_buffer_occupancy`, `coup_flush_words`,
+    /// `coup_staleness`) — for callers that iterate the series uniformly
+    /// instead of naming fields.
     #[must_use]
     pub fn histograms(&self) -> [(&'static str, HistogramSnapshot); HIST_COUNT] {
         let mut copy = *self;

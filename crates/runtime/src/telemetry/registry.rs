@@ -17,8 +17,8 @@ mod registry_impl {
     use crate::telemetry::{bucket_index, HistogramSnapshot, HIST_BUCKETS};
 
     /// A histogram of relaxed atomics; recording is `leading_zeros` plus two
-    /// relaxed `fetch_add`s (RMW rather than plain store only because block
-    /// 0 is shared with clamped out-of-range recorders).
+    /// relaxed `fetch_add`s (RMW rather than plain store only because the
+    /// last block is shared by every out-of-range recorder).
     #[derive(Default)]
     pub(crate) struct AtomicHistogram {
         buckets: [AtomicU64; HIST_BUCKETS],
@@ -48,12 +48,12 @@ mod registry_impl {
     #[repr(align(64))]
     pub(crate) struct WorkerBlock {
         pub(crate) read_width: AtomicHistogram,
-        pub(crate) read_retries: AtomicHistogram,
         pub(crate) queue_dwell_us: AtomicHistogram,
         pub(crate) batch_size: AtomicHistogram,
         pub(crate) occupancy: AtomicHistogram,
         pub(crate) flush_words: AtomicHistogram,
         pub(crate) staleness: AtomicHistogram,
+        pub(crate) read_retries: AtomicU64,
         pub(crate) read_escalations: AtomicU64,
         pub(crate) queue_parks: AtomicU64,
         pub(crate) queue_unparks: AtomicU64,
@@ -64,24 +64,20 @@ mod registry_impl {
     }
 
     impl Inner {
+        /// One block per worker plus one for everyone else.
         pub(crate) fn new(workers: usize) -> Self {
-            let workers = workers.max(1);
             Inner {
-                blocks: (0..workers).map(|_| WorkerBlock::default()).collect(),
+                blocks: (0..=workers).map(|_| WorkerBlock::default()).collect(),
             }
         }
 
         /// The one identity rule: worker `w` records into block `w`; any
         /// out-of-range recorder (external handle readers pass
-        /// `usize::MAX`) clamps onto block 0.
+        /// `usize::MAX`) clamps onto the extra last block, so a producer's
+        /// read tallies never share a worker's lines.
         #[inline]
         pub(crate) fn block(&self, worker: usize) -> &WorkerBlock {
-            let index = if worker < self.blocks.len() {
-                worker
-            } else {
-                0
-            };
-            &self.blocks[index]
+            &self.blocks[worker.min(self.blocks.len() - 1)]
         }
     }
 }
@@ -96,7 +92,7 @@ mod registry_impl {
 pub struct TelemetryRegistry {
     anchor: Instant,
     #[cfg(feature = "telemetry")]
-    inner: Option<registry_impl::Inner>,
+    pub(super) inner: Option<registry_impl::Inner>,
 }
 
 impl std::fmt::Debug for TelemetryRegistry {
@@ -108,8 +104,9 @@ impl std::fmt::Debug for TelemetryRegistry {
 }
 
 impl TelemetryRegistry {
-    /// Builds a registry with one padded counter block per worker (nothing
-    /// at all when `config` is disabled).
+    /// Builds a registry with one padded counter block per worker and one
+    /// for out-of-range recorders (nothing at all when `config` is
+    /// disabled).
     pub fn new(workers: usize, config: TelemetryConfig) -> Self {
         #[cfg(not(feature = "telemetry"))]
         let _ = (workers, config);
@@ -142,14 +139,19 @@ impl TelemetryRegistry {
 
     /// Records one synchronous read — the only place a read is tallied: the
     /// buffer words it folded, the validation retries it burned, whether it
-    /// escalated. [`MetricsSnapshot::read_cost`] is derived from these.
+    /// escalated. [`MetricsSnapshot::read_cost`] is derived from these. A
+    /// read that neither retried nor escalated costs the width record's two
+    /// RMWs and nothing more: retries and escalations are plain counters,
+    /// bumped only when nonzero.
     #[inline]
     pub(crate) fn record_read(&self, worker: usize, width: u64, retries: u64, escalations: u64) {
         #[cfg(feature = "telemetry")]
         if let Some(inner) = &self.inner {
             let block = inner.block(worker);
             block.read_width.record(width);
-            block.read_retries.record(retries);
+            if retries != 0 {
+                block.read_retries.fetch_add(retries, Ordering::Relaxed);
+            }
             if escalations != 0 {
                 block
                     .read_escalations
@@ -239,7 +241,8 @@ impl TelemetryRegistry {
 
     /// Folds the registry's own counters (read cost, histograms, parks,
     /// uptime) into `snap`; the caller supplies the buffer and
-    /// queue counters. `read_cost` is derived from the two read histograms.
+    /// queue counters. `read_cost`'s reads and words are derived from the
+    /// read-width histogram.
     pub(crate) fn fill(&self, snap: &mut MetricsSnapshot) {
         snap.uptime_ns = self.uptime_ns();
         #[cfg(feature = "telemetry")]
@@ -248,8 +251,8 @@ impl TelemetryRegistry {
                 // Escalations before the buckets: a read bumps its buckets
                 // first, so `escalations <= reads` holds for a live observer.
                 snap.read_cost.escalations += block.read_escalations.load(Ordering::Relaxed);
+                snap.read_cost.retries += block.read_retries.load(Ordering::Relaxed);
                 snap.read_width.merge(&block.read_width.snapshot());
-                snap.read_retries.merge(&block.read_retries.snapshot());
                 snap.queue_dwell_us.merge(&block.queue_dwell_us.snapshot());
                 snap.batch_size.merge(&block.batch_size.snapshot());
                 snap.occupancy.merge(&block.occupancy.snapshot());
@@ -260,7 +263,6 @@ impl TelemetryRegistry {
             }
             snap.read_cost.reads = snap.read_width.count();
             snap.read_cost.buffer_words = snap.read_width.sum;
-            snap.read_cost.retries = snap.read_retries.sum;
         }
     }
 }

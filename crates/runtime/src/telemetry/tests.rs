@@ -145,7 +145,7 @@ fn registry_folds_per_worker_blocks() {
     assert!(registry.is_enabled());
     registry.record_read(0, 3, 1, 1);
     registry.record_read(2, 5, 0, 0);
-    registry.record_read(usize::MAX, 2, 0, 0); // clamps onto block 0
+    registry.record_read(usize::MAX, 2, 4, 0); // clamps onto the extra block
     registry.record_queue_pop(1, 256, 12);
     registry.record_occupancy(3, 7);
     registry.record_flush_words(2, 9);
@@ -155,12 +155,11 @@ fn registry_folds_per_worker_blocks() {
     registry.fill(&mut snap);
     assert_eq!(snap.read_width.count(), 3);
     assert_eq!(snap.read_width.sum, 10);
-    assert_eq!(snap.read_retries.count(), 3);
-    assert_eq!(snap.read_retries.sum, 1);
-    // Read cost is derived from the two read histograms.
+    // Reads and words derive from the width histogram; retries and
+    // escalations are counters.
     assert_eq!(snap.read_cost.reads, 3);
     assert_eq!(snap.read_cost.buffer_words, 10);
-    assert_eq!(snap.read_cost.retries, 1);
+    assert_eq!(snap.read_cost.retries, 5);
     assert_eq!(snap.read_cost.escalations, 1);
     assert_eq!(snap.batch_size.count(), 1);
     assert_eq!(snap.queue_dwell_us.sum, 12);
@@ -170,6 +169,22 @@ fn registry_folds_per_worker_blocks() {
     assert_eq!(snap.queue_unparks, 1);
     assert!(snap.uptime_ns > 0);
     assert_eq!(snap.trace_dropped, 0, "no event trace, nothing dropped");
+}
+
+#[cfg(feature = "telemetry")]
+#[test]
+fn out_of_range_recorders_share_a_block_no_worker_writes() {
+    let registry = TelemetryRegistry::new(2, TelemetryConfig::default());
+    let inner = registry.inner.as_ref().expect("enabled");
+    assert_eq!(inner.blocks.len(), 3, "two workers plus the extra block");
+    registry.record_read(usize::MAX, 1, 0, 0);
+    registry.record_read(2, 1, 0, 0);
+    let widths: Vec<u64> = inner
+        .blocks
+        .iter()
+        .map(|block| block.read_width.snapshot().count())
+        .collect();
+    assert_eq!(widths, [0, 0, 2], "worker blocks stay untouched");
 }
 
 #[cfg(feature = "telemetry")]

@@ -264,8 +264,10 @@ mod enabled {
         let report = run_contended(&runtime, 2, &spec);
         let result = runtime.shutdown();
         let snap = result.report.metrics;
-        // Every backend read records exactly one width and one retry sample.
-        assert_eq!(snap.read_width.count(), snap.read_retries.count());
+        // Every handle read records exactly one width sample, and nothing
+        // else (snapshots, drains) records one.
+        assert_eq!(snap.read_width.count(), snap.handle_reads);
+        assert!(snap.read_cost.escalations <= snap.read_cost.reads);
         // Every popped batch records exactly one size and one dwell sample,
         // and, quiesced, their ops sum to the applied counter.
         assert_eq!(snap.batch_size.count(), snap.queue_dwell_us.count());
