@@ -21,7 +21,7 @@
 //!    local mirror. Because the words are read between two barriers, all
 //!    threads observe identical bits, derive the identical next frontier,
 //!    and therefore execute the same number of barriers — the phase-count
-//!    contract dynamic kernels must uphold.
+//!    contract of [`UpdateKernel`] for programs that branch on reads.
 //!
 //! The derived frontier sequence *is* the BFS level structure, so thread 0
 //! records it ([`BfsKernel::take_observed_distances`]) and tests compare the
@@ -43,9 +43,7 @@ use crate::synth::Graph;
 /// The BFS workload.
 #[derive(Debug, Clone)]
 pub struct BfsWorkload {
-    /// Shared so the (owned, `'static`) kernel programs can stream the CSR
-    /// arrays instead of copying a graph per thread.
-    graph: Arc<Graph>,
+    graph: Graph,
     root: usize,
     /// Vertices of each BFS level (root level included), precomputed as the
     /// sequential reference.
@@ -57,12 +55,7 @@ impl BfsWorkload {
     /// vertex 0.
     #[must_use]
     pub fn new(vertices: usize, avg_degree: usize, seed: u64) -> Self {
-        Self::over(Arc::new(Graph::power_law(vertices, avg_degree, seed)))
-    }
-
-    /// Builds a BFS workload over an existing graph, rooted at vertex 0.
-    #[must_use]
-    pub fn over(graph: Arc<Graph>) -> Self {
+        let graph = Graph::power_law(vertices, avg_degree, seed);
         let root = 0;
         let levels = Self::reference_levels(&graph, root);
         BfsWorkload {
@@ -177,7 +170,7 @@ impl BfsKernel<'_> {
     }
 }
 
-impl UpdateKernel for BfsKernel<'_> {
+impl<'a> UpdateKernel<'a> for BfsKernel<'a> {
     fn name(&self) -> &'static str {
         "bfs"
     }
@@ -196,18 +189,14 @@ impl UpdateKernel for BfsKernel<'_> {
         regions::BITMAP
     }
 
-    fn steps(&self, _thread: usize, _threads: usize) -> Vec<KernelStep> {
-        unreachable!("bfs is a dynamic kernel; executors drive it through program()")
-    }
-
-    fn program(&self, thread: usize, threads: usize) -> Option<Box<dyn KernelProgram>> {
-        Some(Box::new(BfsLevelProgram::new(
-            Arc::clone(&self.workload.graph),
+    fn program(&self, thread: usize, threads: usize) -> Box<dyn KernelProgram + 'a> {
+        Box::new(BfsLevelProgram::new(
+            &self.workload.graph,
             self.workload.root,
             thread,
             threads,
             (thread == 0).then(|| Arc::clone(&self.observed)),
-        )))
+        ))
     }
 
     fn expected(&self, _threads: usize) -> Vec<u64> {
@@ -248,8 +237,8 @@ enum Stage {
 /// One thread of the level-synchronous BFS: expands its share of the current
 /// frontier, then re-derives the (globally identical) next frontier from
 /// post-barrier bitmap reads.
-struct BfsLevelProgram {
-    graph: Arc<Graph>,
+struct BfsLevelProgram<'a> {
+    graph: &'a Graph,
     thread: usize,
     threads: usize,
     /// Mirror of the visited bitmap as of the last derive phase.
@@ -275,9 +264,9 @@ struct BfsLevelProgram {
     next_frontier: Vec<usize>,
 }
 
-impl BfsLevelProgram {
+impl<'a> BfsLevelProgram<'a> {
     fn new(
-        graph: Arc<Graph>,
+        graph: &'a Graph,
         root: usize,
         thread: usize,
         threads: usize,
@@ -340,7 +329,7 @@ impl BfsLevelProgram {
     }
 }
 
-impl KernelProgram for BfsLevelProgram {
+impl KernelProgram for BfsLevelProgram<'_> {
     fn next(&mut self, last_read: Option<u64>) -> Option<KernelStep> {
         loop {
             match self.stage {

@@ -18,7 +18,7 @@ use coup_sim::config::CORES_PER_CHIP;
 use coup_sim::memsys::MemorySystem;
 use coup_sim::op::{BoxedProgram, ThreadOp};
 
-use crate::kernel::{sim_programs, KernelStep, UpdateKernel};
+use crate::kernel::{sim_programs, KernelProgram, KernelStep, KernelWorkload, UpdateKernel};
 use crate::layout::{regions, ArrayLayout};
 use crate::runner::Workload;
 use crate::synth::Image;
@@ -109,7 +109,7 @@ pub struct HistKernel<'a> {
     workload: &'a HistWorkload,
 }
 
-impl UpdateKernel for HistKernel<'_> {
+impl<'a> UpdateKernel<'a> for HistKernel<'a> {
     fn name(&self) -> &'static str {
         "hist"
     }
@@ -127,18 +127,18 @@ impl UpdateKernel for HistKernel<'_> {
         4
     }
 
-    fn steps(&self, thread: usize, threads: usize) -> Vec<KernelStep> {
+    fn program(&self, thread: usize, threads: usize) -> Box<dyn KernelProgram + 'a> {
         let w = self.workload;
-        let mut steps = Vec::new();
-        for i in w.slice_for(thread, threads) {
-            steps.push(KernelStep::LoadInput { index: i });
-            steps.push(KernelStep::Compute(2));
-            steps.push(KernelStep::Update {
-                slot: w.image.pixels[i] as usize,
-                value: 1,
-            });
-        }
-        steps
+        Box::new(w.slice_for(thread, threads).flat_map(move |i| {
+            [
+                KernelStep::LoadInput { index: i },
+                KernelStep::Compute(2),
+                KernelStep::Update {
+                    slot: w.image.pixels[i] as usize,
+                    value: 1,
+                },
+            ]
+        }))
     }
 
     fn expected(&self, _threads: usize) -> Vec<u64> {
@@ -239,16 +239,9 @@ impl Workload for HistWorkload {
             .collect()
     }
 
-    fn verify(&self, mem: &MemorySystem, _threads: usize) -> Result<(), String> {
-        let reference = self.image.reference_histogram();
-        for (bin, &want) in reference.iter().enumerate() {
-            let word = mem.peek(self.bins.word_addr(bin));
-            let got = self.bins.extract(bin, word);
-            if got != want {
-                return Err(format!("bin {bin}: got {got}, expected {want}"));
-            }
-        }
-        Ok(())
+    fn verify(&self, mem: &MemorySystem, threads: usize) -> Result<(), String> {
+        // Every scheme ends with the whole histogram in the kernel's bins.
+        KernelWorkload::new(&self.kernel()).verify(mem, threads)
     }
 }
 

@@ -1,7 +1,7 @@
 //! Backend-neutral workload kernels.
 //!
 //! A [`UpdateKernel`] describes a workload's scattered-update phase
-//! abstractly: a per-thread script of [`KernelStep`]s over a logical array of
+//! abstractly: a per-thread program of [`KernelStep`]s over a logical array of
 //! `slots` lanes, plus the sequential reference result. The *same* kernel
 //! then drives two very different executors through [`ExecutionBackend`]:
 //!
@@ -20,16 +20,18 @@
 //! [`sim_programs`], so the simulator path and the real-hardware path
 //! execute one definition of each workload.
 //!
-//! Two kinds of kernel share the contract:
-//!
-//! * **Static** kernels emit a script fixed by `(thread, threads)`
-//!   ([`UpdateKernel::steps`] / [`UpdateKernel::for_each_step`]). Multi-phase
-//!   static kernels (delayed refcount's update → scan epochs) separate their
-//!   phases with [`KernelStep::Barrier`]s.
-//! * **Dynamic** kernels ([`UpdateKernel::program`]) decide each step from
-//!   the values earlier [`KernelStep::Read`]s returned — level-synchronous
-//!   BFS derives every level's frontier from bitmap words read between two
-//!   barriers, where no update can be in flight.
+//! A kernel's work has one shape, [`UpdateKernel::program`]: a
+//! [`KernelProgram`] that yields the thread's next step, given the value the
+//! previous read returned. A kernel whose script is fixed by
+//! `(thread, threads)` returns an `Iterator<Item = KernelStep>`, which is a
+//! program that ignores that value: hist, pgrank and spmv stream straight
+//! from their input arrays, and delayed refcount separates its epochs'
+//! update and scan phases with [`KernelStep::Barrier`]s. A kernel whose
+//! control flow depends on what it reads keeps a state machine of its own:
+//! level-synchronous BFS derives every level's frontier from bitmap words
+//! read between two barriers, where no update can be in flight. Each
+//! executor therefore has one driver loop, and `KernelLayouts::lower` is
+//! the one `KernelStep` → `ThreadOp` match.
 //!
 //! Verification is pluggable per kernel ([`UpdateKernel::tolerance`]):
 //! integer and bitwise kernels compare bit-exactly, while floating-point
@@ -39,7 +41,7 @@
 use coup_protocol::ops::CommutativeOp;
 use coup_runtime::{BufferConfig, Merge, RuntimeBuilder, TelemetryConfig};
 use coup_sim::config::SystemConfig;
-use coup_sim::op::{BoxedProgram, ScriptedProgram, ThreadOp};
+use coup_sim::op::{BoxedProgram, ThreadOp};
 use coup_sim::stats::RunStats;
 
 use crate::layout::{regions, ArrayLayout};
@@ -141,14 +143,9 @@ impl Tolerance {
 }
 
 /// A per-thread instruction stream over abstract [`KernelStep`]s whose
-/// control flow may depend on the values earlier reads returned — the
-/// *dynamic* (multi-phase) generalisation of the static
-/// [`UpdateKernel::steps`] script, mirroring the simulator's
-/// [`coup_sim::op::ThreadProgram`] one level up.
-///
-/// Programs are owned (`'static`): a program that needs the kernel's input
-/// data shares it (e.g. via `Arc`) instead of borrowing, so executors can
-/// hold programs without pinning the kernel's lifetime.
+/// control flow may depend on the values earlier reads returned, mirroring
+/// the simulator's [`coup_sim::op::ThreadProgram`] one level up. Every
+/// `Iterator<Item = KernelStep>` is one that never looks at those values.
 pub trait KernelProgram: Send {
     /// The thread's next step, or `None` once its work is complete.
     ///
@@ -159,27 +156,35 @@ pub trait KernelProgram: Send {
     fn next(&mut self, last_read: Option<u64>) -> Option<KernelStep>;
 }
 
+impl<I: Iterator<Item = KernelStep> + Send> KernelProgram for I {
+    fn next(&mut self, _last_read: Option<u64>) -> Option<KernelStep> {
+        Iterator::next(self)
+    }
+}
+
 /// A workload's scattered-update phase, described independently of the
 /// executor.
 ///
 /// # Contract
 ///
-/// * `steps(t, n)` / [`UpdateKernel::for_each_step`] must be deterministic in
-///   `(t, n)`; a *dynamic* kernel supplies [`UpdateKernel::program`] instead
-///   and executors never touch its (unimplemented) static script.
-/// * Every thread's script must contain the *same number* of
+/// * `program(t, n)` must be deterministic in `(t, n)` and the values its
+///   reads return.
+/// * Every thread's program must emit the *same number* of
 ///   [`KernelStep::Barrier`]s (real barriers block until all threads
-///   arrive). Dynamic kernels must *derive* the same phase count on every
-///   thread: any read feeding a control-flow decision must happen strictly
-///   between two barriers, where no update is in flight, so all threads
-///   observe identical lanes and reach identical decisions.
+///   arrive). A program whose control flow depends on reads must *derive*
+///   the same phase count on every thread: any read feeding a control-flow
+///   decision must happen strictly between two barriers, where no update is
+///   in flight, so all threads observe identical lanes and reach identical
+///   decisions.
 /// * `expected(n)` is the per-lane result (raw lane bits) of applying every
 ///   update of every thread sequentially to a zeroed array, compared under
 ///   [`UpdateKernel::tolerance`].
 ///
-/// Kernels are `Sync` because [`RuntimeBackend`] streams each worker's script
-/// on that worker's own OS thread.
-pub trait UpdateKernel: Sync {
+/// Kernels are `Sync` because [`RuntimeBackend`] builds each worker's program
+/// on that worker's own OS thread. `'a` is the lifetime of the input data a
+/// program may borrow: a workload's kernel is a short-lived wrapper, and its
+/// programs outlive it.
+pub trait UpdateKernel<'a>: Sync {
     /// Short name for reports.
     fn name(&self) -> &'static str;
 
@@ -226,40 +231,27 @@ pub trait UpdateKernel: Sync {
         Tolerance::Exact
     }
 
-    /// Thread `thread`'s *dynamic* program, for kernels whose control flow
-    /// depends on read values (e.g. level-synchronous BFS deriving each
-    /// frontier from bitmap reads). `Some` makes every executor drive the
-    /// program interactively — feeding each [`KernelStep::Read`] /
-    /// [`KernelStep::UpdateRead`] result into the next
-    /// [`KernelProgram::next`] call — and ignore the static script entirely.
-    /// Static kernels keep the default `None` and are driven through the
-    /// streaming [`UpdateKernel::for_each_step`] path.
-    fn program(&self, thread: usize, threads: usize) -> Option<Box<dyn KernelProgram>> {
-        let _ = (thread, threads);
-        None
-    }
+    /// Thread `thread`'s program, for a run of `threads` threads. Every
+    /// executor drives it the same way: it executes each step and feeds the
+    /// lane value a [`KernelStep::Read`] or [`KernelStep::UpdateRead`]
+    /// returned into the next [`KernelProgram::next`] call. Programs
+    /// generate their steps on the fly (pgrank at millions of vertices emits
+    /// one step per edge), so no executor ever holds a script, only the
+    /// kernel's own input data.
+    fn program(&self, thread: usize, threads: usize) -> Box<dyn KernelProgram + 'a>;
 
-    /// Thread `thread`'s script, for a run of `threads` threads.
-    fn steps(&self, thread: usize, threads: usize) -> Vec<KernelStep>;
-
-    /// Streams thread `thread`'s script to `f` in order, without
-    /// materialising it. The default collects [`UpdateKernel::steps`];
-    /// kernels whose scripts are huge (pgrank at millions of vertices emits
-    /// one step per edge) override this to generate steps on the fly, which
-    /// is what keeps multi-million-line runs within memory: the runtime
-    /// executor never holds a script, only the kernel's own input data.
-    fn for_each_step(&self, thread: usize, threads: usize, f: &mut dyn FnMut(KernelStep)) {
-        for step in self.steps(thread, threads) {
-            f(step);
-        }
+    /// Thread `thread`'s script: its program run to completion with no read
+    /// values fed back. Only meaningful for a program that ignores them.
+    fn steps(&self, thread: usize, threads: usize) -> Vec<KernelStep> {
+        let mut program = self.program(thread, threads);
+        std::iter::from_fn(|| program.next(None)).collect()
     }
 
     /// The sequential reference result for a run of `threads` threads.
     fn expected(&self, threads: usize) -> Vec<u64>;
 }
 
-/// The simulated-address-space layouts of a kernel's arrays, shared by the
-/// static and dynamic lowering paths.
+/// The simulated-address-space layouts of a kernel's arrays.
 #[derive(Debug, Clone, Copy)]
 struct KernelLayouts {
     op: CommutativeOp,
@@ -269,7 +261,7 @@ struct KernelLayouts {
 }
 
 impl KernelLayouts {
-    fn of<K: UpdateKernel + ?Sized>(kernel: &K) -> Self {
+    fn of<'a, K: UpdateKernel<'a> + ?Sized>(kernel: &K) -> Self {
         let op = kernel.op();
         KernelLayouts {
             op,
@@ -280,7 +272,7 @@ impl KernelLayouts {
     }
 
     /// Lowers one abstract step onto the simulator: the op to issue, what the
-    /// value it returns means to a dynamic program, and — for the one step
+    /// value it returns means to the kernel program, and — for the one step
     /// with no single-op form, a [`KernelStep::UpdateRead`] without `rmw` —
     /// the load that follows it.
     fn lower(
@@ -333,31 +325,26 @@ impl KernelLayouts {
 /// [`KernelStep::UpdateRead`] for free — mirroring how `lock xadd` returns
 /// the value.
 ///
-/// Static kernels lower to owned [`ScriptedProgram`]s; dynamic kernels
-/// ([`UpdateKernel::program`]) are wrapped in an adapter that feeds each
-/// simulated load's value back into the kernel program, so check-then-act
-/// decisions see the *simulated* memory contents.
+/// Each thread's program is wrapped in an adapter that lowers its steps as
+/// the machine asks for them and feeds each simulated load's value back into
+/// it, so check-then-act decisions see the *simulated* memory contents.
 #[must_use]
-pub fn sim_programs<K: UpdateKernel + ?Sized>(
+pub fn sim_programs<'a, K: UpdateKernel<'a> + ?Sized>(
     kernel: &K,
     threads: usize,
     rmw: bool,
-) -> Vec<BoxedProgram<'static>> {
+) -> Vec<BoxedProgram<'a>> {
     let layouts = KernelLayouts::of(kernel);
     (0..threads)
         .map(|t| {
-            if let Some(program) = kernel.program(t, threads) {
-                return Box::new(KernelSimProgram::new(program, layouts, rmw))
-                    as BoxedProgram<'static>;
-            }
-            let mut ops = Vec::new();
-            kernel.for_each_step(t, threads, &mut |step| {
-                let (op, _, then) = layouts.lower(rmw, step);
-                ops.push(op);
-                ops.extend(then.map(|(load, _)| load));
-            });
-            ops.push(ThreadOp::Done);
-            Box::new(ScriptedProgram::new(ops)) as BoxedProgram<'static>
+            Box::new(KernelSimProgram {
+                program: kernel.program(t, threads),
+                layouts,
+                rmw,
+                pending: None,
+                feedback: Feedback::Ignore,
+                done: false,
+            }) as BoxedProgram<'a>
         })
         .collect()
 }
@@ -386,12 +373,11 @@ enum Feedback {
     },
 }
 
-/// Adapter driving a dynamic [`KernelProgram`] as a simulator
-/// [`coup_sim::op::ThreadProgram`]: lowers each abstract step exactly like
-/// the static path and routes every relevant loaded value back into the
-/// kernel program.
-struct KernelSimProgram {
-    program: Box<dyn KernelProgram>,
+/// Adapter driving a [`KernelProgram`] as a simulator
+/// [`coup_sim::op::ThreadProgram`]: lowers each abstract step and routes
+/// every relevant loaded value back into the kernel program.
+struct KernelSimProgram<'a> {
+    program: Box<dyn KernelProgram + 'a>,
     layouts: KernelLayouts,
     rmw: bool,
     /// Op queued by a step that lowers to two simulator ops (the non-rmw
@@ -402,20 +388,7 @@ struct KernelSimProgram {
     done: bool,
 }
 
-impl KernelSimProgram {
-    fn new(program: Box<dyn KernelProgram>, layouts: KernelLayouts, rmw: bool) -> Self {
-        KernelSimProgram {
-            program,
-            layouts,
-            rmw,
-            pending: None,
-            feedback: Feedback::Ignore,
-            done: false,
-        }
-    }
-}
-
-impl coup_sim::op::ThreadProgram for KernelSimProgram {
+impl coup_sim::op::ThreadProgram for KernelSimProgram<'_> {
     fn next(&mut self, last_value: Option<u64>) -> ThreadOp {
         let fed = match std::mem::replace(&mut self.feedback, Feedback::Ignore) {
             Feedback::Ignore => None,
@@ -448,14 +421,42 @@ impl coup_sim::op::ThreadProgram for KernelSimProgram {
     }
 }
 
+/// Checks an executed result against `kernel.expected(threads)` under the
+/// kernel's [`Tolerance`]: the executor holds `held` lanes (`holder` says
+/// whose count that is), `lane(slot)` is one of them, and `who` prefixes a
+/// mismatch.
+fn verify_lanes<'a, K: UpdateKernel<'a> + ?Sized>(
+    kernel: &K,
+    threads: usize,
+    (held, holder): (usize, &str),
+    who: &str,
+    lane: impl Fn(usize) -> u64,
+) -> Result<(), String> {
+    let expected = kernel.expected(threads);
+    if expected.len() != held {
+        return Err(format!(
+            "{}: expected() covers {} slots but {holder} {held}",
+            kernel.name(),
+            expected.len(),
+        ));
+    }
+    let tolerance = kernel.tolerance();
+    for (slot, &want) in expected.iter().enumerate() {
+        if let Some(mismatch) = tolerance.mismatch(lane(slot), want) {
+            return Err(format!("{who}: slot {slot} {mismatch}"));
+        }
+    }
+    Ok(())
+}
+
 /// Adapter running any [`UpdateKernel`] as a simulator [`Workload`].
 #[derive(Debug, Clone, Copy)]
-pub struct KernelWorkload<'a, K: UpdateKernel + ?Sized> {
+pub struct KernelWorkload<'a, K: ?Sized> {
     kernel: &'a K,
     rmw: bool,
 }
 
-impl<'a, K: UpdateKernel + ?Sized> KernelWorkload<'a, K> {
+impl<'a, K: ?Sized> KernelWorkload<'a, K> {
     /// Wraps `kernel`, lowering updates as COUP commutative updates.
     #[must_use]
     pub fn new(kernel: &'a K) -> Self {
@@ -469,7 +470,7 @@ impl<'a, K: UpdateKernel + ?Sized> KernelWorkload<'a, K> {
     }
 }
 
-impl<K: UpdateKernel + ?Sized> Workload for KernelWorkload<'_, K> {
+impl<'a, 'k: 'a, K: UpdateKernel<'k> + ?Sized> Workload for KernelWorkload<'a, K> {
     fn name(&self) -> &'static str {
         self.kernel.name()
     }
@@ -489,25 +490,14 @@ impl<K: UpdateKernel + ?Sized> Workload for KernelWorkload<'_, K> {
     }
 
     fn verify(&self, mem: &coup_sim::memsys::MemorySystem, threads: usize) -> Result<(), String> {
-        let op = self.kernel.op();
-        let output = ArrayLayout::new(self.kernel.output_region(), op.width().bytes() as u64);
-        let expected = self.kernel.expected(threads);
-        if expected.len() != self.kernel.slots() {
-            return Err(format!(
-                "{}: expected() covers {} slots but the kernel declares {}",
-                self.name(),
-                expected.len(),
-                self.kernel.slots()
-            ));
-        }
-        let tolerance = self.kernel.tolerance();
-        for (slot, &want) in expected.iter().enumerate() {
-            let got = output.extract(slot, mem.peek(output.word_addr(slot)));
-            if let Some(mismatch) = tolerance.mismatch(got, want) {
-                return Err(format!("{}: slot {slot} {mismatch}", self.name()));
-            }
-        }
-        Ok(())
+        let output = KernelLayouts::of(self.kernel).output;
+        verify_lanes(
+            self.kernel,
+            threads,
+            (self.kernel.slots(), "the kernel declares"),
+            self.kernel.name(),
+            |slot| output.extract(slot, mem.peek(output.word_addr(slot))),
+        )
     }
 }
 
@@ -524,7 +514,7 @@ pub trait ExecutionBackend {
     /// Returns a description of the first discrepancy between the executed
     /// result and `kernel.expected()` — which would indicate a lost or
     /// duplicated update.
-    fn execute(&self, kernel: &dyn UpdateKernel) -> Result<Self::Report, String>;
+    fn execute(&self, kernel: &dyn UpdateKernel<'_>) -> Result<Self::Report, String>;
 }
 
 /// The timing-simulator executor.
@@ -551,7 +541,7 @@ impl SimBackend {
 impl ExecutionBackend for SimBackend {
     type Report = RunStats;
 
-    fn execute(&self, kernel: &dyn UpdateKernel) -> Result<RunStats, String> {
+    fn execute(&self, kernel: &dyn UpdateKernel<'_>) -> Result<RunStats, String> {
         if self.rmw {
             run_workload(self.cfg, &KernelWorkload::with_rmw(kernel))
         } else {
@@ -626,8 +616,7 @@ impl RuntimeBackend {
     }
 
     /// The runtime builder this executor configures for `kernel`.
-    #[must_use]
-    pub fn builder(&self, kernel: &dyn UpdateKernel) -> RuntimeBuilder {
+    fn builder(&self, kernel: &dyn UpdateKernel<'_>) -> RuntimeBuilder {
         let mut builder = RuntimeBuilder::new(kernel.op(), kernel.slots())
             .backend(self.kind)
             .workers(self.threads);
@@ -706,28 +695,21 @@ impl RuntimeBackend {
     /// As [`ExecutionBackend::execute`].
     pub fn execute_with_snapshot(
         &self,
-        kernel: &dyn UpdateKernel,
+        kernel: &dyn UpdateKernel<'_>,
     ) -> Result<(RuntimeReport, Vec<u64>), String> {
         let runtime = self.builder(kernel).build();
         let before = runtime.metrics();
-        // Static kernels *stream* their script straight from the kernel
-        // (`for_each_step`) instead of materialising a Vec of steps: a
-        // multi-million-vertex pgrank scatter emits one step per edge, and
-        // holding those scripts would dwarf the backend itself. Dynamic
-        // kernels are driven interactively, each worker feeding its own
-        // program the lane values its reads return. Both backends pay the
-        // same generation cost, so ratios stay fair.
+        // Each worker drives its own program, generating steps as it goes
+        // (holding a multi-million-vertex pgrank scatter's one step per edge
+        // would dwarf the backend itself) and feeding back the lane values
+        // its reads return. Both backends pay the same generation cost, so
+        // ratios stay fair.
         let (counts, elapsed) = runtime.run_workers(|ctx| {
             let mut counts = WorkerCounts::default();
-            if let Some(mut program) = kernel.program(ctx.worker(), ctx.workers()) {
-                let mut last_read = None;
-                while let Some(step) = program.next(last_read.take()) {
-                    last_read = counts.apply(&ctx, step);
-                }
-            } else {
-                kernel.for_each_step(ctx.worker(), ctx.workers(), &mut |step| {
-                    counts.apply(&ctx, step);
-                });
+            let mut program = kernel.program(ctx.worker(), ctx.workers());
+            let mut last_read = None;
+            while let Some(step) = program.next(last_read) {
+                last_read = counts.apply(&ctx, step);
             }
             counts.checksum = std::hint::black_box(counts.checksum);
             counts
@@ -735,25 +717,13 @@ impl RuntimeBackend {
         let metrics = runtime.metrics().since(&before);
         let backend_name = runtime.backend_name();
         let snapshot = runtime.shutdown().snapshot;
-        let expected = kernel.expected(self.threads);
-        if expected.len() != snapshot.len() {
-            return Err(format!(
-                "{}: expected() covers {} slots but the backend holds {}",
-                kernel.name(),
-                expected.len(),
-                snapshot.len()
-            ));
-        }
-        let tolerance = kernel.tolerance();
-        for (slot, (&got, &want)) in snapshot.iter().zip(expected.iter()).enumerate() {
-            if let Some(mismatch) = tolerance.mismatch(got, want) {
-                return Err(format!(
-                    "{} on {}: slot {slot} {mismatch}",
-                    kernel.name(),
-                    backend_name
-                ));
-            }
-        }
+        verify_lanes(
+            kernel,
+            self.threads,
+            (snapshot.len(), "the backend holds"),
+            &format!("{} on {backend_name}", kernel.name()),
+            |slot| snapshot[slot],
+        )?;
         let mut totals = WorkerCounts::default();
         for counts in &counts {
             totals.merge(counts);
@@ -772,385 +742,10 @@ impl RuntimeBackend {
 impl ExecutionBackend for RuntimeBackend {
     type Report = RuntimeReport;
 
-    fn execute(&self, kernel: &dyn UpdateKernel) -> Result<RuntimeReport, String> {
+    fn execute(&self, kernel: &dyn UpdateKernel<'_>) -> Result<RuntimeReport, String> {
         self.execute_with_snapshot(kernel).map(|(report, _)| report)
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use coup_protocol::state::ProtocolKind;
-
-    /// Minimal kernel: every thread adds 1 to every slot `rounds` times, with
-    /// one barrier and a read pass at the end.
-    struct CounterKernel {
-        slots: usize,
-        rounds: usize,
-    }
-
-    impl UpdateKernel for CounterKernel {
-        fn name(&self) -> &'static str {
-            "counter-kernel"
-        }
-        fn op(&self) -> CommutativeOp {
-            CommutativeOp::AddU64
-        }
-        fn slots(&self) -> usize {
-            self.slots
-        }
-        fn steps(&self, _thread: usize, _threads: usize) -> Vec<KernelStep> {
-            let mut steps = Vec::new();
-            for _ in 0..self.rounds {
-                for slot in 0..self.slots {
-                    steps.push(KernelStep::Update { slot, value: 1 });
-                }
-            }
-            steps.push(KernelStep::Barrier);
-            for slot in 0..self.slots {
-                steps.push(KernelStep::Read { slot });
-            }
-            steps
-        }
-        fn expected(&self, threads: usize) -> Vec<u64> {
-            vec![(threads * self.rounds) as u64; self.slots]
-        }
-    }
-
-    #[test]
-    fn sim_backend_runs_and_verifies_kernels() {
-        let kernel = CounterKernel {
-            slots: 6,
-            rounds: 10,
-        };
-        for protocol in [ProtocolKind::Mesi, ProtocolKind::Meusi] {
-            let stats = SimBackend::new(SystemConfig::test_system(4, protocol))
-                .execute(&kernel)
-                .expect("kernel verifies in the simulator");
-            assert_eq!(stats.commutative_updates, 4 * 6 * 10);
-        }
-        let stats = SimBackend::with_rmw(SystemConfig::test_system(4, ProtocolKind::Mesi))
-            .execute(&kernel)
-            .expect("rmw lowering verifies");
-        assert_eq!(
-            stats.commutative_updates, 0,
-            "rmw lowering issues no COUP updates"
-        );
-    }
-
-    #[test]
-    fn runtime_backends_run_and_verify_kernels() {
-        let kernel = CounterKernel {
-            slots: 6,
-            rounds: 50,
-        };
-        for kind in [RuntimeKind::Atomic, RuntimeKind::Coup] {
-            let report = RuntimeBackend::new(kind, 4)
-                .execute(&kernel)
-                .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
-            assert_eq!(report.updates, 4 * 6 * 50);
-            assert_eq!(report.reads, 4 * 6);
-            assert!(report.mops() > 0.0);
-        }
-    }
-
-    #[test]
-    fn runtime_detects_wrong_expectations() {
-        struct LyingKernel;
-        impl UpdateKernel for LyingKernel {
-            fn name(&self) -> &'static str {
-                "liar"
-            }
-            fn op(&self) -> CommutativeOp {
-                CommutativeOp::AddU64
-            }
-            fn slots(&self) -> usize {
-                1
-            }
-            fn steps(&self, _t: usize, _n: usize) -> Vec<KernelStep> {
-                vec![KernelStep::Update { slot: 0, value: 1 }]
-            }
-            fn expected(&self, _threads: usize) -> Vec<u64> {
-                vec![999]
-            }
-        }
-        let err = RuntimeBackend::new(RuntimeKind::Coup, 2)
-            .execute(&LyingKernel)
-            .unwrap_err();
-        assert!(err.contains("expected exactly 999"), "got: {err}");
-    }
-
-    #[test]
-    fn tolerance_exact_flags_any_difference() {
-        assert!(Tolerance::Exact.mismatch(5, 5).is_none());
-        let msg = Tolerance::Exact.mismatch(5, 6).expect("5 != 6");
-        assert!(msg.contains("expected exactly 6"), "got: {msg}");
-    }
-
-    #[test]
-    fn tolerance_relative_accepts_ulp_noise_and_rejects_lost_updates() {
-        let tol = Tolerance::RelativeF64 {
-            rel: 1e-9,
-            abs: 1e-9,
-        };
-        let want = 1000.0f64;
-        let close = want + want * 1e-12;
-        assert!(tol.mismatch(close.to_bits(), want.to_bits()).is_none());
-        // Near zero the absolute floor applies.
-        assert!(tol.mismatch(1e-12f64.to_bits(), 0.0f64.to_bits()).is_none());
-        // A whole missing contribution is far outside the bound.
-        let lost = want - 1.5;
-        let msg = tol
-            .mismatch(lost.to_bits(), want.to_bits())
-            .expect("a lost update must not hide in the tolerance");
-        assert!(msg.contains("expected 1000"), "got: {msg}");
-        // NaN never passes (the comparison is written not-less-or-equal).
-        assert!(tol.mismatch(f64::NAN.to_bits(), want.to_bits()).is_some());
-    }
-
-    /// A dynamic kernel: every thread adds 1 to lane 0, barriers, reads the
-    /// total (all threads must see `threads` — the derivation pattern of
-    /// level-synchronous BFS), and echoes the observed value into lane 1.
-    struct DynamicTotalKernel;
-
-    struct DynamicTotalProgram {
-        threads: usize,
-        stage: usize,
-    }
-
-    impl KernelProgram for DynamicTotalProgram {
-        fn next(&mut self, last_read: Option<u64>) -> Option<KernelStep> {
-            self.stage += 1;
-            match self.stage {
-                1 => Some(KernelStep::Update { slot: 0, value: 1 }),
-                2 => Some(KernelStep::Barrier),
-                3 => Some(KernelStep::Read { slot: 0 }),
-                4 => {
-                    let seen = last_read.expect("a Read feeds the next step");
-                    assert_eq!(
-                        seen, self.threads as u64,
-                        "post-barrier read must see every thread's update"
-                    );
-                    Some(KernelStep::Update {
-                        slot: 1,
-                        value: seen,
-                    })
-                }
-                _ => None,
-            }
-        }
-    }
-
-    impl UpdateKernel for DynamicTotalKernel {
-        fn name(&self) -> &'static str {
-            "dyn-total"
-        }
-        fn op(&self) -> CommutativeOp {
-            CommutativeOp::AddU64
-        }
-        fn slots(&self) -> usize {
-            2
-        }
-        fn steps(&self, _t: usize, _n: usize) -> Vec<KernelStep> {
-            unreachable!("dynamic kernels are driven through program()")
-        }
-        fn program(&self, _thread: usize, threads: usize) -> Option<Box<dyn KernelProgram>> {
-            Some(Box::new(DynamicTotalProgram { threads, stage: 0 }))
-        }
-        fn expected(&self, threads: usize) -> Vec<u64> {
-            let n = threads as u64;
-            vec![n, n * n]
-        }
-    }
-
-    #[test]
-    fn dynamic_programs_feed_read_values_on_every_executor() {
-        let kernel = DynamicTotalKernel;
-        for protocol in [ProtocolKind::Mesi, ProtocolKind::Meusi] {
-            SimBackend::new(SystemConfig::test_system(4, protocol))
-                .execute(&kernel)
-                .unwrap_or_else(|e| panic!("sim/{protocol}: {e}"));
-        }
-        SimBackend::with_rmw(SystemConfig::test_system(4, ProtocolKind::Mesi))
-            .execute(&kernel)
-            .expect("sim/rmw");
-        for kind in [RuntimeKind::Atomic, RuntimeKind::Coup] {
-            let report = RuntimeBackend::new(kind, 4)
-                .execute(&kernel)
-                .unwrap_or_else(|e| panic!("runtime/{kind:?}: {e}"));
-            assert_eq!(report.updates, 8, "{kind:?}");
-            assert_eq!(report.reads, 4, "{kind:?}");
-        }
-    }
-
-    /// A dynamic kernel exercising [`KernelStep::UpdateRead`] feedback: the
-    /// program applies a fetch-add and must observe the *new* value on every
-    /// executor (the simulator's RMW returns the old word and the adapter
-    /// normalises it).
-    struct DynamicFetchAddKernel;
-
-    struct DynamicFetchAddProgram {
-        stage: usize,
-    }
-
-    impl KernelProgram for DynamicFetchAddProgram {
-        fn next(&mut self, last_read: Option<u64>) -> Option<KernelStep> {
-            self.stage += 1;
-            match self.stage {
-                1 => Some(KernelStep::UpdateRead { slot: 0, value: 7 }),
-                2 => {
-                    let seen = last_read.expect("UpdateRead feeds the next step");
-                    assert_eq!(seen, 7, "the fetch-op returns the new value");
-                    Some(KernelStep::Update {
-                        slot: 0,
-                        value: seen,
-                    })
-                }
-                _ => None,
-            }
-        }
-    }
-
-    impl UpdateKernel for DynamicFetchAddKernel {
-        fn name(&self) -> &'static str {
-            "dyn-fetch-add"
-        }
-        fn op(&self) -> CommutativeOp {
-            CommutativeOp::AddU64
-        }
-        fn slots(&self) -> usize {
-            1
-        }
-        fn steps(&self, _t: usize, _n: usize) -> Vec<KernelStep> {
-            unreachable!("dynamic kernels are driven through program()")
-        }
-        fn program(&self, _thread: usize, _threads: usize) -> Option<Box<dyn KernelProgram>> {
-            Some(Box::new(DynamicFetchAddProgram { stage: 0 }))
-        }
-        fn expected(&self, _threads: usize) -> Vec<u64> {
-            vec![14]
-        }
-    }
-
-    #[test]
-    fn dynamic_update_read_returns_the_new_value_on_every_executor() {
-        let kernel = DynamicFetchAddKernel;
-        SimBackend::new(SystemConfig::test_system(1, ProtocolKind::Meusi))
-            .execute(&kernel)
-            .expect("sim/coup lowering");
-        SimBackend::with_rmw(SystemConfig::test_system(1, ProtocolKind::Mesi))
-            .execute(&kernel)
-            .expect("sim/rmw lowering");
-        for kind in [RuntimeKind::Atomic, RuntimeKind::Coup] {
-            RuntimeBackend::new(kind, 1)
-                .execute(&kernel)
-                .unwrap_or_else(|e| panic!("runtime/{kind:?}: {e}"));
-        }
-    }
-
-    #[test]
-    fn static_and_dynamic_lowerings_emit_the_same_thread_ops() {
-        /// Every `KernelStep` variant, over 4-byte lanes so an element's
-        /// address and its containing word's differ.
-        const SCRIPT: [KernelStep; 7] = [
-            KernelStep::LoadInput { index: 3 },
-            KernelStep::LoadAux { index: 5 },
-            KernelStep::Compute(9),
-            KernelStep::Update { slot: 1, value: 2 },
-            KernelStep::UpdateRead { slot: 3, value: 4 },
-            KernelStep::Read { slot: 1 },
-            KernelStep::Barrier,
-        ];
-
-        /// `SCRIPT` as a static kernel, or replayed step by step by a
-        /// dynamic program.
-        struct ScriptKernel {
-            dynamic: bool,
-        }
-        struct Replay(std::array::IntoIter<KernelStep, 7>);
-        impl KernelProgram for Replay {
-            fn next(&mut self, _last_read: Option<u64>) -> Option<KernelStep> {
-                self.0.next()
-            }
-        }
-        impl UpdateKernel for ScriptKernel {
-            fn name(&self) -> &'static str {
-                "script"
-            }
-            fn op(&self) -> CommutativeOp {
-                CommutativeOp::AddU32
-            }
-            fn slots(&self) -> usize {
-                4
-            }
-            fn steps(&self, _t: usize, _n: usize) -> Vec<KernelStep> {
-                SCRIPT.to_vec()
-            }
-            fn program(&self, _t: usize, _n: usize) -> Option<Box<dyn KernelProgram>> {
-                self.dynamic
-                    .then(|| Box::new(Replay(SCRIPT.into_iter())) as Box<dyn KernelProgram>)
-            }
-            fn expected(&self, _threads: usize) -> Vec<u64> {
-                unreachable!("lowered, never run")
-            }
-        }
-
-        // Drives a lowered program the way the machine does: a value after
-        // every load and rmw, `None` after anything else.
-        let lowered = |dynamic, rmw| {
-            let mut program = sim_programs(&ScriptKernel { dynamic }, 1, rmw).remove(0);
-            let mut ops = Vec::new();
-            let mut last_value = None;
-            while ops.last() != Some(&ThreadOp::Done) {
-                let op = program.next(last_value);
-                let returns_value =
-                    matches!(op, ThreadOp::Load { .. } | ThreadOp::AtomicRmw { .. });
-                last_value = returns_value.then_some(0);
-                ops.push(op);
-            }
-            ops
-        };
-        for rmw in [false, true] {
-            let ops = lowered(false, rmw);
-            assert_eq!(ops, lowered(true, rmw), "rmw = {rmw}");
-            // Seven steps and `Done`; only an rmw serves `UpdateRead` in one op.
-            assert_eq!(ops.len(), if rmw { 8 } else { 9 });
-        }
-    }
-
-    #[test]
-    fn update_read_lowers_to_one_rmw_or_update_plus_load() {
-        struct DecKernel;
-        impl UpdateKernel for DecKernel {
-            fn name(&self) -> &'static str {
-                "dec"
-            }
-            fn op(&self) -> CommutativeOp {
-                CommutativeOp::AddU64
-            }
-            fn slots(&self) -> usize {
-                1
-            }
-            fn steps(&self, _t: usize, _n: usize) -> Vec<KernelStep> {
-                vec![
-                    KernelStep::Update { slot: 0, value: 5 },
-                    KernelStep::UpdateRead {
-                        slot: 0,
-                        value: (-2i64) as u64,
-                    },
-                ]
-            }
-            fn expected(&self, threads: usize) -> Vec<u64> {
-                vec![3 * threads as u64]
-            }
-        }
-        let coup = SimBackend::new(SystemConfig::test_system(2, ProtocolKind::Meusi));
-        let rmw = SimBackend::with_rmw(SystemConfig::test_system(2, ProtocolKind::Mesi));
-        coup.execute(&DecKernel).expect("coup lowering");
-        rmw.execute(&DecKernel).expect("rmw lowering");
-        let report = RuntimeBackend::new(RuntimeKind::Atomic, 2)
-            .execute(&DecKernel)
-            .unwrap();
-        assert_eq!((report.updates, report.reads), (4, 2));
-    }
-}
+mod tests;

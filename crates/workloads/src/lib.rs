@@ -21,11 +21,12 @@
 //! both `refcount` schemes) exposes a backend-neutral
 //! [`kernel::UpdateKernel`], so one workload definition drives both the
 //! timing simulator and the real-hardware `coup-runtime` engine through the
-//! [`kernel::ExecutionBackend`] trait — see [`kernel`]. The kernel contract
-//! spans static streamed scripts (`hist`, `pgrank`, `spmv`), multi-phase
-//! barrier-separated epochs (delayed `refcount`), *dynamic* programs whose
-//! control flow depends on executed reads (level-synchronous `bfs`), and
-//! pluggable verification tolerances (`spmv`'s order-sensitive f64 adds).
+//! [`kernel::ExecutionBackend`] trait — see [`kernel`]. Every kernel is a
+//! per-thread program: a streamed iterator (`hist`, `pgrank`, `spmv`,
+//! immediate `refcount`), barrier-separated epochs (delayed `refcount`), or a
+//! state machine whose control flow depends on executed reads
+//! (level-synchronous `bfs`); verification tolerances are pluggable
+//! (`spmv`'s order-sensitive f64 adds).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -10,7 +10,7 @@ use coup_protocol::ops::CommutativeOp;
 use coup_sim::memsys::MemorySystem;
 use coup_sim::op::BoxedProgram;
 
-use crate::kernel::{sim_programs, KernelStep, KernelWorkload, UpdateKernel};
+use crate::kernel::{sim_programs, KernelProgram, KernelStep, KernelWorkload, UpdateKernel};
 use crate::layout::{regions, ArrayLayout};
 use crate::runner::Workload;
 use crate::synth::Graph;
@@ -103,7 +103,7 @@ pub struct PageRankKernel<'a> {
     workload: &'a PageRankWorkload,
 }
 
-impl UpdateKernel for PageRankKernel<'_> {
+impl<'a> UpdateKernel<'a> for PageRankKernel<'a> {
     fn name(&self) -> &'static str {
         "pgrank"
     }
@@ -116,40 +116,32 @@ impl UpdateKernel for PageRankKernel<'_> {
         self.workload.graph.vertices
     }
 
-    fn steps(&self, thread: usize, threads: usize) -> Vec<KernelStep> {
-        let mut steps = Vec::new();
-        self.for_each_step(thread, threads, &mut |step| steps.push(step));
-        steps
-    }
-
     /// Streams the scatter without materialising it: one step per edge is
     /// far too many to hold in memory at multi-million-vertex scale, and the
     /// graph's CSR arrays already *are* the script. This is what lets the
     /// real-hardware executor run pgrank over ≥1M-line stores in bounded
     /// memory alongside the capacity-bounded privatized buffers.
-    fn for_each_step(&self, thread: usize, threads: usize, f: &mut dyn FnMut(KernelStep)) {
+    fn program(&self, thread: usize, threads: usize) -> Box<dyn KernelProgram + 'a> {
         let w = self.workload;
         let initial = w.initial_rank();
-        for _iter in 0..w.iterations {
-            for u in w.vertices_for(thread, threads) {
-                let out = w.graph.neighbours(u);
-                if out.is_empty() {
-                    continue;
-                }
-                f(KernelStep::LoadInput { index: u });
-                f(KernelStep::Compute(4));
-                let share = initial / out.len() as u64;
-                for &v in out {
-                    f(KernelStep::Update {
-                        slot: v,
-                        value: share,
-                    });
-                }
-            }
-            // Iteration boundary: all threads synchronise before the next
-            // scatter phase, as real implementations do.
-            f(KernelStep::Barrier);
-        }
+        let scatter = move |u| {
+            let out = w.graph.neighbours(u);
+            let share = initial / out.len() as u64;
+            [KernelStep::LoadInput { index: u }, KernelStep::Compute(4)]
+                .into_iter()
+                .chain(out.iter().map(move |&v| KernelStep::Update {
+                    slot: v,
+                    value: share,
+                }))
+        };
+        Box::new((0..w.iterations).flat_map(move |_| {
+            w.vertices_for(thread, threads)
+                .filter(|&u| !w.graph.neighbours(u).is_empty())
+                .flat_map(scatter)
+                // Iteration boundary: all threads synchronise before the
+                // next scatter phase, as real implementations do.
+                .chain([KernelStep::Barrier])
+        }))
     }
 
     fn expected(&self, _threads: usize) -> Vec<u64> {

@@ -24,7 +24,7 @@ use coup_protocol::ops::CommutativeOp;
 use coup_sim::memsys::MemorySystem;
 use coup_sim::op::{BoxedProgram, ThreadOp, ThreadProgram};
 
-use crate::kernel::{sim_programs, KernelStep, UpdateKernel};
+use crate::kernel::{sim_programs, KernelProgram, KernelStep, KernelWorkload, UpdateKernel};
 use crate::layout::{regions, ArrayLayout};
 use crate::runner::Workload;
 
@@ -56,7 +56,6 @@ pub struct ImmediateRefcount {
     high_count: bool,
     scheme: RefcountScheme,
     seed: u64,
-    counter_layout: ArrayLayout,
     snzi_layout: ArrayLayout,
 }
 
@@ -77,7 +76,6 @@ impl ImmediateRefcount {
             high_count,
             scheme,
             seed,
-            counter_layout: ArrayLayout::new(regions::COUNTERS, 8),
             snzi_layout: ArrayLayout::new(regions::SHARED_OUTPUT, 8),
         }
     }
@@ -88,35 +86,33 @@ impl ImmediateRefcount {
         self.scheme
     }
 
-    /// Replays thread `t`'s decision sequence: which counter it touches and
-    /// whether it increments, for every operation. Decisions depend only on
-    /// the thread's RNG and its locally-held reference counts, so they can be
-    /// replayed on the host for verification.
-    fn decisions(&self, thread: usize, threads: usize) -> Vec<(usize, bool)> {
-        let _ = threads;
+    /// Generates thread `t`'s decision sequence: which counter it touches
+    /// and whether it increments, for every operation. Decisions depend only
+    /// on the thread's RNG and its locally-held reference counts, so they can
+    /// be replayed on the host for verification.
+    fn decisions(&self, thread: usize) -> impl Iterator<Item = (usize, bool)> + Send {
         let mut rng = StdRng::seed_from_u64(self.seed ^ (thread as u64).wrapping_mul(0x9E37_79B9));
-        let mut held = vec![0usize; self.counters];
-        let max_held = if self.high_count { HIGH_COUNT_MAX } else { 1 };
-        let mut out = Vec::with_capacity(self.updates_per_thread);
-        for _ in 0..self.updates_per_thread {
-            let c = rng.gen_range(0..self.counters);
-            let inc = if self.high_count {
+        let (counters, high_count) = (self.counters, self.high_count);
+        let mut held = vec![0usize; counters];
+        let max_held = if high_count { HIGH_COUNT_MAX } else { 1 };
+        (0..self.updates_per_thread).map(move |_| {
+            let c = rng.gen_range(0..counters);
+            let inc = if high_count {
                 rng.gen_bool(HIGH_COUNT_INC_PROB[held[c].min(HIGH_COUNT_MAX)])
             } else {
                 held[c] == 0
             };
             if inc && held[c] < max_held {
                 held[c] += 1;
-                out.push((c, true));
+                (c, true)
             } else if held[c] > 0 {
                 held[c] -= 1;
-                out.push((c, false));
+                (c, false)
             } else {
-                out.push((c, true));
                 held[c] += 1;
+                (c, true)
             }
-        }
-        out
+        })
     }
 
     /// Expected final value of every counter (sum of references still held by
@@ -124,27 +120,22 @@ impl ImmediateRefcount {
     fn expected_counts(&self, threads: usize) -> Vec<i64> {
         let mut totals = vec![0i64; self.counters];
         for t in 0..threads {
-            for (c, inc) in self.decisions(t, threads) {
+            for (c, inc) in self.decisions(t) {
                 totals[c] += if inc { 1 } else { -1 };
             }
         }
         totals
     }
 
-    /// SNZI tree geometry: a heap-ordered binary tree with `leaves` leaves.
-    fn snzi_nodes(leaves: usize) -> usize {
-        2 * leaves.next_power_of_two() - 1
-    }
-
-    /// Address of node `node` of counter `c`'s SNZI tree.
-    fn snzi_node_addr(&self, c: usize, node: usize, threads: usize) -> u64 {
-        let nodes = Self::snzi_nodes(threads);
-        self.snzi_layout.addr(c * nodes + node)
-    }
-
-    /// Leaf node index for a thread in a tree with `threads` leaves.
-    fn snzi_leaf_node(thread: usize, threads: usize) -> usize {
-        threads.next_power_of_two() - 1 + thread
+    /// Thread `thread`'s place in the per-counter SNZI trees: heap-ordered
+    /// binary trees with one leaf per thread.
+    fn snzi(&self, thread: usize, threads: usize) -> SnziGeometry {
+        let leaves = threads.next_power_of_two();
+        SnziGeometry {
+            layout: self.snzi_layout,
+            leaf: leaves - 1 + thread,
+            nodes: 2 * leaves - 1,
+        }
     }
 
     /// The XADD/COUP flat-counter variants as a backend-neutral
@@ -166,7 +157,7 @@ pub struct ImmediateKernel<'a> {
     workload: &'a ImmediateRefcount,
 }
 
-impl UpdateKernel for ImmediateKernel<'_> {
+impl<'a> UpdateKernel<'a> for ImmediateKernel<'a> {
     fn name(&self) -> &'static str {
         "refcount-immediate"
     }
@@ -185,25 +176,21 @@ impl UpdateKernel for ImmediateKernel<'_> {
         regions::COUNTERS
     }
 
-    fn steps(&self, thread: usize, threads: usize) -> Vec<KernelStep> {
-        self.workload
-            .decisions(thread, threads)
-            .into_iter()
-            .map(|(counter, inc)| {
-                if inc {
-                    KernelStep::Update {
-                        slot: counter,
-                        value: 1,
-                    }
-                } else {
-                    // Decrement-and-read: the deallocation zero check.
-                    KernelStep::UpdateRead {
-                        slot: counter,
-                        value: (-1i64) as u64,
-                    }
+    fn program(&self, thread: usize, _threads: usize) -> Box<dyn KernelProgram + 'a> {
+        Box::new(self.workload.decisions(thread).map(|(counter, inc)| {
+            if inc {
+                KernelStep::Update {
+                    slot: counter,
+                    value: 1,
                 }
-            })
-            .collect()
+            } else {
+                // Decrement-and-read: the deallocation zero check.
+                KernelStep::UpdateRead {
+                    slot: counter,
+                    value: (-1i64) as u64,
+                }
+            }
+        }))
     }
 
     fn expected(&self, threads: usize) -> Vec<u64> {
@@ -242,39 +229,27 @@ impl Workload for ImmediateRefcount {
         }
         (0..threads)
             .map(|t| {
-                let decisions = self.decisions(t, threads);
                 Box::new(SnziProgram {
-                    decisions,
-                    next: 0,
+                    decisions: self.decisions(t),
                     pending: Vec::new(),
-                    snzi: SnziGeometry {
-                        layout: self.snzi_layout,
-                        threads,
-                        leaf: Self::snzi_leaf_node(t, threads),
-                        nodes: Self::snzi_nodes(threads),
-                    },
+                    snzi: self.snzi(t, threads),
                 }) as BoxedProgram<'_>
             })
             .collect()
     }
 
     fn verify(&self, mem: &MemorySystem, threads: usize) -> Result<(), String> {
-        let expect = self.expected_counts(threads);
-        for (c, &want) in expect.iter().enumerate() {
-            let got = match self.scheme {
-                RefcountScheme::Xadd | RefcountScheme::Coup => {
-                    mem.peek(self.counter_layout.addr(c)) as i64
-                }
-                RefcountScheme::Snzi => {
-                    // The true count is the sum of the leaves.
-                    let mut sum = 0i64;
-                    for t in 0..threads {
-                        let leaf = Self::snzi_leaf_node(t, threads);
-                        sum += mem.peek(self.snzi_node_addr(c, leaf, threads)) as i64;
-                    }
-                    sum
-                }
-            };
+        if self.scheme != RefcountScheme::Snzi {
+            return KernelWorkload::new(&self.kernel()).verify(mem, threads);
+        }
+        for (c, &want) in self.expected_counts(threads).iter().enumerate() {
+            // The true count is the sum of the leaves.
+            let got: i64 = (0..threads)
+                .map(|t| {
+                    let tree = self.snzi(t, threads);
+                    mem.peek(tree.node_addr(c, tree.leaf)) as i64
+                })
+                .sum();
             if got != want {
                 return Err(format!("counter {c}: got {got}, expected {want}"));
             }
@@ -286,14 +261,12 @@ impl Workload for ImmediateRefcount {
 #[derive(Debug, Clone, Copy)]
 struct SnziGeometry {
     layout: ArrayLayout,
-    threads: usize,
     leaf: usize,
     nodes: usize,
 }
 
 impl SnziGeometry {
     fn node_addr(&self, counter: usize, node: usize) -> u64 {
-        let _ = self.threads;
         self.layout.addr(counter * self.nodes + node)
     }
 }
@@ -301,10 +274,8 @@ impl SnziGeometry {
 /// Per-thread state machine for the SNZI scheme of the
 /// immediate-deallocation microbenchmark (the flat-counter schemes lower
 /// through [`ImmediateKernel`] instead).
-#[derive(Debug)]
-struct SnziProgram {
-    decisions: Vec<(usize, bool)>,
-    next: usize,
+struct SnziProgram<D> {
+    decisions: D,
     /// Operations queued by the previous step (propagation decided after
     /// seeing an RMW's return value, or a root zero-check load).
     pending: Vec<PendingOp>,
@@ -325,7 +296,7 @@ enum PendingOp {
     },
 }
 
-impl SnziProgram {
+impl<D> SnziProgram<D> {
     fn emit_update(&mut self, counter: usize, inc: bool) -> ThreadOp {
         let delta_bits = if inc { 1u64 } else { (-1i64) as u64 };
         let node = self.snzi.leaf;
@@ -353,7 +324,7 @@ impl SnziProgram {
     }
 }
 
-impl ThreadProgram for SnziProgram {
+impl<D: Iterator<Item = (usize, bool)>> ThreadProgram for SnziProgram<D> {
     fn next(&mut self, last_value: Option<u64>) -> ThreadOp {
         // Handle queued operations first (propagation, zero checks).
         while let Some(p) = self.pending.first().copied() {
@@ -392,10 +363,9 @@ impl ThreadProgram for SnziProgram {
                 }
             }
         }
-        let Some(&(counter, inc)) = self.decisions.get(self.next) else {
+        let Some((counter, inc)) = self.decisions.next() else {
             return ThreadOp::Done;
         };
-        self.next += 1;
         self.emit_update(counter, inc)
     }
 }
@@ -493,7 +463,7 @@ impl DelayedRefcount {
 }
 
 /// The delayed-deallocation epoch kernel of a [`DelayedRefcount`] — the
-/// repo's first multi-phase *static* kernel. Each epoch runs in two
+/// repo's first multi-phase kernel. Each epoch runs in two
 /// barrier-separated phases:
 ///
 /// 1. **Mutate** — the thread applies its epoch's increments and decrements
@@ -513,7 +483,7 @@ pub struct DelayedKernel<'a> {
     workload: &'a DelayedRefcount,
 }
 
-impl UpdateKernel for DelayedKernel<'_> {
+impl<'a> UpdateKernel<'a> for DelayedKernel<'a> {
     fn name(&self) -> &'static str {
         "refcount-delayed"
     }
@@ -532,32 +502,33 @@ impl UpdateKernel for DelayedKernel<'_> {
         regions::COUNTERS
     }
 
-    fn steps(&self, thread: usize, threads: usize) -> Vec<KernelStep> {
-        let _ = threads;
-        let mut steps = Vec::new();
-        for epoch in self.workload.decisions(thread) {
-            let mut marked: Vec<usize> = epoch.iter().map(|&(c, _)| c).collect();
-            // Mutate phase: buffered adds only.
-            for (c, d) in epoch {
-                steps.push(KernelStep::Update {
-                    slot: c,
-                    value: d as u64,
-                });
-            }
-            // Epoch boundary: every thread's epoch updates are applied.
-            steps.push(KernelStep::Barrier);
-            // Scan phase: deferred zero checks of the counters this thread
-            // marked, each followed by the reclamation decision's compute.
-            marked.sort_unstable();
-            marked.dedup();
-            for c in marked {
-                steps.push(KernelStep::Read { slot: c });
-                steps.push(KernelStep::Compute(2));
-            }
-            // Epoch advance: scans complete before the next epoch mutates.
-            steps.push(KernelStep::Barrier);
-        }
-        steps
+    fn program(&self, thread: usize, _threads: usize) -> Box<dyn KernelProgram + 'a> {
+        Box::new(
+            self.workload
+                .decisions(thread)
+                .into_iter()
+                .flat_map(|epoch| {
+                    let mut marked: Vec<usize> = epoch.iter().map(|&(c, _)| c).collect();
+                    marked.sort_unstable();
+                    marked.dedup();
+                    // Mutate phase: buffered adds only.
+                    let mutate = epoch.into_iter().map(|(c, d)| KernelStep::Update {
+                        slot: c,
+                        value: d as u64,
+                    });
+                    // Scan phase: deferred zero checks of the counters this thread
+                    // marked, each followed by the reclamation decision's compute.
+                    let scan = marked
+                        .into_iter()
+                        .flat_map(|c| [KernelStep::Read { slot: c }, KernelStep::Compute(2)]);
+                    // Epoch boundary: every thread's epoch updates are applied; epoch
+                    // advance: scans complete before the next epoch mutates.
+                    mutate
+                        .chain([KernelStep::Barrier])
+                        .chain(scan)
+                        .chain([KernelStep::Barrier])
+                }),
+        )
     }
 
     fn expected(&self, threads: usize) -> Vec<u64> {
@@ -660,14 +631,7 @@ impl Workload for DelayedRefcount {
     }
 
     fn verify(&self, mem: &MemorySystem, threads: usize) -> Result<(), String> {
-        let expect = self.expected_counts(threads);
-        for (c, &want) in expect.iter().enumerate() {
-            let got = mem.peek(self.counter_layout.addr(c)) as i64;
-            if got != want {
-                return Err(format!("counter {c}: got {got}, expected {want}"));
-            }
-        }
-        Ok(())
+        KernelWorkload::new(&self.kernel()).verify(mem, threads)
     }
 }
 
@@ -759,6 +723,31 @@ mod tests {
     }
 
     #[test]
+    fn immediate_steps_count_what_execute_reports() {
+        // The premise of a benchmark oracle that counts `steps` instead of
+        // trusting the executor's report.
+        use crate::kernel::{ExecutionBackend, RuntimeBackend, RuntimeKind};
+        let w = ImmediateRefcount::new(8, 300, true, RefcountScheme::Coup, 4);
+        let kernel = w.kernel();
+        let steps: Vec<KernelStep> = (0..3).flat_map(|t| kernel.steps(t, 3)).collect();
+        let reads = steps
+            .iter()
+            .filter(|s| matches!(s, KernelStep::UpdateRead { .. }))
+            .count() as u64;
+        let updates = reads
+            + steps
+                .iter()
+                .filter(|s| matches!(s, KernelStep::Update { .. }))
+                .count() as u64;
+        assert_eq!(updates, 3 * 300);
+        assert!(reads > 0);
+        for kind in [RuntimeKind::Atomic, RuntimeKind::Coup] {
+            let report = RuntimeBackend::new(kind, 3).execute(&kernel).unwrap();
+            assert_eq!((report.updates, report.reads), (updates, reads), "{kind:?}");
+        }
+    }
+
+    #[test]
     fn delayed_kernel_epochs_are_barrier_separated() {
         let w = DelayedRefcount::new(16, 2, 10, DelayedScheme::CoupBitmap, 5);
         let kernel = w.kernel();
@@ -796,8 +785,8 @@ mod tests {
     #[test]
     fn decisions_are_deterministic_per_seed() {
         let w = ImmediateRefcount::new(8, 50, true, RefcountScheme::Coup, 42);
-        assert_eq!(w.decisions(1, 4), w.decisions(1, 4));
-        assert_ne!(w.decisions(1, 4), w.decisions(2, 4));
+        assert!(w.decisions(1).eq(w.decisions(1)));
+        assert!(!w.decisions(1).eq(w.decisions(2)));
         assert_eq!(w.scheme(), RefcountScheme::Coup);
         let d = DelayedRefcount::new(16, 2, 10, DelayedScheme::Refcache, 1);
         assert_eq!(d.decisions(0), d.decisions(0));

@@ -81,7 +81,7 @@ pub fn compare_protocols(
 /// Returns an error (prefixed with the failing backend's name) if either
 /// run's verification fails — a lost or duplicated update.
 pub fn compare_runtime_backends(
-    kernel: &dyn UpdateKernel,
+    kernel: &dyn UpdateKernel<'_>,
     threads: usize,
 ) -> Result<(RuntimeReport, RuntimeReport), String> {
     let atomic = RuntimeBackend::new(RuntimeKind::Atomic, threads).execute(kernel)?;

@@ -9,7 +9,9 @@ use coup_protocol::ops::{lanes, CommutativeOp};
 use coup_sim::memsys::MemorySystem;
 use coup_sim::op::BoxedProgram;
 
-use crate::kernel::{sim_programs, KernelStep, KernelWorkload, Tolerance, UpdateKernel};
+use crate::kernel::{
+    sim_programs, KernelProgram, KernelStep, KernelWorkload, Tolerance, UpdateKernel,
+};
 use crate::layout::{regions, ArrayLayout};
 use crate::runner::Workload;
 use crate::synth::CscMatrix;
@@ -76,7 +78,7 @@ pub struct SpmvKernel<'a> {
     workload: &'a SpmvWorkload,
 }
 
-impl UpdateKernel for SpmvKernel<'_> {
+impl<'a> UpdateKernel<'a> for SpmvKernel<'a> {
     fn name(&self) -> &'static str {
         "spmv"
     }
@@ -96,32 +98,28 @@ impl UpdateKernel for SpmvKernel<'_> {
         }
     }
 
-    fn steps(&self, thread: usize, threads: usize) -> Vec<KernelStep> {
-        let mut steps = Vec::new();
-        self.for_each_step(thread, threads, &mut |step| steps.push(step));
-        steps
-    }
-
     /// Streams the scatter without materialising it — the CSC arrays already
-    /// *are* the script, exactly as in pgrank's streaming path.
-    fn for_each_step(&self, thread: usize, threads: usize, f: &mut dyn FnMut(KernelStep)) {
+    /// *are* the script, exactly as in pgrank's program.
+    fn program(&self, thread: usize, threads: usize) -> Box<dyn KernelProgram + 'a> {
         let w = self.workload;
-        for col in w.columns_for(thread, threads) {
+        Box::new(w.columns_for(thread, threads).flat_map(move |col| {
             // Load x[col] once per column.
-            f(KernelStep::LoadInput { index: col });
-            f(KernelStep::Compute(1));
-            for k in w.matrix.col_ptr[col]..w.matrix.col_ptr[col + 1] {
-                let row = w.matrix.row_idx[k];
-                let contribution = w.matrix.values[k] * w.x[col];
-                // Stream the matrix value and scatter-add into y[row].
-                f(KernelStep::LoadAux { index: k });
-                f(KernelStep::Compute(3));
-                f(KernelStep::Update {
-                    slot: row,
-                    value: lanes::f64_to_lane(contribution),
-                });
-            }
-        }
+            let nonzeros = w.matrix.col_ptr[col]..w.matrix.col_ptr[col + 1];
+            [KernelStep::LoadInput { index: col }, KernelStep::Compute(1)]
+                .into_iter()
+                .chain(nonzeros.flat_map(move |k| {
+                    let contribution = w.matrix.values[k] * w.x[col];
+                    // Stream the matrix value and scatter-add into y[row].
+                    [
+                        KernelStep::LoadAux { index: k },
+                        KernelStep::Compute(3),
+                        KernelStep::Update {
+                            slot: w.matrix.row_idx[k],
+                            value: lanes::f64_to_lane(contribution),
+                        },
+                    ]
+                }))
+        }))
     }
 
     fn expected(&self, _threads: usize) -> Vec<u64> {
