@@ -390,9 +390,8 @@ fn the_real_runtime_tree_pairs_the_sharded_submission_tags() {
         // producer's RETIRED store vs. the drainer's state load.
         "shard-claim",
         "shard-retire",
-        // Parker epoch word and the pause gate built on it.
+        // Parker epoch word.
         "queue-wake",
-        "job-pause",
         // Worker applied-count vs. drain()/shutdown() quiescence.
         "drain-quiesce",
     ] {
@@ -403,6 +402,38 @@ fn the_real_runtime_tree_pairs_the_sharded_submission_tags() {
             report.paired_tags
         );
     }
+}
+
+/// The tag in the first cell of each markdown table row among `lines`.
+fn row_tags<'a>(lines: impl Iterator<Item = &'a str>) -> Vec<&'a str> {
+    let mut tags: Vec<&str> = lines
+        .filter_map(|line| line.strip_prefix("| `")?.split_once('`'))
+        .map(|(tag, _)| tag)
+        .collect();
+    tags.sort_unstable();
+    tags
+}
+
+/// ARCHITECTURE.md's hand-kept edge table ("Pairing tags") must have one
+/// row per tag of the generated pairing table: a row left behind after its
+/// edge is deleted, or an edge added without a row, fails here.
+#[test]
+fn the_hand_kept_edge_table_names_exactly_the_generated_tags() {
+    let doc = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ARCHITECTURE.md");
+    let doc = std::fs::read_to_string(doc).expect("ARCHITECTURE.md must be readable");
+    let (_, section) = doc
+        .split_once("### Pairing tags")
+        .expect("ARCHITECTURE.md has no \"Pairing tags\" section");
+    let (hand, _) = section
+        .split_once("<!-- coup-lint:pairing-table:start -->")
+        .expect("the section has no generated pairing table");
+    let generated = render_pairing_table(&runtime_report().site_table());
+    // Past the generated table's two header lines.
+    assert_eq!(
+        row_tags(hand.lines()),
+        row_tags(generated.lines().skip(2)),
+        "ARCHITECTURE.md's edge table (left) vs the generated pairing table (right)"
+    );
 }
 
 /// The static site table over the committed tree: every ordering constant

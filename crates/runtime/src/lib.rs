@@ -13,7 +13,8 @@
 //! cheap, clonable, `Send` handles — the raw [`LaneHandle`] or the typed
 //! [`CounterHandle`] — through which any thread submits updates in batches. Resident workers drain the batches
 //! into per-worker privatized buffers; reads stay synchronous on the calling
-//! thread. [`CoupRuntime::run_workers`] runs worker-style kernels.
+//! thread. [`CoupRuntime::run_workers`] runs worker-style kernels on a
+//! runtime that has not yet handed out a handle.
 //!
 //! The mapping from the protocol onto the runtime:
 //!

@@ -23,9 +23,10 @@
 //! Blocking survives only at the *edges*, futex-style (`ring::Parker`): a
 //! worker whose rings are all empty parks until a publication bumps its
 //! epoch; a producer whose ring is full parks until its worker frees slots.
-//! Resident workers spawn lazily, on the first submission handle — a runtime
-//! used only for [`CoupRuntime::run_workers`] kernels never parks drainers
-//! it will never feed.
+//! Resident workers spawn lazily, on the first submission handle, and own
+//! the worker identities from then on: a runtime runs
+//! [`CoupRuntime::run_workers`] kernels until its first handle, then serves
+//! handles. A kernel-only runtime never parks drainers it will never feed.
 //!
 //! Reads never queue: they run synchronously on the caller's thread through
 //! the O(active-writers) reduction path, exactly like a COUP read collecting
@@ -109,19 +110,9 @@ struct Shared {
     /// One empty-edge parker per resident worker: producers bump worker
     /// `slot % workers` after publishing into `slot`'s ring.
     wake: Box<[Parker]>,
-    /// Parks workers for the duration of a [`CoupRuntime::run_workers`] job.
-    resume: Parker,
-    /// Wakes the pausing job thread as workers acknowledge the pause.
-    pause_done: Parker,
     /// Submitted vs. applied: the gate producers count in through, the
     /// counter workers retire into, and what [`CoupRuntime::drain`] waits on.
     quiesce: Quiescence,
-    /// Nonzero while a [`CoupRuntime::run_workers`] job borrows the worker
-    /// thread identities; workers stop draining so the job threads are the
-    /// only writers of the per-worker buffers.
-    paused: AtomicU64,
-    /// Workers currently sitting in the pause gate.
-    pause_acks: AtomicU64,
     batch_capacity: usize,
     workers: usize,
     /// Reads served through handles (the runtime's synchronous read path).
@@ -272,7 +263,7 @@ pub struct RuntimeResult {
 
 /// The long-lived service runtime: owns the backend and its resident worker
 /// threads, hands out submission handles to any number of producer threads,
-/// and runs synchronous worker jobs on the side.
+/// and, until the first handle, runs synchronous worker jobs.
 ///
 /// Built by [`RuntimeBuilder`]. Three ways in:
 ///
@@ -283,8 +274,9 @@ pub struct RuntimeResult {
 /// * **Synchronous reads** ([`CoupRuntime::read`] / [`snapshot`](Self::snapshot),
 ///   or through any handle): the existing O(active-writers) reduction.
 /// * **Worker jobs** ([`CoupRuntime::run_workers`]): a closure run once per
-///   resident-worker identity with direct backend access — the kernel
-///   executor's path, with barriers and read-your-writes.
+///   worker identity with direct backend access — the kernel
+///   executor's path, with barriers and read-your-writes. Only before the
+///   first handle: after it, the resident workers own those identities.
 ///
 /// [`CoupRuntime::shutdown`] (or `Drop`) quiesces: the submission gate
 /// closes, workers drain every published ring, flush their buffers, and
@@ -333,7 +325,8 @@ impl CoupRuntime {
 
     /// Spawns the resident workers if they are not running yet. Serialised
     /// against [`CoupRuntime::run_workers`] by the job lock, so workers
-    /// never materialise in the middle of a job's buffer ownership.
+    /// never materialise in the middle of a job's buffer ownership; once
+    /// they exist, every later job refuses to run.
     fn ensure_workers(&self) {
         // Fast path once running; a stale miss just repeats the check
         // under the lock.
@@ -434,14 +427,11 @@ impl CoupRuntime {
         self.shared.quiesce.close();
         // Wake everyone who might be parked: workers (to run their exit
         // check), producers on full rings or the claim edge (their workers
-        // keep draining until quiescence, so they finish or discard), and
-        // any pause machinery.
+        // keep draining until quiescence, so they finish or discard).
         for parker in self.shared.wake.iter() {
             parker.close();
         }
         self.shared.directory.close_all();
-        self.shared.resume.close();
-        self.shared.pause_done.close();
         let join = |thread: crate::sync::thread::JoinHandle<()>| match thread.join() {
             Err(payload) if propagate_panics => std::panic::resume_unwind(payload),
             _ => {}

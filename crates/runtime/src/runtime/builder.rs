@@ -116,10 +116,11 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Number of resident worker threads (default 1). Each worker owns one
-    /// privatized buffer, drains the shard rings assigned to it (slot index
-    /// ≡ worker mod `workers`), and runs one thread of every
-    /// [`CoupRuntime::run_workers`] job.
+    /// Number of worker identities (default 1), each owning one privatized
+    /// buffer. Before the first handle, each runs one thread of every
+    /// [`CoupRuntime::run_workers`] job; from the first handle on, each is a
+    /// resident thread draining the shard rings assigned to it (slot index
+    /// ≡ worker mod `workers`).
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
@@ -175,8 +176,9 @@ impl RuntimeBuilder {
 
     /// Builds the runtime. Resident workers are *not* spawned here: the
     /// first submission handle ([`CoupRuntime::handle`] /
-    /// [`counter`](CoupRuntime::counter)) spawns them, so kernel-only runtimes never park drainers they never
-    /// feed.
+    /// [`counter`](CoupRuntime::counter)) spawns them, so kernel-only
+    /// runtimes never park drainers they never feed. From that handle on,
+    /// [`CoupRuntime::run_workers`] refuses to run.
     ///
     /// # Panics
     ///
@@ -208,11 +210,7 @@ impl RuntimeBuilder {
             backend,
             directory: ShardDirectory::new(self.shard_slots.max(1), self.queue_capacity.max(1)),
             wake: (0..self.workers).map(|_| Parker::new()).collect(),
-            resume: Parker::new(),
-            pause_done: Parker::new(),
             quiesce: Quiescence::new(),
-            paused: AtomicU64::new(0),
-            pause_acks: AtomicU64::new(0),
             batch_capacity: self.batch_capacity.max(1),
             workers: self.workers,
             handle_reads: AtomicU64::new(0),
@@ -222,8 +220,8 @@ impl RuntimeBuilder {
             telemetry,
         });
         // The refresher is a resident component like the workers, but it
-        // only reads — it spawns eagerly (no buffer ownership to hand off)
-        // and runs straight through `run_workers` jobs.
+        // only reads: it owns no buffer, so it spawns eagerly and runs
+        // alongside `run_workers` jobs.
         let refresher = self.refresh_interval.map(|interval| {
             let shared = Arc::clone(&shared);
             crate::sync::thread::Builder::new()

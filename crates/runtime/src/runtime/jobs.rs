@@ -1,12 +1,10 @@
-//! Worker jobs: [`CoupRuntime::run_workers`], the [`JobCtx`] each job
-//! thread receives, and the pause gate that hands the per-worker buffers
-//! from the resident drainers to the job threads and back.
+//! Worker jobs: [`CoupRuntime::run_workers`] and the [`JobCtx`] each job
+//! thread receives.
 
 use std::time::{Duration, Instant};
 
-use super::{CoupRuntime, Shared};
+use super::CoupRuntime;
 use crate::backend::{StaleRead, UpdateBackend};
-use crate::sync::atomic::Ordering;
 use crate::sync::lock;
 
 /// Per-worker context of a [`CoupRuntime::run_workers`] job: the worker's
@@ -80,77 +78,37 @@ impl JobCtx<'_> {
     }
 }
 
-impl Shared {
-    /// Where a worker sits out a [`CoupRuntime::run_workers`] job: announce
-    /// the pause was observed, then park until resumed (or closed). The job
-    /// starts only after *every* worker acknowledged, which is what makes
-    /// the buffer ownership hand-off sound without a queue lock.
-    pub(super) fn pause_gate(&self, worker: usize) {
-        self.pause_acks.fetch_add(1, Ordering::Relaxed);
-        self.pause_done.notify();
-        loop {
-            let status = self.resume.status();
-            if self.paused.fetch_add(0, Ordering::Acquire) == 0 // ord: job-pause
-                || self.resume.is_closed()
-            {
-                break;
-            }
-            self.park_counted(&self.resume, status, worker);
-        }
-        self.pause_acks.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
 impl CoupRuntime {
-    /// Runs `job` once per resident-worker identity on dedicated threads and
+    /// Runs `job` once per worker identity on dedicated threads and
     /// returns the per-worker results in worker order plus the job's
     /// wall-clock time (including each worker's final buffer flush, so
     /// backends cannot hide work).
     ///
-    /// The submission path is drained and paused for the duration — job
-    /// threads temporarily *are* the workers, with exclusive ownership of
-    /// the per-worker privatized buffers — and resumes when the job ends.
-    /// Jobs serialise against each other. Updates submitted concurrently
-    /// with a job are applied after it finishes.
+    /// Job threads *are* the workers for the duration, each the sole writer
+    /// of its worker's privatized buffer. Jobs serialise against each other
+    /// and against the first [`CoupRuntime::handle`], so a runtime may run
+    /// jobs and then serve handles, but not the other way round.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a handle has already spawned the resident drainers: they
+    /// own the worker identities for the rest of the runtime's life. A
+    /// panicking job thread's panic propagates with its own payload.
     pub fn run_workers<R, F>(&self, job: F) -> (Vec<R>, Duration)
     where
         R: Send,
         F: Fn(JobCtx<'_>) -> R + Sync,
     {
-        // Poison recovery: a previous job's panic already ran the resume
-        // guard below, so the runtime's invariants hold and the next job may
-        // proceed.
+        // Poison recovery: a panicked job leaves at most unflushed deltas in
+        // its workers' buffers, which reads still reduce, so the next job may
+        // proceed. Holding the lock keeps the first handle from spawning
+        // drainers mid-job.
         let _job = lock(&self.job);
-        let live_workers = lock(&self.drainers).len() as u64;
-        // Quiesce first (the job must observe every update submitted before
-        // the call), then pause; the job starts only once every worker has
-        // acknowledged the pause from inside its gate, which is what hands
-        // the job threads exclusive buffer ownership.
-        self.drain();
-        if live_workers > 0 {
-            self.shared.paused.store(1, Ordering::Release); // ord: job-pause
-            self.shared.wake_workers();
-            loop {
-                let status = self.shared.pause_done.status();
-                if self.shared.pause_acks.fetch_add(0, Ordering::Relaxed) >= live_workers {
-                    break;
-                }
-                self.shared.pause_done.park(status, || {});
-            }
-        }
-        // Resume draining even if the job panics — otherwise a caught panic
-        // would leave the workers paused forever and wedge every later
-        // submission and drain().
-        struct ResumeDraining<'a>(&'a Shared, bool);
-        impl Drop for ResumeDraining<'_> {
-            fn drop(&mut self) {
-                if self.1 {
-                    self.0.paused.store(0, Ordering::Release); // ord: job-pause
-                    self.0.resume.notify();
-                }
-            }
-        }
-        let _resume = ResumeDraining(self.shared.as_ref(), live_workers > 0);
+        assert!(
+            lock(&self.drainers).is_empty(),
+            "run_workers on a runtime that serves handles: its resident \
+             drainers own the worker identities"
+        );
         let backend = self.shared.backend.as_ref();
         let workers = self.shared.workers;
         let barrier = std::sync::Barrier::new(workers);

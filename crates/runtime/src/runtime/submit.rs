@@ -126,13 +126,6 @@ impl Shared {
     pub(super) fn drain_loop(&self, worker: usize) {
         let mut cache = ShardCache::default();
         loop {
-            // Fresh RMW read: a worker must never miss a pause, or a
-            // run_workers job could write buffers it still owns.
-            // ord: job-pause
-            if self.paused.fetch_add(0, Ordering::Acquire) != 0 {
-                self.pause_gate(worker);
-                continue;
-            }
             // Epoch snapshot *before* the scan: any publication after this
             // point moves it and turns the park below into a no-op retry.
             let status = self.wake[worker].status();

@@ -168,7 +168,7 @@ pub struct MetricsSnapshot {
     /// refresher (plus explicit [`crate::CoupRuntime::refresh_now`] calls).
     pub snapshot_refreshes: u64,
     /// Parker sleeps: drainers on an empty stripe, producers on a full
-    /// ring, workers paused for a kernel job.
+    /// ring.
     pub queue_parks: u64,
     /// Wakes after a counted park; parks minus unparks bounds the threads
     /// currently asleep.
@@ -244,7 +244,7 @@ const COUNTER_META: &[MetaRow<u64>] = &[
     ),
     (
         "coup_queue_parks_total",
-        "Parker sleeps: empty stripe, full ring, or paused worker.",
+        "Parker sleeps: empty stripe or full ring.",
         |m| &mut m.queue_parks,
     ),
     (

@@ -16,7 +16,7 @@
 //!   producer's final publications, even when claimants must park for a
 //!   free slot.
 //! * **Park symmetry** — every counted parker sleep (worker empty edge,
-//!   producer full edge, pause gate) is matched by exactly one unpark, so
+//!   producer full edge) is matched by exactly one unpark, so
 //!   `queue_parks == queue_unparks` once the runtime has quiesced.
 //!
 //! The 1024-producer tiny-ring stress runs the full size only under
