@@ -53,7 +53,7 @@ use std::sync::Arc;
 use coup_protocol::ops::CommutativeOp;
 
 use crate::store::{LaneGeometry, LineMeta, SharedStore};
-use crate::telemetry::TelemetryRegistry;
+use crate::telemetry::{MetricsSnapshot, TelemetryRegistry};
 
 mod buffer;
 mod read;
@@ -113,7 +113,10 @@ pub struct StaleRead {
 /// Cumulative buffer-side counters of a [`CoupBackend`]: how often the sparse
 /// privatized tables claimed, evicted, and drained slots. The software
 /// analogue of a cache's miss/eviction statistics, summed over all workers.
-/// [`AtomicBackend`] has no buffers, so its counters stay zero.
+/// Like [`ReadCost`], each event is counted once, in the telemetry registry
+/// (`privatized` is the occupancy histogram's count), so these stay zero
+/// with telemetry disabled or compiled out — and for [`AtomicBackend`],
+/// which has no buffers.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BufferStats {
     /// Lines privatized: buffer slots claimed for a line not currently in the
@@ -123,7 +126,7 @@ pub struct BufferStats {
     pub privatized: u64,
     /// Capacity evictions: slot claims that displaced a *dirty* victim, so
     /// its buffered delta was migrated into the store before the re-tag —
-    /// the software U-state evictions. Always ≤ `privatized`.
+    /// the software U-state evictions. At most `privatized` at quiescence.
     pub evictions: u64,
     /// Slot drains that were not evictions: per-line flush-threshold
     /// crossings plus explicit [`UpdateBackend::flush`] calls.
@@ -306,13 +309,6 @@ pub trait UpdateBackend: Send + Sync {
 
     /// Every lane's value. Exact once all workers have finished and flushed.
     fn snapshot(&self) -> Vec<u64>;
-
-    /// Cumulative [`BufferStats`] counters for this backend. The default is
-    /// all zeros, correct for backends without privatized buffers;
-    /// [`CoupBackend`] reports its privatization/eviction/flush work here.
-    fn buffer_stats(&self) -> BufferStats {
-        BufferStats::default()
-    }
 }
 
 /// Conventional shared-memory baseline: every update is an atomic RMW on the
@@ -432,7 +428,8 @@ impl CoupBackend {
     /// # Panics
     ///
     /// Panics if `threads` is zero or exceeds [`MAX_COUP_THREADS`] (the
-    /// writer bitmap holds one bit per worker).
+    /// writer bitmap holds one bit per worker). An enabled `telemetry` built
+    /// for fewer than `threads` workers panics at its first buffer event.
     #[must_use]
     pub fn new(
         op: CommutativeOp,
@@ -473,13 +470,14 @@ impl CoupBackend {
         &self.store
     }
 
-    /// Cumulative [`ReadCost`] of this backend's reads, folded from its
-    /// telemetry registry (all zeros when that registry is disabled).
+    /// This backend's [`ReadCost`], [`BufferStats`] and histograms, folded
+    /// from its telemetry registry (all zeros when that registry is
+    /// disabled). The queue counters only a runtime keeps stay zero.
     #[must_use]
-    pub fn read_cost(&self) -> ReadCost {
-        let mut snap = crate::telemetry::MetricsSnapshot::default();
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let mut snap = MetricsSnapshot::default();
         self.telemetry.fill(&mut snap);
-        snap.read_cost
+        snap
     }
 
     /// Resolved per-worker buffer capacity, in lines (the configured bound
@@ -501,8 +499,8 @@ impl CoupBackend {
     }
 }
 
-/// One-line delegations: the buffer half (`update`, `flush`, `buffer_stats`)
-/// lives in `backend/buffer.rs`, the read half in `backend/read.rs`.
+/// One-line delegations: the buffer half (`update`, `flush`) lives in
+/// `backend/buffer.rs`, the read half in `backend/read.rs`.
 impl UpdateBackend for CoupBackend {
     fn name(&self) -> &'static str {
         "coup"
@@ -534,9 +532,5 @@ impl UpdateBackend for CoupBackend {
 
     fn snapshot(&self) -> Vec<u64> {
         self.reduce_all()
-    }
-
-    fn buffer_stats(&self) -> BufferStats {
-        self.fold_buffer_stats()
     }
 }

@@ -9,11 +9,10 @@
 use coup_protocol::line::{LineData, WORDS_PER_LINE};
 use coup_protocol::ops::CommutativeOp;
 
-use super::{BufferStats, CoupBackend, HOLD_DEFER_FACTOR, PROBE_WINDOW};
+use super::{CoupBackend, HOLD_DEFER_FACTOR, PROBE_WINDOW};
 use crate::store::PaddedLine;
 use crate::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use crate::sync::{EPOCH_PUBLISH, EVICTION_FOLD, WRITER_RETIRE};
-use crate::telemetry::Merge;
+use crate::sync::{EPOCH_PUBLISH, WRITER_RETIRE};
 
 /// The empty-slot tag. A slot's tag is `line + 1` once claimed; tags only
 /// ever change claimed→claimed (re-tag on eviction), never back to empty.
@@ -65,34 +64,10 @@ pub(super) struct ThreadBuffer {
     /// turned away to the store, or [`EMPTY_TAG`]. A line displaces a
     /// resident one only on its second such miss in a row. Owner-only.
     candidates: Box<[AtomicU64]>,
-    /// Lines privatized (slot claims). Owner-only.
-    privatized: AtomicU64,
-    /// Dirty-victim migrations. Owner-only stores; the bump is Release and
-    /// the stats fold loads it with Acquire *before*
-    /// `privatized`, so a concurrent observer can never see an eviction
-    /// whose privatization it missed (`evictions ≤ privatized`, always).
-    evictions: AtomicU64,
-    /// Threshold + explicit drains. Owner-only.
-    flushes: AtomicU64,
-    /// Updates routed straight to the store because every victim candidate
-    /// was read-held. Owner-only.
-    held_bypasses: AtomicU64,
-    /// Updates routed straight to the store because their line's first miss
-    /// on a full probe window is not admitted. Owner-only.
-    admission_bypasses: AtomicU64,
-    /// Currently claimed (non-empty) slots — the occupancy the telemetry
-    /// histogram samples at each privatization. Owner-only.
-    resident: AtomicU64,
     /// `capacity - 1`; capacity is a power of two.
     mask: usize,
     /// Probe window length: `min(PROBE_WINDOW, capacity)`.
     window: usize,
-}
-
-/// Owner-only counter increment: a plain load and store, no locked RMW.
-#[inline]
-fn bump(counter: &AtomicU64) {
-    counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
 }
 
 impl ThreadBuffer {
@@ -113,12 +88,6 @@ impl ThreadBuffer {
             marks: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
             hand: AtomicUsize::new(0),
             candidates: (0..capacity).map(|_| AtomicU64::new(EMPTY_TAG)).collect(),
-            privatized: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            flushes: AtomicU64::new(0),
-            held_bypasses: AtomicU64::new(0),
-            admission_bypasses: AtomicU64::new(0),
-            resident: AtomicU64::new(0),
             mask: capacity - 1,
             window: PROBE_WINDOW.min(capacity),
         }
@@ -194,7 +163,7 @@ impl CoupBackend {
     /// into the store first if dirty. Returns the claimed slot index, or
     /// `None` when the update must go around the buffer as a direct store
     /// RMW (see [`CoupBackend::buffered_update`]) — one bypass, two triggers,
-    /// each counted here:
+    /// each recorded here:
     ///
     /// * **Admission.** A miss on a full window displaces a resident line
     ///   only on the line's *second* such miss in a row at its home slot;
@@ -226,24 +195,17 @@ impl CoupBackend {
                 let candidate = &buf.candidates[line & buf.mask];
                 if candidate.load(Ordering::Relaxed) != tag_of(line) {
                     candidate.store(tag_of(line), Ordering::Relaxed);
-                    bump(&buf.admission_bypasses);
+                    self.telemetry.record_bypass(thread, false);
                     return None;
                 }
                 let Some(idx) = self.choose_victim(thread, line) else {
-                    bump(&buf.held_bypasses);
+                    self.telemetry.record_bypass(thread, true);
                     return None;
                 };
                 candidate.store(EMPTY_TAG, Ordering::Relaxed);
                 idx
             }
         };
-        // Count the claim *before* any eviction below: the eviction bump is
-        // Release and the stats fold loads `evictions` with Acquire first,
-        // so no observer — however racy — can see `evictions > privatized`.
-        bump(&buf.privatized);
-        if empty.is_some() {
-            bump(&buf.resident);
-        }
         if buf.pending[idx].load(Ordering::Relaxed) > 0 {
             // Dirty victim: migrate its delta into the store under an odd
             // epoch, retiring its writer bit, then re-tag — the software
@@ -261,8 +223,7 @@ impl CoupBackend {
             // ord: buffer-tag-publish
             buf.tags[idx].store(tag_of(line), Ordering::Release);
         }
-        self.telemetry
-            .record_occupancy(thread, buf.resident.load(Ordering::Relaxed));
+        self.telemetry.record_claim(thread, empty.is_some());
         Some(idx)
     }
 
@@ -310,8 +271,8 @@ impl CoupBackend {
     /// that skip this buffer from now on lose nothing. `retag` is the reason:
     /// `Some(new_line)` is a capacity eviction — the slot is handed to the
     /// new line inside the same odd-epoch window, after the bitmap
-    /// retirement — and `None` a threshold or explicit flush; the matching
-    /// counter bump happens here, once, for every caller.
+    /// retirement — and `None` a threshold or explicit flush; the migration
+    /// is recorded here, once, for every caller.
     fn migrate_slot(&self, thread: usize, idx: usize, retag: Option<usize>) {
         let buf = &self.buffers[thread];
         let line = buf.line_of(idx);
@@ -368,13 +329,8 @@ impl CoupBackend {
         // this Release; the torn-read model test catches a reader that
         // validates against the new epoch while folding stale words.
         epoch.store(epoch.load(Ordering::Relaxed).wrapping_add(1), EPOCH_PUBLISH);
-        self.telemetry.record_flush_words(thread, applied as u64);
-        if retag.is_some() {
-            let evictions = buf.evictions.load(Ordering::Relaxed) + 1;
-            buf.evictions.store(evictions, Ordering::Release); // ord: evict-stats
-        } else {
-            bump(&buf.flushes);
-        }
+        self.telemetry
+            .record_migration(thread, applied as u64, retag.is_some());
     }
 
     /// [`UpdateBackend::update`](super::UpdateBackend::update): buffer the
@@ -468,29 +424,5 @@ impl CoupBackend {
                 self.migrate_slot(thread, idx, None);
             }
         }
-    }
-
-    /// [`UpdateBackend::buffer_stats`](super::UpdateBackend::buffer_stats).
-    pub(super) fn fold_buffer_stats(&self) -> BufferStats {
-        let mut total = BufferStats::default();
-        for buf in &self.buffers {
-            // Acquire the eviction count *before* loading `privatized`: the
-            // owner bumps `privatized` first and publishes the eviction with
-            // Release, so every eviction this load observes has its claim in
-            // the `privatized` load below — `evictions ≤ privatized` holds
-            // for any observer, mid-run included. Mutation lane weakens
-            // this Acquire; the stats-invariant model test catches the
-            // `evictions > privatized` observation that admits.
-            // ord: evict-stats
-            let evictions = buf.evictions.load(EVICTION_FOLD);
-            total.merge(&BufferStats {
-                privatized: buf.privatized.load(Ordering::Relaxed),
-                evictions,
-                flushes: buf.flushes.load(Ordering::Relaxed),
-                held_bypasses: buf.held_bypasses.load(Ordering::Relaxed),
-                admission_bypasses: buf.admission_bypasses.load(Ordering::Relaxed),
-            });
-        }
-        total
     }
 }

@@ -53,6 +53,15 @@ fn backends(op: CommutativeOp, len: usize, threads: usize) -> (AtomicBackend, Co
     )
 }
 
+/// Runs `check` on the buffer counters `b`'s registry folds. They are
+/// registry-backed, so with telemetry compiled out there is nothing to check.
+fn assert_stats(b: &CoupBackend, check: impl FnOnce(BufferStats)) {
+    #[cfg(feature = "telemetry")]
+    check(b.metrics().buffer_stats);
+    #[cfg(not(feature = "telemetry"))]
+    let _ = (b, check);
+}
+
 /// Slot index of `line` in `thread`'s buffer, which must exist.
 fn slot_of(b: &CoupBackend, thread: usize, line: usize) -> usize {
     b.buffers[thread]
@@ -68,7 +77,6 @@ fn atomic_backend_counts() {
     assert_eq!(b.read(0, 3), 12);
     assert_eq!(b.update_read(0, 3, 1), 13);
     assert_eq!(b.snapshot()[3], 13);
-    assert_eq!(b.buffer_stats(), BufferStats::default());
 }
 
 #[test]
@@ -95,7 +103,7 @@ fn coup_flush_threshold_drains_hot_lines() {
     b.update(0, 0, 1);
     assert_eq!(b.store().load_lane(0), 4, "below threshold stays private");
     assert_eq!(b.read(1, 0), 5);
-    assert_eq!(b.buffer_stats().flushes, 1);
+    assert_stats(&b, |s| assert_eq!(s.flushes, 1));
 }
 
 #[test]
@@ -174,10 +182,12 @@ fn backends_agree_under_tiny_capacities() {
         assert_eq!(coup.capacity_lines(), capacity);
         let label = format!("capacity {capacity}");
         assert_backends_agree((&atomic, &coup), 3, 3000, 5, 0x9E37_79B9, &label);
-        assert!(
-            coup.buffer_stats().evictions > 0,
-            "capacity {capacity} over 4 lines must evict"
-        );
+        assert_stats(&coup, |s| {
+            assert!(
+                s.evictions > 0,
+                "capacity {capacity} over 4 lines must evict"
+            )
+        });
     }
 }
 
@@ -218,9 +228,7 @@ fn eviction_lands_the_delta_then_retires_the_writer_bit() {
     );
     assert_eq!(b.read(1, 0), 5);
     assert_eq!(b.read(1, lanes_per_line), 7);
-    let stats = b.buffer_stats();
-    assert_eq!(stats.evictions, 1);
-    assert_eq!(stats.privatized, 2);
+    assert_stats(&b, |s| assert_eq!((s.evictions, s.privatized), (1, 2)));
 }
 
 /// Clean victims (already drained) are re-tagged without an eviction
@@ -236,16 +244,17 @@ fn clean_victims_retag_without_migrating() {
     );
     b.update(0, 0, 3);
     b.flush(0); // line 0's slot is now clean but still tagged
-    assert_eq!(b.buffer_stats().flushes, 1);
+    assert_stats(&b, |s| assert_eq!(s.flushes, 1));
     b.update(0, lanes_per_line, 4); // first touch: clean victims are gated too
-    assert_eq!(b.buffer_stats().privatized, 1);
+    assert_stats(&b, |s| assert_eq!(s.privatized, 1));
     b.update(0, lanes_per_line, 5); // second touch claims the slot from clean line 0
-    let stats = b.buffer_stats();
-    assert_eq!(stats.evictions, 0, "clean displacement is not an eviction");
-    assert_eq!(stats.privatized, 2);
+    assert_stats(&b, |s| {
+        assert_eq!(s.evictions, 0, "clean displacement is not an eviction");
+        assert_eq!(s.privatized, 2);
+    });
     b.update(0, 0, 1); // line 0 comes back: first touch bypasses,
     b.update(0, 0, 3); // the second evicts dirty line 1
-    assert_eq!(b.buffer_stats().evictions, 1);
+    assert_stats(&b, |s| assert_eq!(s.evictions, 1));
     assert_eq!(b.read(0, 0), 7);
     assert_eq!(b.read(0, lanes_per_line), 9);
 }
@@ -256,7 +265,7 @@ fn unbounded_capacity_never_evicts() {
     for i in 0..1024 {
         b.update(0, i, i as u64);
     }
-    assert_eq!(b.buffer_stats().evictions, 0);
+    assert_stats(&b, |s| assert_eq!(s.evictions, 0));
     assert_eq!(b.capacity_lines(), b.store().num_lines());
     for i in (0..1024).step_by(97) {
         assert_eq!(b.read(1, i), i as u64);
@@ -380,15 +389,16 @@ fn concurrent_reads_never_lose_evicted_deltas() {
     // direct store RMW (after a bypass the resident line is unchanged,
     // so the following update to it is a hit — hence ≥, not ==, on the
     // sum, and no tight bound on evictions alone).
-    let stats = coup.buffer_stats();
-    assert!(
-        stats.evictions > 0,
-        "alternating lines at capacity 1 must evict"
-    );
-    assert!(
-        2 * updates >= stats.evictions + stats.held_bypasses,
-        "more migrations than updates: {stats:?}"
-    );
+    assert_stats(&coup, |s| {
+        assert!(
+            s.evictions > 0,
+            "alternating lines at capacity 1 must evict"
+        );
+        assert!(
+            2 * updates >= s.evictions + s.held_bypasses,
+            "more migrations than updates: {s:?}"
+        );
+    });
 }
 
 /// The acceptance bar of the writer-bitmap read path: one active writer
@@ -400,12 +410,12 @@ fn read_on_a_line_with_one_writer_loads_one_buffer_word() {
     for threads in [2usize, 8, 32, MAX_COUP_THREADS] {
         let b = ambient_backend(CommutativeOp::AddU64, 8, threads);
         b.update(0, 3, 5); // thread 0 is the line's only active writer
-        let before = b.read_cost();
+        let before = b.metrics().read_cost;
         let reads = 100u64;
         for _ in 0..reads {
             assert_eq!(b.read(threads - 1, 3), 5);
         }
-        let after = b.read_cost();
+        let after = b.metrics().read_cost;
         assert_eq!(after.reads - before.reads, reads, "{threads} threads");
         assert_eq!(
             after.buffer_words - before.buffer_words,
@@ -424,8 +434,8 @@ fn read_on_a_cold_line_loads_no_buffer_words() {
     for _ in 0..10 {
         assert_eq!(b.read(1, 5), 0);
     }
-    assert_eq!(b.read_cost().buffer_words, 0);
-    assert_eq!(b.read_cost().reads, 10);
+    assert_eq!(b.metrics().read_cost.buffer_words, 0);
+    assert_eq!(b.metrics().read_cost.reads, 10);
 }
 
 #[cfg(feature = "telemetry")]
@@ -436,14 +446,14 @@ fn read_cost_tracks_active_writers_not_threads() {
     for t in [0usize, 5, 9] {
         b.update(t, 2, 1);
     }
-    let before = b.read_cost().buffer_words;
+    let before = b.metrics().read_cost.buffer_words;
     assert_eq!(b.read(31, 2), 3);
-    assert_eq!(b.read_cost().buffer_words - before, 3);
+    assert_eq!(b.metrics().read_cost.buffer_words - before, 3);
     // A flush retires a writer from the bitmap; the next read pays less.
     b.flush(5);
-    let before = b.read_cost().buffer_words;
+    let before = b.metrics().read_cost.buffer_words;
     assert_eq!(b.read(31, 2), 3);
-    assert_eq!(b.read_cost().buffer_words - before, 2);
+    assert_eq!(b.metrics().read_cost.buffer_words - before, 2);
 }
 
 /// A pass locates its writers in a list sized by the writer count: four
@@ -459,13 +469,13 @@ fn reads_fold_every_writer_on_both_sides_of_the_scratch_split() {
         let want = (writers * (writers + 1) / 2) as u64;
         assert_eq!(b.read(0, 2), want, "{writers} writers");
         #[cfg(feature = "telemetry")]
-        assert_eq!(b.read_cost().buffer_words, writers as u64);
+        assert_eq!(b.metrics().read_cost.buffer_words, writers as u64);
         assert_eq!(b.read_escalated(2), want, "{writers} writers, held");
     }
 }
 
 /// The kill switch's promise: a disabled registry changes no read's
-/// value and tallies nothing; the backend-native buffer counters flow.
+/// value and counts nothing — no read cost, no buffer event.
 #[test]
 fn disabled_registry_does_no_read_bookkeeping() {
     let telemetry = Arc::new(TelemetryRegistry::new(4, TelemetryConfig::disabled()));
@@ -482,8 +492,9 @@ fn disabled_registry_does_no_read_bookkeeping() {
     assert_eq!(b.read(1, 2), 15);
     assert_eq!(b.read_escalated(2), 15);
     assert_eq!(b.snapshot()[2], 15);
-    assert_eq!(b.read_cost(), ReadCost::default());
-    assert!(b.buffer_stats().privatized > 0);
+    let metrics = b.metrics();
+    assert_eq!(metrics.read_cost, ReadCost::default());
+    assert_eq!(metrics.buffer_stats, BufferStats::default());
 }
 
 #[test]
@@ -596,13 +607,13 @@ fn read_stale_never_reduces_and_never_arms_holds() {
     for t in 0..8 {
         b.update(t, 3, 1);
     }
-    let before = b.read_cost();
+    let before = b.metrics().read_cost;
     for _ in 0..100 {
         let stale = b.read_stale(0, 3);
         assert_eq!((stale.value, stale.staleness), (0, 8));
     }
     assert_eq!(
-        b.read_cost(),
+        b.metrics().read_cost,
         before,
         "stale reads are invisible to the exact-read cost counters"
     );
@@ -684,17 +695,18 @@ fn fully_held_window_routes_updates_around_the_buffer() {
     );
     assert_eq!(b.store().load_lane(0), 0, "held delta stays buffered");
     assert_eq!(b.read(1, 0), 5, "held line still reduces correctly");
-    let stats = b.buffer_stats();
-    assert_eq!(stats.held_bypasses, 1);
-    assert_eq!(stats.admission_bypasses, 1);
-    assert_eq!(stats.evictions, 0);
+    assert_stats(&b, |s| {
+        assert_eq!(s.held_bypasses, 1);
+        assert_eq!(s.admission_bypasses, 1);
+        assert_eq!(s.evictions, 0);
+    });
     b.line_meta[0].read_holds.fetch_sub(1, Ordering::AcqRel); // ord: read-hold
 
     // Hold released: line 1 is still the candidate, so it privatizes on
     // its next touch, evicting line 0.
     b.update(0, lanes_per_line, 1);
     assert_eq!(b.read(1, lanes_per_line), 8);
-    assert_eq!(b.buffer_stats().evictions, 1);
+    assert_stats(&b, |s| assert_eq!(s.evictions, 1));
     assert_eq!(b.read(1, 0), 5);
 }
 

@@ -16,7 +16,7 @@ fn first_touch_of_a_full_window_bypasses_second_touch_privatizes() {
         BufferConfig::bounded(1),
     );
     b.update(0, 0, 5); // line 0 claims the one (empty) slot: no admission
-    assert_eq!(b.buffer_stats().admission_bypasses, 0);
+    assert_stats(&b, |s| assert_eq!(s.admission_bypasses, 0));
     let idx = slot_of(&b, 0, 0);
     let epoch_before = b.buffers[0].sample_epoch(idx);
 
@@ -31,8 +31,9 @@ fn first_touch_of_a_full_window_bypasses_second_touch_privatizes() {
     assert_eq!(b.buffers[0].locate(1), None, "and claims no slot");
     assert_eq!(b.buffers[0].sample_epoch(idx), epoch_before);
     assert_eq!(b.store().load_lane(0), 0, "line 0 stays private");
-    let stats = b.buffer_stats();
-    assert_eq!((stats.privatized, stats.admission_bypasses), (1, 1));
+    assert_stats(&b, |s| {
+        assert_eq!((s.privatized, s.admission_bypasses), (1, 1))
+    });
 
     b.update(0, lanes_per_line, 4); // second touch: admitted, evicts line 0
     assert!(b.buffers[0].locate(1).is_some());
@@ -40,9 +41,10 @@ fn first_touch_of_a_full_window_bypasses_second_touch_privatizes() {
     assert_eq!(b.store().load_lane(lanes_per_line), 3, "now buffered");
     assert_eq!(b.read(1, lanes_per_line), 7);
     assert_eq!(b.read(1, 0), 5);
-    let stats = b.buffer_stats();
-    assert_eq!((stats.privatized, stats.evictions), (2, 1));
-    assert_eq!((stats.admission_bypasses, stats.held_bypasses), (1, 0));
+    assert_stats(&b, |s| {
+        assert_eq!((s.privatized, s.evictions), (2, 1));
+        assert_eq!((s.admission_bypasses, s.held_bypasses), (1, 0));
+    });
 }
 
 /// Lane 0 of the `n`-th line whose home in a `PROBE_WINDOW`-slot buffer is
@@ -74,10 +76,11 @@ fn cyclic_scan_past_the_window_never_evicts() {
         }
     }
     assert_eq!(coup.snapshot(), atomic.snapshot());
-    let stats = coup.buffer_stats();
-    assert_eq!(stats.evictions, 0);
-    assert_eq!(stats.privatized, window as u64, "the first window's worth");
-    assert_eq!(stats.admission_bypasses, 2 * sweeps);
+    assert_stats(&coup, |s| {
+        assert_eq!(s.evictions, 0);
+        assert_eq!(s.privatized, window as u64, "the first window's worth");
+        assert_eq!(s.admission_bypasses, 2 * sweeps);
+    });
 
     let coup = sized_backend(op, lanes, 1, BufferConfig::bounded(window));
     for _ in 0..sweeps {
@@ -85,8 +88,9 @@ fn cyclic_scan_past_the_window_never_evicts() {
             coup.update(0, same_home_lane(n), 1);
         }
     }
-    let evictions = coup.buffer_stats().evictions;
-    assert!(0 < evictions && evictions <= sweeps, "{evictions}");
+    assert_stats(&coup, |s| {
+        assert!(0 < s.evictions && s.evictions <= sweeps, "{s:?}")
+    });
 }
 
 /// Admission wants two misses *in a row* at the line's home slot: a miss
@@ -104,13 +108,15 @@ fn an_interleaved_same_home_miss_resets_the_candidate() {
     b.update(0, lanes_per_line, 1); // line 1 becomes the candidate
     b.update(0, 2 * lanes_per_line, 1); // line 2 replaces it
     b.update(0, lanes_per_line, 1); // line 1 again: a first touch once more
-    let stats = b.buffer_stats();
-    assert_eq!((stats.privatized, stats.admission_bypasses), (1, 3));
+    assert_stats(&b, |s| {
+        assert_eq!((s.privatized, s.admission_bypasses), (1, 3))
+    });
     b.update(0, 0, 1); // a hit does not disturb the candidate
     b.update(0, lanes_per_line, 1); // line 1 twice in a row: admitted
-    let stats = b.buffer_stats();
-    assert_eq!((stats.privatized, stats.evictions), (2, 1));
-    assert_eq!(stats.admission_bypasses, 3);
+    assert_stats(&b, |s| {
+        assert_eq!((s.privatized, s.evictions), (2, 1));
+        assert_eq!(s.admission_bypasses, 3);
+    });
     assert_eq!(b.snapshot()[..3 * lanes_per_line].iter().sum::<u64>(), 6);
 }
 
@@ -134,14 +140,15 @@ fn every_miss_is_a_claim_or_a_bypass_on_a_zipf_stream() {
         atomic.update(0, lane, 1);
         coup.update(0, lane, 1);
     }
-    let stats = coup.buffer_stats();
-    assert_eq!(
-        misses,
-        stats.privatized + stats.admission_bypasses + stats.held_bypasses,
-        "{stats:?}"
-    );
-    assert!(stats.admission_bypasses > 0 && stats.evictions > 0);
-    assert!(stats.evictions <= stats.privatized, "{stats:?}");
-    assert_eq!(stats.held_bypasses, 0, "nothing reads");
+    assert_stats(&coup, |s| {
+        assert_eq!(
+            misses,
+            s.privatized + s.admission_bypasses + s.held_bypasses,
+            "{s:?}"
+        );
+        assert!(s.admission_bypasses > 0 && s.evictions > 0);
+        assert!(s.evictions <= s.privatized, "{s:?}");
+        assert_eq!(s.held_bypasses, 0, "nothing reads");
+    });
     assert_eq!(coup.snapshot(), atomic.snapshot());
 }

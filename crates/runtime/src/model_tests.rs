@@ -19,7 +19,7 @@
 //! starts with the tag in snake case must then *fail* — CI's per-edge lane
 //! runs `model_tests::<tag_snake>` for every value and inverts the exit
 //! code, proving each test has teeth of its own rather than riding on a
-//! neighbour's. The eight tags with no constant are listed with their
+//! neighbour's. The seven tags with no constant are listed with their
 //! reasons in ARCHITECTURE.md's edge table (`ring-consume`'s head store, for
 //! one, is unobservable in the model's execution-order semantics; the
 //! shard-claim CAS is a literal `AcqRel`, both sides of its own edge). The
@@ -125,7 +125,7 @@ fn seqlock_epoch_reads_racing_a_dirty_eviction_never_tear() {
         writer.join().unwrap();
         assert_eq!(backend.read(1, 0), 3);
         assert_eq!(backend.read(1, 8), 2);
-        assert_eq!(backend.buffer_stats().evictions, 1);
+        assert_eq!(backend.store().load_lane(0), 3, "the eviction migrated");
     });
 }
 
@@ -160,54 +160,11 @@ fn writer_bitmap_retire_publishes_the_reduce_it_promises() {
         assert!(r2 >= r1, "non-monotone reads: {r1} then {r2}");
         writer.join().unwrap();
         assert_eq!(backend.read(1, 0), 3);
-        assert_eq!(backend.buffer_stats().flushes, 1);
+        assert_eq!(backend.store().load_lane(0), 3, "the flush migrated");
     });
 }
 
-/// Protocol 3 — the eviction handshake: `privatized` is bumped *before* a
-/// dirty victim's migration and the eviction count is published with
-/// Release after it, so `evictions ≤ privatized` must hold for any
-/// observer, however racy. A capacity-1 buffer plus two updates to a second
-/// line — the first is not admitted and goes straight to the store — forces
-/// exactly one dirty eviction (the software U-state eviction).
-///
-/// Mutation pairing: `EVICTION_FOLD` (the Acquire on the stats fold's
-/// `evictions` load) weakened to `Relaxed` lets the observer read
-/// `evictions == 1` without the happens-before edge to the claim, so its
-/// `privatized` load may return stale 0 — `1 ≤ 0` fails. (The publish side
-/// is the one edge whose weakening is *not* observable: the migrate fence
-/// already orders the bump before it, which is why the mutation attacks the
-/// fold side — see the edge block's comment in `sync.rs`.)
-#[test]
-fn evict_stats_count_never_exceeds_privatized_for_any_observer() {
-    loom::model(|| {
-        let backend = small_backend(16, 1, 64, BufferConfig::bounded(1));
-        let writer = {
-            let b = Arc::clone(&backend);
-            thread::spawn(move || {
-                b.update(0, 0, 1); // privatize line 0, buffer a delta
-                b.update(0, 8, 1); // line 1, first touch: bypasses
-                b.update(0, 8, 1); // second touch: evicts dirty line 0
-            })
-        };
-        let stats = backend.buffer_stats();
-        assert!(
-            stats.evictions <= stats.privatized,
-            "observed {} evictions with only {} privatizations",
-            stats.evictions,
-            stats.privatized
-        );
-        writer.join().unwrap();
-        let quiesced = backend.buffer_stats();
-        assert_eq!(quiesced.privatized, 2);
-        assert_eq!(quiesced.evictions, 1);
-        // The evicted line's delta migrated; the resident line still folds.
-        assert_eq!(backend.read(0, 0), 1);
-        assert_eq!(backend.read(0, 8), 2);
-    });
-}
-
-/// Protocol 4 — the sharded submission path end to end: a producer pushing
+/// Protocol 3 — the sharded submission path end to end: a producer pushing
 /// a batch through its SPSC shard ring, a resident worker parking on its
 /// wake parker, and `shutdown` closing the runtime must always terminate
 /// with the batch applied — no missed-wakeup lost batch, no worker parked
@@ -252,7 +209,7 @@ fn queue_close_never_strands_a_parked_worker() {
     });
 }
 
-/// Protocol 5 — the ring's publication edge: the producer's tail store
+/// Protocol 4 — the ring's publication edge: the producer's tail store
 /// ([`RING_PUBLISH`]) must carry the relaxed slot writes that precede it,
 /// so a consumer whose acquire tail load observes the new frontier reads
 /// the batch's real contents.
@@ -293,7 +250,7 @@ fn ring_publish_carries_the_slot_writes_it_announces() {
     });
 }
 
-/// Protocol 6 — slot registration vs. drain: a producer that pushes its
+/// Protocol 5 — slot registration vs. drain: a producer that pushes its
 /// final batch and *retires* its shard grant hands the ring to the drainer
 /// through the RETIRED state store ([`SHARD_RETIRE`]). A drainer whose
 /// acquire state load observes RETIRED must also observe the final tail —
@@ -341,7 +298,7 @@ fn shard_retire_hands_off_the_final_publication() {
     });
 }
 
-/// Protocol 7 — the parker's wake edge: `notify()`'s epoch bump
+/// Protocol 6 — the parker's wake edge: `notify()`'s epoch bump
 /// ([`WAKE_PUBLISH`]) must carry the publication that prompted it, so a
 /// sleeper whose status RMW observes the new epoch also observes the data
 /// and never goes (back) to sleep on work it cannot see.
@@ -382,7 +339,7 @@ fn queue_wake_publishes_the_mailbox_it_announces() {
     });
 }
 
-/// Protocol 7b — the refresher's *timed* park on the same word: a demand
+/// Protocol 6b — the refresher's *timed* park on the same word: a demand
 /// (`notify()`, what `refresh_now` sends) or shutdown (`close()`) racing
 /// [`Parker::park_timeout`]'s arming RMW is either detected by the arm or
 /// bumps a word that already counts the sleeper, so the loop below — the
@@ -393,7 +350,7 @@ fn queue_wake_publishes_the_mailbox_it_announces() {
 /// first; the real-clock interruption is `ring::tests`' job.)
 ///
 /// Mutation pairing: `WAKE_PUBLISH` weakened to `Relaxed` admits the
-/// interleaving of protocol 7 on this path too: the demander's bump (or
+/// interleaving of protocol 6 on this path too: the demander's bump (or
 /// close bit) reaches the waiter's acquire status RMW without the
 /// demander's clock, so the status has moved yet the mailbox load is free
 /// to return stale 0 — caught by the mailbox assert.
@@ -433,7 +390,7 @@ fn timed_park_never_sleeps_through_a_demand() {
     }
 }
 
-/// Protocol 8 — drain quiescence, on the shipped [`Quiescence`]: a worker
+/// Protocol 7 — drain quiescence, on the shipped [`Quiescence`]: a worker
 /// retires into the shared applied count ([`QUIESCE_PUBLISH`]) *after*
 /// applying a batch, and `drain()`'s acquire RMW of that count is the only
 /// edge through which the caller's subsequent reads see the applied data.
@@ -478,7 +435,7 @@ fn drain_quiesce_makes_applied_work_visible() {
     });
 }
 
-/// Protocol 9 — snapshot publication, on the shipped [`SnapshotCell`]: the
+/// Protocol 8 — snapshot publication, on the shipped [`SnapshotCell`]: the
 /// refresher fills the snapshot words with Relaxed stores and seals them
 /// with one epoch bump carrying [`SNAP_PUBLISH`]; a reader whose Acquire
 /// epoch load observes epoch `N` must also observe every word of snapshot

@@ -169,10 +169,10 @@ impl Shared {
         self.backend.read_stale(usize::MAX, lane)
     }
 
-    /// Assembles a full [`MetricsSnapshot`]: submission counters, the
-    /// backend's buffer-stats fold, and the registry's read cost, histograms
-    /// and parks. No stop-the-world — workers keep running while this
-    /// sums their blocks.
+    /// Assembles a full [`MetricsSnapshot`]: the submission and read
+    /// counters kept here, and the registry's read cost, buffer stats,
+    /// histograms and parks. No stop-the-world — workers keep running while
+    /// this sums their blocks.
     fn metrics(&self) -> MetricsSnapshot {
         let (updates_submitted, updates_applied) = self.quiesce.counts();
         let mut snap = MetricsSnapshot {
@@ -181,7 +181,6 @@ impl Shared {
             handle_reads: self.handle_reads.load(Ordering::Relaxed),
             stale_reads: self.stale_reads.load(Ordering::Relaxed),
             snapshot_refreshes: self.snap.epoch(),
-            buffer_stats: self.backend.buffer_stats(),
             ..MetricsSnapshot::default()
         };
         self.telemetry.fill(&mut snap);
@@ -232,7 +231,7 @@ pub struct ThroughputReport {
     /// The full telemetry snapshot covering the run (a
     /// [`MetricsSnapshot::since`] delta for phase reports, the lifetime
     /// snapshot for [`CoupRuntime::shutdown`] reports) — the one carrier of
-    /// every counter, including the backend's read-cost and
+    /// every counter, including the registry's read-cost and
     /// privatized-buffer counters (all zero for the atomic backend, whose
     /// reads are single store loads and which buffers nothing).
     pub metrics: MetricsSnapshot,
@@ -255,7 +254,8 @@ pub struct RuntimeResult {
     /// snapshot was taken.
     pub snapshot: Vec<u64>,
     /// Merged lifetime report: `updates` applied through the submission
-    /// frontend, `reads` served through handles, `elapsed` from build to
+    /// frontend, `reads` served through the facade and its handles (exact
+    /// and stale tiers both), `elapsed` from build to
     /// shutdown, plus the lifetime [`MetricsSnapshot`] (whose backend
     /// counters also cover [`CoupRuntime::run_workers`] jobs).
     pub report: ThroughputReport,
@@ -465,7 +465,7 @@ impl CoupRuntime {
                 threads: self.shared.workers,
                 // The drainers joined: the one applied counter is final.
                 updates: metrics.updates_applied,
-                reads: metrics.handle_reads,
+                reads: metrics.handle_reads + metrics.stale_reads,
                 elapsed: Duration::from_nanos(metrics.uptime_ns),
                 metrics,
             },

@@ -111,10 +111,13 @@ impl Quiescence {
             && self.applied.fetch_add(0, Ordering::Relaxed) >= submitted & SUBMIT_MASK
     }
 
-    /// `(submitted, applied)` for the metrics fold (plain loads).
+    /// `(submitted, applied)` for the metrics fold (plain loads). Applied
+    /// loads first: it never passes submitted, so in-order loads never show
+    /// a live `applied > submitted`.
     pub(crate) fn counts(&self) -> (u64, u64) {
-        let submitted = self.submitted.load(Ordering::Relaxed) & SUBMIT_MASK;
-        (submitted, self.applied.load(Ordering::Relaxed))
+        let applied = self.applied.load(Ordering::Relaxed);
+        let submitted = self.submitted.load(Ordering::Relaxed);
+        (submitted & SUBMIT_MASK, applied)
     }
 }
 

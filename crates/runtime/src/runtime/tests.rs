@@ -252,6 +252,25 @@ fn a_panicking_job_does_not_wedge_the_queue() {
     assert_eq!(rt.read(1), 6);
 }
 
+/// A producer that panics with a half-filled batch loses nothing: its
+/// handle's `Drop` runs during the unwind and publishes the partial batch,
+/// and shutdown neither hangs nor leaves a submitted update unapplied.
+#[test]
+fn a_producer_panicking_mid_batch_publishes_its_partial_batch() {
+    let rt = counting_runtime(8, 2, 16);
+    let mut sub = rt.handle();
+    let producer = std::thread::spawn(move || {
+        (0..5).for_each(|lane| sub.push(lane, lane as u64 + 1));
+        assert_eq!(sub.pending(), 5, "below capacity: nothing published");
+        panic!("producer failed mid-batch");
+    });
+    assert!(producer.join().is_err(), "the panic reaches the join");
+    rt.drain();
+    assert_eq!(rt.snapshot(), vec![1, 2, 3, 4, 5, 0, 0, 0]);
+    let metrics = rt.shutdown().report.metrics;
+    assert_eq!((metrics.updates_submitted, metrics.updates_applied), (5, 5));
+}
+
 #[test]
 fn a_tiny_queue_capacity_applies_backpressure_without_losing_updates() {
     // queue_capacity 1: every producer's ring holds one update, so
@@ -335,6 +354,8 @@ fn facade_stale_reads_bound_buffered_updates_and_count_in_metrics() {
         assert_eq!((metrics.staleness.count(), metrics.staleness.sum), (1, 8));
         assert_eq!(metrics.read_cost.reads, 1);
     }
+    // The lifetime report counts both tiers: one exact read, one stale.
+    assert_eq!(rt.shutdown().report.reads, 2);
 
     // A kernel-only runtime: run_workers flushes every worker buffer on
     // job exit, so the relaxed tier owes nothing.

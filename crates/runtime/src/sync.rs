@@ -82,25 +82,24 @@ pub(crate) const fn weakened_if(mutated: bool, strong: atomic::Ordering) -> atom
     }
 }
 
-/// The eight *load-bearing* edges, each under the one name it has everywhere:
+/// The seven *load-bearing* edges, each under the one name it has everywhere:
 /// its `ord:` tag. `--cfg coup_mutation="<tag>"` weakens that constant alone
 /// to `Relaxed`, and CI's per-edge lanes — which take their values from this
 /// block — require both `model_tests::<tag in snake case>` (under
 /// `coup_model`) and the unchanged sanitizer battery (under `coup_san`) to
-/// fail for each. `Cargo.toml`'s `check-cfg` lists the same eight values, so a
+/// fail for each. `Cargo.toml`'s `check-cfg` lists the same seven values, so a
 /// value misspelled here does not compile under `-D warnings`, coup-lint's
 /// tests reject a listed value no constant here carries, and `coup-lint`
 /// (R-MUTATION) rejects a constant whose value is not its own tag.
 /// Production builds always resolve to the strong ordering.
 ///
 /// An edge qualifies when weakening it admits a concrete bad interleaving,
-/// documented at its model test. The eight tags with no constant here are
+/// documented at its model test. The seven tags with no constant here are
 /// doubly covered or single-RMW edges (ARCHITECTURE.md's edge table gives
-/// the reason for each): the eviction-count publish, for instance, is
-/// already ordered by the migrate fence, which is why `evict-stats` attacks
-/// the fold-side Acquire; `ring-consume`'s head store is unobservable in the
-/// model's execution-order semantics, though on real hardware it is what
-/// keeps a producer from overwriting a slot whose loads are still in flight.
+/// the reason for each): `ring-consume`'s head store, for instance, is
+/// unobservable in the model's execution-order semantics, though on real
+/// hardware it is what keeps a producer from overwriting a slot whose loads
+/// are still in flight.
 #[rustfmt::skip] // one definition per line: `coup-lint` resolves them line by line
 mod edges {
     use super::{atomic::Ordering, weakened_if};
@@ -109,8 +108,6 @@ mod edges {
     pub(crate) const EPOCH_PUBLISH: Ordering = weakened_if(cfg!(coup_mutation = "seqlock-epoch"), Ordering::Release); // ord: seqlock-epoch
     /// `migrate_slot`'s writer-bit clear: a cleared bit promises the reduce.
     pub(crate) const WRITER_RETIRE: Ordering = weakened_if(cfg!(coup_mutation = "writer-bitmap"), Ordering::AcqRel); // ord: writer-bitmap
-    /// `buffer_stats`' load of a buffer's eviction count.
-    pub(crate) const EVICTION_FOLD: Ordering = weakened_if(cfg!(coup_mutation = "evict-stats"), Ordering::Acquire); // ord: evict-stats
     /// `SpscRing::publish`'s tail store: the ring's one publication edge.
     pub(crate) const RING_PUBLISH: Ordering = weakened_if(cfg!(coup_mutation = "ring-publish"), Ordering::Release); // ord: ring-publish
     /// `ShardDirectory::retire`'s RETIRED store handing over the final tail.

@@ -16,8 +16,9 @@
 //! nothing and every recording call is an empty inline function — the
 //! zero-cost compile-out path — while [`MetricsSnapshot`], the [`Merge`]
 //! trait, and the exporter stay available so reports keep the same shape
-//! (read cost, parks and histograms all zero; the backend-native
-//! [`BufferStats`] still flows).
+//! (read cost, buffer stats, parks and histograms all zero; only the
+//! counters the runtime keeps itself — queue, handle and stale reads, the
+//! snapshot epoch — still flow).
 
 use crate::backend::{BufferStats, ReadCost};
 
@@ -36,24 +37,14 @@ pub const HIST_BUCKETS: usize = 16;
 
 /// Merging for per-worker (or per-run) counter aggregates.
 ///
-/// Every counter struct the runtime folds — [`BufferStats`],
-/// [`HistogramSnapshot`], [`MetricsSnapshot`], and the workload executor's
-/// per-worker counts — folds through this one trait, replacing the three
-/// hand-rolled merge loops that used to live in the harness, the runtime
-/// shutdown path, and the kernel executor.
+/// Every counter struct the runtime folds — [`HistogramSnapshot`],
+/// [`MetricsSnapshot`], and the workload executor's per-worker counts —
+/// folds through this one trait, replacing the three hand-rolled merge
+/// loops that used to live in the harness, the runtime shutdown path, and
+/// the kernel executor.
 pub trait Merge {
     /// Accumulates `other` into `self` field by field.
     fn merge(&mut self, other: &Self);
-}
-
-impl Merge for BufferStats {
-    fn merge(&mut self, other: &Self) {
-        self.privatized += other.privatized;
-        self.evictions += other.evictions;
-        self.flushes += other.flushes;
-        self.held_bypasses += other.held_bypasses;
-        self.admission_bypasses += other.admission_bypasses;
-    }
 }
 
 /// Maps a recorded value to its histogram bucket.
@@ -124,7 +115,7 @@ impl Merge for HistogramSnapshot {
 pub struct TelemetryConfig {
     /// Runtime kill-switch: when false the registry allocates nothing, every
     /// recording call is one predictable branch, and its series (read cost,
-    /// parks, histograms) stay zero. (The `telemetry` cargo feature
+    /// buffer stats, parks, histograms) stay zero. (The `telemetry` cargo feature
     /// removes even that branch at compile time.)
     pub enabled: bool,
 }
@@ -146,10 +137,13 @@ impl TelemetryConfig {
 /// [`crate::CoupRuntime::metrics`] (or carried on a
 /// [`crate::ThroughputReport`]) with a per-worker sum — no stop-the-world.
 ///
-/// Every field is individually monotone between observations on the same
-/// runtime; [`MetricsSnapshot::since`] turns two observations into a phase
-/// delta. The whole struct is `Copy` (fixed-size bucket arrays) so reports
-/// stay cheap to pass around.
+/// Live, each counter is monotone on its own between observations on the
+/// same runtime; relations between counters (such as
+/// `evictions <= privatized` or `escalations <= reads`) hold at quiescence,
+/// because the fold orders no counter against another.
+/// [`MetricsSnapshot::since`] turns two observations into a phase delta.
+/// The whole struct is `Copy` (fixed-size bucket arrays) so reports stay
+/// cheap to pass around.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
     /// Nanoseconds since the registry was created.
@@ -180,9 +174,9 @@ pub struct MetricsSnapshot {
     /// words derived from the read-width histogram, retries and escalations
     /// counted — zero with telemetry off.
     pub read_cost: ReadCost,
-    /// Merged buffer life-cycle counters (privatizations, evictions,
-    /// flushes, held and admission bypasses), backend-native: they flow
-    /// with telemetry off.
+    /// Buffer life-cycle counters (privatizations, evictions, flushes, held
+    /// and admission bypasses): privatizations derived from the occupancy
+    /// histogram, the rest counted — zero with telemetry off.
     pub buffer_stats: BufferStats,
     /// Buffer words folded per synchronous read.
     pub read_width: HistogramSnapshot,

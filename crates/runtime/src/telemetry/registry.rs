@@ -8,7 +8,7 @@ use std::time::Instant;
 use super::Merge;
 use super::{MetricsSnapshot, TelemetryConfig};
 #[cfg(feature = "telemetry")]
-use crate::sync::atomic::Ordering;
+use crate::sync::atomic::{AtomicU64, Ordering};
 
 #[cfg(feature = "telemetry")]
 mod registry_impl {
@@ -43,7 +43,8 @@ mod registry_impl {
     }
 
     /// One worker's counters, padded to a cache line so neighbouring
-    /// workers' relaxed bumps never false-share.
+    /// workers' relaxed bumps never false-share. The last five cells have
+    /// one writer, the buffer owner of the same index.
     #[derive(Default)]
     #[repr(align(64))]
     pub(crate) struct WorkerBlock {
@@ -57,6 +58,12 @@ mod registry_impl {
         pub(crate) read_escalations: AtomicU64,
         pub(crate) queue_parks: AtomicU64,
         pub(crate) queue_unparks: AtomicU64,
+        pub(crate) evictions: AtomicU64,
+        pub(crate) flushes: AtomicU64,
+        pub(crate) held_bypasses: AtomicU64,
+        pub(crate) admission_bypasses: AtomicU64,
+        /// Claimed slots: the value the occupancy histogram samples.
+        pub(crate) resident: AtomicU64,
     }
 
     pub(crate) struct Inner {
@@ -82,13 +89,21 @@ mod registry_impl {
     }
 }
 
+/// Owner-only increment: a plain load and store, no locked RMW — sound on a
+/// cell only one thread writes.
+#[cfg(feature = "telemetry")]
+#[inline]
+fn bump(cell: &AtomicU64) {
+    cell.store(cell.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+}
+
 /// The lock-free metrics registry shared by a backend and its runtime.
 ///
 /// Created once per [`crate::CoupRuntime`] (or by whoever constructs a
 /// standalone [`crate::CoupBackend`]) and shared via `Arc`; recording
 /// methods are crate-internal, observation goes through
 /// [`crate::CoupRuntime::metrics`] / [`crate::TelemetryHandle`] or, for a
-/// standalone backend, the histograms folded by the owner.
+/// standalone backend, [`crate::CoupBackend::metrics`].
 pub struct TelemetryRegistry {
     anchor: Instant,
     #[cfg(feature = "telemetry")]
@@ -175,15 +190,23 @@ impl TelemetryRegistry {
         let _ = (worker, batch, dwell_us);
     }
 
-    /// Records the owner's resident-line count at a privatization.
+    /// Records buffer owner `worker`'s privatization, of an `empty` slot or
+    /// a victim's: the occupancy histogram samples the claimed-slot count,
+    /// and its count is the privatization counter.
     #[inline]
-    pub(crate) fn record_occupancy(&self, worker: usize, resident: u64) {
+    pub(crate) fn record_claim(&self, worker: usize, empty: bool) {
         #[cfg(feature = "telemetry")]
         if let Some(inner) = &self.inner {
-            inner.block(worker).occupancy.record(resident);
+            let block = &inner.blocks[worker];
+            if empty {
+                bump(&block.resident);
+            }
+            block
+                .occupancy
+                .record(block.resident.load(Ordering::Relaxed));
         }
         #[cfg(not(feature = "telemetry"))]
-        let _ = (worker, resident);
+        let _ = (worker, empty);
     }
 
     /// Records the staleness bound one relaxed-tier read returned.
@@ -197,15 +220,40 @@ impl TelemetryRegistry {
         let _ = (worker, staleness);
     }
 
-    /// Records the non-identity word count of one slot migration.
+    /// Records buffer owner `worker`'s slot migration: its non-identity word
+    /// count, and an eviction or a flush. Buffer recorders index the owner's
+    /// block with no clamp and bump its one-writer cells with no locked RMW.
     #[inline]
-    pub(crate) fn record_flush_words(&self, worker: usize, words: u64) {
+    pub(crate) fn record_migration(&self, worker: usize, words: u64, eviction: bool) {
         #[cfg(feature = "telemetry")]
         if let Some(inner) = &self.inner {
-            inner.block(worker).flush_words.record(words);
+            let block = &inner.blocks[worker];
+            block.flush_words.record(words);
+            bump(if eviction {
+                &block.evictions
+            } else {
+                &block.flushes
+            });
         }
         #[cfg(not(feature = "telemetry"))]
-        let _ = (worker, words);
+        let _ = (worker, words, eviction);
+    }
+
+    /// Records an update buffer owner `worker` sent straight to the store:
+    /// every victim was read-`held`, or else its line was not admitted.
+    #[inline]
+    pub(crate) fn record_bypass(&self, worker: usize, held: bool) {
+        #[cfg(feature = "telemetry")]
+        if let Some(inner) = &self.inner {
+            let block = &inner.blocks[worker];
+            bump(if held {
+                &block.held_bypasses
+            } else {
+                &block.admission_bypasses
+            });
+        }
+        #[cfg(not(feature = "telemetry"))]
+        let _ = (worker, held);
     }
 
     /// Counts one drainer park (condvar sleep).
@@ -239,17 +287,19 @@ impl TelemetryRegistry {
         let _ = worker;
     }
 
-    /// Folds the registry's own counters (read cost, histograms, parks,
-    /// uptime) into `snap`; the caller supplies the buffer and
-    /// queue counters. `read_cost`'s reads and words are derived from the
-    /// read-width histogram.
+    /// Folds the registry's counters (read cost, buffer stats, histograms,
+    /// parks, uptime) into `snap`; the caller supplies the queue counters.
+    /// `read_cost`'s reads and words are derived from the read-width
+    /// histogram, and `buffer_stats.privatized` from the occupancy one.
     pub(crate) fn fill(&self, snap: &mut MetricsSnapshot) {
         snap.uptime_ns = self.uptime_ns();
         #[cfg(feature = "telemetry")]
         if let Some(inner) = &self.inner {
             for block in inner.blocks.iter() {
-                // Escalations before the buckets: a read bumps its buckets
-                // first, so `escalations <= reads` holds for a live observer.
+                // Relaxed loads of distinct locations: live, each counter is
+                // monotone on its own. Escalations load before the buckets a
+                // read bumps first, so in-order loads (x86) never show more
+                // escalations than reads; C11 promises that at quiescence.
                 snap.read_cost.escalations += block.read_escalations.load(Ordering::Relaxed);
                 snap.read_cost.retries += block.read_retries.load(Ordering::Relaxed);
                 snap.read_width.merge(&block.read_width.snapshot());
@@ -260,9 +310,15 @@ impl TelemetryRegistry {
                 snap.staleness.merge(&block.staleness.snapshot());
                 snap.queue_parks += block.queue_parks.load(Ordering::Relaxed);
                 snap.queue_unparks += block.queue_unparks.load(Ordering::Relaxed);
+                let stats = &mut snap.buffer_stats;
+                stats.evictions += block.evictions.load(Ordering::Relaxed);
+                stats.flushes += block.flushes.load(Ordering::Relaxed);
+                stats.held_bypasses += block.held_bypasses.load(Ordering::Relaxed);
+                stats.admission_bypasses += block.admission_bypasses.load(Ordering::Relaxed);
             }
             snap.read_cost.reads = snap.read_width.count();
             snap.read_cost.buffer_words = snap.read_width.sum;
+            snap.buffer_stats.privatized = snap.occupancy.count();
         }
     }
 }

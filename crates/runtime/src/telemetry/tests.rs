@@ -147,8 +147,12 @@ fn registry_folds_per_worker_blocks() {
     registry.record_read(2, 5, 0, 0);
     registry.record_read(usize::MAX, 2, 4, 0); // clamps onto the extra block
     registry.record_queue_pop(1, 256, 12);
-    registry.record_occupancy(3, 7);
-    registry.record_flush_words(2, 9);
+    registry.record_claim(3, true);
+    registry.record_claim(3, false);
+    registry.record_migration(2, 9, true);
+    registry.record_migration(2, 0, false);
+    registry.record_bypass(0, true);
+    registry.record_bypass(3, false);
     registry.record_park(1);
     registry.record_unpark(1);
     let mut snap = MetricsSnapshot::default();
@@ -163,8 +167,13 @@ fn registry_folds_per_worker_blocks() {
     assert_eq!(snap.read_cost.escalations, 1);
     assert_eq!(snap.batch_size.count(), 1);
     assert_eq!(snap.queue_dwell_us.sum, 12);
-    assert_eq!(snap.occupancy.sum, 7);
-    assert_eq!(snap.flush_words.sum, 9);
+    assert_eq!((snap.occupancy.count(), snap.occupancy.sum), (2, 2));
+    assert_eq!((snap.flush_words.count(), snap.flush_words.sum), (2, 9));
+    // Privatizations derive from the occupancy histogram; the rest are
+    // the owner-only cells.
+    let s = snap.buffer_stats;
+    assert_eq!((s.privatized, s.evictions, s.flushes), (2, 1, 1));
+    assert_eq!((s.held_bypasses, s.admission_bypasses), (1, 1));
     assert_eq!(snap.queue_parks, 1);
     assert_eq!(snap.queue_unparks, 1);
     assert!(snap.uptime_ns > 0);
@@ -193,12 +202,16 @@ fn disabled_registry_records_nothing() {
     let registry = TelemetryRegistry::new(4, TelemetryConfig::disabled());
     assert!(!registry.is_enabled());
     registry.record_read(0, 3, 1, 1);
+    registry.record_claim(0, true);
+    registry.record_migration(0, 4, true);
+    registry.record_bypass(0, false);
     registry.record_park(0);
     registry.record_unpark(0);
     let mut snap = MetricsSnapshot::default();
     registry.fill(&mut snap);
     assert_eq!(snap.read_width.count(), 0);
     assert_eq!(snap.read_cost, ReadCost::default());
+    assert_eq!(snap.buffer_stats, BufferStats::default());
     assert_eq!(snap.queue_parks, 0);
     assert_eq!(snap.queue_unparks, 0);
 }

@@ -33,7 +33,7 @@ fn coup_backend(
 }
 
 /// store-word, buffer-tag-publish, seqlock-epoch, buffer-word,
-/// writer-bitmap, read-hold, evict-stats: the backend-side protocols.
+/// writer-bitmap, read-hold: the backend-side protocols.
 fn exercise_backend() {
     // Cross-thread buffered updates + reads: privatization, writer bitmap,
     // buffer words, tag publishes, and (via threshold flushes) the seqlock
@@ -68,8 +68,8 @@ fn exercise_backend() {
     let _ = backend.read_escalated(3);
 
     // Dirty capacity evictions: a one-line buffer updated on two distinct
-    // store lines must evict, and the stats fold acquires the eviction
-    // counter (`evict-stats`).
+    // store lines must evict, migrating each delta through the seqlock
+    // window and the writer-bit retire.
     let bounded = coup_backend(
         1024,
         1,
@@ -81,7 +81,7 @@ fn exercise_backend() {
         // alternately evicts the other's dirty slot.
         bounded.update(0, if i % 2 == 0 { 0 } else { 512 }, 1);
     }
-    let stats = bounded.buffer_stats();
+    let stats = bounded.metrics().buffer_stats;
     assert!(stats.evictions > 0, "bounded buffer must evict: {stats:?}");
 
     // Direct atomic RMWs on the shared store (`store-word` both sides).

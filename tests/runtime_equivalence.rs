@@ -310,18 +310,11 @@ fn quiescent_equivalence_holds_across_buffer_capacities() {
             want,
             "capacity {capacity:?} diverged from the sequential reference"
         );
-        match capacity {
-            Some(c) => {
-                assert!(
-                    report.metrics.buffer_stats.evictions > 0,
-                    "capacity {c} over 128 lines must evict"
-                );
-            }
-            None => assert_eq!(
-                report.metrics.buffer_stats.evictions, 0,
-                "unbounded buffers must never evict"
-            ),
-        }
+        // Bounded buffers over 128 lines evict, unbounded ones never do;
+        // the counter is registry-backed, so 0 with telemetry compiled out.
+        let evictions = report.metrics.buffer_stats.evictions;
+        let evicts = capacity.is_some() && cfg!(feature = "telemetry");
+        assert_eq!(evictions > 0, evicts, "capacity {capacity:?}: {evictions}");
     }
 }
 
@@ -361,6 +354,8 @@ fn zipf_skew_matches_reference_and_cuts_eviction_pressure() {
         let misses = stats.privatized + stats.admission_bypasses + stats.held_bypasses;
         miss_shares.push(misses as f64 / report.updates as f64);
     }
+    // Registry-backed: compiled out, every miss share is 0.
+    #[cfg(feature = "telemetry")]
     assert!(
         miss_shares[1] < miss_shares[0] / 2.0,
         "zipf(0.99) should at least halve the miss share of a 16-line \
@@ -497,7 +492,7 @@ fn concurrent_subword_reads_never_lose_migrating_deltas() {
             }
         });
         assert_eq!(coup.snapshot()[..4], [0, updates, updates, 0]);
-        let cost = coup.read_cost();
+        let cost = coup.metrics().read_cost;
         // Read cost is registry-backed: compiled out, the bound below is 0 <= 0.
         #[cfg(feature = "telemetry")]
         assert!(cost.reads > 0);
@@ -563,8 +558,9 @@ fn pgrank_on_a_million_line_store_stays_within_buffer_capacity() {
         .execute(&pgrank.kernel())
         .expect("million-line pgrank must verify against the sequential reference");
     assert_eq!(report.updates as usize, pgrank.edges());
-    assert!(
+    assert_eq!(
         report.metrics.buffer_stats.evictions > 0,
+        cfg!(feature = "telemetry"),
         "a 64-line buffer scattering over a million lines must evict"
     );
 }
