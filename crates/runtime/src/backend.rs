@@ -28,7 +28,7 @@
 //!    buffered delta in the store. Readers reduce only the buffers the bitmap
 //!    names, so reads cost O(active writers), not O(threads).
 //! 2. **Per-slot flush epochs** (seqlock-style): a slot's epoch is odd while
-//!    its owner migrates the slot's line into the store (swap to identity +
+//!    its owner migrates the slot's line into the store (drain to identity +
 //!    reduce) and bumped to the next even value when the migration completes.
 //!    A reader validates that every consulted slot still holds the expected
 //!    line tag at the epoch it sampled; any overlapping migration or eviction
@@ -258,7 +258,8 @@ pub trait UpdateBackend: Send + Sync {
     }
 
     /// Applies `op(current, value)` to lane `index` on behalf of worker
-    /// `thread`.
+    /// `thread`. One thread at a time may act as a given worker: its
+    /// privatized buffer has a single writer.
     fn update(&self, thread: usize, index: usize, value: u64);
 
     /// Update immediately followed by a read of the same lane (the
@@ -280,6 +281,14 @@ pub trait UpdateBackend: Send + Sync {
 
     /// Reads lane `index` on behalf of worker `thread`, reducing buffered
     /// partial updates as needed.
+    ///
+    /// **Ownership rule.** An in-range worker index (`thread < workers`) is
+    /// driven by one thread at a time — the one acting as that worker, as
+    /// [`UpdateBackend::update`] and [`UpdateBackend::flush`] already
+    /// require — because the read is tallied into that worker's telemetry
+    /// block with plain stores (see [`TelemetryRegistry`]). Any other
+    /// reader passes an out-of-range index (the runtime's handles pass
+    /// `usize::MAX`), whose tallies share one block of atomic RMWs.
     fn read(&self, thread: usize, index: usize) -> u64;
 
     /// The relaxed read tier: lane `index`'s shared-store word plus a
@@ -289,7 +298,8 @@ pub trait UpdateBackend: Send + Sync {
     /// buffer ([`AtomicBackend`]); [`CoupBackend`] overrides it with the
     /// O(active writers) pending-count walk that never loads a buffer word
     /// and never arms a read hold, so monitor/dashboard traffic cannot
-    /// defer a writer's flush.
+    /// defer a writer's flush. `thread` follows [`UpdateBackend::read`]'s
+    /// ownership rule.
     fn read_stale(&self, thread: usize, index: usize) -> StaleRead {
         StaleRead {
             value: self.read(thread, index),
@@ -384,8 +394,9 @@ pub struct CoupBackend {
 /// Default per-line update budget before a privatized line is flushed to the
 /// store. Correctness never depends on this (all supported operations are
 /// total on their bit patterns — integer lanes wrap), so it defaults high:
-/// flushing costs a CAS per dirty word, and reads reduce buffered partials
-/// regardless.
+/// flushing costs a locked RMW per dirty word (a native fetch-op, or a CAS
+/// loop for packed and float lanes) plus the writer-bit clear, and reads
+/// reduce buffered partials regardless.
 pub const DEFAULT_FLUSH_THRESHOLD: u32 = 4096;
 
 /// Maximum worker count of a [`CoupBackend`]: one bit per worker in each

@@ -6,7 +6,7 @@
 //! `#[inline]` reader methods (locate, sample the epoch, load a word,
 //! re-validate, load the pending count).
 
-use coup_protocol::line::{LineData, WORDS_PER_LINE};
+use coup_protocol::line::LineData;
 use coup_protocol::ops::CommutativeOp;
 
 use super::{CoupBackend, HOLD_DEFER_FACTOR, PROBE_WINDOW};
@@ -48,7 +48,7 @@ pub(super) struct ThreadBuffer {
     /// Written by the owner (Release), read by reducing readers (Acquire).
     tags: Box<[AtomicU64]>,
     /// Per-slot flush epoch, seqlock-style: odd while the owner is migrating
-    /// the slot's line into the store (swap + reduce), bumped to the next
+    /// the slot's line into the store (drain to identity + reduce), bumped to the next
     /// even value when the migration completes. 64 bits wide so a validation
     /// cannot be fooled by wrap-around inside one read (a 2⁶³-flush ABA is
     /// decades of machine time, not a reachable race).
@@ -258,17 +258,18 @@ impl CoupBackend {
         None
     }
 
-    /// Drains slot `idx` of `thread`'s buffer into the store: swap each word
-    /// back to the identity element, assemble the observed partial into a
-    /// [`LineData`], and reduce it lane-wise into the slot's tagged line. The
-    /// swap guarantees each buffered delta is consumed exactly once even
-    /// while other threads are reading, and the surrounding epoch bumps (odd
-    /// while migrating) let concurrent readers detect that a delta may be
-    /// mid-flight between buffer and store and retry (see
-    /// [`CoupBackend::read`]). Once the reduce has landed — and only then —
-    /// the owner retires itself from the line's writer bitmap: the slot is
-    /// back at identity and every prior delta is store-visible, so readers
-    /// that skip this buffer from now on lose nothing. `retag` is the reason:
+    /// Drains slot `idx` of `thread`'s buffer into the store: load each word,
+    /// assemble the non-identity ones into a [`LineData`] and store identity
+    /// back over them, then reduce the partial lane-wise into the slot's
+    /// tagged line. Plain loads and stores suffice: the owner is the slot's
+    /// only writer, so each buffered delta is consumed exactly once, and the
+    /// odd epoch published before the drain lets a reader that overlaps any
+    /// of it — a delta mid-flight between buffer and store — detect the
+    /// overlap and retry (see [`CoupBackend::read`]). Once the reduce has
+    /// landed — and only then — the owner retires itself from the line's
+    /// writer bitmap: the slot is back at identity and every prior delta is
+    /// store-visible, so readers that skip this buffer from now on lose
+    /// nothing. `retag` is the reason:
     /// `Some(new_line)` is a capacity eviction — the slot is handed to the
     /// new line inside the same odd-epoch window, after the bitmap
     /// retirement — and `None` a threshold or explicit flush; the migration
@@ -281,18 +282,23 @@ impl CoupBackend {
             epoch.load(Ordering::Relaxed).wrapping_add(1),
             Ordering::Relaxed,
         );
-        // Order the odd-epoch store before the swaps: a reader that observes
-        // a swapped (identity) word must also observe the migration marker.
+        // Order the odd-epoch store before the identity stores below. This
+        // fence pairs with the Acquire fence a fold pass takes after its
+        // word loads (`try_reduce`): a reader that observes a drained
+        // (identity) word also observes the odd epoch on its re-check, and
+        // retries.
         // ord: seqlock-epoch
         fence(Ordering::Release);
         let op = self.store.op();
         let identity = op.identity_word();
         let mut partial = LineData::identity(op);
         let mut dirty = false;
-        for word in 0..WORDS_PER_LINE {
-            // ord: seqlock-epoch, buffer-word
-            let observed = buf.slots[idx].words[word].swap(identity, Ordering::AcqRel);
+        for (word, cell) in buf.slots[idx].words.iter().enumerate() {
+            // Single writer: a Relaxed load sees the owner's own last
+            // store, and only the dirty words need identity stored back.
+            let observed = cell.load(Ordering::Relaxed);
             if observed != identity {
+                cell.store(identity, Ordering::Relaxed);
                 partial.set_word(word, observed);
                 dirty = true;
             }

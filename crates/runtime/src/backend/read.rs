@@ -36,7 +36,7 @@ impl CoupBackend {
     /// the bitmap re-check below is guaranteed to see the bit fall and fail
     /// the pass. Either way no delta is observed in neither place, and none
     /// is observed twice (a store-visible delta implies a completed reduce,
-    /// which implies the swap emptied the slot within the same odd-epoch
+    /// which implies the drain emptied the slot within the same odd-epoch
     /// window the validation rejects).
     fn try_reduce(&self, slot: LaneSlot, index: usize, cost: &mut ReadCost) -> Option<u64> {
         // ord: writer-bitmap
@@ -165,7 +165,7 @@ impl CoupBackend {
         // *active writer* of the line, per the writer bitmap — O(active
         // writers), not O(threads). A concurrent migration moves a delta
         // from a buffer into the store; reading the store before the reduce
-        // and the buffer after the swap would observe the delta in *neither*
+        // and the buffer after the drain would observe the delta in *neither*
         // place. The per-slot seqlock epochs plus the tag and bitmap
         // rechecks rule that out (see [`CoupBackend::try_reduce`] for the
         // proof), and the retry loop is bounded: after [`READ_RETRY_LIMIT`]

@@ -304,7 +304,7 @@ fn invalid_capacity_env_value_panics_instead_of_falling_back() {
 #[test]
 fn concurrent_reads_never_lose_migrating_deltas() {
     // flush_threshold 1 makes every update migrate buffer → store, so
-    // readers constantly race the swap/reduce window. A counter that
+    // readers constantly race the drain/reduce window. A counter that
     // only grows must never appear to shrink: a dip means a reader saw
     // the delta in neither the buffer nor the store (the race the
     // per-slot epoch seqlock closes).

@@ -209,16 +209,9 @@ impl SharedStore {
     pub fn set_lane(&self, index: usize, value: u64) {
         debug_assert!(index < self.len);
         let slot = self.geometry.slot(index);
-        let word = self.word(slot);
-        let mut current = word.load(Ordering::Relaxed);
-        loop {
-            let next = (current & !slot.mask) | ((value << slot.shift) & slot.mask);
-            // ord: store-word
-            match word.compare_exchange_weak(current, next, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => return,
-                Err(observed) => current = observed,
-            }
-        }
+        cas_word(self.word(slot), |current| {
+            (current & !slot.mask) | ((value << slot.shift) & slot.mask)
+        });
     }
 
     /// Atomically applies `op(current, value)` to lane `index` and returns the
@@ -230,35 +223,15 @@ impl SharedStore {
         let op = self.geometry.op;
         let slot = self.geometry.slot(index);
         let word = self.word(slot);
-        if slot.mask == u64::MAX {
-            // Whole-word lane: use the native atomic where the ISA has one.
-            let old = match op {
-                CommutativeOp::AddU64 => word.fetch_add(value, Ordering::AcqRel), // ord: store-word
-                CommutativeOp::And64 => word.fetch_and(value, Ordering::AcqRel),  // ord: store-word
-                CommutativeOp::Or64 => word.fetch_or(value, Ordering::AcqRel),    // ord: store-word
-                CommutativeOp::Xor64 => word.fetch_xor(value, Ordering::AcqRel),  // ord: store-word
-                CommutativeOp::Min64 => word.fetch_min(value, Ordering::AcqRel),  // ord: store-word
-                CommutativeOp::Max64 => word.fetch_max(value, Ordering::AcqRel),  // ord: store-word
-                _ => return self.rmw_lane_cas(word, slot, value),
-            };
+        if let Some(old) = fetch_op(op, word, value) {
             return op.apply_lane(old, value);
         }
-        self.rmw_lane_cas(word, slot, value)
-    }
-
-    fn rmw_lane_cas(&self, word: &AtomicU64, slot: LaneSlot, value: u64) -> u64 {
-        let op = self.geometry.op;
-        let mut current = word.load(Ordering::Relaxed);
-        loop {
+        let next = cas_word(word, |current| {
             let lane = (current & slot.mask) >> slot.shift;
             let new_lane = op.apply_lane(lane, value) & slot.low_mask;
-            let next = (current & !slot.mask) | (new_lane << slot.shift);
-            // ord: store-word
-            match word.compare_exchange_weak(current, next, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => return new_lane,
-                Err(observed) => current = observed,
-            }
-        }
+            (current & !slot.mask) | (new_lane << slot.shift)
+        });
+        (next & slot.mask) >> slot.shift
     }
 
     /// Reduces a whole partial-update line into shard `line`, word by word,
@@ -266,7 +239,9 @@ impl SharedStore {
     /// shared-cache reduction unit consuming a flushed U-state line.
     ///
     /// Words equal to the identity element are skipped (they cannot change the
-    /// stored value).
+    /// stored value). A whole-word op reduces each word with the same native
+    /// fetch-op [`SharedStore::rmw_lane`] uses; packed and float lanes take
+    /// the CAS loop.
     ///
     /// Returns how many non-identity words were applied — the width of the
     /// reduction, fed to the telemetry `flush_words` histogram (the software
@@ -280,15 +255,8 @@ impl SharedStore {
                 continue;
             }
             applied += 1;
-            let mut current = word.load(Ordering::Relaxed);
-            loop {
-                let next = op.apply_word(current, partial_word);
-                // ord: store-word
-                match word.compare_exchange_weak(current, next, Ordering::AcqRel, Ordering::Acquire)
-                {
-                    Ok(_) => break,
-                    Err(observed) => current = observed,
-                }
+            if fetch_op(op, word, partial_word).is_none() {
+                cas_word(word, |current| op.apply_word(current, partial_word));
             }
         }
         applied
@@ -299,6 +267,40 @@ impl SharedStore {
     #[must_use]
     pub fn snapshot(&self) -> Vec<u64> {
         (0..self.len).map(|i| self.load_lane(i)).collect()
+    }
+}
+
+/// Applies `op(current, value)` to the whole `word` with the native fetch-op
+/// the ISA has for it — AddU64, And64, Or64, Xor64, Min64, Max64 — and
+/// returns the old word; `None` for every other op (packed and float lanes),
+/// which must go through [`cas_word`]. The one fetch-op table, shared by
+/// lane RMWs and line reductions.
+#[inline]
+fn fetch_op(op: CommutativeOp, word: &AtomicU64, value: u64) -> Option<u64> {
+    Some(match op {
+        CommutativeOp::AddU64 => word.fetch_add(value, Ordering::AcqRel), // ord: store-word
+        CommutativeOp::And64 => word.fetch_and(value, Ordering::AcqRel),  // ord: store-word
+        CommutativeOp::Or64 => word.fetch_or(value, Ordering::AcqRel),    // ord: store-word
+        CommutativeOp::Xor64 => word.fetch_xor(value, Ordering::AcqRel),  // ord: store-word
+        CommutativeOp::Min64 => word.fetch_min(value, Ordering::AcqRel),  // ord: store-word
+        CommutativeOp::Max64 => word.fetch_max(value, Ordering::AcqRel),  // ord: store-word
+        _ => return None,
+    })
+}
+
+/// Replaces `word` with `next(current)` in a compare-and-swap loop and
+/// returns the word it stored: the update path of ops with no native
+/// fetch-op, and of sub-word lane writes.
+#[inline]
+fn cas_word(word: &AtomicU64, next: impl Fn(u64) -> u64) -> u64 {
+    let mut current = word.load(Ordering::Relaxed);
+    loop {
+        let new = next(current);
+        // ord: store-word
+        match word.compare_exchange_weak(current, new, Ordering::AcqRel, Ordering::Acquire) {
+            Ok(_) => return new,
+            Err(observed) => current = observed,
+        }
     }
 }
 
@@ -366,17 +368,47 @@ mod tests {
         assert_eq!(store.load_lane(2), 0);
     }
 
+    /// Every op, so both reduction arms run: the six whole-word ops reduce
+    /// with their native fetch-op, the packed and float lanes with the CAS
+    /// loop. Each must match a sequential `apply_lane` fold of the store's
+    /// lanes with the partials, skip the identity word, and leave the
+    /// neighbouring line alone.
     #[test]
     fn reduce_line_applies_partials_lane_wise() {
-        let op = CommutativeOp::AddU32;
-        let store = SharedStore::new(op, 32);
-        store.set_lane(0, 100);
-        let mut partial = LineData::identity(op);
-        partial.apply_update(op, 0, 5);
-        partial.apply_update(op, 60, 9); // last u32 lane of the line
-        store.reduce_line(0, &partial);
-        assert_eq!(store.load_lane(0), 105);
-        assert_eq!(store.load_lane(15), 9);
+        use coup_protocol::ops::lanes;
+        for op in CommutativeOp::ALL {
+            let width = op.width().bytes();
+            let geometry = LaneGeometry::new(op);
+            let per_line = geometry.lanes_per_line();
+            let low_mask = geometry.slot(0).low_mask;
+            let value = |seed: u64| {
+                let x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17;
+                match op {
+                    CommutativeOp::AddF32 => lanes::f32_to_lane((x % 1000) as f32 * 0.25),
+                    CommutativeOp::AddF64 => lanes::f64_to_lane((x % 1000) as f64 * 0.25),
+                    _ => x & low_mask,
+                }
+            };
+            let store = SharedStore::new(op, 2 * per_line);
+            let mut expected: Vec<u64> = (0..store.len() as u64).map(value).collect();
+            for (lane, &v) in expected.iter().enumerate() {
+                store.set_lane(lane, v);
+            }
+            for round in 1..=2u64 {
+                let mut partial = LineData::identity(op);
+                for lane in 0..per_line {
+                    if lane * width / 8 == 3 {
+                        continue; // word 3 stays at identity: skipped
+                    }
+                    let v = value(round * 1_000 + lane as u64);
+                    partial.set_lane(op, lane * width, v);
+                    let folded = &mut expected[per_line + lane];
+                    *folded = op.apply_lane(*folded, v) & low_mask;
+                }
+                assert_eq!(store.reduce_line(1, &partial), WORDS_PER_LINE - 1, "{op:?}");
+            }
+            assert_eq!(store.snapshot(), expected, "{op:?}");
+        }
     }
 
     #[test]

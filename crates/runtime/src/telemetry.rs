@@ -6,8 +6,10 @@
 //! The registry holds one cache-line-aligned block of atomic histograms per
 //! worker, plus one more that every out-of-range recorder (external
 //! producer threads doing synchronous handle reads) shares. Hot-path sites
-//! in the backend and the runtime bump their own block with relaxed atomics
-//! — no locks, and no line a worker and an external reader both write.
+//! in the backend and the runtime bump their own block with Relaxed plain
+//! load + store — a worker's block has one writer, so no lock prefix — and
+//! the shared block with Relaxed `fetch_add`s: no locks, and no line a
+//! worker and an external reader both write.
 //! Reading is a per-worker sum with no stop-the-world: [`MetricsSnapshot`]
 //! is assembled any time by folding the blocks, so every counter in it is
 //! individually monotone between observations.
@@ -32,7 +34,8 @@ pub use registry::TelemetryRegistry;
 ///
 /// Bucket `i` (for `1 <= i < 15`) holds values in `[2^(i-1), 2^i - 1]`;
 /// bucket 0 holds exactly 0 and bucket 15 is the unbounded tail. Power-of-
-/// two buckets make recording a `leading_zeros` plus one relaxed RMW.
+/// two buckets make recording a `leading_zeros` plus one bucket bump — a
+/// plain store in a worker's own block, a relaxed RMW in the shared one.
 pub const HIST_BUCKETS: usize = 16;
 
 /// Merging for per-worker (or per-run) counter aggregates.

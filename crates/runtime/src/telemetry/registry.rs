@@ -8,7 +8,9 @@ use std::time::Instant;
 use super::Merge;
 use super::{MetricsSnapshot, TelemetryConfig};
 #[cfg(feature = "telemetry")]
-use crate::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::atomic::Ordering;
+#[cfg(feature = "telemetry")]
+use registry_impl::add;
 
 #[cfg(feature = "telemetry")]
 mod registry_impl {
@@ -16,9 +18,25 @@ mod registry_impl {
 
     use crate::telemetry::{bucket_index, HistogramSnapshot, HIST_BUCKETS};
 
-    /// A histogram of relaxed atomics; recording is `leading_zeros` plus two
-    /// relaxed `fetch_add`s (RMW rather than plain store only because the
-    /// last block is shared by every out-of-range recorder).
+    /// Adds `n` to `cell`. An `owned` cell has one writer — the worker
+    /// whose block it is — so a plain Relaxed load + store suffices and no
+    /// lock prefix is paid; a cell of the shared extra block, or one that
+    /// producers also record into, takes a Relaxed `fetch_add`.
+    #[inline]
+    pub(crate) fn add(cell: &AtomicU64, n: u64, owned: bool) {
+        if owned {
+            cell.store(
+                cell.load(Ordering::Relaxed).wrapping_add(n),
+                Ordering::Relaxed,
+            );
+        } else {
+            cell.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// A histogram of relaxed atomics; recording is `leading_zeros` plus
+    /// two [`add`]s — plain stores into an owned block, `fetch_add`s into
+    /// the shared one.
     #[derive(Default)]
     pub(crate) struct AtomicHistogram {
         buckets: [AtomicU64; HIST_BUCKETS],
@@ -27,9 +45,9 @@ mod registry_impl {
 
     impl AtomicHistogram {
         #[inline]
-        pub(crate) fn record(&self, value: u64) {
-            self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(value, Ordering::Relaxed);
+        pub(crate) fn record(&self, value: u64, owned: bool) {
+            add(&self.buckets[bucket_index(value)], 1, owned);
+            add(&self.sum, value, owned);
         }
 
         pub(crate) fn snapshot(&self) -> HistogramSnapshot {
@@ -43,8 +61,11 @@ mod registry_impl {
     }
 
     /// One worker's counters, padded to a cache line so neighbouring
-    /// workers' relaxed bumps never false-share. The last five cells have
-    /// one writer, the buffer owner of the same index.
+    /// workers' relaxed bumps never false-share. A worker's own block has
+    /// one writer — the thread driving that worker index — for every cell
+    /// but `queue_parks`/`queue_unparks`, which producers parked on the
+    /// worker's shards record into too; those two, and every cell of the
+    /// shared extra block, take `fetch_add`s.
     #[derive(Default)]
     #[repr(align(64))]
     pub(crate) struct WorkerBlock {
@@ -78,26 +99,29 @@ mod registry_impl {
             }
         }
 
-        /// The one identity rule: worker `w` records into block `w`; any
-        /// out-of-range recorder (external handle readers pass
-        /// `usize::MAX`) clamps onto the extra last block, so a producer's
-        /// read tallies never share a worker's lines.
+        /// The one identity rule: worker `w` records into block `w`, which
+        /// it owns; any out-of-range recorder (external handle readers pass
+        /// `usize::MAX`) clamps onto the extra last block, shared, so a
+        /// producer's read tallies never share a worker's lines. Returns the
+        /// block and whether the recorder owns it.
         #[inline]
-        pub(crate) fn block(&self, worker: usize) -> &WorkerBlock {
-            &self.blocks[worker.min(self.blocks.len() - 1)]
+        pub(crate) fn block(&self, worker: usize) -> (&WorkerBlock, bool) {
+            let shared = self.blocks.len() - 1;
+            (&self.blocks[worker.min(shared)], worker < shared)
         }
     }
 }
 
-/// Owner-only increment: a plain load and store, no locked RMW — sound on a
-/// cell only one thread writes.
-#[cfg(feature = "telemetry")]
-#[inline]
-fn bump(cell: &AtomicU64) {
-    cell.store(cell.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-}
-
 /// The lock-free metrics registry shared by a backend and its runtime.
+///
+/// **Ownership rule.** A worker index `w < workers` names one recorder at a
+/// time — the thread driving worker `w`, as [`crate::UpdateBackend::update`]
+/// and [`crate::UpdateBackend::flush`] already require — so block `w`'s
+/// cells are bumped with plain Relaxed load + store, no lock prefix. Every
+/// other recorder (external handle readers) passes an out-of-range index and
+/// shares the extra block, whose cells take `fetch_add`s. Two threads
+/// recording under one in-range index would lose counts, never corrupt
+/// memory.
 ///
 /// Created once per [`crate::CoupRuntime`] (or by whoever constructs a
 /// standalone [`crate::CoupBackend`]) and shared via `Arc`; recording
@@ -156,21 +180,20 @@ impl TelemetryRegistry {
     /// buffer words it folded, the validation retries it burned, whether it
     /// escalated. [`MetricsSnapshot::read_cost`] is derived from these. A
     /// read that neither retried nor escalated costs the width record's two
-    /// RMWs and nothing more: retries and escalations are plain counters,
-    /// bumped only when nonzero.
+    /// adds and nothing more (plain stores under a worker's index, RMWs in
+    /// the shared block): retries and escalations are counters bumped only
+    /// when nonzero.
     #[inline]
     pub(crate) fn record_read(&self, worker: usize, width: u64, retries: u64, escalations: u64) {
         #[cfg(feature = "telemetry")]
         if let Some(inner) = &self.inner {
-            let block = inner.block(worker);
-            block.read_width.record(width);
+            let (block, owned) = inner.block(worker);
+            block.read_width.record(width, owned);
             if retries != 0 {
-                block.read_retries.fetch_add(retries, Ordering::Relaxed);
+                add(&block.read_retries, retries, owned);
             }
             if escalations != 0 {
-                block
-                    .read_escalations
-                    .fetch_add(escalations, Ordering::Relaxed);
+                add(&block.read_escalations, escalations, owned);
             }
         }
         #[cfg(not(feature = "telemetry"))]
@@ -182,9 +205,9 @@ impl TelemetryRegistry {
     pub(crate) fn record_queue_pop(&self, worker: usize, batch: u64, dwell_us: u64) {
         #[cfg(feature = "telemetry")]
         if let Some(inner) = &self.inner {
-            let block = inner.block(worker);
-            block.batch_size.record(batch);
-            block.queue_dwell_us.record(dwell_us);
+            let (block, owned) = inner.block(worker);
+            block.batch_size.record(batch, owned);
+            block.queue_dwell_us.record(dwell_us, owned);
         }
         #[cfg(not(feature = "telemetry"))]
         let _ = (worker, batch, dwell_us);
@@ -199,11 +222,11 @@ impl TelemetryRegistry {
         if let Some(inner) = &self.inner {
             let block = &inner.blocks[worker];
             if empty {
-                bump(&block.resident);
+                add(&block.resident, 1, true);
             }
             block
                 .occupancy
-                .record(block.resident.load(Ordering::Relaxed));
+                .record(block.resident.load(Ordering::Relaxed), true);
         }
         #[cfg(not(feature = "telemetry"))]
         let _ = (worker, empty);
@@ -214,7 +237,8 @@ impl TelemetryRegistry {
     pub(crate) fn record_stale_read(&self, worker: usize, staleness: u64) {
         #[cfg(feature = "telemetry")]
         if let Some(inner) = &self.inner {
-            inner.block(worker).staleness.record(staleness);
+            let (block, owned) = inner.block(worker);
+            block.staleness.record(staleness, owned);
         }
         #[cfg(not(feature = "telemetry"))]
         let _ = (worker, staleness);
@@ -222,18 +246,19 @@ impl TelemetryRegistry {
 
     /// Records buffer owner `worker`'s slot migration: its non-identity word
     /// count, and an eviction or a flush. Buffer recorders index the owner's
-    /// block with no clamp and bump its one-writer cells with no locked RMW.
+    /// block with no clamp: every cell they touch is owned.
     #[inline]
     pub(crate) fn record_migration(&self, worker: usize, words: u64, eviction: bool) {
         #[cfg(feature = "telemetry")]
         if let Some(inner) = &self.inner {
             let block = &inner.blocks[worker];
-            block.flush_words.record(words);
-            bump(if eviction {
+            block.flush_words.record(words, true);
+            let cell = if eviction {
                 &block.evictions
             } else {
                 &block.flushes
-            });
+            };
+            add(cell, 1, true);
         }
         #[cfg(not(feature = "telemetry"))]
         let _ = (worker, words, eviction);
@@ -246,25 +271,25 @@ impl TelemetryRegistry {
         #[cfg(feature = "telemetry")]
         if let Some(inner) = &self.inner {
             let block = &inner.blocks[worker];
-            bump(if held {
+            let cell = if held {
                 &block.held_bypasses
             } else {
                 &block.admission_bypasses
-            });
+            };
+            add(cell, 1, true);
         }
         #[cfg(not(feature = "telemetry"))]
         let _ = (worker, held);
     }
 
-    /// Counts one drainer park (condvar sleep).
+    /// Counts one park (condvar sleep) against `worker`: its drainer's, or a
+    /// producer's waiting for space on one of its shards — two writers, so
+    /// a `fetch_add` even in the worker's own block.
     #[inline]
     pub(crate) fn record_park(&self, worker: usize) {
         #[cfg(feature = "telemetry")]
         if let Some(inner) = &self.inner {
-            inner
-                .block(worker)
-                .queue_parks
-                .fetch_add(1, Ordering::Relaxed);
+            add(&inner.block(worker).0.queue_parks, 1, false);
         }
         #[cfg(not(feature = "telemetry"))]
         let _ = worker;
@@ -278,10 +303,7 @@ impl TelemetryRegistry {
     pub(crate) fn record_unpark(&self, worker: usize) {
         #[cfg(feature = "telemetry")]
         if let Some(inner) = &self.inner {
-            inner
-                .block(worker)
-                .queue_unparks
-                .fetch_add(1, Ordering::Relaxed);
+            add(&inner.block(worker).0.queue_unparks, 1, false);
         }
         #[cfg(not(feature = "telemetry"))]
         let _ = worker;

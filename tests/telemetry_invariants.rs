@@ -8,6 +8,10 @@
 //!   counter against another, so `evictions ≤ privatized` and "every
 //!   migration is one eviction or one flush" are checked once the run has
 //!   drained;
+//! * owner-only tallies are exact: a worker's own block is bumped with plain
+//!   stores, so job workers on disjoint lines must tally exactly what each
+//!   tallies alone, and concurrent handle readers — who share the extra
+//!   block's `fetch_add`s — must lose no read;
 //! * the Prometheus exporter round-trips a *real* runtime snapshot exactly
 //!   (the unit tests cover synthetic snapshots; this covers one with live
 //!   histogram spreads);
@@ -292,6 +296,80 @@ mod enabled {
         assert_eq!(snap.batch_size.sum, snap.updates_applied);
         assert_eq!(snap.updates_applied, snap.updates_submitted);
         assert!(report.metrics.read_width.count() <= snap.read_width.count());
+    }
+
+    /// Owner-only cells are plain load + store, so exactness rests on the
+    /// ownership rule: one thread per in-range worker index. Four job
+    /// workers on disjoint line sets, each under eviction pressure, must
+    /// tally exactly four times what one worker running the same pattern
+    /// alone tallies; then concurrent handle readers, which share the extra
+    /// block and its `fetch_add`s, must lose no read either.
+    #[test]
+    fn owner_only_tallies_stay_exact() {
+        const WORKERS: usize = 4;
+        const K: usize = 2_000;
+        const LINES: usize = 8; // per worker, through a 2-slot buffer
+        let run = |workers: usize| {
+            let runtime = RuntimeBuilder::new(CommutativeOp::AddU64, WORKERS * LINES * 8)
+                .workers(workers)
+                .flush_threshold(3)
+                .buffer_config(BufferConfig::bounded(2))
+                .build();
+            runtime.run_workers(|ctx| {
+                // An even line base keeps every worker's home slots alike.
+                let base = ctx.worker() * LINES * 8;
+                for i in 0..K {
+                    let lane = base + (i * 3 % LINES) * 8 + i % 8;
+                    // Twice in a row: a first touch of a full window is
+                    // not admitted.
+                    ctx.update(lane, 1);
+                    ctx.update(lane, 1);
+                    std::hint::black_box(ctx.read(lane));
+                }
+            });
+            let snap = runtime.metrics();
+            (runtime, snap)
+        };
+        let (_, one) = run(1);
+        let (runtime, all) = run(WORKERS);
+        let n = WORKERS as u64;
+        assert_eq!(one.read_cost.reads, K as u64);
+        assert_eq!(all.read_cost.reads, n * K as u64);
+        assert_eq!(all.read_cost.buffer_words, n * one.read_cost.buffer_words);
+        let (s1, s) = (one.buffer_stats, all.buffer_stats);
+        assert!(
+            s1.evictions > 0 && s1.flushes > 0 && s1.admission_bypasses > 0,
+            "{s1:?}"
+        );
+        assert_eq!(s.privatized, n * s1.privatized, "{s:?} vs {s1:?}");
+        assert_eq!(s.evictions, n * s1.evictions, "{s:?} vs {s1:?}");
+        assert_eq!(s.flushes, n * s1.flushes, "{s:?} vs {s1:?}");
+        assert_eq!(s.admission_bypasses, n * s1.admission_bypasses);
+        assert_eq!(s.held_bypasses, 0, "own lines only: nothing holds");
+        assert_eq!(all.occupancy.count(), s.privatized);
+        assert_eq!(all.occupancy.sum, n * one.occupancy.sum);
+        assert_eq!(all.flush_words.count(), s.evictions + s.flushes);
+        assert_eq!(all.flush_words.sum, n * one.flush_words.sum);
+
+        const READERS: usize = 3;
+        const M: usize = 20_000;
+        std::thread::scope(|scope| {
+            for reader in 0..READERS {
+                let runtime = &runtime;
+                scope.spawn(move || {
+                    for i in 0..M {
+                        std::hint::black_box(runtime.read((reader + i) % runtime.lanes()));
+                    }
+                });
+            }
+        });
+        let after = runtime.metrics();
+        assert_eq!(after.handle_reads, (READERS * M) as u64);
+        assert_eq!(
+            after.read_width.count(),
+            all.read_cost.reads + after.handle_reads
+        );
+        let _ = runtime.shutdown();
     }
 
     #[test]
