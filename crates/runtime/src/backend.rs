@@ -12,10 +12,14 @@
 //!   of every *active writer* of the line — the threads named by the line's
 //!   writer-presence bitmap, exactly like a COUP read collecting U-state
 //!   copies from the sharers the directory knows about. When a worker touches
-//!   more distinct lines than its buffer holds, a CLOCK (second-chance) scan
-//!   picks a victim slot and *migrates its delta into the [`SharedStore`]*
-//!   before the slot is re-tagged — the software analogue of a U-state cache eviction, which is what keeps
-//!   COUP viable when the working set dwarfs the private cache (paper §3.1.2).
+//!   more distinct lines than its buffer holds, a line admitted to a full
+//!   probe window evicts a *cold* slot — one not hit since the reference
+//!   marks last aged out — and *migrates its delta into the [`SharedStore`]*
+//!   before the slot is re-tagged: the software analogue of a U-state cache
+//!   eviction, which is what keeps COUP viable when the working set dwarfs
+//!   the private cache (paper §3.1.2). With no cold slot in the window the
+//!   update goes straight to the store instead, so a hot resident is never
+//!   displaced.
 //!
 //! # The flush-epoch / read-hold protocol
 //!
@@ -38,15 +42,17 @@
 //!    *threshold* flushes (they keep buffering, which is always correct), so
 //!    the line quiesces and the read completes. Capacity pressure never
 //!    breaks the hold either: victim selection refuses read-held lines, and
-//!    when *every* candidate is held the update detours around the buffer as
+//!    when *every* cold slot is held the update detours around the buffer as
 //!    a direct store RMW (the atomic-baseline path) instead of evicting —
 //!    bounded memory and reader progress both survive.
 //!
 //! The same detour is the buffers' **admission** policy: a line that misses
 //! on a full probe window is applied straight to the store and displaces a
-//! resident line only on its second such miss in a row, so one-touch lines
-//! cost one RMW instead of a migration. A direct RMW moves neither bitmap
-//! nor epoch nor pending count, so none of the three mechanisms sees it.
+//! resident line only on its second such miss in a row, and only a cold
+//! one, so one-touch lines cost one RMW instead of a migration and a line
+//! that repeats cannot push out one that is hit more. A direct RMW moves
+//! neither bitmap nor epoch nor pending count, so none of the three
+//! mechanisms sees it.
 
 use std::sync::Arc;
 
@@ -132,8 +138,8 @@ pub struct BufferStats {
     /// crossings plus explicit [`UpdateBackend::flush`] calls.
     pub flushes: u64,
     /// Updates applied directly to the store (an atomic RMW, exactly the
-    /// [`AtomicBackend`] path) because the line had passed admission yet
-    /// every candidate victim in the probe window held a read-held line.
+    /// [`AtomicBackend`] path) because the line had passed admission and the
+    /// probe window had cold slots, yet every one held a read-held line.
     /// Evicting one would churn the epochs an escalated reader is waiting
     /// to see quiesce, so capacity pressure routes around the buffer
     /// instead — commutativity makes the detour invisible. Non-zero only
@@ -141,16 +147,20 @@ pub struct BufferStats {
     /// trigger of the same detour counts in `admission_bypasses`.
     pub held_bypasses: u64,
     /// Updates applied directly to the store because their line missed on a
-    /// full probe window and was not admitted: a line displaces a resident
-    /// one only on its second such miss in a row, so a miss costs one RMW
-    /// until its line is touched twice. Unbounded buffers never count here.
+    /// full probe window and either was not admitted or found no cold
+    /// victim: a line displaces a resident one only on its second such miss
+    /// in a row, and only one not hit since the reference marks last aged
+    /// out, so a miss costs one RMW until its line is touched twice and a
+    /// slot has gone cold. Unbounded buffers never count here.
     pub admission_bypasses: u64,
 }
 
 /// Sizing of a [`CoupBackend`]'s per-worker privatized buffers. Capacity
-/// conflicts are resolved by CLOCK (second chance): every buffered update
-/// marks its slot; the victim scan clears marks and takes the first unmarked
-/// slot — one bit of state per slot, no per-access ordering cost.
+/// conflicts evict only cold lines: an update that hits its slot marks it,
+/// an admitted line takes the first unmarked slot of its probe window and
+/// clears nothing, and the owner clears every mark once per 64 × capacity
+/// misses on a full window — one mark per slot, no per-access ordering
+/// cost. With no unmarked slot the update is applied straight to the store.
 ///
 /// The default (unbounded) gives every store line its own slot —
 /// functionally the dense mirror of earlier revisions, with identical

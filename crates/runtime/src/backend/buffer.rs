@@ -1,8 +1,8 @@
 //! The buffer table: one sparse [`ThreadBuffer`] per worker — the software
 //! twin of U-state lines in a private cache (paper §3.1.2) — and the
-//! owner-side protocols that fill and drain it (privatize, CLOCK eviction,
-//! the odd-epoch migration, buffered update and flush). The slot layout is
-//! named in this file only: `read.rs` reaches it through the five
+//! owner-side protocols that fill and drain it (privatize, cold-victim
+//! eviction, the odd-epoch migration, buffered update and flush). The slot
+//! layout is named in this file only: `read.rs` reaches it through the five
 //! `#[inline]` reader methods (locate, sample the epoch, load a word,
 //! re-validate, load the pending count).
 
@@ -18,6 +18,14 @@ use crate::sync::{EPOCH_PUBLISH, WRITER_RETIRE};
 /// ever change claimed→claimed (re-tag on eviction), never back to empty.
 const EMPTY_TAG: u64 = 0;
 
+/// Reference-mark lifetime, in full-window misses per slot: every
+/// `MARK_AGE × capacity` misses that find their probe window full, the
+/// owner clears all of its buffer's marks, so a line that stopped being hit
+/// turns cold again and an admitted line may displace it. Long enough that
+/// a line hit a few times per aging period stays resident; short enough
+/// that a hot set which moves is re-learned within a few periods.
+pub(super) const MARK_AGE: usize = 64;
+
 #[inline]
 fn tag_of(line: usize) -> u64 {
     line as u64 + 1
@@ -31,7 +39,7 @@ fn tag_of(line: usize) -> u64 {
 /// buffered delta.
 ///
 /// Single-writer: only the owning worker stores to the slot words, tags,
-/// pending counts, and CLOCK state; readers of other threads load tags,
+/// pending counts, and reference marks; readers of other threads load tags,
 /// epochs, and words during reductions.
 ///
 /// Indexing is set-associative like a hardware cache: a line's *home* slot is
@@ -55,10 +63,14 @@ pub(super) struct ThreadBuffer {
     epochs: Box<[AtomicU64]>,
     /// Unflushed updates per slot; owner-only.
     pending: Box<[AtomicU32]>,
-    /// CLOCK reference bit per slot. Owner-only.
+    /// Reference mark per slot: set when an update *hits* the slot (a claim
+    /// leaves it clear), cleared only by aging. An unmarked slot is *cold*
+    /// and may be evicted; a marked one never is. Owner-only.
     marks: Box<[AtomicU64]>,
-    /// CLOCK hand: rotation offset applied within a victim scan. Owner-only.
-    hand: AtomicUsize,
+    /// Full-window misses since the marks were last cleared; at
+    /// `MARK_AGE × capacity` the owner clears every mark and restarts the
+    /// count. Owner-only.
+    misses: AtomicUsize,
     /// Admission candidate per *home* slot (`line & mask`): the tag of the
     /// last line whose miss found that home's probe window full and was
     /// turned away to the store, or [`EMPTY_TAG`]. A line displaces a
@@ -86,7 +98,7 @@ impl ThreadBuffer {
             epochs: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
             pending: (0..capacity).map(|_| AtomicU32::new(0)).collect(),
             marks: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
-            hand: AtomicUsize::new(0),
+            misses: AtomicUsize::new(0),
             candidates: (0..capacity).map(|_| AtomicU64::new(EMPTY_TAG)).collect(),
             mask: capacity - 1,
             window: PROBE_WINDOW.min(capacity),
@@ -159,26 +171,34 @@ impl ThreadBuffer {
 impl CoupBackend {
     /// Claims a slot in `thread`'s buffer for `line` and publishes the tag.
     /// Prefers an empty slot in the probe window; otherwise the line must
-    /// pass admission, and then evicts the CLOCK victim, migrating its delta
-    /// into the store first if dirty. Returns the claimed slot index, or
-    /// `None` when the update must go around the buffer as a direct store
-    /// RMW (see [`CoupBackend::buffered_update`]) — one bypass, two triggers,
-    /// each recorded here:
+    /// pass admission, and then evicts a cold victim (see
+    /// [`CoupBackend::choose_victim`]), migrating its delta into the store
+    /// first if dirty. Returns the claimed slot index, or `None` when the
+    /// update must go around the buffer as a direct store RMW (see
+    /// [`CoupBackend::buffered_update`]) — one bypass, two triggers, each
+    /// recorded here:
     ///
     /// * **Admission.** A miss on a full window displaces a resident line
-    ///   only on the line's *second* such miss in a row at its home slot;
-    ///   the first records the line as the home's candidate and bypasses. A
-    ///   one-touch tail line thus costs one RMW — the atomic baseline —
-    ///   instead of a migration, and stops displacing the lines that do
-    ///   repeat; a cyclic scan over more same-home lines than the window
-    ///   holds keeps the first window's worth resident and sends the
-    ///   overflow to the store, one RMW each. The gate covers clean
-    ///   victims too; empty-slot claims — all an unbounded buffer ever
-    ///   makes, every line having its own home — never consult it.
-    /// * **Read holds.** An admitted line finds every victim candidate
-    ///   read-held — evicting one would churn its epochs and starve the
-    ///   escalated reader the hold protects. The line stays the candidate,
-    ///   so it claims a slot on its first miss after the hold drops.
+    ///   only on the line's *second* such miss in a row at its home slot,
+    ///   and only a *cold* one — a slot not hit since the marks were last
+    ///   cleared; the first miss records the line as the home's candidate
+    ///   and bypasses, and so does an admitted miss whose window holds no
+    ///   cold slot. A one-touch tail line thus costs one RMW — the atomic
+    ///   baseline — instead of a migration, and a line that does repeat
+    ///   still cannot displace a hot resident; a cyclic scan over more
+    ///   same-home lines than the window holds keeps the first window's
+    ///   worth resident and sends the overflow to the store, one RMW each.
+    ///   The gate covers clean victims too; empty-slot claims — all an
+    ///   unbounded buffer ever makes, every line having its own home —
+    ///   never consult it.
+    /// * **Read holds.** An admitted line finds every cold slot read-held —
+    ///   evicting one would churn its epochs and starve the escalated reader
+    ///   the hold protects.
+    ///
+    /// Either way the line stays the candidate, so it is admitted again on
+    /// its next miss. Every full-window miss also ages the marks: the
+    /// `MARK_AGE × capacity`-th clears them all, so a resident that stopped
+    /// being hit turns cold and can be displaced.
     ///
     /// Owner-only. Out of line, so the hit path of `buffered_update` stays
     /// a probe and a store.
@@ -192,15 +212,27 @@ impl CoupBackend {
         let idx = match empty {
             Some(idx) => idx,
             None => {
+                // Age the marks: the period is a power of two, like capacity.
+                let misses =
+                    (buf.misses.load(Ordering::Relaxed) + 1) & (MARK_AGE * buf.capacity() - 1);
+                buf.misses.store(misses, Ordering::Relaxed);
+                if misses == 0 {
+                    for mark in &buf.marks {
+                        mark.store(0, Ordering::Relaxed);
+                    }
+                }
                 let candidate = &buf.candidates[line & buf.mask];
                 if candidate.load(Ordering::Relaxed) != tag_of(line) {
                     candidate.store(tag_of(line), Ordering::Relaxed);
                     self.telemetry.record_bypass(thread, false);
                     return None;
                 }
-                let Some(idx) = self.choose_victim(thread, line) else {
-                    self.telemetry.record_bypass(thread, true);
-                    return None;
+                let idx = match self.choose_victim(thread, line) {
+                    Ok(idx) => idx,
+                    Err(held) => {
+                        self.telemetry.record_bypass(thread, held);
+                        return None;
+                    }
                 };
                 candidate.store(EMPTY_TAG, Ordering::Relaxed);
                 idx
@@ -227,35 +259,34 @@ impl CoupBackend {
         Some(idx)
     }
 
-    /// Picks the victim slot for a claim of `line` in `thread`'s buffer, or
-    /// `None` if every candidate's line carries a read hold. Never returning
-    /// a held line is what keeps the read-hold escalation's termination
-    /// argument intact: while a reader holds a line, no new migration of it
-    /// can start — not from threshold flushes (deferred) and not from
-    /// capacity pressure (the caller bypasses the buffer instead). Owner-only.
-    fn choose_victim(&self, thread: usize, line: usize) -> Option<usize> {
+    /// Picks the victim slot for a claim of `line` in `thread`'s buffer: the
+    /// first cold (unmarked) slot of the probe window whose line carries no
+    /// read hold. The scan clears nothing — only aging does — so a hot
+    /// resident is never displaced. `Err(held)` means there is no victim:
+    /// `held` when cold slots existed but every one was read-held, otherwise
+    /// the window holds no cold slot at all. Never returning a held line is
+    /// what keeps the read-hold escalation's termination argument intact:
+    /// while a reader holds a line, no new migration of it can start — not
+    /// from threshold flushes (deferred) and not from capacity pressure (the
+    /// caller bypasses the buffer instead). Owner-only.
+    fn choose_victim(&self, thread: usize, line: usize) -> Result<usize, bool> {
         let buf = &self.buffers[thread];
         let held = |idx: usize| {
             let holds = &self.line_meta[buf.line_of(idx)].read_holds;
             holds.load(Ordering::Relaxed) > 0
         };
-        let start = buf.hand.load(Ordering::Relaxed) % buf.window;
-        // Two sweeps: the first clears reference bits, the second must find
-        // an unmarked, unheld slot if one exists.
-        for step in 0..(2 * buf.window) {
-            let i = (start + step) % buf.window;
+        let mut any_held = false;
+        for i in 0..buf.window {
             let idx = (line + i) & buf.mask;
-            if held(idx) {
-                continue;
-            }
             if buf.marks[idx].load(Ordering::Relaxed) != 0 {
-                buf.marks[idx].store(0, Ordering::Relaxed);
                 continue;
             }
-            buf.hand.store((i + 1) % buf.window, Ordering::Relaxed);
-            return Some(idx);
+            if !held(idx) {
+                return Ok(idx);
+            }
+            any_held = true;
         }
-        None
+        Err(any_held)
     }
 
     /// Drains slot `idx` of `thread`'s buffer into the store: load each word,
@@ -347,12 +378,17 @@ impl CoupBackend {
         let slot = self.geometry.slot(index);
         let buf = &self.buffers[thread];
         let idx = match buf.locate(slot.line) {
-            Some(idx) => idx,
+            Some(idx) => {
+                // Reference mark: a hit keeps this slot out of victim
+                // choice until the marks next age out.
+                buf.marks[idx].store(1, Ordering::Relaxed);
+                idx
+            }
             None => match self.privatize(thread, slot.line) {
                 Some(idx) => idx,
                 None => {
-                    // Not admitted, or every victim candidate is read-held
-                    // (a forced eviction would keep invalidating the
+                    // Not admitted, no cold victim, or every cold victim is
+                    // read-held (a forced eviction would keep invalidating the
                     // escalated reader's seqlock passes, re-opening the
                     // starvation the read hold exists to close): apply this
                     // one update straight to the store — the atomic-baseline
@@ -365,8 +401,6 @@ impl CoupBackend {
                 }
             },
         };
-        // CLOCK reference bit: this slot was used since the last victim scan.
-        buf.marks[idx].store(1, Ordering::Relaxed);
         let pending = &buf.pending[idx];
         let count = pending.load(Ordering::Relaxed).saturating_add(1);
         if count == 1 {

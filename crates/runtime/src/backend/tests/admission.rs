@@ -1,6 +1,8 @@
 //! Unit tests of the bounded buffers' admission policy (`privatize` in
-//! `buffer.rs`): first miss on a full window bypasses, second in a row claims.
+//! `buffer.rs`): first miss on a full window bypasses, second in a row
+//! claims a cold slot or, with none, bypasses too; marks age out.
 
+use super::buffer::MARK_AGE;
 use super::*;
 
 /// The admission rule: a miss on a full probe window is applied straight to
@@ -54,13 +56,13 @@ fn same_home_lane(n: usize) -> usize {
 }
 
 /// A cyclic scan over more same-home lines than the window holds, the
-/// pattern on which CLOCK alone misses every time: the first `window` lines
-/// stay resident and hit, and the rest cost one RMW each — two or more
-/// non-resident lines keep replacing each other as the candidate, so none
-/// is ever admitted and nothing is ever evicted. (With exactly one line
-/// too many, the one non-resident line *is* touched twice in a row among
-/// the misses: a slot changes hands at most once a sweep, where CLOCK alone
-/// evicts on every update.)
+/// pattern on which an evict-on-every-miss policy misses every time: the
+/// first `window` lines stay resident and hit, and the rest cost one RMW
+/// each — two or more non-resident lines keep replacing each other as the
+/// candidate, so none is ever admitted and nothing is ever evicted. With
+/// exactly one line too many, the one non-resident line *is* touched twice
+/// in a row among the misses and is admitted, but every resident was hit
+/// since, so no slot is cold and it bypasses all the same.
 #[test]
 fn cyclic_scan_past_the_window_never_evicts() {
     let op = CommutativeOp::AddU64;
@@ -82,22 +84,27 @@ fn cyclic_scan_past_the_window_never_evicts() {
         assert_eq!(s.admission_bypasses, 2 * sweeps);
     });
 
+    let atomic = AtomicBackend::new(op, lanes);
     let coup = sized_backend(op, lanes, 1, BufferConfig::bounded(window));
-    for _ in 0..sweeps {
+    for sweep in 0..sweeps {
         for n in 0..window + 1 {
-            coup.update(0, same_home_lane(n), 1);
+            atomic.update(0, same_home_lane(n), sweep + 1);
+            coup.update(0, same_home_lane(n), sweep + 1);
         }
     }
+    assert_eq!(coup.snapshot(), atomic.snapshot());
     assert_stats(&coup, |s| {
-        assert!(0 < s.evictions && s.evictions <= sweeps, "{s:?}")
+        assert_eq!(
+            (s.privatized, s.evictions, s.admission_bypasses),
+            (window as u64, 0, sweeps),
+            "{s:?}"
+        )
     });
 }
 
-/// Admission wants two misses *in a row* at the line's home slot: a miss
-/// of another same-home line in between starts the count over.
-#[test]
-fn an_interleaved_same_home_miss_resets_the_candidate() {
-    let lanes_per_line = 8;
+/// A one-slot buffer whose line 0 is resident and lines 1 and 2 have each
+/// missed once, line 1 last: three admission bypasses, line 0 never hit.
+fn resident_line_and_candidate(lanes_per_line: usize) -> CoupBackend {
     let b = sized_backend(
         CommutativeOp::AddU64,
         4 * lanes_per_line,
@@ -111,13 +118,90 @@ fn an_interleaved_same_home_miss_resets_the_candidate() {
     assert_stats(&b, |s| {
         assert_eq!((s.privatized, s.admission_bypasses), (1, 3))
     });
-    b.update(0, 0, 1); // a hit does not disturb the candidate
+    b
+}
+
+/// Admission wants two misses *in a row* at the line's home slot: a miss
+/// of another same-home line in between starts the count over.
+#[test]
+fn an_interleaved_same_home_miss_resets_the_candidate() {
+    let lanes_per_line = 8;
+    let b = resident_line_and_candidate(lanes_per_line);
     b.update(0, lanes_per_line, 1); // line 1 twice in a row: admitted
     assert_stats(&b, |s| {
         assert_eq!((s.privatized, s.evictions), (2, 1));
         assert_eq!(s.admission_bypasses, 3);
     });
-    assert_eq!(b.snapshot()[..3 * lanes_per_line].iter().sum::<u64>(), 6);
+    assert_eq!(b.buffers[0].locate(1), Some(0), "line 1 took the slot");
+    assert_eq!(b.snapshot()[..3 * lanes_per_line].iter().sum::<u64>(), 5);
+}
+
+/// A hit between two misses leaves the candidate in place, but it marks the
+/// resident: the admitted line finds no cold slot and bypasses.
+#[test]
+fn a_hit_keeps_the_candidate_but_marks_the_resident() {
+    let lanes_per_line = 8;
+    let b = resident_line_and_candidate(lanes_per_line);
+    b.update(0, 0, 1); // a hit: line 0 is now hot
+    b.update(0, lanes_per_line, 1); // line 1 twice in a row: admitted
+    assert_stats(&b, |s| {
+        assert_eq!(
+            (s.privatized, s.evictions, s.admission_bypasses),
+            (1, 0, 4),
+            "{s:?}"
+        );
+        assert_eq!(s.held_bypasses, 0);
+    });
+    assert_eq!(b.buffers[0].locate(0), Some(0), "line 0 stays resident");
+    b.update(0, lanes_per_line, 1); // still the candidate: admitted again
+    assert_stats(&b, |s| {
+        assert_eq!((s.evictions, s.admission_bypasses), (0, 5))
+    });
+    assert_eq!(b.snapshot()[..3 * lanes_per_line].iter().sum::<u64>(), 7);
+}
+
+/// Marks age out: after exactly `MARK_AGE × capacity` full-window misses the
+/// owner clears them, and the next admitted line evicts the once-hot
+/// resident that one fewer miss still protected.
+#[test]
+fn marks_age_out_after_mark_age_times_capacity_misses() {
+    let lanes_per_line = 8;
+    let b = sized_backend(
+        CommutativeOp::AddU64,
+        4 * lanes_per_line,
+        1,
+        BufferConfig::bounded(1),
+    );
+    b.update(0, 0, 1); // line 0 claims the slot (an empty-slot claim, no miss)
+    b.update(0, 0, 1); // and is hit: hot
+    let misses = MARK_AGE * b.buffers[0].capacity();
+    // Lines 2 and 1 alternate: every miss is a first touch and bypasses.
+    for n in 0..misses - 2 {
+        b.update(0, (2 - n % 2) * lanes_per_line, 1);
+    }
+    let last = (2 - (misses - 3) % 2) * lanes_per_line;
+    b.update(0, last, 1); // a second touch in a row: admitted, but no cold slot
+    assert_stats(&b, |s| {
+        assert_eq!(
+            (s.privatized, s.evictions, s.admission_bypasses),
+            (1, 0, misses as u64 - 1),
+            "{s:?}"
+        )
+    });
+    b.update(0, last, 1); // miss number MARK_AGE × capacity: the marks age out
+    assert_stats(&b, |s| {
+        assert_eq!(
+            (s.privatized, s.evictions, s.admission_bypasses),
+            (2, 1, misses as u64 - 1),
+            "{s:?}"
+        )
+    });
+    assert_eq!(b.buffers[0].locate(0), None, "the formerly hot line left");
+    assert_eq!(b.store().load_lane(0), 2, "with its delta migrated");
+    assert_eq!(
+        b.snapshot()[..3 * lanes_per_line].iter().sum::<u64>(),
+        misses as u64 + 2
+    );
 }
 
 /// Every miss is accounted for exactly once — a claim, an admission bypass
@@ -147,6 +231,9 @@ fn every_miss_is_a_claim_or_a_bypass_on_a_zipf_stream() {
             "{s:?}"
         );
         assert!(s.admission_bypasses > 0 && s.evictions > 0);
+        // Cold-victim eviction: a hot resident is never displaced, so at
+        // most one update in fifty migrates a victim.
+        assert!(s.evictions < 2_000, "{s:?}");
         assert!(s.evictions <= s.privatized, "{s:?}");
         assert_eq!(s.held_bypasses, 0, "nothing reads");
     });

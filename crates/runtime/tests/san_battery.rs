@@ -76,10 +76,14 @@ fn exercise_backend() {
         64, // high threshold: evictions, not threshold flushes, do the work
         BufferConfig::bounded(1),
     );
-    for i in 0..64u64 {
-        // Lanes 0 and 512 map to different store lines, so each update
-        // alternately evicts the other's dirty slot.
-        bounded.update(0, if i % 2 == 0 { 0 } else { 512 }, 1);
+    for i in 0..64usize {
+        // Lanes 0 and 512 map to different store lines sharing the one
+        // slot, driven as 0, 512, 512, 0, 0, 512, …: a line's first touch
+        // after losing the slot is a bypassed miss, its second is admitted
+        // and claims the slot, and the other line takes it back before this
+        // one is ever hit — so the resident is always cold, and every
+        // admitted touch evicts the other's dirty slot.
+        bounded.update(0, if (i + 1) / 2 % 2 == 0 { 0 } else { 512 }, 1);
     }
     let stats = bounded.metrics().buffer_stats;
     assert!(stats.evictions > 0, "bounded buffer must evict: {stats:?}");
