@@ -23,8 +23,8 @@
 //! reasons in ARCHITECTURE.md's edge table (`ring-consume`'s head store, for
 //! one, is unobservable in the model's execution-order semantics; the
 //! shard-claim CAS is a literal `AcqRel`, both sides of its own edge). The
-//! end-to-end shutdown test and the timed-park test own no tag; the former's
-//! teeth are the model's *deadlock detector*, exercised by the shim's own
+//! end-to-end shutdown test owns no tag; its teeth are the model's *deadlock
+//! detector*, exercised by the shim's own
 //! `missed_condvar_wakeup_is_reported_as_deadlock` self-test.
 
 use std::sync::Arc;
@@ -339,57 +339,6 @@ fn queue_wake_publishes_the_mailbox_it_announces() {
     });
 }
 
-/// Protocol 6b — the refresher's *timed* park on the same word: a demand
-/// (`notify()`, what `refresh_now` sends) or shutdown (`close()`) racing
-/// [`Parker::park_timeout`]'s arming RMW is either detected by the arm or
-/// bumps a word that already counts the sleeper, so the loop below — the
-/// refresher's own `status → work → park_timeout` cycle — always gets to see
-/// the status move, and once it has, the word the demander stored before
-/// demanding must be visible: a demanded snapshot has to cover the demand.
-/// (The model's timed wait is the schedule where the interval expires
-/// first; the real-clock interruption is `ring::tests`' job.)
-///
-/// Mutation pairing: `WAKE_PUBLISH` weakened to `Relaxed` admits the
-/// interleaving of protocol 6 on this path too: the demander's bump (or
-/// close bit) reaches the waiter's acquire status RMW without the
-/// demander's clock, so the status has moved yet the mailbox load is free
-/// to return stale 0 — caught by the mailbox assert.
-#[test]
-fn timed_park_never_sleeps_through_a_demand() {
-    use crate::ring::Parker;
-    use crate::sync::atomic::{AtomicU64, Ordering};
-    for demand in [Parker::notify, Parker::close] {
-        loom::model(move || {
-            let parker = Arc::new(Parker::new());
-            let mailbox = Arc::new(AtomicU64::new(0));
-            let idle = parker.status();
-            let demander = {
-                let parker = Arc::clone(&parker);
-                let mailbox = Arc::clone(&mailbox);
-                thread::spawn(move || {
-                    mailbox.store(7, Ordering::Relaxed);
-                    demand(&parker);
-                })
-            };
-            let mut status = idle;
-            while status == idle {
-                let moved = parker.park_timeout(status, std::time::Duration::from_secs(3600));
-                status = parker.status();
-                assert!(
-                    !moved || status != idle,
-                    "park_timeout reported a demand the status word does not hold"
-                );
-            }
-            assert_eq!(
-                mailbox.load(Ordering::Relaxed),
-                7,
-                "demand observed without the word stored before it"
-            );
-            demander.join().unwrap();
-        });
-    }
-}
-
 /// Protocol 7 — drain quiescence, on the shipped [`Quiescence`]: a worker
 /// retires into the shared applied count ([`QUIESCE_PUBLISH`]) *after*
 /// applying a batch, and `drain()`'s acquire RMW of that count is the only
@@ -432,35 +381,5 @@ fn drain_quiesce_makes_applied_work_visible() {
         for worker in workers {
             worker.join().unwrap();
         }
-    });
-}
-
-/// Protocol 8 — snapshot publication, on the shipped [`SnapshotCell`]: the
-/// refresher fills the snapshot words with Relaxed stores and seals them
-/// with one epoch bump carrying [`SNAP_PUBLISH`]; a reader whose Acquire
-/// epoch load observes epoch `N` must also observe every word of snapshot
-/// `N` or later. This is the whole eventual-consistency contract of
-/// `stale_snapshot`, over a one-word store.
-///
-/// Mutation pairing: `SNAP_PUBLISH` weakened to `Relaxed` admits this
-/// interleaving: the publisher stores word 7 and bumps the epoch, but the
-/// relaxed RMW does not add the publisher's clock to the epoch's release
-/// chain; the reader's acquire epoch load returns 1 yet its relaxed word
-/// load is free to return stale 0 — caught by the word assert.
-#[test]
-fn snap_publish_seals_the_snapshot_words_it_announces() {
-    use crate::runtime::SnapshotCell;
-    loom::model(|| {
-        let cell = Arc::new(SnapshotCell::new(1));
-        let publisher = {
-            let cell = Arc::clone(&cell);
-            thread::spawn(move || cell.publish(&[7]))
-        };
-        let (words, epoch) = cell.read();
-        if epoch > 0 {
-            assert_eq!(words, [7], "sealed epoch observed over a stale word");
-        }
-        assert_eq!(publisher.join().unwrap(), 1);
-        assert_eq!(cell.read(), (vec![7], 1));
     });
 }

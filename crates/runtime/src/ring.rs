@@ -231,12 +231,6 @@ impl Parker {
         self.word.fetch_add(0, Ordering::Acquire) & !SLEEPER_MASK // ord: queue-wake
     }
 
-    /// True once [`Parker::close`] ran (same staleness caveat as
-    /// [`Parker::status`]).
-    pub(crate) fn is_closed(&self) -> bool {
-        self.word.load(Ordering::Relaxed) & CLOSED_BIT != 0
-    }
-
     /// Publication: bump the epoch, and wake sleepers if the arm counter
     /// says there are any. The Release on the bump is the edge that lets a
     /// sleeper whose arm detected the bump see the data published just
@@ -290,32 +284,6 @@ impl Parker {
         drop(guard);
         self.word.fetch_sub(SLEEPER_ONE, Ordering::Relaxed);
         ParkResult::Slept
-    }
-
-    /// [`Parker::park`] with a deadline, for the snapshot refresher: sleeps
-    /// until `timeout` elapses or the status moves past `expected` (an
-    /// on-demand `CoupRuntime::refresh_now` bump, or the shutdown close),
-    /// whichever is first. Returns `true` when the status moved; timeouts
-    /// and spurious wakeups alike return `false` — the refresher publishes
-    /// either way, since an early snapshot is always safe.
-    pub(crate) fn park_timeout(&self, expected: u64, timeout: std::time::Duration) -> bool {
-        if !self.arm(expected) {
-            return true;
-        }
-        let moved = || self.word.load(Ordering::Relaxed) & !SLEEPER_MASK != expected;
-        let mut guard = lock(&self.mutex);
-        // Fresh by the mutex, as in `park`: a bump that beat the lock is
-        // seen here, a later one notifies the condvar.
-        if !moved() {
-            (guard, _) = self
-                .cv
-                .wait_timeout(guard, timeout)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        let moved = moved();
-        drop(guard);
-        self.word.fetch_sub(SLEEPER_ONE, Ordering::Relaxed);
-        moved
     }
 
     /// Arms: registers as a sleeper, or — when the status already moved
@@ -643,39 +611,12 @@ mod tests {
         }
         parker.close();
         sleeper.join().unwrap();
-        assert!(parker.is_closed());
+        assert_ne!(parker.word.load(Ordering::Relaxed) & CLOSED_BIT, 0);
         let status = parker.status();
         assert_eq!(
             parker.park(status.wrapping_sub(EPOCH_ONE), || {}),
             ParkResult::Moved
         );
-    }
-
-    #[test]
-    fn refresh_gate_times_out_detects_demands_and_closes() {
-        let gate = Parker::new();
-        let status = gate.status();
-        // No demand: the short sleep expires.
-        assert!(!gate.park_timeout(status, std::time::Duration::from_millis(1)));
-        // A demand that beat the arm is detected without sleeping.
-        let status = gate.status();
-        gate.notify();
-        assert!(gate.park_timeout(status, std::time::Duration::from_secs(3600)));
-        // Close wakes a refresher parked on a long timeout.
-        let gate = Arc::new(Parker::new());
-        let status = gate.status();
-        let sleeper = {
-            let gate = Arc::clone(&gate);
-            std::thread::spawn(move || {
-                gate.park_timeout(status, std::time::Duration::from_secs(3600))
-            })
-        };
-        while gate.word.load(Ordering::Relaxed) & SLEEPER_MASK == 0 {
-            std::hint::spin_loop();
-        }
-        gate.close();
-        assert!(sleeper.join().unwrap(), "close must interrupt the sleep");
-        assert!(gate.is_closed());
     }
 
     #[test]

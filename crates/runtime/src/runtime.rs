@@ -80,7 +80,7 @@ use coup_protocol::ops::CommutativeOp;
 use crate::backend::{StaleRead, UpdateBackend};
 use crate::ring::{ParkResult, Parker, ShardDirectory};
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{lock, Mutex};
+use crate::sync::{lock, Condvar, Mutex};
 use crate::telemetry::{MetricsSnapshot, TelemetryRegistry};
 
 mod builder;
@@ -98,7 +98,7 @@ pub use builder::{
 };
 pub use handles::{tag, CounterHandle};
 pub use jobs::JobCtx;
-pub(crate) use refresh::SnapshotCell;
+use refresh::Snapshot;
 pub use submit::LaneHandle;
 pub(crate) use submit::Quiescence;
 
@@ -122,10 +122,10 @@ struct Shared {
     stale_reads: AtomicU64,
     /// The published eventually-consistent snapshot and its epoch — which
     /// is also the count of snapshots published (refresher interval ticks
-    /// plus [`CoupRuntime::refresh_now`] demands).
-    snap: SnapshotCell,
-    /// The refresher's timed park point (demand / close edges).
-    refresh: Parker,
+    /// plus [`CoupRuntime::refresh_now`] calls).
+    snap: Mutex<Snapshot>,
+    /// The refresher's interval sleep, cut short by the shutdown close.
+    refresh: Condvar,
     /// The metrics registry, shared with the backend; its
     /// uptime clock also stamps the shard slots' `last_publish_ns` (the
     /// dwell metric) and times the lifetime report.
@@ -180,7 +180,7 @@ impl Shared {
             updates_applied,
             handle_reads: self.handle_reads.load(Ordering::Relaxed),
             stale_reads: self.stale_reads.load(Ordering::Relaxed),
-            snapshot_refreshes: self.snap.epoch(),
+            snapshot_refreshes: lock(&self.snap).epoch,
             ..MetricsSnapshot::default()
         };
         self.telemetry.fill(&mut snap);
@@ -445,7 +445,7 @@ impl CoupRuntime {
         // flushed store, so the last snapshot equals the exact final state.
         let refresher = lock(&self.refresher).take();
         if let Some(refresher) = refresher {
-            self.shared.refresh.close();
+            self.shared.close_refresher();
             join(refresher);
         }
         self.shared.quiesce.idle.close();

@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use coup_protocol::ops::CommutativeOp;
 
-use super::refresh::SnapshotCell;
+use super::refresh::Snapshot;
 use super::submit::Quiescence;
 use super::{CoupRuntime, Shared};
 use crate::backend::{
@@ -14,7 +14,7 @@ use crate::backend::{
 };
 use crate::ring::{Parker, ShardDirectory};
 use crate::sync::atomic::AtomicU64;
-use crate::sync::Mutex;
+use crate::sync::{Condvar, Mutex};
 use crate::telemetry::{TelemetryConfig, TelemetryRegistry};
 
 /// Default number of updates a [`LaneHandle`](super::LaneHandle) accumulates before publishing
@@ -92,7 +92,8 @@ impl RuntimeBuilder {
     /// whole-store snapshot every `interval` (default: no refresher). The
     /// snapshot is what [`CoupRuntime::stale_snapshot`] serves — monitor and
     /// dashboard traffic reads it for free instead of forcing reductions.
-    /// [`CoupRuntime::refresh_now`] interrupts the interval on demand.
+    /// [`CoupRuntime::refresh_now`] publishes off-schedule on the caller's
+    /// thread.
     #[must_use]
     pub fn refresh_interval(mut self, interval: Duration) -> Self {
         self.refresh_interval = Some(interval);
@@ -215,8 +216,8 @@ impl RuntimeBuilder {
             workers: self.workers,
             handle_reads: AtomicU64::new(0),
             stale_reads: AtomicU64::new(0),
-            snap: SnapshotCell::new(self.lanes),
-            refresh: Parker::new(),
+            snap: Mutex::new(Snapshot::new(self.lanes)),
+            refresh: Condvar::new(),
             telemetry,
         });
         // The refresher is a resident component like the workers, but it

@@ -1,111 +1,90 @@
-//! The stale tier's whole-store half: the published snapshot cell, the
+//! The stale tier's whole-store half: the published snapshot, the
 //! background refresher that fills it, and the two [`CoupRuntime`] calls
 //! that serve and demand it.
 
 use std::time::Duration;
 
 use super::{CoupRuntime, Shared};
-use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::lock;
-use crate::sync::{self, SNAP_PUBLISH};
 
-/// The snapshot-publication protocol: one word per lane, filled with Relaxed
-/// stores and sealed as a unit by the [`SNAP_PUBLISH`] epoch bump. A reader
-/// that Acquires epoch `N` sees every word of snapshot `N` (words of a
-/// *later* in-flight snapshot may already be mixed in — each word is
-/// individually a reduced lane value, so the mix is still a valid
-/// eventually-consistent view, and concurrent publishers interleave
-/// harmlessly for the same reason).
+/// The last published whole-store snapshot, behind [`Shared::snap`]'s
+/// mutex. No hot path touches it, so it takes a lock instead of an ordering
+/// protocol: every publish runs its reduction under the lock, so snapshot
+/// `N` is exactly what [`CoupRuntime::stale_snapshot`] serves with epoch
+/// `N`, and an older reduction can never overwrite a newer one.
 #[derive(Debug)]
-pub(crate) struct SnapshotCell {
-    words: Box<[AtomicU64]>,
+pub(super) struct Snapshot {
+    values: Vec<u64>,
     /// Snapshot generation counter: `0` means "never published".
-    epoch: AtomicU64,
+    pub(super) epoch: u64,
+    /// Set once the drainers joined: the refresher's next publish is its
+    /// last.
+    closed: bool,
 }
 
-impl SnapshotCell {
-    pub(crate) fn new(lanes: usize) -> Self {
-        SnapshotCell {
-            words: (0..lanes).map(|_| AtomicU64::new(0)).collect(),
-            epoch: AtomicU64::new(0),
+impl Snapshot {
+    pub(super) fn new(lanes: usize) -> Self {
+        Snapshot {
+            values: vec![0; lanes],
+            epoch: 0,
+            closed: false,
         }
-    }
-
-    /// Publishes `values` (one per lane) and returns the new epoch.
-    pub(crate) fn publish(&self, values: &[u64]) -> u64 {
-        debug_assert_eq!(values.len(), self.words.len());
-        for (word, &value) in self.words.iter().zip(values) {
-            word.store(value, Ordering::Relaxed);
-        }
-        self.epoch.fetch_add(1, SNAP_PUBLISH) + 1
-    }
-
-    /// The current epoch, with the edge to every word sealed under it.
-    pub(crate) fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire) // ord: snap-publish
-    }
-
-    /// The last published snapshot and its epoch (epoch first: the Acquire
-    /// is what makes the word loads fresh).
-    pub(crate) fn read(&self) -> (Vec<u64>, u64) {
-        let epoch = self.epoch();
-        let words = self.words.iter().map(|w| w.load(Ordering::Relaxed));
-        (words.collect(), epoch)
     }
 }
 
 impl Shared {
-    /// Publishes one eventually-consistent snapshot: the backend's
-    /// non-destructive whole-store reduction into [`Shared::snap`].
-    fn publish_snapshot(&self) {
-        self.snap.publish(&self.backend.snapshot());
+    /// Publishes one eventually-consistent snapshot into `snap` (the
+    /// caller's guard on [`Shared::snap`]): the backend's non-destructive
+    /// whole-store reduction.
+    fn publish_snapshot(&self, snap: &mut Snapshot) {
+        snap.values = self.backend.snapshot();
+        snap.epoch += 1;
     }
 
-    /// Body of the `coup-refresher` thread: publish, sleep up to `interval`
-    /// on the refresh parker (a demand or close interrupts the sleep), repeat.
-    /// The publish runs *before* the close check so shutdown always gets one
-    /// final snapshot covering everything visible at close time.
+    /// Body of the `coup-refresher` thread: publish, then sleep up to
+    /// `interval` on [`Shared::refresh`], repeat. The publish runs *before*
+    /// the close check so shutdown always gets one final snapshot covering
+    /// the fully drained store.
     pub(super) fn refresher_loop(&self, interval: Duration) {
+        let mut snap = lock(&self.snap);
         loop {
-            // Status before publishing: a demand bump landing mid-publish
-            // moves it, turning the park below into an immediate retry.
-            let status = self.refresh.status();
-            self.publish_snapshot();
-            if self.refresh.is_closed() {
+            self.publish_snapshot(&mut snap);
+            if snap.closed {
                 return;
             }
             // Timeout and spurious wake alike fall through to a fresh
-            // publish — an early snapshot is always safe.
-            let _ = self.refresh.park_timeout(status, interval);
+            // publish — an early snapshot is always safe. `closed` is only
+            // set under this lock, so the close cannot slip in before the
+            // wait.
+            (snap, _) = self
+                .refresh
+                .wait_timeout(snap, interval)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
+    }
+
+    /// Closes the refresher: its next publish is its last.
+    pub(super) fn close_refresher(&self) {
+        lock(&self.snap).closed = true;
+        self.refresh.notify_one();
     }
 }
 
 impl CoupRuntime {
     /// The last published eventually-consistent snapshot and its epoch.
-    /// Epoch `0` means no snapshot has been published yet (all-zero words).
-    /// Observing epoch `N` guarantees every word of snapshot `N` is visible;
-    /// words of a later in-flight snapshot may already be mixed in.
+    /// Epoch `0` means no snapshot has been published yet (all-zero words);
+    /// otherwise the words are exactly snapshot `N`'s.
     #[must_use]
     pub fn stale_snapshot(&self) -> (Vec<u64>, u64) {
-        self.shared.snap.read()
+        let snap = lock(&self.shared.snap);
+        (snap.values.clone(), snap.epoch)
     }
 
-    /// Publishes a fresh snapshot now. With a live refresher this demands a
-    /// wake through the refresh parker and waits for the epoch to advance;
-    /// without one ([`RuntimeBuilder::refresh_interval`](super::RuntimeBuilder::refresh_interval)
-    /// unset) it publishes inline on the calling thread. Either way, on
-    /// return [`CoupRuntime::stale_snapshot`] serves a snapshot no older
+    /// Publishes a fresh snapshot now, inline on the calling thread, whether
+    /// or not a refresher runs ([`RuntimeBuilder::refresh_interval`](super::RuntimeBuilder::refresh_interval)).
+    /// On return [`CoupRuntime::stale_snapshot`] serves a snapshot no older
     /// than this call's start.
     pub fn refresh_now(&self) {
-        if lock(&self.refresher).is_some() {
-            let before = self.shared.snap.epoch();
-            self.shared.refresh.notify();
-            while self.shared.snap.epoch() == before {
-                sync::thread::yield_now();
-            }
-        } else {
-            self.shared.publish_snapshot();
-        }
+        self.shared.publish_snapshot(&mut lock(&self.shared.snap));
     }
 }

@@ -407,7 +407,7 @@ fn refresh_now_publishes_inline_without_a_refresher() {
 }
 
 #[test]
-fn a_live_refresher_ticks_and_refresh_now_interrupts_its_sleep() {
+fn a_live_refresher_ticks_and_refresh_now_publishes_inline() {
     let rt = RuntimeBuilder::new(CommutativeOp::AddU64, 4)
         .workers(1)
         .refresh_interval(Duration::from_millis(1))
@@ -425,22 +425,71 @@ fn a_live_refresher_ticks_and_refresh_now_interrupts_its_sleep() {
     rt.drain();
     rt.refresh_now();
     assert_eq!(rt.stale_snapshot().0[0], 7);
-    // Shutdown closes the refresh parker and joins the refresher.
+    // Shutdown closes and joins the refresher.
     let result = rt.shutdown();
     assert_eq!(result.snapshot[0], 7);
     assert!(result.report.metrics.snapshot_refreshes >= 3);
 }
 
+/// The refresher's publishes race the callers' own: whichever lands last,
+/// a caller's `refresh_now` after its `drain` is never overwritten by an
+/// older reduction, and every caller sees its own publish bump the epoch.
+/// A wide store keeps each reduction long enough for the race to happen.
+#[test]
+fn refresh_now_covers_every_drained_update_despite_a_racing_refresher() {
+    let rt = RuntimeBuilder::new(CommutativeOp::AddU64, 1024)
+        .workers(2)
+        .refresh_interval(Duration::from_millis(1))
+        .build();
+    std::thread::scope(|scope| {
+        for lane in [0, 512] {
+            let rt = &rt;
+            scope.spawn(move || {
+                let mut sub = rt.handle();
+                let mut last_epoch = 0;
+                for drained in 1..=500 {
+                    sub.push(lane, 1);
+                    sub.flush();
+                    rt.drain();
+                    // `drain` compares global counts: when the other
+                    // thread's later batch is applied first it can return
+                    // before this one lands, so wait for the exact read to
+                    // show it. What follows then tests the snapshot alone.
+                    while rt.read(lane) < drained {
+                        std::thread::yield_now();
+                    }
+                    rt.refresh_now();
+                    let (words, epoch) = rt.stale_snapshot();
+                    assert_eq!(words[lane], drained, "lane {lane}: stale snapshot");
+                    assert!(epoch > last_epoch, "epoch {epoch} after {last_epoch}");
+                    last_epoch = epoch;
+                }
+            });
+        }
+    });
+    let snapshot = rt.shutdown().snapshot;
+    assert_eq!((snapshot[0], snapshot[512]), (500, 500));
+}
+
 #[test]
 fn dropping_a_refresher_only_runtime_joins_the_refresher() {
-    // No handle ever spawns drainers; Drop must still close the gate
-    // and join the refresher thread (no leak, no hang).
+    // No handle ever spawns drainers; Drop must still close the refresher
+    // and join its thread. The drop runs on a helper thread, so a lost
+    // close wake fails here instead of sleeping out the hour.
     let rt = RuntimeBuilder::new(CommutativeOp::AddU64, 4)
         .refresh_interval(Duration::from_secs(3600))
         .build();
     rt.refresh_now();
     assert!(rt.stale_snapshot().1 >= 1);
-    drop(rt);
+    let (done, joined) = std::sync::mpsc::channel();
+    let dropper = std::thread::spawn(move || {
+        drop(rt);
+        done.send(()).unwrap();
+    });
+    joined
+        .recv_timeout(Duration::from_secs(10))
+        .expect("dropping the runtime never joined its refresher");
+    dropper.join().unwrap();
 }
 
 #[test]

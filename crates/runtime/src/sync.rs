@@ -82,12 +82,12 @@ pub(crate) const fn weakened_if(mutated: bool, strong: atomic::Ordering) -> atom
     }
 }
 
-/// The seven *load-bearing* edges, each under the one name it has everywhere:
+/// The six *load-bearing* edges, each under the one name it has everywhere:
 /// its `ord:` tag. `--cfg coup_mutation="<tag>"` weakens that constant alone
 /// to `Relaxed`, and CI's per-edge lanes — which take their values from this
 /// block — require both `model_tests::<tag in snake case>` (under
 /// `coup_model`) and the unchanged sanitizer battery (under `coup_san`) to
-/// fail for each. `Cargo.toml`'s `check-cfg` lists the same seven values, so a
+/// fail for each. `Cargo.toml`'s `check-cfg` lists the same six values, so a
 /// value misspelled here does not compile under `-D warnings`, coup-lint's
 /// tests reject a listed value no constant here carries, and `coup-lint`
 /// (R-MUTATION) rejects a constant whose value is not its own tag.
@@ -116,9 +116,6 @@ mod edges {
     pub(crate) const WAKE_PUBLISH: Ordering = weakened_if(cfg!(coup_mutation = "queue-wake"), Ordering::Release); // ord: queue-wake
     /// A worker's `applied` bump after a batch: what `drain()` acquires.
     pub(crate) const QUIESCE_PUBLISH: Ordering = weakened_if(cfg!(coup_mutation = "drain-quiesce"), Ordering::Release); // ord: drain-quiesce
-    /// The snapshot epoch bump sealing the refresher's Relaxed word stores: a
-    /// reader that Acquires epoch `N` sees every word of snapshot `N` or later.
-    pub(crate) const SNAP_PUBLISH: Ordering = weakened_if(cfg!(coup_mutation = "snap-publish"), Ordering::Release); // ord: snap-publish
 }
 pub(crate) use edges::*;
 

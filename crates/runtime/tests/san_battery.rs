@@ -96,17 +96,16 @@ fn exercise_backend() {
 }
 
 /// ring-publish, ring-consume, shard-claim, shard-retire, queue-wake,
-/// drain-quiesce, plus the tiered-read protocols:
-/// stale-pending (the bound's pending-counter walk) and snap-publish (the
-/// refresher's epoch seal): the submission-queue and runtime-facade
+/// drain-quiesce, plus the tiered read's stale-pending (the bound's
+/// pending-counter walk): the submission-queue and runtime-facade
 /// protocols.
 fn exercise_runtime() {
     let rt = RuntimeBuilder::new(CommutativeOp::AddU64, 64)
         .workers(2)
         .batch_capacity(4)
         .queue_capacity(8)
-        // A resident refresher: its timed park/notify cycle rides
-        // `queue-wake` and every published snapshot seals via `snap-publish`.
+        // A resident refresher: its publishes race `refresh_now`'s under
+        // the snapshot mutex, which carries no `ord:` edge of its own.
         .refresh_interval(std::time::Duration::from_millis(1))
         .build();
     // Two producers flooding 8-slot rings fill them: a producer must
@@ -128,9 +127,8 @@ fn exercise_runtime() {
     rt.drain();
     assert_eq!((0..64).map(|l| rt.read(l)).sum::<u64>(), 2000);
     // The stale tier: the bound's writer-bitmap + pending-counter walk
-    // acquires each buffer's pending publishes (`stale-pending`), and a
-    // demanded refresh exercises the refresh parker's notify edge
-    // (`queue-wake`) plus the snapshot epoch's Acquire side (`snap-publish`).
+    // acquires each buffer's pending publishes (`stale-pending`), and
+    // `refresh_now` publishes inline over the drained store.
     let stale = rt.read_stale(0);
     assert!(
         stale.value + stale.staleness >= rt.read(0),
@@ -142,7 +140,7 @@ fn exercise_runtime() {
     assert_eq!(
         snapshot.iter().sum::<u64>(),
         2000,
-        "the drained store is fully visible to the refresher"
+        "the drained store is fully visible to the snapshot"
     );
     let result = rt.shutdown();
     assert_eq!(result.snapshot.iter().sum::<u64>(), 2000);
