@@ -1,6 +1,6 @@
 //! The stale tier's whole-store half: the published snapshot, the
 //! background refresher that fills it, and the two [`CoupRuntime`] calls
-//! that serve and demand it.
+//! that serve and publish it.
 
 use std::time::Duration;
 
@@ -73,7 +73,7 @@ impl Shared {
 impl CoupRuntime {
     /// The last published eventually-consistent snapshot and its epoch.
     /// Epoch `0` means no snapshot has been published yet (all-zero words);
-    /// otherwise the words are exactly snapshot `N`'s.
+    /// epoch `N` comes with exactly the words of snapshot `N`.
     #[must_use]
     pub fn stale_snapshot(&self) -> (Vec<u64>, u64) {
         let snap = lock(&self.shared.snap);
