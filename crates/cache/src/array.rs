@@ -3,17 +3,23 @@
 //! The array stores, for each resident line, an arbitrary payload `T`: the
 //! private caches of the simulator use a coherence state plus line data, the
 //! shared caches use data plus a directory entry. The array handles tag
-//! matching, insertion, replacement-policy bookkeeping, and victim selection;
-//! what to do with the victim (writeback, partial reduction, recall) is the
-//! caller's business.
+//! matching, insertion, LRU bookkeeping, and victim selection; what to do
+//! with the victim (writeback, partial reduction, recall) is the caller's
+//! business.
+//!
+//! Every way of every set is one entry of three flat arrays, set after set:
+//! its tag (the line address plus one, 0 for a free way), its payload, and
+//! its one-byte LRU rank. Tags and ranks start as zeroed allocations and a
+//! `()` payload takes no space, so in a residency-only array a set nothing
+//! maps to costs no resident memory. A lookup scans one set's tags.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::mem;
+use std::ops::Range;
 
 use coup_protocol::line::LineAddr;
 
 use crate::geometry::CacheGeometry;
-use crate::replacement::SetReplacementState;
 
 /// Outcome of [`CacheArray::insert`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,19 +37,8 @@ pub enum InsertOutcome<T> {
     Replaced(T),
 }
 
-#[derive(Debug, Clone)]
-struct Way<T> {
-    addr: LineAddr,
-    payload: T,
-}
-
-#[derive(Debug, Clone)]
-struct Set<T> {
-    ways: Vec<Option<Way<T>>>,
-    repl: SetReplacementState,
-}
-
-/// A set-associative array of cache lines with payload `T`.
+/// A set-associative array of cache lines with payload `T`, replaced in
+/// least-recently-used order.
 ///
 /// # Examples
 ///
@@ -60,28 +55,38 @@ struct Set<T> {
 #[derive(Debug, Clone)]
 pub struct CacheArray<T> {
     geometry: CacheGeometry,
-    sets: Vec<Set<T>>,
-    /// Fast path for "is this line resident anywhere" checks in large arrays.
-    resident: HashMap<LineAddr, u64>,
+    ways: usize,
+    /// Per way: the resident line's address plus one, or 0 if the way is free.
+    tags: Vec<u64>,
+    /// Per way: the resident line's payload (`T::default()` in a free way).
+    payloads: Vec<T>,
+    /// Per way: its recency within its set. The `k` ways a set has touched
+    /// hold ranks `ways - k + 1 ..= ways`, most recent highest; ways never
+    /// touched hold 0.
+    ranks: Vec<u8>,
+    len: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
-impl<T> CacheArray<T> {
+impl<T: Default> CacheArray<T> {
     /// Creates an empty array (LRU replacement).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a set has more than 255 ways.
     #[must_use]
     pub fn new(geometry: CacheGeometry) -> Self {
-        let sets = (0..geometry.num_sets())
-            .map(|_| Set {
-                ways: (0..geometry.ways()).map(|_| None).collect(),
-                repl: SetReplacementState::new(geometry.ways()),
-            })
-            .collect();
+        assert!(geometry.ways() <= 255, "at most 255 ways per set");
+        let lines = geometry.num_lines() as usize;
         CacheArray {
             geometry,
-            sets,
-            resident: HashMap::new(),
+            ways: geometry.ways() as usize,
+            tags: vec![0; lines],
+            payloads: std::iter::repeat_with(T::default).take(lines).collect(),
+            ranks: vec![0; lines],
+            len: 0,
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -97,13 +102,13 @@ impl<T> CacheArray<T> {
     /// Number of lines currently resident.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.resident.len()
+        self.len
     }
 
     /// Whether the array holds no lines.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.resident.is_empty()
+        self.len == 0
     }
 
     /// (hits, misses, evictions) counters accumulated by lookups and inserts.
@@ -115,32 +120,31 @@ impl<T> CacheArray<T> {
     /// Whether `addr` is resident (does not touch replacement state or stats).
     #[must_use]
     pub fn contains(&self, addr: LineAddr) -> bool {
-        self.resident.contains_key(&addr)
+        self.locate(addr).1.is_some()
     }
 
     /// Looks up a line without affecting replacement state or hit/miss counters.
     #[must_use]
     pub fn peek(&self, addr: LineAddr) -> Option<&T> {
-        let set = &self.sets[self.geometry.set_of(addr) as usize];
-        set.ways
-            .iter()
-            .flatten()
-            .find(|w| w.addr == addr)
-            .map(|w| &w.payload)
+        self.locate(addr).1.map(|way| &self.payloads[way])
     }
 
     /// Looks up a line, updating recency and hit/miss counters.
     #[must_use]
     pub fn get(&mut self, addr: LineAddr) -> Option<&T> {
+        self.get_mut(addr).map(|payload| &*payload)
+    }
+
+    /// Mutable [`CacheArray::get`]: updates recency and hit/miss counters.
+    #[must_use]
+    pub fn get_mut(&mut self, addr: LineAddr) -> Option<&mut T> {
         match self.locate(addr) {
-            Some((set_idx, way_idx)) => {
+            (set, Some(way)) => {
                 self.hits += 1;
-                self.sets[set_idx].repl.touch(way_idx as u32);
-                self.sets[set_idx].ways[way_idx]
-                    .as_ref()
-                    .map(|w| &w.payload)
+                self.touch(set, way);
+                Some(&mut self.payloads[way])
             }
-            None => {
+            (_, None) => {
                 self.misses += 1;
                 None
             }
@@ -150,81 +154,89 @@ impl<T> CacheArray<T> {
     /// Mutable access without touching recency or counters.
     #[must_use]
     pub fn peek_mut(&mut self, addr: LineAddr) -> Option<&mut T> {
-        let set_idx = self.geometry.set_of(addr) as usize;
-        self.sets[set_idx]
-            .ways
-            .iter_mut()
-            .flatten()
-            .find(|w| w.addr == addr)
-            .map(|w| &mut w.payload)
+        let way = self.locate(addr).1?;
+        Some(&mut self.payloads[way])
     }
 
     /// Inserts (or replaces) a line, evicting a victim if the set is full.
+    /// A free way is filled lowest first.
     pub fn insert(&mut self, addr: LineAddr, payload: T) -> InsertOutcome<T> {
-        let set_idx = self.geometry.set_of(addr) as usize;
-        // Already present: replace the payload.
-        if let Some((_, way_idx)) = self.locate(addr) {
-            let slot = self.sets[set_idx].ways[way_idx]
-                .as_mut()
-                .expect("located way is occupied");
-            let old = std::mem::replace(&mut slot.payload, payload);
-            self.sets[set_idx].repl.touch(way_idx as u32);
-            return InsertOutcome::Replaced(old);
+        let (set, found) = self.locate(addr);
+        if let Some(way) = found {
+            self.touch(set, way);
+            return InsertOutcome::Replaced(mem::replace(&mut self.payloads[way], payload));
         }
-        // Free way available.
-        if let Some(way_idx) = self.sets[set_idx].ways.iter().position(Option::is_none) {
-            self.sets[set_idx].ways[way_idx] = Some(Way { addr, payload });
-            self.sets[set_idx].repl.touch(way_idx as u32);
-            self.resident.insert(addr, set_idx as u64);
+        let way = match self.tags[set.clone()].iter().position(|&tag| tag == 0) {
+            Some(free) => set.start + free,
+            None => self.victim(set.clone()),
+        };
+        self.touch(set, way);
+        let old_tag = mem::replace(&mut self.tags[way], addr.0 + 1);
+        let old_payload = mem::replace(&mut self.payloads[way], payload);
+        if old_tag == 0 {
+            self.len += 1;
             return InsertOutcome::Inserted;
         }
-        // Evict the victim.
-        let way_idx = self.sets[set_idx].repl.victim() as usize;
-        let victim = self.sets[set_idx].ways[way_idx]
-            .replace(Way { addr, payload })
-            .expect("full set has an occupant in the victim way");
-        self.sets[set_idx].repl.touch(way_idx as u32);
-        self.resident.remove(&victim.addr);
-        self.resident.insert(addr, set_idx as u64);
         self.evictions += 1;
         InsertOutcome::Evicted {
-            addr: victim.addr,
-            payload: victim.payload,
+            addr: LineAddr(old_tag - 1),
+            payload: old_payload,
         }
     }
 
-    /// Removes a line, returning its payload if it was resident.
+    /// Removes a line, returning its payload if it was resident. The freed
+    /// way keeps its place in the LRU order.
     pub fn remove(&mut self, addr: LineAddr) -> Option<T> {
-        let (set_idx, way_idx) = self.locate(addr)?;
-        let way = self.sets[set_idx].ways[way_idx].take()?;
-        self.resident.remove(&addr);
-        Some(way.payload)
+        let way = self.locate(addr).1?;
+        self.tags[way] = 0;
+        self.len -= 1;
+        Some(mem::take(&mut self.payloads[way]))
     }
 
     /// Iterates over all resident lines (address, payload) in no particular order.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &T)> {
-        self.sets
+        self.tags
             .iter()
-            .flat_map(|s| s.ways.iter().flatten())
-            .map(|w| (w.addr, &w.payload))
+            .zip(&self.payloads)
+            .filter(|(&tag, _)| tag != 0)
+            .map(|(&tag, payload)| (LineAddr(tag - 1), payload))
     }
 
-    fn locate(&self, addr: LineAddr) -> Option<(usize, usize)> {
-        if !self.resident.contains_key(&addr) {
-            return None;
+    /// The flat indices of `addr`'s set, and the one holding `addr` if it
+    /// is resident.
+    fn locate(&self, addr: LineAddr) -> (Range<usize>, Option<usize>) {
+        let first = self.geometry.set_of(addr) as usize * self.ways;
+        let set = first..first + self.ways;
+        let tag = addr.0 + 1;
+        let way = self.tags[set.clone()].iter().position(|&t| t == tag);
+        (set, way.map(|way| first + way))
+    }
+
+    /// Makes `way` the most recently used of `set`: it takes the top rank,
+    /// and the ways ranked above its old rank move down one.
+    fn touch(&mut self, set: Range<usize>, way: usize) {
+        let old = self.ranks[way];
+        for rank in &mut self.ranks[set] {
+            if *rank > old {
+                *rank -= 1;
+            }
         }
-        let set_idx = self.geometry.set_of(addr) as usize;
-        self.sets[set_idx]
-            .ways
-            .iter()
-            .position(|w| w.as_ref().is_some_and(|w| w.addr == addr))
-            .map(|way_idx| (set_idx, way_idx))
+        self.ranks[way] = self.ways as u8;
+    }
+
+    /// The least recently used way of `set`. Ways never touched rank below
+    /// the rest, highest index first, so a fresh set gives up its highest
+    /// way, as a recency list seeded `0..ways` would.
+    fn victim(&self, set: Range<usize>) -> usize {
+        set.rev()
+            .min_by_key(|&way| self.ranks[way])
+            .expect("a set has at least one way")
     }
 }
 
 impl<T> fmt::Display for CacheArray<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} cache, {} lines resident", self.geometry, self.len())
+        write!(f, "{} cache, {} lines resident", self.geometry, self.len)
     }
 }
 
@@ -359,6 +371,113 @@ mod tests {
         // Every resident line's payload must be consistent with its address.
         for (addr, &v) in c.iter() {
             assert_eq!(v % 10_000, addr.0);
+        }
+    }
+
+    #[test]
+    fn lru_initial_victim_is_highest_way() {
+        let c: CacheArray<u32> = CacheArray::new(CacheGeometry::new(8 * 64, 8));
+        assert_eq!(c.victim(c.locate(LineAddr(0)).0), 7);
+    }
+
+    type Set = (Vec<Option<(LineAddr, u32)>>, Vec<usize>);
+
+    /// The reference model: per set, its ways and a move-to-front list of way
+    /// numbers seeded `0..ways`; then (hits, misses, evictions).
+    struct Reference(Vec<Set>, (u64, u64, u64));
+
+    impl Reference {
+        fn slot(&mut self, addr: LineAddr) -> (&mut Set, Option<usize>) {
+            let sets = self.0.len() as u64;
+            let set = &mut self.0[(addr.0 % sets) as usize];
+            let way = set.0.iter().position(|w| w.is_some_and(|(a, _)| a == addr));
+            (set, way)
+        }
+
+        /// `get` if `touch`, else `peek`; a hit's payload becomes `value`.
+        fn get(&mut self, addr: LineAddr, touch: bool, value: Option<u32>) -> Option<u32> {
+            let (set, way) = self.slot(addr);
+            let found = way.map(|way| {
+                if touch {
+                    set.1.retain(|&w| w != way);
+                    set.1.insert(0, way);
+                }
+                let payload = &mut set.0[way].as_mut().unwrap().1;
+                mem::replace(payload, value.unwrap_or(*payload))
+            });
+            if touch {
+                self.1 .0 += u64::from(found.is_some());
+                self.1 .1 += u64::from(found.is_none());
+            }
+            found
+        }
+
+        fn insert(&mut self, addr: LineAddr, value: u32) -> InsertOutcome<u32> {
+            let (set, found) = self.slot(addr);
+            let free = set.0.iter().position(Option::is_none);
+            let way = found.or(free).unwrap_or(*set.1.last().unwrap());
+            let old = set.0[way].replace((addr, value));
+            set.1.retain(|&w| w != way);
+            set.1.insert(0, way);
+            match (found, old) {
+                (Some(_), Some((_, payload))) => InsertOutcome::Replaced(payload),
+                (None, Some((addr, payload))) => {
+                    self.1 .2 += 1;
+                    InsertOutcome::Evicted { addr, payload }
+                }
+                _ => InsertOutcome::Inserted,
+            }
+        }
+
+        fn remove(&mut self, addr: LineAddr) -> Option<u32> {
+            let (set, way) = self.slot(addr);
+            set.0[way?].take().map(|(_, v)| v)
+        }
+    }
+
+    #[test]
+    fn flat_array_replaces_exactly_like_the_per_set_lru_model() {
+        // (sets, ways): direct-mapped, the 2x2 array above, Table 1's 8 and 16 ways.
+        let geometries = [(4u64, 1u64), (2, 2), (4, 8), (2, 16)];
+        for seed in 1..=80u64 {
+            let (sets, ways) = geometries[seed as usize % 4];
+            let geometry = CacheGeometry::new(sets * ways * 64, ways as u32);
+            let mut array = CacheArray::new(geometry);
+            let set = (vec![None; ways as usize], (0..ways as usize).collect());
+            let mut model = Reference(vec![set; sets as usize], (0, 0, 0));
+            let mut r = seed;
+            for i in 0..2_000u32 {
+                // xorshift64; twice as many lines as fit, so sets fill, evict
+                // and refill.
+                r ^= r << 13;
+                r ^= r >> 7;
+                r ^= r << 17;
+                let addr = LineAddr(r % (2 * sets * ways));
+                let put = |p: &mut u32| mem::replace(p, i);
+                let (got, want) = match (r >> 32) % 20 {
+                    0..=7 => {
+                        assert_eq!(array.insert(addr, i), model.insert(addr, i));
+                        (None, None)
+                    }
+                    8..=11 => (array.get(addr).copied(), model.get(addr, true, None)),
+                    12..=13 => (array.get_mut(addr).map(put), model.get(addr, true, Some(i))),
+                    14..=15 => (array.peek(addr).copied(), model.get(addr, false, None)),
+                    16 => (
+                        array.peek_mut(addr).map(put),
+                        model.get(addr, false, Some(i)),
+                    ),
+                    _ => (array.remove(addr), model.remove(addr)),
+                };
+                assert_eq!(got, want, "{sets}x{ways} seed {seed}");
+                assert_eq!(array.stats(), model.1, "{sets}x{ways} seed {seed}");
+            }
+            let mut lines: Vec<_> = array.iter().map(|(a, &p)| (a, p)).collect();
+            let model_lines = model.0.iter().flat_map(|s| s.0.iter().flatten());
+            let mut want: Vec<_> = model_lines.copied().collect();
+            lines.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(array.len(), want.len());
+            assert_eq!(lines, want, "{sets}x{ways} seed {seed}");
         }
     }
 }

@@ -18,8 +18,9 @@ use coup_protocol::line::{LineAddr, LINE_BYTES};
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheGeometry {
-    size_bytes: u64,
     ways: u32,
+    /// A power of two, so a set index is a mask.
+    sets: u64,
 }
 
 impl CacheGeometry {
@@ -44,13 +45,13 @@ impl CacheGeometry {
             sets.is_power_of_two(),
             "number of sets {sets} must be a power of two"
         );
-        CacheGeometry { size_bytes, ways }
+        CacheGeometry { ways, sets }
     }
 
     /// Total capacity in bytes.
     #[must_use]
     pub const fn size_bytes(&self) -> u64 {
-        self.size_bytes
+        self.num_lines() * LINE_BYTES as u64
     }
 
     /// Associativity (number of ways per set).
@@ -61,26 +62,26 @@ impl CacheGeometry {
 
     /// Number of sets.
     #[must_use]
-    pub fn num_sets(&self) -> u64 {
-        self.size_bytes / (u64::from(self.ways) * LINE_BYTES as u64)
+    pub const fn num_sets(&self) -> u64 {
+        self.sets
     }
 
     /// Total number of lines the cache can hold.
     #[must_use]
-    pub fn num_lines(&self) -> u64 {
-        self.num_sets() * u64::from(self.ways)
+    pub const fn num_lines(&self) -> u64 {
+        self.sets * self.ways as u64
     }
 
     /// The set index a line maps to.
     #[must_use]
-    pub fn set_of(&self, line: LineAddr) -> u64 {
-        line.0 % self.num_sets()
+    pub const fn set_of(&self, line: LineAddr) -> u64 {
+        line.0 & (self.sets - 1)
     }
 }
 
 impl fmt::Display for CacheGeometry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let kb = self.size_bytes / 1024;
+        let kb = self.size_bytes() / 1024;
         write!(f, "{kb}KB {}-way ({} sets)", self.ways, self.num_sets())
     }
 }

@@ -1,15 +1,19 @@
 //! # coup-cache
 //!
 //! Cache structures for the COUP reproduction: parameterised set-associative
-//! arrays, LRU replacement state, and address mapping. These are the
-//! building blocks the `coup-sim` crate assembles into the four-level hierarchy
-//! of the paper's Table 1 (private L1s/L2s, banked shared L3 with in-cache
+//! arrays with LRU replacement, and address mapping. These are the building
+//! blocks the `coup-sim` crate assembles into the four-level hierarchy of the
+//! paper's Table 1 (private L1s/L2s, banked shared L3 with in-cache
 //! directory, L4/global-directory chips).
 //!
 //! The crate is deliberately policy-free: a [`array::CacheArray`] stores an
 //! arbitrary payload per line (coherence state, data, directory entry) and
 //! reports victims; coherence actions on those victims are the simulator's
-//! responsibility.
+//! responsibility. An array is flat: one tag, one payload and one LRU rank
+//! per way, every set side by side, and the set index is a mask of the line
+//! address ([`geometry::CacheGeometry::set_of`]). Tags and ranks start as
+//! zeroed allocations, so with a `()` payload (the simulator's shared
+//! caches) an untouched set costs no resident memory.
 //!
 //! # Example
 //!
@@ -30,8 +34,3 @@
 
 pub mod array;
 pub mod geometry;
-pub mod replacement;
-
-pub use array::{CacheArray, InsertOutcome};
-pub use geometry::CacheGeometry;
-pub use replacement::SetReplacementState;

@@ -51,9 +51,10 @@ impl fmt::Display for ProtocolKind {
 }
 
 /// Stable state of a line in a *private* cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PrivateState {
     /// Invalid: no permissions, no data.
+    #[default]
     Invalid,
     /// Shared: read-only permission; data valid; other caches may also hold it.
     Shared,

@@ -63,14 +63,10 @@ pub struct CapacityConfig {
     pub l3_bytes: u64,
     /// L3 associativity.
     pub l3_ways: u32,
-    /// L3 banks per chip.
-    pub l3_banks: u32,
     /// Per-L4-chip capacity.
     pub l4_bytes: u64,
     /// L4 associativity.
     pub l4_ways: u32,
-    /// L4 banks per chip.
-    pub l4_banks: u32,
 }
 
 impl CapacityConfig {
@@ -85,10 +81,8 @@ impl CapacityConfig {
             l2_ways: 8,
             l3_bytes: 32 * 1024 * 1024,
             l3_ways: 16,
-            l3_banks: 8,
             l4_bytes: 128 * 1024 * 1024,
             l4_ways: 16,
-            l4_banks: 8,
         }
     }
 
@@ -104,10 +98,8 @@ impl CapacityConfig {
             l2_ways: 4,
             l3_bytes: 64 * 1024,
             l3_ways: 8,
-            l3_banks: 2,
             l4_bytes: 256 * 1024,
             l4_ways: 8,
-            l4_banks: 2,
         }
     }
 
@@ -273,7 +265,6 @@ mod tests {
         assert_eq!(cfg.capacity.l2_bytes, 256 * 1024);
         assert_eq!(cfg.capacity.l3_bytes, 32 * 1024 * 1024);
         assert_eq!(cfg.capacity.l4_bytes, 128 * 1024 * 1024);
-        assert_eq!(cfg.capacity.l3_banks, 8);
     }
 
     #[test]

@@ -29,6 +29,7 @@
 //! drained through an unbounded write buffer (off the critical path).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use coup_cache::array::{CacheArray, InsertOutcome};
 use coup_protocol::access::AccessType;
@@ -49,8 +50,31 @@ const CTRL_MSG_BYTES: u64 = 8;
 /// Size, in bytes, of a data-carrying message (a cache line plus header).
 const DATA_MSG_BYTES: u64 = 72;
 
+/// A map keyed by line address. The keys are simulated addresses, not
+/// untrusted input, so one multiply hashes them, the same way on every run.
+type LineMap<V> = HashMap<LineAddr, V, BuildHasherDefault<LineHasher>>;
+
+/// Multiply-shift hashing of a `u64` key: the product's high bits mix every
+/// key bit, and `finish` rotates them into the low bits that pick a bucket.
+#[derive(Debug, Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a line map hashes only `LineAddr`'s one u64");
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 /// One private cache line: coherence state plus its payload.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct PrivateLine {
     state: PrivateState,
     data: LineData,
@@ -84,12 +108,14 @@ pub struct AccessResult {
 pub struct MemorySystem {
     cfg: SystemConfig,
     protocol: ProtocolKind,
-    directory: HashMap<LineAddr, DirectoryEntry>,
-    memory: HashMap<LineAddr, LineData>,
+    directory: LineMap<DirectoryEntry>,
+    memory: LineMap<LineData>,
     private: Vec<PrivateCache>,
     l3_resident: Vec<CacheArray<()>>,
     l4_resident: Vec<CacheArray<()>>,
-    line_busy_until: HashMap<LineAddr, u64>,
+    line_busy_until: LineMap<u64>,
+    /// Per chip, one transaction's (invalidations, reductions) there; zero between.
+    remote_chips: Vec<(usize, usize)>,
     protocol_stats: ProtocolStats,
     traffic: TrafficStats,
     reduction_cycles: u64,
@@ -109,8 +135,8 @@ impl MemorySystem {
         let chips = cfg.chips();
         MemorySystem {
             protocol: cfg.protocol,
-            directory: HashMap::new(),
-            memory: HashMap::new(),
+            directory: LineMap::default(),
+            memory: LineMap::default(),
             private,
             l3_resident: (0..chips)
                 .map(|_| CacheArray::new(cfg.capacity.l3_geometry()))
@@ -118,7 +144,8 @@ impl MemorySystem {
             l4_resident: (0..chips)
                 .map(|_| CacheArray::new(cfg.capacity.l4_geometry()))
                 .collect(),
-            line_busy_until: HashMap::new(),
+            line_busy_until: LineMap::default(),
+            remote_chips: vec![(0, 0); chips],
             protocol_stats: ProtocolStats::new(),
             traffic: TrafficStats::default(),
             reduction_cycles: 0,
@@ -179,16 +206,8 @@ impl MemorySystem {
         assert_eq!(byte_addr % 8, 0, "peek address must be word-aligned");
         let line = LineAddr::containing(byte_addr);
         let word_idx = line.offset_of(byte_addr) / 8;
-        let entry = self
-            .directory
-            .get(&line)
-            .copied()
-            .unwrap_or_else(DirectoryEntry::uncached);
-        let base = self
-            .memory
-            .get(&line)
-            .copied()
-            .unwrap_or_else(LineData::zeroed);
+        let entry = self.dir_entry(line);
+        let base = self.memory_line(line);
         match entry.mode() {
             coup_protocol::state::DirMode::Exclusive => {
                 let owner = entry.sharers().sole_member().expect("exclusive owner");
@@ -225,16 +244,7 @@ impl MemorySystem {
         byte_addr: u64,
         operand: u64,
     ) -> AccessResult {
-        assert!(core < self.cfg.cores, "core {core} out of range");
-        let line = LineAddr::containing(byte_addr);
-
-        // Fast path: the private cache can satisfy the access.
-        if let Some(p) = self.private[core].l2.peek(line) {
-            if p.state.satisfies(access) {
-                return self.private_hit(core, now, access, access, byte_addr, operand, line);
-            }
-        }
-        self.coherence_transaction(core, now, access, access, byte_addr, operand, line)
+        self.perform(core, now, access, access, byte_addr, operand)
     }
 
     /// Performs a conventional atomic read-modify-write (e.g. fetch-and-add,
@@ -256,36 +266,43 @@ impl MemorySystem {
         byte_addr: u64,
         operand: u64,
     ) -> AccessResult {
-        assert!(core < self.cfg.cores, "core {core} out of range");
-        let line = LineAddr::containing(byte_addr);
         let functional = AccessType::CommutativeUpdate(op);
-        if let Some(p) = self.private[core].l2.peek(line) {
-            if p.state.satisfies(AccessType::Write) {
-                return self.private_hit(
-                    core,
-                    now,
-                    AccessType::Write,
-                    functional,
-                    byte_addr,
-                    operand,
-                    line,
-                );
-            }
+        self.perform(core, now, AccessType::Write, functional, byte_addr, operand)
+    }
+
+    /// Performs an access that needs `permission` and does `functional`.
+    fn perform(
+        &mut self,
+        core: usize,
+        now: u64,
+        permission: AccessType,
+        functional: AccessType,
+        byte_addr: u64,
+        operand: u64,
+    ) -> AccessResult {
+        assert!(core < self.cfg.cores, "core {core} out of range");
+        // Fast path: the private cache can satisfy the access.
+        let cached = self.private[core].l2.peek(LineAddr::containing(byte_addr));
+        if cached.is_some_and(|p| p.state.satisfies(permission)) {
+            return self.private_hit(core, now, permission, functional, byte_addr, operand);
         }
-        self.coherence_transaction(
-            core,
-            now,
-            AccessType::Write,
-            functional,
-            byte_addr,
-            operand,
-            line,
-        )
+        self.coherence_transaction(core, now, permission, functional, byte_addr, operand)
+    }
+
+    /// The directory entry of `line`; uncached if it has none.
+    fn dir_entry(&self, line: LineAddr) -> DirectoryEntry {
+        let entry = self.directory.get(&line).copied();
+        entry.unwrap_or_else(DirectoryEntry::uncached)
+    }
+
+    /// Memory's copy of `line`; zero if it was never written.
+    fn memory_line(&self, line: LineAddr) -> LineData {
+        let data = self.memory.get(&line).copied();
+        data.unwrap_or_else(LineData::zeroed)
     }
 
     // ---- hit path ------------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
     fn private_hit(
         &mut self,
         core: usize,
@@ -294,26 +311,24 @@ impl MemorySystem {
         functional: AccessType,
         byte_addr: u64,
         operand: u64,
-        line: LineAddr,
     ) -> AccessResult {
+        let line = LineAddr::containing(byte_addr);
         let lat = self.cfg.latency;
         let mut breakdown = LatencyBreakdown {
             l1: lat.l1 as f64,
             ..Default::default()
         };
-        let in_l1 = self.private[core].l1.contains(line);
-        if !in_l1 {
+        // An L1 hit touches recency; a miss fills the L1 residency filter
+        // (its own victims are silent).
+        if self.private[core].l1.get(line).is_none() {
             breakdown.l2 = lat.l2 as f64;
-            // Fill the L1 residency filter (its own victims are silent).
             let _ = self.private[core].l1.insert(line, ());
-        } else {
-            // Touch for recency.
-            let _ = self.private[core].l1.get(line);
         }
 
+        // Touches L2 recency.
         let p = self.private[core]
             .l2
-            .peek_mut(line)
+            .get_mut(line)
             .expect("hit line is resident");
         let value =
             apply_access_to_line(&mut p.data, p.state, functional, byte_addr, operand, line);
@@ -322,8 +337,6 @@ impl MemorySystem {
         if functional.is_commutative() && matches!(next_state, PrivateState::UpdateOnly(_)) {
             self.protocol_stats.local_commutative_hits += 1;
         }
-        // Touch L2 recency.
-        let _ = self.private[core].l2.get(line);
 
         let total = breakdown.total() as u64;
         AccessResult {
@@ -336,7 +349,7 @@ impl MemorySystem {
 
     // ---- miss / coherence path ------------------------------------------
 
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+    #[allow(clippy::too_many_lines)]
     fn coherence_transaction(
         &mut self,
         core: usize,
@@ -345,15 +358,11 @@ impl MemorySystem {
         functional: AccessType,
         byte_addr: u64,
         operand: u64,
-        line: LineAddr,
     ) -> AccessResult {
+        let line = LineAddr::containing(byte_addr);
         let lat = self.cfg.latency;
         let chip = self.cfg.chip_of(core);
-        let entry = self
-            .directory
-            .get(&line)
-            .copied()
-            .unwrap_or_else(DirectoryEntry::uncached);
+        let entry = self.dir_entry(line);
         let plan = serve_request(self.protocol, &entry, core, permission);
 
         // ---- timing ----
@@ -369,34 +378,30 @@ impl MemorySystem {
         // Group third parties by chip.
         let mut local_invalidations = 0usize;
         let mut local_reductions = 0usize;
-        let mut remote_chips: HashMap<usize, (usize, usize)> = HashMap::new(); // chip -> (invals, reductions)
-        for c in plan.invalidate_readers.iter() {
-            if self.cfg.chip_of(c) == chip {
+        let mut any_remote = false;
+        let owner = plan.owner_action.map(|(owner, _)| owner);
+        for c in plan.invalidate_readers.iter().chain(owner) {
+            let c_chip = self.cfg.chip_of(c);
+            if c_chip == chip {
                 local_invalidations += 1;
             } else {
-                remote_chips.entry(self.cfg.chip_of(c)).or_default().0 += 1;
+                any_remote = true;
+                self.remote_chips[c_chip].0 += 1;
             }
         }
         for c in plan.reduce_from.iter() {
-            if self.cfg.chip_of(c) == chip {
+            let c_chip = self.cfg.chip_of(c);
+            if c_chip == chip {
                 local_reductions += 1;
             } else {
-                remote_chips.entry(self.cfg.chip_of(c)).or_default().1 += 1;
-            }
-        }
-        let mut owner_remote = false;
-        if let Some((owner, _)) = plan.owner_action {
-            if self.cfg.chip_of(owner) == chip {
-                local_invalidations += 1;
-            } else {
-                owner_remote = true;
-                remote_chips.entry(self.cfg.chip_of(owner)).or_default().0 += 1;
+                any_remote = true;
+                self.remote_chips[c_chip].1 += 1;
             }
         }
 
         // Does the transaction need the L4 (global directory / home node)?
         let l3_has_line = self.l3_resident[chip].contains(line);
-        let needs_l4 = !remote_chips.is_empty() || owner_remote || !l3_has_line;
+        let needs_l4 = any_remote || !l3_has_line;
 
         // On-chip third-party actions: handled by the chip's L3 directory.
         if local_invalidations + local_reductions > 0 {
@@ -433,10 +438,14 @@ impl MemorySystem {
             // Remote-chip invalidations / downgrades / reductions issued by the
             // global directory: chips are handled in parallel, so the critical
             // path is the slowest chip plus the final aggregation at the L4.
-            if !remote_chips.is_empty() {
+            if any_remote {
                 let mut worst_chip = 0u64;
                 let mut partial_lines_at_l4 = 0usize;
-                for (&_rchip, &(invals, reds)) in &remote_chips {
+                for rchip in 0..self.remote_chips.len() {
+                    let (invals, reds) = std::mem::take(&mut self.remote_chips[rchip]);
+                    if invals + reds == 0 {
+                        continue;
+                    }
                     // L4 -> remote chip -> cores -> back: one network round trip
                     // plus the remote L3's fan-out.
                     let mut t = 2 * lat.network + lat.l3;
@@ -538,32 +547,14 @@ impl MemorySystem {
         operand: u64,
     ) -> u64 {
         // 1. Collect partial updates (full reduction).
-        if !plan.reduce_from.is_empty() {
-            let op = match plan.next_entry.mode() {
-                coup_protocol::state::DirMode::UpdateOnly(op) => Some(op),
-                _ => None,
-            };
-            // The op of the *previous* epoch is what the partials were buffered
-            // under; recover it from any reducing core's state.
-            let mut reduce_op: Option<CommutativeOp> = None;
-            for c in plan.reduce_from.iter() {
-                if let Some(p) = self.private[c].l2.peek(line) {
-                    if let PrivateState::UpdateOnly(o) = p.state {
-                        reduce_op = Some(o);
-                        break;
-                    }
+        for c in plan.reduce_from.iter() {
+            if let Some(p) = self.private[c].l2.remove(line) {
+                if let PrivateState::UpdateOnly(op) = p.state {
+                    let mem = self.memory.entry(line).or_insert_with(LineData::zeroed);
+                    mem.reduce_from(op, &p.data);
                 }
             }
-            let reduce_op = reduce_op.or(op);
-            for c in plan.reduce_from.iter() {
-                if let Some(p) = self.private[c].l2.remove(line) {
-                    if let (PrivateState::UpdateOnly(o), Some(_)) = (p.state, reduce_op) {
-                        let mem = self.memory.entry(line).or_insert_with(LineData::zeroed);
-                        mem.reduce_from(o, &p.data);
-                    }
-                }
-                let _ = self.private[c].l1.remove(line);
-            }
+            let _ = self.private[c].l1.remove(line);
         }
 
         // 2. Invalidate read-only copies.
@@ -593,11 +584,6 @@ impl MemorySystem {
                         let _ = self.private[owner].l1.remove(line);
                     }
                 }
-                if !matches!(action, OwnerAction::InvalidateWithData) {
-                    // keep L1 residency as-is
-                } else {
-                    let _ = self.private[owner].l1.remove(line);
-                }
                 self.protocol_stats.writebacks += 1;
             }
         }
@@ -607,10 +593,7 @@ impl MemorySystem {
             PrivateState::UpdateOnly(op) => LineData::identity(op),
             _ => {
                 debug_assert!(!matches!(plan.data_source, DataSource::None) || plan.silent);
-                self.memory
-                    .get(&line)
-                    .copied()
-                    .unwrap_or_else(LineData::zeroed)
+                self.memory_line(line)
             }
         };
         let mut new_line = PrivateLine {
@@ -657,11 +640,7 @@ impl MemorySystem {
                 payload: victim,
             } => {
                 let _ = self.private[core].l1.remove(addr);
-                let mut entry = self
-                    .directory
-                    .get(&addr)
-                    .copied()
-                    .unwrap_or_else(DirectoryEntry::uncached);
+                let mut entry = self.dir_entry(addr);
                 if !entry.sharers().contains(core) {
                     return;
                 }
@@ -697,17 +676,8 @@ impl MemorySystem {
         }
         if let InsertOutcome::Evicted { addr, .. } = self.l3_resident[chip].insert(line, ()) {
             // Inclusive hierarchy: recall the victim from this chip's cores.
-            let mut entry = self
-                .directory
-                .get(&addr)
-                .copied()
-                .unwrap_or_else(DirectoryEntry::uncached);
-            let chip_cores: Vec<usize> = entry
-                .sharers()
-                .iter()
-                .filter(|&c| self.cfg.chip_of(c) == chip)
-                .collect();
-            if chip_cores.is_empty() {
+            let mut entry = self.dir_entry(addr);
+            if !entry.sharers().iter().any(|c| self.cfg.chip_of(c) == chip) {
                 return;
             }
             // Purge every copy held by this chip's cores, folding partial
@@ -717,7 +687,7 @@ impl MemorySystem {
             // pressure.)
             let recall = coup_protocol::stable::serve_recall(&mut entry);
             for c in recall.invalidate.iter().chain(recall.reduce_from.iter()) {
-                if let Some(p) = self.private[c].l2.remove(LineAddr(addr.0)) {
+                if let Some(p) = self.private[c].l2.remove(addr) {
                     match p.state {
                         PrivateState::Modified => {
                             self.memory.insert(addr, p.data);
@@ -781,186 +751,4 @@ fn apply_access_to_line(
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use coup_protocol::state::ProtocolKind;
-
-    const ADD: CommutativeOp = CommutativeOp::AddU64;
-
-    fn sys(cores: usize, protocol: ProtocolKind) -> MemorySystem {
-        MemorySystem::new(SystemConfig::test_system(cores, protocol))
-    }
-
-    #[test]
-    fn load_of_uninitialised_memory_is_zero() {
-        let mut m = sys(2, ProtocolKind::Mesi);
-        let r = m.access(0, 0, AccessType::Read, 0x1000, 0);
-        assert_eq!(r.value, 0);
-        assert!(!r.private_hit);
-        assert!(r.completes_at > 0);
-    }
-
-    #[test]
-    fn store_then_load_round_trips() {
-        let mut m = sys(2, ProtocolKind::Mesi);
-        let _ = m.access(0, 0, AccessType::Write, 0x40, 1234);
-        let r = m.access(0, 10, AccessType::Read, 0x40, 0);
-        assert_eq!(r.value, 1234);
-        assert!(r.private_hit, "second access to the same line should hit");
-        // Another core reading sees the same value (after a downgrade).
-        let r1 = m.access(1, 20, AccessType::Read, 0x40, 0);
-        assert_eq!(r1.value, 1234);
-        assert!(!r1.private_hit);
-    }
-
-    #[test]
-    fn poke_and_peek_bypass_timing() {
-        let mut m = sys(1, ProtocolKind::Meusi);
-        m.poke(0x80, 77);
-        assert_eq!(m.peek(0x80), 77);
-        let r = m.access(0, 0, AccessType::Read, 0x80, 0);
-        assert_eq!(r.value, 77);
-    }
-
-    #[test]
-    fn commutative_updates_from_two_cores_reduce_on_read() {
-        let mut m = sys(2, ProtocolKind::Meusi);
-        m.poke(0x100, 20);
-        let c = AccessType::CommutativeUpdate(ADD);
-        let _ = m.access(0, 0, c, 0x100, 1);
-        let _ = m.access(1, 0, c, 0x100, 2);
-        let _ = m.access(0, 10, c, 0x100, 1);
-        let _ = m.access(1, 10, c, 0x100, 2);
-        // Coherent value includes all buffered partial updates.
-        assert_eq!(m.peek(0x100), 26);
-        // A read triggers the full reduction and observes the total.
-        let r = m.access(0, 50, AccessType::Read, 0x100, 0);
-        assert_eq!(r.value, 26);
-        assert!(m.protocol_stats().full_reductions >= 1);
-    }
-
-    #[test]
-    fn updates_hit_locally_in_update_only_mode() {
-        let mut m = sys(2, ProtocolKind::Meusi);
-        let c = AccessType::CommutativeUpdate(ADD);
-        // First updates establish U (or M) copies.
-        let _ = m.access(0, 0, c, 0x200, 1);
-        let _ = m.access(1, 0, c, 0x200, 1);
-        // Subsequent updates are private hits — no coherence transactions.
-        let r0 = m.access(0, 10, c, 0x200, 1);
-        let r1 = m.access(1, 10, c, 0x200, 1);
-        assert!(r0.private_hit && r1.private_hit);
-        assert!(m.protocol_stats().local_commutative_hits >= 2);
-        assert_eq!(m.peek(0x200), 4);
-    }
-
-    #[test]
-    fn atomics_under_mesi_ping_pong() {
-        let mut m = sys(2, ProtocolKind::Mesi);
-        let c = AccessType::CommutativeUpdate(ADD); // treated as a write by MESI
-        let r0 = m.access(0, 0, c, 0x300, 1);
-        let r1 = m.access(1, 0, c, 0x300, 1);
-        let r0b = m.access(0, r0.completes_at, c, 0x300, 1);
-        let r1b = m.access(1, r1.completes_at, c, 0x300, 1);
-        // Under MESI every one of these is a coherence transaction.
-        assert!(!r0b.private_hit && !r1b.private_hit);
-        assert_eq!(m.peek(0x300), 4);
-        assert!(m.protocol_stats().owner_interventions >= 2);
-    }
-
-    #[test]
-    fn meusi_is_not_slower_than_mesi_for_contended_updates() {
-        let run = |protocol| {
-            let mut m = sys(4, protocol);
-            let c = AccessType::CommutativeUpdate(ADD);
-            let mut clocks = [0u64; 4];
-            for round in 0..50 {
-                for (core, clock) in clocks.iter_mut().enumerate() {
-                    let r = m.access(core, *clock, c, 0x400, 1);
-                    *clock = r.completes_at;
-                }
-                let _ = round;
-            }
-            (m.peek(0x400), *clocks.iter().max().unwrap())
-        };
-        let (mesi_val, mesi_t) = run(ProtocolKind::Mesi);
-        let (meusi_val, meusi_t) = run(ProtocolKind::Meusi);
-        assert_eq!(mesi_val, 200);
-        assert_eq!(meusi_val, 200);
-        assert!(
-            meusi_t <= mesi_t,
-            "COUP should not be slower on contended updates: {meusi_t} vs {mesi_t}"
-        );
-    }
-
-    #[test]
-    fn atomic_rmw_returns_old_value() {
-        let mut m = sys(1, ProtocolKind::Mesi);
-        m.poke(0x500, 10);
-        // AtomicRmw is modelled as a Write-permission access that applies the op.
-        let r = m.access(0, 0, AccessType::Write, 0x500, 10); // plain store keeps 10
-        assert_eq!(r.value, 0);
-        let r = m.access(0, 10, AccessType::CommutativeUpdate(ADD), 0x500, 5);
-        // In M state the update applies in place and the old value is observable.
-        assert_eq!(r.value, 10);
-        assert_eq!(m.peek(0x500), 15);
-    }
-
-    #[test]
-    fn cross_chip_access_pays_network_and_l4() {
-        let mut m = MemorySystem::new(SystemConfig::test_system(32, ProtocolKind::Mesi));
-        // Core 0 (chip 0) takes the line exclusively; core 16 (chip 1) reads it.
-        let _ = m.access(0, 0, AccessType::Write, 0x600, 7);
-        let r = m.access(16, 100, AccessType::Read, 0x600, 0);
-        assert_eq!(r.value, 7);
-        assert!(
-            r.latency.network > 0.0,
-            "cross-chip access must touch the network"
-        );
-        assert!(r.latency.l4 > 0.0);
-        assert!(m.traffic().offchip_bytes > 0);
-    }
-
-    #[test]
-    fn same_chip_sharing_stays_on_chip() {
-        let mut m = MemorySystem::new(SystemConfig::test_system(16, ProtocolKind::Mesi));
-        let r0 = m.access(0, 0, AccessType::Read, 0x700, 0);
-        // First access misses everywhere and must go off-chip to the home L4.
-        assert!(r0.latency.network > 0.0);
-        let r1 = m.access(1, 0, AccessType::Read, 0x700, 0);
-        // Second reader finds the line in the chip's L3: no network traversal.
-        assert!(
-            r1.latency.network == 0.0,
-            "on-chip sharing should not cross the network"
-        );
-    }
-
-    #[test]
-    fn capacity_evictions_of_update_only_lines_partially_reduce() {
-        let c = AccessType::CommutativeUpdate(ADD);
-        // Touch far more lines than the tiny L2 can hold, updating each once.
-        // MEUSI grants M for unshared lines, so force U by having a second core
-        // share each line first... simpler: a single update per line is enough
-        // to create M lines whose eviction writes back; the partial-reduction
-        // path is exercised via a second core.
-        let mut m2 = sys(2, ProtocolKind::Meusi);
-        for i in 0..2048u64 {
-            let addr = 0x1_0000 + i * 64;
-            let _ = m2.access(0, i, c, addr, 1);
-            let _ = m2.access(1, i, c, addr, 1);
-        }
-        // Evictions must have occurred, and every line still sums to 2.
-        assert!(m2.protocol_stats().partial_reductions > 0);
-        for i in [0u64, 7, 100, 2047] {
-            let addr = 0x1_0000 + i * 64;
-            assert_eq!(m2.peek(addr), 2, "line {i} lost an update");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_core_panics() {
-        let mut m = sys(1, ProtocolKind::Mesi);
-        let _ = m.access(1, 0, AccessType::Read, 0, 0);
-    }
-}
+mod tests;

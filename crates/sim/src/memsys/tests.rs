@@ -1,0 +1,182 @@
+//! Unit tests of the memory system's coherence and timing.
+
+use super::*;
+
+const ADD: CommutativeOp = CommutativeOp::AddU64;
+
+fn sys(cores: usize, protocol: ProtocolKind) -> MemorySystem {
+    MemorySystem::new(SystemConfig::test_system(cores, protocol))
+}
+
+#[test]
+fn load_of_uninitialised_memory_is_zero() {
+    let mut m = sys(2, ProtocolKind::Mesi);
+    let r = m.access(0, 0, AccessType::Read, 0x1000, 0);
+    assert_eq!(r.value, 0);
+    assert!(!r.private_hit);
+    assert!(r.completes_at > 0);
+}
+
+#[test]
+fn store_then_load_round_trips() {
+    let mut m = sys(2, ProtocolKind::Mesi);
+    let _ = m.access(0, 0, AccessType::Write, 0x40, 1234);
+    let r = m.access(0, 10, AccessType::Read, 0x40, 0);
+    assert_eq!(r.value, 1234);
+    assert!(r.private_hit, "second access to the same line should hit");
+    // Another core reading sees the same value (after a downgrade).
+    let r1 = m.access(1, 20, AccessType::Read, 0x40, 0);
+    assert_eq!(r1.value, 1234);
+    assert!(!r1.private_hit);
+}
+
+#[test]
+fn poke_and_peek_bypass_timing() {
+    let mut m = sys(1, ProtocolKind::Meusi);
+    m.poke(0x80, 77);
+    assert_eq!(m.peek(0x80), 77);
+    let r = m.access(0, 0, AccessType::Read, 0x80, 0);
+    assert_eq!(r.value, 77);
+}
+
+#[test]
+fn commutative_updates_from_two_cores_reduce_on_read() {
+    let mut m = sys(2, ProtocolKind::Meusi);
+    m.poke(0x100, 20);
+    let c = AccessType::CommutativeUpdate(ADD);
+    let _ = m.access(0, 0, c, 0x100, 1);
+    let _ = m.access(1, 0, c, 0x100, 2);
+    let _ = m.access(0, 10, c, 0x100, 1);
+    let _ = m.access(1, 10, c, 0x100, 2);
+    // Coherent value includes all buffered partial updates.
+    assert_eq!(m.peek(0x100), 26);
+    // A read triggers the full reduction and observes the total.
+    let r = m.access(0, 50, AccessType::Read, 0x100, 0);
+    assert_eq!(r.value, 26);
+    assert!(m.protocol_stats().full_reductions >= 1);
+}
+
+#[test]
+fn updates_hit_locally_in_update_only_mode() {
+    let mut m = sys(2, ProtocolKind::Meusi);
+    let c = AccessType::CommutativeUpdate(ADD);
+    // First updates establish U (or M) copies.
+    let _ = m.access(0, 0, c, 0x200, 1);
+    let _ = m.access(1, 0, c, 0x200, 1);
+    // Subsequent updates are private hits — no coherence transactions.
+    let r0 = m.access(0, 10, c, 0x200, 1);
+    let r1 = m.access(1, 10, c, 0x200, 1);
+    assert!(r0.private_hit && r1.private_hit);
+    assert!(m.protocol_stats().local_commutative_hits >= 2);
+    assert_eq!(m.peek(0x200), 4);
+}
+
+#[test]
+fn atomics_under_mesi_ping_pong() {
+    let mut m = sys(2, ProtocolKind::Mesi);
+    let c = AccessType::CommutativeUpdate(ADD); // treated as a write by MESI
+    let r0 = m.access(0, 0, c, 0x300, 1);
+    let r1 = m.access(1, 0, c, 0x300, 1);
+    let r0b = m.access(0, r0.completes_at, c, 0x300, 1);
+    let r1b = m.access(1, r1.completes_at, c, 0x300, 1);
+    // Under MESI every one of these is a coherence transaction.
+    assert!(!r0b.private_hit && !r1b.private_hit);
+    assert_eq!(m.peek(0x300), 4);
+    assert!(m.protocol_stats().owner_interventions >= 2);
+}
+
+#[test]
+fn meusi_is_not_slower_than_mesi_for_contended_updates() {
+    let run = |protocol| {
+        let mut m = sys(4, protocol);
+        let c = AccessType::CommutativeUpdate(ADD);
+        let mut clocks = [0u64; 4];
+        for round in 0..50 {
+            for (core, clock) in clocks.iter_mut().enumerate() {
+                let r = m.access(core, *clock, c, 0x400, 1);
+                *clock = r.completes_at;
+            }
+            let _ = round;
+        }
+        (m.peek(0x400), *clocks.iter().max().unwrap())
+    };
+    let (mesi_val, mesi_t) = run(ProtocolKind::Mesi);
+    let (meusi_val, meusi_t) = run(ProtocolKind::Meusi);
+    assert_eq!(mesi_val, 200);
+    assert_eq!(meusi_val, 200);
+    assert!(
+        meusi_t <= mesi_t,
+        "COUP should not be slower on contended updates: {meusi_t} vs {mesi_t}"
+    );
+}
+
+#[test]
+fn atomic_rmw_returns_old_value() {
+    let mut m = sys(1, ProtocolKind::Mesi);
+    m.poke(0x500, 10);
+    // AtomicRmw is modelled as a Write-permission access that applies the op.
+    let r = m.access(0, 0, AccessType::Write, 0x500, 10); // plain store keeps 10
+    assert_eq!(r.value, 0);
+    let r = m.access(0, 10, AccessType::CommutativeUpdate(ADD), 0x500, 5);
+    // In M state the update applies in place and the old value is observable.
+    assert_eq!(r.value, 10);
+    assert_eq!(m.peek(0x500), 15);
+}
+
+#[test]
+fn cross_chip_access_pays_network_and_l4() {
+    let mut m = MemorySystem::new(SystemConfig::test_system(32, ProtocolKind::Mesi));
+    // Core 0 (chip 0) takes the line exclusively; core 16 (chip 1) reads it.
+    let _ = m.access(0, 0, AccessType::Write, 0x600, 7);
+    let r = m.access(16, 100, AccessType::Read, 0x600, 0);
+    assert_eq!(r.value, 7);
+    assert!(
+        r.latency.network > 0.0,
+        "cross-chip access must touch the network"
+    );
+    assert!(r.latency.l4 > 0.0);
+    assert!(m.traffic().offchip_bytes > 0);
+}
+
+#[test]
+fn same_chip_sharing_stays_on_chip() {
+    let mut m = MemorySystem::new(SystemConfig::test_system(16, ProtocolKind::Mesi));
+    let r0 = m.access(0, 0, AccessType::Read, 0x700, 0);
+    // First access misses everywhere and must go off-chip to the home L4.
+    assert!(r0.latency.network > 0.0);
+    let r1 = m.access(1, 0, AccessType::Read, 0x700, 0);
+    // Second reader finds the line in the chip's L3: no network traversal.
+    assert!(
+        r1.latency.network == 0.0,
+        "on-chip sharing should not cross the network"
+    );
+}
+
+#[test]
+fn capacity_evictions_of_update_only_lines_partially_reduce() {
+    let c = AccessType::CommutativeUpdate(ADD);
+    // Touch far more lines than the tiny L2 can hold, updating each once.
+    // MEUSI grants M for unshared lines, so force U by having a second core
+    // share each line first... simpler: a single update per line is enough
+    // to create M lines whose eviction writes back; the partial-reduction
+    // path is exercised via a second core.
+    let mut m2 = sys(2, ProtocolKind::Meusi);
+    for i in 0..2048u64 {
+        let addr = 0x1_0000 + i * 64;
+        let _ = m2.access(0, i, c, addr, 1);
+        let _ = m2.access(1, i, c, addr, 1);
+    }
+    // Evictions must have occurred, and every line still sums to 2.
+    assert!(m2.protocol_stats().partial_reductions > 0);
+    for i in [0u64, 7, 100, 2047] {
+        let addr = 0x1_0000 + i * 64;
+        assert_eq!(m2.peek(addr), 2, "line {i} lost an update");
+    }
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn out_of_range_core_panics() {
+    let mut m = sys(1, ProtocolKind::Mesi);
+    let _ = m.access(1, 0, AccessType::Read, 0, 0);
+}

@@ -112,28 +112,41 @@ fn coup_wins_on_update_heavy_workloads_at_scale() {
     );
 }
 
+/// Simulated time is a pure function of workload, configuration and protocol:
+/// a change that moves one app's `[MESI cycles, MESI accesses, MEUSI cycles,
+/// MEUSI accesses]` on `cfg` changed what the simulator models.
+fn check_committed_cycle_counts(cfg: SystemConfig, golden: [(&str, [u64; 4]); 5]) {
+    let workloads = paper_workloads(Scale::Small);
+    assert_eq!(workloads.len(), golden.len());
+    for ((name, workload), (app, golden)) in workloads.iter().zip(golden) {
+        assert_eq!(*name, app);
+        let (mesi, meusi) = compare_protocols(cfg, workload.as_ref()).unwrap();
+        let counts = [mesi.cycles, mesi.accesses, meusi.cycles, meusi.accesses];
+        assert_eq!(counts, golden, "{app}");
+    }
+}
+
 #[test]
 fn paper_workloads_reproduce_the_committed_cycle_counts() {
-    // Simulated time is a pure function of the workload, the configuration
-    // and the protocol. Per app: MESI cycles and accesses, then MEUSI's. A
-    // change that moves any of these changed what the simulator models.
-    const GOLDEN: [(&str, [u64; 4]); 5] = [
+    let golden = [
         ("hist", [48_532, 8_000, 16_108, 8_000]),
         ("spmv", [17_383, 3_576, 14_821, 3_576]),
         ("pgrank", [36_500, 4_232, 11_339, 4_232]),
         ("bfs", [79_663, 11_011, 76_306, 11_012]),
         ("fluidanimate", [6_989, 4_576, 6_989, 4_576]),
     ];
-    let workloads = paper_workloads(Scale::Small);
-    assert_eq!(workloads.len(), GOLDEN.len());
-    let cfg = SystemConfig::test_system(8, ProtocolKind::Mesi);
-    for ((name, workload), (app, golden)) in workloads.iter().zip(GOLDEN) {
-        assert_eq!(*name, app);
-        let (mesi, meusi) = compare_protocols(cfg, workload.as_ref()).unwrap();
-        assert_eq!(
-            [mesi.cycles, mesi.accesses, meusi.cycles, meusi.accesses],
-            golden,
-            "{app}"
-        );
-    }
+    check_committed_cycle_counts(SystemConfig::test_system(8, ProtocolKind::Mesi), golden);
+}
+
+#[test]
+fn paper_workloads_on_the_paper_geometry_reproduce_the_committed_cycle_counts() {
+    // Table 1's cache geometry, the 16-core machine `sim_paper16` simulates.
+    let golden = [
+        ("hist", [35_448, 8_000, 8_651, 8_000]),
+        ("spmv", [10_348, 3_576, 7_873, 3_576]),
+        ("pgrank", [29_652, 4_232, 6_715, 4_232]),
+        ("bfs", [72_206, 11_719, 63_842, 11_721]),
+        ("fluidanimate", [3_647, 4_576, 3_647, 4_576]),
+    ];
+    check_committed_cycle_counts(SystemConfig::paper_system(16, ProtocolKind::Mesi), golden);
 }
