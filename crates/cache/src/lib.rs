@@ -34,3 +34,4 @@
 
 pub mod array;
 pub mod geometry;
+mod replacement;

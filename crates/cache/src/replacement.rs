@@ -1,96 +1,54 @@
-//! Replacement state for set-associative caches: true LRU, which is adequate
-//! at the associativities of Table 1.
-
-/// Per-set LRU replacement state.
-///
-/// One instance tracks the recency information of a single set with a fixed
-/// number of ways.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SetReplacementState {
-    /// Ways ordered from most- to least-recently used.
-    order: Vec<u32>,
-}
-
-impl SetReplacementState {
-    /// Creates fresh replacement state for a set with `ways` ways.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ways == 0`.
-    #[must_use]
-    pub fn new(ways: u32) -> Self {
-        assert!(ways > 0, "a set must have at least one way");
-        SetReplacementState {
-            order: (0..ways).collect(),
-        }
-    }
-
-    /// Number of ways this state tracks.
-    #[must_use]
-    pub fn ways(&self) -> u32 {
-        self.order.len() as u32
-    }
-
-    /// Records a touch (hit or fill) of `way`, making it the most recently used.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `way` is out of range.
-    pub fn touch(&mut self, way: u32) {
-        let pos = self
-            .order
-            .iter()
-            .position(|&w| w == way)
-            .unwrap_or_else(|| panic!("way {way} out of range"));
-        let w = self.order.remove(pos);
-        self.order.insert(0, w);
-    }
-
-    /// The way the policy would evict next: the least recently used.
-    #[must_use]
-    pub fn victim(&self) -> u32 {
-        *self.order.last().expect("non-empty order")
-    }
-}
+//! LRU replacement as [`CacheArray`](crate::array::CacheArray) exposes it:
+//! the victim a full set gives up is the line its `insert` returns as
+//! `Evicted`. The rank bookkeeping itself lives in `array.rs`.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use coup_protocol::line::LineAddr;
+
+    use crate::array::{CacheArray, InsertOutcome};
+    use crate::geometry::CacheGeometry;
+
+    /// Inserts `line` (payload: its address) into a full set and returns the
+    /// line it evicted.
+    fn evict(c: &mut CacheArray<u64>, line: u64) -> u64 {
+        match c.insert(LineAddr(line), line) {
+            InsertOutcome::Evicted { addr, payload } => {
+                assert_eq!(addr.0, payload);
+                addr.0
+            }
+            other => panic!("inserting line {line} into a full set gave {other:?}"),
+        }
+    }
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let mut s = SetReplacementState::new(4);
-        assert_eq!(s.ways(), 4);
-        // Touch 0,1,2,3 in order: 0 is now LRU.
-        for w in 0..4 {
-            s.touch(w);
+        // One set of four ways: every line maps to it.
+        let mut c = CacheArray::new(CacheGeometry::new(4 * 64, 4));
+        assert_eq!(c.geometry().ways(), 4);
+        // Fill 0,1,2,3 in order: 0 is now LRU.
+        for line in 0..4 {
+            assert_eq!(c.insert(LineAddr(line), line), InsertOutcome::Inserted);
         }
-        assert_eq!(s.victim(), 0);
-        s.touch(0);
-        assert_eq!(s.victim(), 1);
-        s.touch(1);
-        s.touch(2);
-        assert_eq!(s.victim(), 3);
-    }
-
-    #[test]
-    fn lru_initial_victim_is_highest_way() {
-        let s = SetReplacementState::new(8);
-        assert_eq!(s.victim(), 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn lru_touch_out_of_range_panics() {
-        let mut s = SetReplacementState::new(2);
-        s.touch(2);
+        assert_eq!(evict(&mut c, 4), 0);
+        // Touch 1: 2 is now LRU.
+        assert_eq!(c.get(LineAddr(1)), Some(&1));
+        assert_eq!(evict(&mut c, 5), 2);
+        // Touch 3 then 4: 1 is now LRU.
+        let _ = c.get(LineAddr(3));
+        let _ = c.get(LineAddr(4));
+        assert_eq!(evict(&mut c, 6), 1);
+        assert_eq!(c.stats(), (3, 0, 3));
     }
 
     #[test]
     fn single_way_set() {
-        let mut s = SetReplacementState::new(1);
-        assert_eq!(s.victim(), 0);
-        s.touch(0);
-        assert_eq!(s.victim(), 0);
+        let mut c = CacheArray::new(CacheGeometry::new(64, 1));
+        assert_eq!(c.insert(LineAddr(0), 0), InsertOutcome::Inserted);
+        assert_eq!(evict(&mut c, 1), 0);
+        // A hit leaves the only way the victim.
+        assert_eq!(c.get(LineAddr(1)), Some(&1));
+        assert_eq!(evict(&mut c, 2), 1);
+        assert_eq!(c.len(), 1);
     }
 }
