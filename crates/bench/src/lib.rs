@@ -1,8 +1,9 @@
 //! Shared helpers for the COUP benchmark harness.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper's
-//! evaluation (see DESIGN.md for the experiment index); `src/bin/coupbench/`
-//! is the repository's benchmark (see `/BENCHMARK.json`).
+//! Each binary in `src/bin/` regenerates the table or figure of the paper's
+//! evaluation its name gives (`fig10_speedup` is Fig. 10; README.md lists
+//! them all); `src/bin/coupbench/` is the repository's benchmark (see
+//! `/BENCHMARK.json`).
 
 use coup::experiments::Scale;
 

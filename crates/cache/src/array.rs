@@ -1,11 +1,11 @@
 //! Generic set-associative cache array.
 //!
 //! The array stores, for each resident line, an arbitrary payload `T`: the
-//! private caches of the simulator use a coherence state plus line data, the
-//! shared caches use data plus a directory entry. The array handles tag
-//! matching, insertion, LRU bookkeeping, and victim selection; what to do
-//! with the victim (writeback, partial reduction, recall) is the caller's
-//! business.
+//! simulator's private L2s use a coherence state plus line data, and its L1s
+//! and shared caches use `()`, tracking residency only. The array handles
+//! tag matching, insertion, LRU bookkeeping, and victim selection; what to
+//! do with the victim (writeback, partial reduction, recall) is the
+//! caller's business.
 //!
 //! Every way of every set is one entry of three flat arrays, set after set:
 //! its tag (the line address plus one, 0 for a free way), its payload, and
@@ -64,10 +64,6 @@ pub struct CacheArray<T> {
     /// hold ranks `ways - k + 1 ..= ways`, most recent highest; ways never
     /// touched hold 0.
     ranks: Vec<u8>,
-    len: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
 }
 
 impl<T: Default> CacheArray<T> {
@@ -86,10 +82,6 @@ impl<T: Default> CacheArray<T> {
             tags: vec![0; lines],
             payloads: std::iter::repeat_with(T::default).take(lines).collect(),
             ranks: vec![0; lines],
-            len: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
         }
     }
 
@@ -99,59 +91,34 @@ impl<T: Default> CacheArray<T> {
         self.geometry
     }
 
-    /// Number of lines currently resident.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the array holds no lines.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// (hits, misses, evictions) counters accumulated by lookups and inserts.
-    #[must_use]
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (self.hits, self.misses, self.evictions)
-    }
-
-    /// Whether `addr` is resident (does not touch replacement state or stats).
+    /// Whether `addr` is resident (does not touch replacement state).
     #[must_use]
     pub fn contains(&self, addr: LineAddr) -> bool {
         self.locate(addr).1.is_some()
     }
 
-    /// Looks up a line without affecting replacement state or hit/miss counters.
+    /// Looks up a line without affecting replacement state.
     #[must_use]
     pub fn peek(&self, addr: LineAddr) -> Option<&T> {
         self.locate(addr).1.map(|way| &self.payloads[way])
     }
 
-    /// Looks up a line, updating recency and hit/miss counters.
+    /// Looks up a line, updating recency.
     #[must_use]
     pub fn get(&mut self, addr: LineAddr) -> Option<&T> {
         self.get_mut(addr).map(|payload| &*payload)
     }
 
-    /// Mutable [`CacheArray::get`]: updates recency and hit/miss counters.
+    /// Mutable [`CacheArray::get`]: updates recency.
     #[must_use]
     pub fn get_mut(&mut self, addr: LineAddr) -> Option<&mut T> {
-        match self.locate(addr) {
-            (set, Some(way)) => {
-                self.hits += 1;
-                self.touch(set, way);
-                Some(&mut self.payloads[way])
-            }
-            (_, None) => {
-                self.misses += 1;
-                None
-            }
-        }
+        let (set, way) = self.locate(addr);
+        let way = way?;
+        self.touch(set, way);
+        Some(&mut self.payloads[way])
     }
 
-    /// Mutable access without touching recency or counters.
+    /// Mutable access without touching recency.
     #[must_use]
     pub fn peek_mut(&mut self, addr: LineAddr) -> Option<&mut T> {
         let way = self.locate(addr).1?;
@@ -174,10 +141,8 @@ impl<T: Default> CacheArray<T> {
         let old_tag = mem::replace(&mut self.tags[way], addr.0 + 1);
         let old_payload = mem::replace(&mut self.payloads[way], payload);
         if old_tag == 0 {
-            self.len += 1;
             return InsertOutcome::Inserted;
         }
-        self.evictions += 1;
         InsertOutcome::Evicted {
             addr: LineAddr(old_tag - 1),
             payload: old_payload,
@@ -189,17 +154,7 @@ impl<T: Default> CacheArray<T> {
     pub fn remove(&mut self, addr: LineAddr) -> Option<T> {
         let way = self.locate(addr).1?;
         self.tags[way] = 0;
-        self.len -= 1;
         Some(mem::take(&mut self.payloads[way]))
-    }
-
-    /// Iterates over all resident lines (address, payload) in no particular order.
-    pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &T)> {
-        self.tags
-            .iter()
-            .zip(&self.payloads)
-            .filter(|(&tag, _)| tag != 0)
-            .map(|(&tag, payload)| (LineAddr(tag - 1), payload))
     }
 
     /// The flat indices of `addr`'s set, and the one holding `addr` if it
@@ -236,7 +191,8 @@ impl<T: Default> CacheArray<T> {
 
 impl<T> fmt::Display for CacheArray<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} cache, {} lines resident", self.geometry, self.len)
+        let resident = self.tags.iter().filter(|&&tag| tag != 0).count();
+        write!(f, "{} cache, {resident} lines resident", self.geometry)
     }
 }
 
@@ -257,10 +213,6 @@ mod tests {
         assert_eq!(c.get(LineAddr(0)), Some(&10));
         assert_eq!(c.get(LineAddr(2)), Some(&20));
         assert_eq!(c.get(LineAddr(4)), None);
-        let (h, m, e) = c.stats();
-        assert_eq!((h, m, e), (2, 1, 0));
-        assert_eq!(c.len(), 2);
-        assert!(!c.is_empty());
     }
 
     #[test]
@@ -269,7 +221,7 @@ mod tests {
         c.insert(LineAddr(0), 1);
         assert_eq!(c.insert(LineAddr(0), 2), InsertOutcome::Replaced(1));
         assert_eq!(c.peek(LineAddr(0)), Some(&2));
-        assert_eq!(c.len(), 1);
+        assert!(c.to_string().contains("1 lines resident"));
     }
 
     #[test]
@@ -290,7 +242,6 @@ mod tests {
         assert!(c.contains(LineAddr(0)));
         assert!(c.contains(LineAddr(4)));
         assert!(!c.contains(LineAddr(2)));
-        assert_eq!(c.stats().2, 1);
     }
 
     #[test]
@@ -308,10 +259,8 @@ mod tests {
         let mut c = small();
         c.insert(LineAddr(0), 1);
         c.insert(LineAddr(2), 2);
-        let stats_before = c.stats();
         assert_eq!(c.peek(LineAddr(0)), Some(&1));
         assert_eq!(c.peek(LineAddr(100)), None);
-        assert_eq!(c.stats(), stats_before);
         // Recency untouched: the LRU victim is still line 0 (inserted first).
         assert_eq!(
             c.insert(LineAddr(4), 3),
@@ -332,26 +281,14 @@ mod tests {
     }
 
     #[test]
-    fn iter_visits_all_resident_lines() {
-        let mut c = small();
-        c.insert(LineAddr(0), 1);
-        c.insert(LineAddr(1), 2);
-        c.insert(LineAddr(2), 3);
-        let mut items: Vec<_> = c.iter().map(|(a, &v)| (a.0, v)).collect();
-        items.sort_unstable();
-        assert_eq!(items, vec![(0, 1), (1, 2), (2, 3)]);
-    }
-
-    #[test]
     fn different_sets_do_not_conflict() {
         let mut c = small();
         // Odd lines go to set 1, evens to set 0; 4 lines fit exactly.
-        c.insert(LineAddr(0), 1);
-        c.insert(LineAddr(1), 2);
-        c.insert(LineAddr(2), 3);
-        c.insert(LineAddr(3), 4);
-        assert_eq!(c.len(), 4);
-        assert_eq!(c.stats().2, 0, "no evictions with a perfectly packed cache");
+        for line in 0..4 {
+            let outcome = c.insert(LineAddr(line), line as u32 + 1);
+            assert_eq!(outcome, InsertOutcome::Inserted, "a perfectly packed cache");
+        }
+        assert!((0..4).all(|line| c.peek(LineAddr(line)) == Some(&(line as u32 + 1))));
     }
 
     #[test]
@@ -367,10 +304,14 @@ mod tests {
         for i in 0..100_000u64 {
             c.insert(LineAddr(i % 10_000), i);
         }
-        assert!(c.len() <= c.geometry().num_lines() as usize);
-        // Every resident line's payload must be consistent with its address.
-        for (addr, &v) in c.iter() {
-            assert_eq!(v % 10_000, addr.0);
+        // Every resident line's payload must be consistent with its address,
+        // and no more lines are resident than the array has ways.
+        let resident: Vec<_> = (0..10_000)
+            .filter_map(|line| c.peek(LineAddr(line)).map(|&v| (line, v)))
+            .collect();
+        assert!(resident.len() as u64 <= c.geometry().num_lines());
+        for (line, v) in resident {
+            assert_eq!(v % 10_000, line);
         }
     }
 
@@ -383,8 +324,8 @@ mod tests {
     type Set = (Vec<Option<(LineAddr, u32)>>, Vec<usize>);
 
     /// The reference model: per set, its ways and a move-to-front list of way
-    /// numbers seeded `0..ways`; then (hits, misses, evictions).
-    struct Reference(Vec<Set>, (u64, u64, u64));
+    /// numbers seeded `0..ways`.
+    struct Reference(Vec<Set>);
 
     impl Reference {
         fn slot(&mut self, addr: LineAddr) -> (&mut Set, Option<usize>) {
@@ -397,19 +338,14 @@ mod tests {
         /// `get` if `touch`, else `peek`; a hit's payload becomes `value`.
         fn get(&mut self, addr: LineAddr, touch: bool, value: Option<u32>) -> Option<u32> {
             let (set, way) = self.slot(addr);
-            let found = way.map(|way| {
+            way.map(|way| {
                 if touch {
                     set.1.retain(|&w| w != way);
                     set.1.insert(0, way);
                 }
                 let payload = &mut set.0[way].as_mut().unwrap().1;
                 mem::replace(payload, value.unwrap_or(*payload))
-            });
-            if touch {
-                self.1 .0 += u64::from(found.is_some());
-                self.1 .1 += u64::from(found.is_none());
-            }
-            found
+            })
         }
 
         fn insert(&mut self, addr: LineAddr, value: u32) -> InsertOutcome<u32> {
@@ -421,10 +357,7 @@ mod tests {
             set.1.insert(0, way);
             match (found, old) {
                 (Some(_), Some((_, payload))) => InsertOutcome::Replaced(payload),
-                (None, Some((addr, payload))) => {
-                    self.1 .2 += 1;
-                    InsertOutcome::Evicted { addr, payload }
-                }
+                (None, Some((addr, payload))) => InsertOutcome::Evicted { addr, payload },
                 _ => InsertOutcome::Inserted,
             }
         }
@@ -444,7 +377,7 @@ mod tests {
             let geometry = CacheGeometry::new(sets * ways * 64, ways as u32);
             let mut array = CacheArray::new(geometry);
             let set = (vec![None; ways as usize], (0..ways as usize).collect());
-            let mut model = Reference(vec![set; sets as usize], (0, 0, 0));
+            let mut model = Reference(vec![set; sets as usize]);
             let mut r = seed;
             for i in 0..2_000u32 {
                 // xorshift64; twice as many lines as fit, so sets fill, evict
@@ -469,15 +402,11 @@ mod tests {
                     _ => (array.remove(addr), model.remove(addr)),
                 };
                 assert_eq!(got, want, "{sets}x{ways} seed {seed}");
-                assert_eq!(array.stats(), model.1, "{sets}x{ways} seed {seed}");
             }
-            let mut lines: Vec<_> = array.iter().map(|(a, &p)| (a, p)).collect();
-            let model_lines = model.0.iter().flat_map(|s| s.0.iter().flatten());
-            let mut want: Vec<_> = model_lines.copied().collect();
-            lines.sort_unstable();
-            want.sort_unstable();
-            assert_eq!(array.len(), want.len());
-            assert_eq!(lines, want, "{sets}x{ways} seed {seed}");
+            for line in (0..2 * sets * ways).map(LineAddr) {
+                let want = model.get(line, false, None);
+                assert_eq!(array.peek(line).copied(), want, "{sets}x{ways} seed {seed}");
+            }
         }
     }
 }

@@ -7,8 +7,8 @@
 //! directory, L4/global-directory chips).
 //!
 //! The crate is deliberately policy-free: a [`array::CacheArray`] stores an
-//! arbitrary payload per line (coherence state, data, directory entry) and
-//! reports victims; coherence actions on those victims are the simulator's
+//! arbitrary payload per line (coherence state and data, or `()` for a
+//! residency-only array) and reports victims; coherence actions on those victims are the simulator's
 //! responsibility. An array is flat: one tag, one payload and one LRU rank
 //! per way, every set side by side, and the set index is a mask of the line
 //! address ([`geometry::CacheGeometry::set_of`]). Tags and ranks start as

@@ -38,7 +38,6 @@ mod tests {
         let _ = c.get(LineAddr(3));
         let _ = c.get(LineAddr(4));
         assert_eq!(evict(&mut c, 6), 1);
-        assert_eq!(c.stats(), (3, 0, 3));
     }
 
     #[test]
@@ -49,6 +48,6 @@ mod tests {
         // A hit leaves the only way the victim.
         assert_eq!(c.get(LineAddr(1)), Some(&1));
         assert_eq!(evict(&mut c, 2), 1);
-        assert_eq!(c.len(), 1);
+        assert!(c.contains(LineAddr(2)) && !c.contains(LineAddr(1)));
     }
 }

@@ -17,14 +17,15 @@
 //! * [`mod@line`] — cache-line payloads and partial-update buffers
 //!   ([`line::LineData`]).
 //! * [`state`] — stable private-cache states and directory modes for the
-//!   MSI / MUSI / MESI / MEUSI protocol families ([`state::ProtocolKind`]).
+//!   MESI baseline and COUP's MEUSI ([`state::ProtocolKind`]).
 //! * [`directory`] — sharer sets and directory entries.
 //! * [`stable`] — the stable-state transition engine the performance simulator
 //!   executes ([`stable::serve_request`]).
 //! * [`detailed`] / [`detailed_dir`] — the message-level controllers with
 //!   transient states (Fig. 7) that the `coup-verify` model checker
 //!   exhaustively explores.
-//! * [`reduction`] — functional and timing model of reduction units.
+//! * [`reduction`] — timing model of reduction units (the reduction itself
+//!   is [`line::LineData::reduce_from`]).
 //! * [`stats`] — protocol event counters.
 //!
 //! # Example
@@ -89,7 +90,7 @@ pub use access::{AccessType, OpClass};
 pub use directory::{ChildId, DirectoryEntry, SharerSet};
 pub use line::{LineAddr, LineData, LINE_BYTES, WORDS_PER_LINE};
 pub use ops::CommutativeOp;
-pub use reduction::{ReductionUnit, ReductionUnitConfig};
+pub use reduction::ReductionUnitConfig;
 pub use stable::{serve_eviction, serve_recall, serve_request, RequestPlan};
 pub use state::{DirMode, PrivateState, ProtocolKind};
 pub use stats::ProtocolStats;

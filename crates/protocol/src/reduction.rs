@@ -1,4 +1,4 @@
-//! Reduction-unit model.
+//! Reduction-unit timing model.
 //!
 //! COUP adds a reduction unit to every shared cache bank (and every
 //! intermediate level with multiple update-capable children). The paper's
@@ -7,8 +7,7 @@
 //! cycles per line. The §5.5 sensitivity study compares this against a simple
 //! unpipelined 64-bit ALU with a throughput of one line per 16 cycles.
 
-use crate::line::{LineData, WORDS_PER_LINE};
-use crate::ops::CommutativeOp;
+use crate::line::WORDS_PER_LINE;
 
 /// Static configuration of a reduction unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,54 +81,6 @@ impl Default for ReductionUnitConfig {
     }
 }
 
-/// A reduction unit attached to a shared cache bank.
-///
-/// The unit is both the functional engine (it actually combines partial
-/// updates into the accumulated value) and a simple timing model that tracks
-/// how many line reductions it has performed so the simulator can charge
-/// occupancy and latency.
-#[derive(Debug, Clone, Default)]
-pub struct ReductionUnit {
-    config: ReductionUnitConfig,
-    lines_reduced: u64,
-}
-
-impl ReductionUnit {
-    /// Creates a reduction unit with the given configuration.
-    #[must_use]
-    pub fn new(config: ReductionUnitConfig) -> Self {
-        ReductionUnit {
-            config,
-            lines_reduced: 0,
-        }
-    }
-
-    /// The unit's configuration.
-    #[must_use]
-    pub fn config(&self) -> ReductionUnitConfig {
-        self.config
-    }
-
-    /// Folds one partial update into `accumulator` and returns the
-    /// critical-path latency in cycles of doing so.
-    pub fn reduce_line(
-        &mut self,
-        op: CommutativeOp,
-        accumulator: &mut LineData,
-        partial: &LineData,
-    ) -> u64 {
-        accumulator.reduce_from(op, partial);
-        self.lines_reduced += 1;
-        self.config.latency_per_line()
-    }
-
-    /// Total number of line reductions performed.
-    #[must_use]
-    pub fn lines_reduced(&self) -> u64 {
-        self.lines_reduced
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,42 +117,9 @@ mod tests {
     }
 
     #[test]
-    fn functional_reduction_is_correct() {
-        let op = CommutativeOp::AddU64;
-        let mut unit = ReductionUnit::new(ReductionUnitConfig::paper_default());
-        let mut acc = LineData::zeroed();
-        acc.set_lane(op, 0, 100);
-        let mut p0 = LineData::identity(op);
-        p0.apply_update(op, 0, 5);
-        let mut p1 = LineData::identity(op);
-        p1.apply_update(op, 0, 7);
-        assert_eq!(unit.reduce_line(op, &mut acc, &p0), 3);
-        assert_eq!(unit.reduce_line(op, &mut acc, &p1), 3);
-        assert_eq!(acc.lane(op, 0), 112);
-        assert_eq!(unit.lines_reduced(), 2);
-    }
-
-    #[test]
-    fn single_line_reduction_counts() {
-        let op = CommutativeOp::Or64;
-        let mut unit = ReductionUnit::new(ReductionUnitConfig::slow_64bit());
-        let mut acc = LineData::zeroed();
-        let mut p = LineData::identity(op);
-        p.apply_update(op, 8, 0b1010);
-        let lat = unit.reduce_line(op, &mut acc, &p);
-        assert_eq!(acc.lane(op, 8), 0b1010);
-        assert_eq!(lat, 8);
-        assert_eq!(unit.lines_reduced(), 1);
-    }
-
-    #[test]
     fn default_config_is_paper_default() {
         assert_eq!(
             ReductionUnitConfig::default(),
-            ReductionUnitConfig::paper_default()
-        );
-        assert_eq!(
-            ReductionUnit::default().config(),
             ReductionUnitConfig::paper_default()
         );
     }

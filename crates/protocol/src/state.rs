@@ -1,7 +1,7 @@
 //! Stable coherence states for private caches and the directory.
 //!
-//! These are the states of the paper's Fig. 4 (MSI / MUSI) and Fig. 6 (MEUSI),
-//! at stable-state granularity. The message-level protocol with transient
+//! These are the states of the paper's Fig. 6 (MESI and its COUP extension,
+//! MEUSI), at stable-state granularity. The message-level protocol with transient
 //! states (Fig. 7) lives in [`crate::detailed`] and is what the model checker
 //! exercises; the performance simulator works at this granularity because
 //! coherence transactions in it are atomic with respect to each other.
@@ -14,10 +14,6 @@ use crate::ops::CommutativeOp;
 /// Which protocol family a cache hierarchy runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProtocolKind {
-    /// Baseline 3-state invalidation protocol (didactic example of §3.1).
-    Msi,
-    /// MSI extended with the update-only state (MUSI, Fig. 4 right).
-    Musi,
     /// Baseline 4-state protocol with the Exclusive optimisation (Fig. 6 minus U).
     Mesi,
     /// MESI extended with the update-only state (MEUSI, Fig. 6) — this is COUP.
@@ -28,21 +24,13 @@ impl ProtocolKind {
     /// Whether the protocol supports the update-only state (i.e. is a COUP protocol).
     #[must_use]
     pub const fn supports_update_only(self) -> bool {
-        matches!(self, ProtocolKind::Musi | ProtocolKind::Meusi)
-    }
-
-    /// Whether the protocol has the E (exclusive-clean) state.
-    #[must_use]
-    pub const fn has_exclusive_state(self) -> bool {
-        matches!(self, ProtocolKind::Mesi | ProtocolKind::Meusi)
+        matches!(self, ProtocolKind::Meusi)
     }
 }
 
 impl fmt::Display for ProtocolKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
-            ProtocolKind::Msi => "MSI",
-            ProtocolKind::Musi => "MUSI",
             ProtocolKind::Mesi => "MESI",
             ProtocolKind::Meusi => "MEUSI",
         };
@@ -183,11 +171,7 @@ mod tests {
     #[test]
     fn protocol_kind_coup_toggles() {
         assert!(ProtocolKind::Meusi.supports_update_only());
-        assert!(ProtocolKind::Musi.supports_update_only());
         assert!(!ProtocolKind::Mesi.supports_update_only());
-        assert!(!ProtocolKind::Msi.supports_update_only());
-        assert!(ProtocolKind::Mesi.has_exclusive_state());
-        assert!(!ProtocolKind::Msi.has_exclusive_state());
     }
 
     #[test]

@@ -40,11 +40,6 @@ impl ProtocolStats {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Resets every counter to zero.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
 }
 
 impl AddAssign for ProtocolStats {
@@ -103,16 +98,6 @@ mod tests {
         assert_eq!(a.partial_reductions, 4);
         assert_eq!(a.copies_invalidated, 5);
         assert_eq!(a.type_switches, 6);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let mut s = ProtocolStats {
-            writebacks: 7,
-            ..Default::default()
-        };
-        s.reset();
-        assert_eq!(s, ProtocolStats::new());
     }
 
     #[test]

@@ -23,10 +23,16 @@
 //!   updates take hundreds of cycles at high core counts under MESI, while
 //!   same-operation commutative updates under MEUSI proceed concurrently.
 //!
-//! Structural simplifications (documented in DESIGN.md): the directory is
-//! complete (no directory-capacity evictions), the sharer set is tracked flat
-//! per core with chip grouping derived from core ids, and dirty victims are
-//! drained through an unbounded write buffer (off the critical path).
+//! A private copy is settled only when it leaves its core's private cache:
+//! a Modified copy is written back, an update-only partial is reduced into
+//! the line, and a clean copy is dropped (§3.1.2–3.2). Every departure, be it
+//! an L2 victim, an invalidation, a reduction or an inclusive L3 recall, goes
+//! through one helper that does this fold.
+//!
+//! Structural simplifications: the directory is complete (no
+//! directory-capacity evictions), the sharer set is tracked flat per core
+//! with chip grouping derived from core ids, and dirty victims are drained
+//! through an unbounded write buffer (off the critical path).
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -37,7 +43,7 @@ use coup_protocol::directory::DirectoryEntry;
 use coup_protocol::line::{LineAddr, LineData};
 use coup_protocol::ops::CommutativeOp;
 use coup_protocol::stable::{
-    serve_eviction, serve_request, DataSource, EvictionPlan, OwnerAction, RequestPlan,
+    serve_eviction, serve_recall, serve_request, DataSource, EvictionPlan, OwnerAction, RequestPlan,
 };
 use coup_protocol::state::{PrivateState, ProtocolKind};
 use coup_protocol::stats::ProtocolStats;
@@ -71,6 +77,16 @@ impl Hasher for LineHasher {
     fn finish(&self) -> u64 {
         self.0.rotate_left(26)
     }
+}
+
+/// What the hierarchy knows of one line beyond the caches' residency: its
+/// directory entry, memory's copy, and when the last transaction serialised
+/// on it completes. A line with no record reads uncached, zero and 0.
+#[derive(Debug, Clone, Copy, Default)]
+struct LineRecord {
+    entry: DirectoryEntry,
+    data: LineData,
+    busy_until: u64,
 }
 
 /// One private cache line: coherence state plus its payload.
@@ -108,12 +124,10 @@ pub struct AccessResult {
 pub struct MemorySystem {
     cfg: SystemConfig,
     protocol: ProtocolKind,
-    directory: LineMap<DirectoryEntry>,
-    memory: LineMap<LineData>,
+    lines: LineMap<LineRecord>,
     private: Vec<PrivateCache>,
     l3_resident: Vec<CacheArray<()>>,
     l4_resident: Vec<CacheArray<()>>,
-    line_busy_until: LineMap<u64>,
     /// Per chip, one transaction's (invalidations, reductions) there; zero between.
     remote_chips: Vec<(usize, usize)>,
     protocol_stats: ProtocolStats,
@@ -135,8 +149,7 @@ impl MemorySystem {
         let chips = cfg.chips();
         MemorySystem {
             protocol: cfg.protocol,
-            directory: LineMap::default(),
-            memory: LineMap::default(),
+            lines: LineMap::default(),
             private,
             l3_resident: (0..chips)
                 .map(|_| CacheArray::new(cfg.capacity.l3_geometry()))
@@ -144,7 +157,6 @@ impl MemorySystem {
             l4_resident: (0..chips)
                 .map(|_| CacheArray::new(cfg.capacity.l4_geometry()))
                 .collect(),
-            line_busy_until: LineMap::default(),
             remote_chips: vec![(0, 0); chips],
             protocol_stats: ProtocolStats::new(),
             traffic: TrafficStats::default(),
@@ -187,10 +199,7 @@ impl MemorySystem {
         assert_eq!(byte_addr % 8, 0, "poke address must be word-aligned");
         let line = LineAddr::containing(byte_addr);
         let word = (line.offset_of(byte_addr)) / 8;
-        self.memory
-            .entry(line)
-            .or_insert_with(LineData::zeroed)
-            .set_word(word, value);
+        self.record_mut(line).data.set_word(word, value);
     }
 
     /// Reads the *coherent* value of the 64-bit word at `byte_addr`, bypassing
@@ -206,16 +215,15 @@ impl MemorySystem {
         assert_eq!(byte_addr % 8, 0, "peek address must be word-aligned");
         let line = LineAddr::containing(byte_addr);
         let word_idx = line.offset_of(byte_addr) / 8;
-        let entry = self.dir_entry(line);
-        let base = self.memory_line(line);
+        let LineRecord { entry, data, .. } = self.record(line);
         match entry.mode() {
             coup_protocol::state::DirMode::Exclusive => {
                 let owner = entry.sharers().sole_member().expect("exclusive owner");
-                let line_data = self.private[owner].l2.peek(line).map_or(base, |p| p.data);
+                let line_data = self.private[owner].l2.peek(line).map_or(data, |p| p.data);
                 line_data.word(word_idx)
             }
             coup_protocol::state::DirMode::UpdateOnly(op) => {
-                let mut acc = base;
+                let mut acc = data;
                 for core in entry.sharers().iter() {
                     if let Some(p) = self.private[core].l2.peek(line) {
                         acc.reduce_from(op, &p.data);
@@ -223,7 +231,7 @@ impl MemorySystem {
                 }
                 acc.word(word_idx)
             }
-            _ => base.word(word_idx),
+            _ => data.word(word_idx),
         }
     }
 
@@ -289,16 +297,36 @@ impl MemorySystem {
         self.coherence_transaction(core, now, permission, functional, byte_addr, operand)
     }
 
-    /// The directory entry of `line`; uncached if it has none.
-    fn dir_entry(&self, line: LineAddr) -> DirectoryEntry {
-        let entry = self.directory.get(&line).copied();
-        entry.unwrap_or_else(DirectoryEntry::uncached)
+    /// `line`'s record; the default one if it has none.
+    fn record(&self, line: LineAddr) -> LineRecord {
+        self.lines.get(&line).copied().unwrap_or_default()
     }
 
-    /// Memory's copy of `line`; zero if it was never written.
-    fn memory_line(&self, line: LineAddr) -> LineData {
-        let data = self.memory.get(&line).copied();
-        data.unwrap_or_else(LineData::zeroed)
+    /// `line`'s record, made if it has none.
+    fn record_mut(&mut self, line: LineAddr) -> &mut LineRecord {
+        self.lines.entry(line).or_default()
+    }
+
+    /// `core`'s private copy of `line` leaves its L1 and L2 and is folded
+    /// into the line's record by state: a Modified copy is written back, an
+    /// update-only partial is reduced in, a clean copy is dropped. `evicted`
+    /// is the copy when an L2 insert has already given it up as its victim.
+    /// Returns the departed copy's state, `None` if the core held none.
+    fn depart(
+        &mut self,
+        core: usize,
+        line: LineAddr,
+        evicted: Option<PrivateLine>,
+    ) -> Option<PrivateState> {
+        let _ = self.private[core].l1.remove(line);
+        let copy = evicted.or_else(|| self.private[core].l2.remove(line))?;
+        let data = &mut self.record_mut(line).data;
+        match copy.state {
+            PrivateState::Modified => *data = copy.data,
+            PrivateState::UpdateOnly(op) => data.reduce_from(op, &copy.data),
+            _ => {}
+        }
+        Some(copy.state)
     }
 
     // ---- hit path ------------------------------------------------------
@@ -362,7 +390,7 @@ impl MemorySystem {
         let line = LineAddr::containing(byte_addr);
         let lat = self.cfg.latency;
         let chip = self.cfg.chip_of(core);
-        let entry = self.dir_entry(line);
+        let entry = self.record(line).entry;
         let plan = serve_request(self.protocol, &entry, core, permission);
 
         // ---- timing ----
@@ -486,7 +514,7 @@ impl MemorySystem {
         // Transactions with third-party actions, and any transaction that
         // changes who may write the line, serialise on the line.
         let contended = !plan.silent;
-        let busy = self.line_busy_until.get(&line).copied().unwrap_or(0);
+        let busy = self.record(line).busy_until;
         let start = if contended { now.max(busy) } else { now };
         let wait = start.saturating_sub(now);
         if wait > 0 {
@@ -499,7 +527,7 @@ impl MemorySystem {
         }
         let completes_at = now + breakdown.total() as u64;
         if contended {
-            self.line_busy_until.insert(line, completes_at);
+            self.record_mut(line).busy_until = completes_at;
         }
 
         // ---- protocol statistics ----
@@ -546,54 +574,41 @@ impl MemorySystem {
         byte_addr: u64,
         operand: u64,
     ) -> u64 {
-        // 1. Collect partial updates (full reduction).
-        for c in plan.reduce_from.iter() {
-            if let Some(p) = self.private[c].l2.remove(line) {
-                if let PrivateState::UpdateOnly(op) = p.state {
-                    let mem = self.memory.entry(line).or_insert_with(LineData::zeroed);
-                    mem.reduce_from(op, &p.data);
-                }
-            }
-            let _ = self.private[c].l1.remove(line);
+        // 1. Collect partial updates (full reduction) and invalidate
+        //    read-only copies.
+        for c in plan
+            .reduce_from
+            .iter()
+            .chain(plan.invalidate_readers.iter())
+        {
+            let _ = self.depart(c, line, None);
         }
 
-        // 2. Invalidate read-only copies.
-        for c in plan.invalidate_readers.iter() {
-            let _ = self.private[c].l2.remove(line);
-            let _ = self.private[c].l1.remove(line);
-        }
-
-        // 3. Owner action.
+        // 2. Owner action: the owner hands its data value over, and keeps a
+        //    copy unless it is invalidated.
         if let Some((owner, action)) = plan.owner_action {
-            if let Some(p) = self.private[owner].l2.peek_mut(line) {
-                let owner_data = p.data;
-                match action {
-                    OwnerAction::DowngradeToShared => {
-                        self.memory.insert(line, owner_data);
-                        p.state = PrivateState::Shared;
-                    }
-                    OwnerAction::DowngradeToUpdateOnly(op) => {
-                        self.memory.insert(line, owner_data);
-                        p.state = PrivateState::UpdateOnly(op);
-                        p.data = LineData::identity(op);
-                        self.protocol_stats.update_only_grants += 1;
-                    }
-                    OwnerAction::InvalidateWithData => {
-                        self.memory.insert(line, owner_data);
-                        let _ = self.private[owner].l2.remove(line);
-                        let _ = self.private[owner].l1.remove(line);
-                    }
+            if action == OwnerAction::InvalidateWithData {
+                if self.depart(owner, line, None).is_some() {
+                    self.protocol_stats.writebacks += 1;
+                }
+            } else if let Some(p) = self.private[owner].l2.peek_mut(line) {
+                self.lines.entry(line).or_default().data = p.data;
+                p.state = PrivateState::Shared;
+                if let OwnerAction::DowngradeToUpdateOnly(op) = action {
+                    p.state = PrivateState::UpdateOnly(op);
+                    p.data = LineData::identity(op);
+                    self.protocol_stats.update_only_grants += 1;
                 }
                 self.protocol_stats.writebacks += 1;
             }
         }
 
-        // 4. Install the granted line at the requester.
+        // 3. Install the granted line at the requester.
         let granted_data = match plan.grant {
             PrivateState::UpdateOnly(op) => LineData::identity(op),
             _ => {
                 debug_assert!(!matches!(plan.data_source, DataSource::None) || plan.silent);
-                self.memory_line(line)
+                self.record(line).data
             }
         };
         let mut new_line = PrivateLine {
@@ -622,48 +637,36 @@ impl MemorySystem {
             new_line.state = PrivateState::Modified;
         }
 
-        // 5. Update the directory, then insert (handling the victim).
-        self.directory.insert(line, plan.next_entry);
+        // 4. Update the directory, then insert (handling the victim).
+        self.record_mut(line).entry = plan.next_entry;
         self.insert_private_line(core, line, new_line);
         let _ = self.private[core].l1.insert(line, ());
 
         value
     }
 
-    /// Inserts a line into a core's private L2, handling the evicted victim
-    /// through the coherence protocol (writeback or partial reduction).
+    /// Inserts a line into a core's private L2. The victim it evicts departs
+    /// as the directory's eviction plan says: a clean drop, a writeback or a
+    /// partial reduction.
     fn insert_private_line(&mut self, core: usize, line: LineAddr, payload: PrivateLine) {
-        match self.private[core].l2.insert(line, payload) {
-            InsertOutcome::Inserted | InsertOutcome::Replaced(_) => {}
-            InsertOutcome::Evicted {
-                addr,
-                payload: victim,
-            } => {
-                let _ = self.private[core].l1.remove(addr);
-                let mut entry = self.dir_entry(addr);
-                if !entry.sharers().contains(core) {
-                    return;
-                }
-                let plan = serve_eviction(&mut entry, core, victim.state);
-                match plan {
-                    EvictionPlan::DropClean => {
-                        self.traffic.onchip_bytes += CTRL_MSG_BYTES;
-                    }
-                    EvictionPlan::WritebackData => {
-                        self.memory.insert(addr, victim.data);
-                        self.traffic.onchip_bytes += DATA_MSG_BYTES;
-                        self.protocol_stats.writebacks += 1;
-                    }
-                    EvictionPlan::PartialReduction(op) => {
-                        let mem = self.memory.entry(addr).or_insert_with(LineData::zeroed);
-                        mem.reduce_from(op, &victim.data);
-                        self.traffic.onchip_bytes += DATA_MSG_BYTES;
-                        self.protocol_stats.partial_reductions += 1;
-                        self.protocol_stats.lines_reduced += 1;
-                        self.reduction_cycles += self.cfg.reduction_unit.latency_per_line();
-                    }
-                }
-                self.directory.insert(addr, entry);
+        let InsertOutcome::Evicted { addr, payload } = self.private[core].l2.insert(line, payload)
+        else {
+            return;
+        };
+        let _ = self.depart(core, addr, Some(payload));
+        let entry = &mut self.record_mut(addr).entry;
+        debug_assert!(entry.sharers().contains(core), "an untracked private copy");
+        match serve_eviction(entry, core, payload.state) {
+            EvictionPlan::DropClean => self.traffic.onchip_bytes += CTRL_MSG_BYTES,
+            EvictionPlan::WritebackData => {
+                self.traffic.onchip_bytes += DATA_MSG_BYTES;
+                self.protocol_stats.writebacks += 1;
+            }
+            EvictionPlan::PartialReduction(_) => {
+                self.traffic.onchip_bytes += DATA_MSG_BYTES;
+                self.protocol_stats.partial_reductions += 1;
+                self.protocol_stats.lines_reduced += 1;
+                self.reduction_cycles += self.cfg.reduction_unit.latency_per_line();
             }
         }
     }
@@ -674,45 +677,35 @@ impl MemorySystem {
         if self.l3_resident[chip].contains(line) {
             return;
         }
-        if let InsertOutcome::Evicted { addr, .. } = self.l3_resident[chip].insert(line, ()) {
-            // Inclusive hierarchy: recall the victim from this chip's cores.
-            let mut entry = self.dir_entry(addr);
-            if !entry.sharers().iter().any(|c| self.cfg.chip_of(c) == chip) {
-                return;
-            }
-            // Purge every copy held by this chip's cores, folding partial
-            // updates / dirty data into memory. (A precise model would keep
-            // copies in other chips; collapsing the whole entry is a
-            // conservative simplification that only triggers under L3 capacity
-            // pressure.)
-            let recall = coup_protocol::stable::serve_recall(&mut entry);
-            for c in recall.invalidate.iter().chain(recall.reduce_from.iter()) {
-                if let Some(p) = self.private[c].l2.remove(addr) {
-                    match p.state {
-                        PrivateState::Modified => {
-                            self.memory.insert(addr, p.data);
-                            self.protocol_stats.writebacks += 1;
-                        }
-                        PrivateState::UpdateOnly(op) => {
-                            let mem = self.memory.entry(addr).or_insert_with(LineData::zeroed);
-                            mem.reduce_from(op, &p.data);
-                            self.protocol_stats.partial_reductions += 1;
-                            self.protocol_stats.lines_reduced += 1;
-                        }
-                        _ => {}
-                    }
+        let InsertOutcome::Evicted { addr, .. } = self.l3_resident[chip].insert(line, ()) else {
+            return;
+        };
+        // Inclusive hierarchy: recall the victim from this chip's cores.
+        let sharers = self.record(addr).entry.sharers();
+        if !sharers.iter().any(|c| self.cfg.chip_of(c) == chip) {
+            return;
+        }
+        // Purge every copy held by this chip's cores, folding partial
+        // updates / dirty data into memory. (A precise model would keep
+        // copies in other chips; collapsing the whole entry is a
+        // conservative simplification that only triggers under L3 capacity
+        // pressure.)
+        let recall = serve_recall(&mut self.record_mut(addr).entry);
+        for c in recall.invalidate.iter().chain(recall.reduce_from.iter()) {
+            match self.depart(c, addr, None) {
+                Some(PrivateState::Modified) => self.protocol_stats.writebacks += 1,
+                Some(PrivateState::UpdateOnly(_)) => {
+                    self.protocol_stats.partial_reductions += 1;
+                    self.protocol_stats.lines_reduced += 1;
                 }
-                let _ = self.private[c].l1.remove(addr);
-                self.traffic.onchip_bytes += CTRL_MSG_BYTES;
+                _ => {}
             }
-            if let Some(owner) = recall.owner_writeback {
-                if let Some(p) = self.private[owner].l2.remove(addr) {
-                    self.memory.insert(addr, p.data);
-                    self.protocol_stats.writebacks += 1;
-                }
-                let _ = self.private[owner].l1.remove(addr);
+            self.traffic.onchip_bytes += CTRL_MSG_BYTES;
+        }
+        if let Some(owner) = recall.owner_writeback {
+            if self.depart(owner, addr, None).is_some() {
+                self.protocol_stats.writebacks += 1;
             }
-            self.directory.insert(addr, entry);
         }
     }
 }

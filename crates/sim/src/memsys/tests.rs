@@ -175,6 +175,60 @@ fn capacity_evictions_of_update_only_lines_partially_reduce() {
 }
 
 #[test]
+fn l3_recall_folds_live_private_copies_into_memory() {
+    // An L3 of half an L2: lines leave the L3 while the cores' L2s (and
+    // their L1s) still hold them.
+    let mut cfg = SystemConfig::test_system(4, ProtocolKind::Meusi);
+    cfg.capacity.l3_bytes = cfg.capacity.l2_bytes / 2;
+    let mut m = MemorySystem::new(cfg);
+    let c = AccessType::CommutativeUpdate(ADD);
+    let sets = cfg.capacity.l3_geometry().num_sets();
+    // One line per L3 set that core 0 holds Modified, one that cores 1 and 2
+    // hold UpdateOnly (core 1's first update is granted M, core 2's
+    // downgrades it, and core 1's second lands in its partial).
+    let dirty = |i: u64| i * 64;
+    let partial = |i: u64| (sets + i) * 64;
+    for i in 0..sets {
+        let _ = m.access(0, 0, AccessType::Write, dirty(i), 40 + i);
+        m.poke(partial(i), 100);
+        let _ = m.access(1, 0, c, partial(i), 3);
+        let _ = m.access(2, 0, c, partial(i), 4);
+        let _ = m.access(1, 0, c, partial(i), 3);
+    }
+    // Whether the core's L1 holds the line, and its L2 copy's state.
+    let held = |m: &MemorySystem, core: usize, byte: u64| {
+        let line = LineAddr::containing(byte);
+        let l2 = m.private[core].l2.peek(line).map(|l| l.state);
+        (m.private[core].l1.contains(line), l2)
+    };
+    let u = (true, Some(PrivateState::UpdateOnly(ADD)));
+    for i in 0..sets {
+        assert_eq!(held(&m, 0, dirty(i)), (true, Some(PrivateState::Modified)));
+        assert!(held(&m, 1, partial(i)) == u && held(&m, 2, partial(i)) == u);
+    }
+    let before = m.protocol_stats();
+    // Core 3 fills every L3 set with lines of its own.
+    let ways = u64::from(cfg.capacity.l3_ways);
+    for i in 0..sets * ways {
+        let _ = m.access(3, 0, AccessType::Read, (2 * sets + i) * 64, 0);
+    }
+    let after = m.protocol_stats();
+    assert_eq!(after.writebacks - before.writebacks, sets);
+    assert_eq!(
+        after.partial_reductions - before.partial_reductions,
+        2 * sets
+    );
+    assert_eq!(after.lines_reduced - before.lines_reduced, 2 * sets);
+    for i in 0..sets {
+        for (core, byte) in [(0, dirty(i)), (1, partial(i)), (2, partial(i))] {
+            assert_eq!(held(&m, core, byte), (false, None));
+        }
+        assert_eq!(m.peek(dirty(i)), 40 + i);
+        assert_eq!(m.peek(partial(i)), 110);
+    }
+}
+
+#[test]
 #[should_panic(expected = "out of range")]
 fn out_of_range_core_panics() {
     let mut m = sys(1, ProtocolKind::Mesi);

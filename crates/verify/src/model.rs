@@ -176,7 +176,7 @@ pub fn successors(cfg: &ModelConfig, state: &GlobalState) -> Vec<(TransitionLabe
 
     // 3. Deliver a message to the directory.
     for (i, &(src, msg)) in state.to_dir.iter().enumerate() {
-        if let Some((dir, outbound)) = dir_step(cfg.protocol, state.dir, src, msg) {
+        if let Some((dir, outbound)) = dir_step(state.dir, src, msg) {
             let mut next = state.clone();
             next.to_dir.remove(i);
             next.dir = dir;

@@ -6,6 +6,7 @@
 use coup::experiments::{paper_workloads, Scale};
 use coup_protocol::state::ProtocolKind;
 use coup_sim::config::SystemConfig;
+use coup_sim::stats::RunStats;
 use coup_workloads::bfs::BfsWorkload;
 use coup_workloads::fluid::FluidWorkload;
 use coup_workloads::hist::{HistScheme, HistWorkload};
@@ -114,16 +115,47 @@ fn coup_wins_on_update_heavy_workloads_at_scale() {
 
 /// Simulated time is a pure function of workload, configuration and protocol:
 /// a change that moves one app's `[MESI cycles, MESI accesses, MEUSI cycles,
-/// MEUSI accesses]` on `cfg` changed what the simulator models.
-fn check_committed_cycle_counts(cfg: SystemConfig, golden: [(&str, [u64; 4]); 5]) {
+/// MEUSI accesses]` on `cfg` changed what the simulator models. `events`
+/// pins the same runs' [`event_counts`], MESI then MEUSI for each app in turn.
+fn check_committed_cycle_counts(
+    cfg: SystemConfig,
+    golden: [(&str, [u64; 4]); 5],
+    events: [[u64; 15]; 10],
+) {
     let workloads = paper_workloads(Scale::Small);
     assert_eq!(workloads.len(), golden.len());
-    for ((name, workload), (app, golden)) in workloads.iter().zip(golden) {
+    let runs = workloads.iter().zip(golden).zip(events.chunks(2));
+    for (((name, workload), (app, golden)), events) in runs {
         assert_eq!(*name, app);
         let (mesi, meusi) = compare_protocols(cfg, workload.as_ref()).unwrap();
         let counts = [mesi.cycles, mesi.accesses, meusi.cycles, meusi.accesses];
         assert_eq!(counts, golden, "{app}");
+        assert_eq!([event_counts(&mesi), event_counts(&meusi)], events, "{app}");
     }
+}
+
+/// A run's coherence events: its `ProtocolStats` in declaration order, then
+/// its `TrafficStats` (off-chip, on-chip and memory bytes), then its
+/// reduction-unit cycles.
+fn event_counts(run: &RunStats) -> [u64; 15] {
+    let (p, t) = (run.protocol, run.traffic);
+    [
+        p.silent_grants,
+        p.invalidating_grants,
+        p.copies_invalidated,
+        p.owner_interventions,
+        p.full_reductions,
+        p.partial_reductions,
+        p.lines_reduced,
+        p.local_commutative_hits,
+        p.update_only_grants,
+        p.writebacks,
+        p.type_switches,
+        t.offchip_bytes,
+        t.onchip_bytes,
+        t.memory_bytes,
+        run.reduction_cycles,
+    ]
 }
 
 #[test]
@@ -135,7 +167,26 @@ fn paper_workloads_reproduce_the_committed_cycle_counts() {
         ("bfs", [79_663, 11_011, 76_306, 11_012]),
         ("fluidanimate", [6_989, 4_576, 6_989, 4_576]),
     ];
-    check_committed_cycle_counts(SystemConfig::test_system(8, ProtocolKind::Mesi), golden);
+    #[rustfmt::skip] // one run per line
+    let events = [
+        // hist: MESI, MEUSI
+        [282, 3502, 0, 3502, 0, 0, 0, 0, 0, 3502, 0, 22560, 86304, 20304, 0],
+        [474, 38, 0, 38, 0, 0, 0, 3737, 256, 38, 0, 22560, 4704, 20304, 0],
+        // spmv: MESI, MEUSI
+        [299, 362, 0, 362, 0, 0, 0, 0, 0, 362, 0, 23920, 11080, 21528, 0],
+        [345, 37, 0, 37, 0, 0, 0, 641, 94, 37, 0, 23920, 3648, 21528, 0],
+        // pgrank: MESI, MEUSI
+        [150, 3133, 0, 3133, 0, 0, 0, 0, 0, 3133, 0, 12000, 76392, 10800, 0],
+        [593, 82, 0, 82, 0, 0, 0, 3024, 593, 82, 0, 12000, 6712, 10800, 0],
+        // bfs: MESI, MEUSI
+        [1976, 1848, 1942, 1228, 0, 0, 0, 0, 0, 1228, 0, 48320, 83968, 43488, 0],
+        [2322, 1739, 1516, 464, 638, 0, 796, 0, 796, 464, 638, 48320, 130504, 43488, 2230],
+        // fluidanimate: MESI, MEUSI
+        [96, 14, 0, 14, 0, 0, 0, 0, 0, 14, 0, 7680, 1104, 6912, 0],
+        [96, 14, 0, 14, 0, 0, 0, 322, 28, 14, 0, 7680, 1104, 6912, 0],
+    ];
+    let cfg = SystemConfig::test_system(8, ProtocolKind::Mesi);
+    check_committed_cycle_counts(cfg, golden, events);
 }
 
 #[test]
@@ -148,5 +199,24 @@ fn paper_workloads_on_the_paper_geometry_reproduce_the_committed_cycle_counts() 
         ("bfs", [72_206, 11_719, 63_842, 11_721]),
         ("fluidanimate", [3_647, 4_576, 3_647, 4_576]),
     ];
-    check_committed_cycle_counts(SystemConfig::paper_system(16, ProtocolKind::Mesi), golden);
+    #[rustfmt::skip] // one run per line
+    let events = [
+        // hist: MESI, MEUSI
+        [282, 3749, 0, 3749, 0, 0, 0, 0, 0, 3749, 0, 22560, 92232, 20304, 0],
+        [728, 46, 0, 46, 0, 0, 0, 3487, 510, 46, 0, 22560, 6928, 20304, 0],
+        // spmv: MESI, MEUSI
+        [299, 449, 0, 449, 0, 0, 0, 0, 0, 449, 0, 23920, 13168, 21528, 0],
+        [398, 67, 0, 67, 0, 0, 0, 776, 177, 67, 0, 23920, 4792, 21528, 0],
+        // pgrank: MESI, MEUSI
+        [150, 3319, 0, 3319, 0, 0, 0, 0, 0, 3319, 0, 12000, 80856, 10800, 0],
+        [1072, 87, 0, 87, 0, 0, 0, 2554, 1072, 87, 0, 12000, 10664, 10800, 0],
+        // bfs: MESI, MEUSI
+        [2448, 1923, 2448, 1301, 0, 0, 0, 0, 0, 1301, 0, 48320, 94952, 43488, 0],
+        [2751, 1758, 1926, 517, 621, 0, 809, 0, 809, 517, 621, 48320, 139880, 43488, 2239],
+        // fluidanimate: MESI, MEUSI
+        [96, 30, 0, 30, 0, 0, 0, 0, 0, 30, 0, 7680, 1488, 6912, 0],
+        [96, 30, 0, 30, 0, 0, 0, 690, 60, 30, 0, 7680, 1488, 6912, 0],
+    ];
+    let cfg = SystemConfig::paper_system(16, ProtocolKind::Mesi);
+    check_committed_cycle_counts(cfg, golden, events);
 }
