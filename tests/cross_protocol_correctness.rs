@@ -220,3 +220,44 @@ fn paper_workloads_on_the_paper_geometry_reproduce_the_committed_cycle_counts() 
     let cfg = SystemConfig::paper_system(16, ProtocolKind::Mesi);
     check_committed_cycle_counts(cfg, golden, events);
 }
+
+#[test]
+fn paper_workloads_under_cache_pressure_reproduce_the_committed_cycle_counts() {
+    // `test_system(8)` with a 4 KiB L2 and a 16 KiB L3: L2 victims write back
+    // and partially reduce, and the inclusive L3 recalls live private copies
+    // (Modified, Exclusive and update-only ones), which the two runs above
+    // never do.
+    let golden = [
+        ("hist", [48_532, 8_000, 16_948, 8_000]),
+        ("spmv", [17_536, 3_576, 14_909, 3_576]),
+        ("pgrank", [36_500, 4_232, 12_338, 4_232]),
+        ("bfs", [83_254, 11_012, 80_509, 11_011]),
+        ("fluidanimate", [6_989, 4_576, 6_989, 4_576]),
+    ];
+    #[rustfmt::skip] // one run per line
+    let events = [
+        // hist: MESI, MEUSI
+        [282, 3502, 0, 3502, 0, 0, 0, 0, 0, 3528, 0, 22560, 86304, 20304, 0],
+        [575, 55, 0, 55, 0, 135, 135, 3617, 374, 81, 0, 23920, 7000, 20304, 0],
+        // spmv: MESI, MEUSI
+        [308, 356, 0, 356, 0, 0, 0, 0, 0, 406, 0, 24640, 11040, 21528, 0],
+        [355, 27, 0, 27, 0, 8, 8, 641, 92, 72, 0, 24640, 3664, 21528, 0],
+        // pgrank: MESI, MEUSI
+        [152, 3132, 0, 3132, 0, 0, 0, 0, 0, 3134, 0, 12000, 76552, 10800, 0],
+        [897, 75, 0, 75, 0, 408, 408, 2726, 889, 76, 0, 12000, 38840, 10800, 1224],
+        // bfs: MESI, MEUSI
+        [2177, 1700, 1924, 1080, 0, 0, 0, 0, 0, 1387, 0, 71200, 84176, 43488, 0],
+        [2521, 1594, 1508, 311, 642, 0, 795, 0, 795, 615, 642, 71280, 130744, 43488, 2232],
+        // fluidanimate: MESI, MEUSI
+        [96, 14, 0, 14, 0, 0, 0, 0, 0, 14, 0, 7680, 1104, 6912, 0],
+        [96, 14, 0, 14, 0, 0, 0, 322, 28, 14, 0, 7680, 1104, 6912, 0],
+    ];
+    // The pressure this golden exists for: some partial reduction, and more
+    // writebacks than owner interventions account for.
+    assert!(events.iter().any(|run| run[5] > 0));
+    assert!(events.iter().any(|run| run[9] > run[3]));
+    let mut cfg = SystemConfig::test_system(8, ProtocolKind::Mesi);
+    cfg.capacity.l2_bytes = 4 * 1024;
+    cfg.capacity.l3_bytes = 16 * 1024;
+    check_committed_cycle_counts(cfg, golden, events);
+}
