@@ -8,7 +8,6 @@
 
 use std::fmt;
 
-use crate::access::OpClass;
 use crate::state::DirMode;
 
 /// Identifier of a child of a directory level: a core-private cache below an
@@ -48,24 +47,6 @@ impl SharerSet {
     pub fn single(child: ChildId) -> Self {
         let mut s = SharerSet::empty();
         s.insert(child);
-        s
-    }
-
-    /// Builds a set from an iterator of children.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any child is `>= MAX_CHILDREN`.
-    // The `FromIterator` impl below delegates here; the inherent method
-    // exists so `SharerSet::from_iter([...])` resolves without a `use` and
-    // carries the panic documentation.
-    #[allow(clippy::should_implement_trait)]
-    #[must_use]
-    pub fn from_iter<I: IntoIterator<Item = ChildId>>(children: I) -> Self {
-        let mut s = SharerSet::empty();
-        for c in children {
-            s.insert(c);
-        }
         s
     }
 
@@ -136,11 +117,6 @@ impl SharerSet {
         s.remove(child);
         s
     }
-
-    /// Removes every member and returns the previous contents.
-    pub fn take(&mut self) -> SharerSet {
-        std::mem::take(self)
-    }
 }
 
 impl fmt::Debug for SharerSet {
@@ -162,9 +138,12 @@ impl fmt::Display for SharerSet {
     }
 }
 
+/// Collects children into a set; panics if any child is `>= MAX_CHILDREN`.
 impl FromIterator<ChildId> for SharerSet {
     fn from_iter<I: IntoIterator<Item = ChildId>>(iter: I) -> Self {
-        SharerSet::from_iter(iter)
+        let mut s = SharerSet::empty();
+        s.extend(iter);
+        s
     }
 }
 
@@ -224,43 +203,13 @@ impl DirectoryEntry {
         self.sharers
     }
 
-    /// The operation class of the current non-exclusive mode, if any.
-    #[must_use]
-    pub fn op_class(&self) -> Option<OpClass> {
-        self.mode.op_class()
-    }
-
-    /// Whether no private cache holds the line.
-    #[must_use]
-    pub fn is_uncached(&self) -> bool {
-        self.mode == DirMode::Uncached
-    }
-
-    /// Replaces the entry wholesale.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the new entry violates the mode/sharer-set invariants.
-    pub fn set(&mut self, mode: DirMode, sharers: SharerSet) {
-        *self = DirectoryEntry::new(mode, sharers);
-    }
-
-    /// Resets the entry to uncached.
-    pub fn clear(&mut self) {
-        *self = DirectoryEntry::uncached();
-    }
-
     /// Records that `child` no longer holds the line (e.g. after an eviction
     /// notification), collapsing to `Uncached` when the last sharer leaves.
     pub fn remove_sharer(&mut self, child: ChildId) {
-        self.sharers.remove(child);
+        let held = self.sharers.remove(child);
+        debug_assert!(held, "child {child} does not hold a {self} line");
         if self.sharers.is_empty() {
             self.mode = DirMode::Uncached;
-        } else if self.mode == DirMode::Exclusive {
-            // An exclusive owner that vanished leaves the line uncached even if
-            // the set was (incorrectly) non-singleton.
-            self.mode = DirMode::Uncached;
-            self.sharers = SharerSet::empty();
         }
     }
 
@@ -338,14 +287,11 @@ mod tests {
     }
 
     #[test]
-    fn without_and_take() {
-        let mut s = SharerSet::from_iter([1, 2, 3]);
+    fn without_leaves_the_original_set() {
+        let s = SharerSet::from_iter([1, 2, 3]);
         let w = s.without(2);
         assert!(w.contains(1) && w.contains(3) && !w.contains(2));
         assert!(s.contains(2), "without() must not mutate the original");
-        let taken = s.take();
-        assert_eq!(taken.len(), 3);
-        assert!(s.is_empty());
     }
 
     #[test]
@@ -380,7 +326,7 @@ mod tests {
             DirMode::UpdateOnly(CommutativeOp::AddU32),
             SharerSet::from_iter([5, 9]),
         );
-        assert!(uo.op_class().is_some());
+        assert_eq!(uo.mode(), DirMode::UpdateOnly(CommutativeOp::AddU32));
     }
 
     #[test]
@@ -401,12 +347,11 @@ mod tests {
         e.remove_sharer(0);
         assert_eq!(e.mode(), DirMode::ReadOnly);
         e.remove_sharer(1);
-        assert!(e.is_uncached());
+        assert_eq!(e, DirectoryEntry::uncached());
 
         let mut ex = DirectoryEntry::new(DirMode::Exclusive, SharerSet::single(3));
         ex.remove_sharer(3);
-        assert!(ex.is_uncached());
-        assert!(ex.check_invariants().is_ok());
+        assert_eq!(ex, DirectoryEntry::uncached());
     }
 
     #[test]

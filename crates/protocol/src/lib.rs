@@ -12,15 +12,16 @@
 //!
 //! * [`ops`] — the commutative operations, their identity elements, and
 //!   lane-wise application ([`ops::CommutativeOp`]).
-//! * [`access`] — request types (read / write / commutative update) and
-//!   operation classes ([`access::OpClass`]).
+//! * [`access`] — request types (read / write / commutative update,
+//!   [`access::AccessType`]).
 //! * [`mod@line`] — cache-line payloads and partial-update buffers
 //!   ([`line::LineData`]).
 //! * [`state`] — stable private-cache states and directory modes for the
 //!   MESI baseline and COUP's MEUSI ([`state::ProtocolKind`]).
 //! * [`directory`] — sharer sets and directory entries.
 //! * [`stable`] — the stable-state transition engine the performance simulator
-//!   executes ([`stable::serve_request`]).
+//!   executes ([`stable::serve_request`]), checked against the controllers
+//!   below by `tests/stable_conformance.rs`.
 //! * [`detailed`] / [`detailed_dir`] — the message-level controllers with
 //!   transient states (Fig. 7) that the `coup-verify` model checker
 //!   exhaustively explores.
@@ -38,7 +39,7 @@
 //! use coup_protocol::directory::DirectoryEntry;
 //! use coup_protocol::line::LineData;
 //! use coup_protocol::ops::CommutativeOp;
-//! use coup_protocol::stable::{serve_request, DataSource};
+//! use coup_protocol::stable::serve_request;
 //! use coup_protocol::state::{PrivateState, ProtocolKind};
 //!
 //! let op = CommutativeOp::AddU64;
@@ -57,7 +58,6 @@
 //!
 //! // Core 2 reads: every partial update must be collected and reduced.
 //! let plan = serve_request(ProtocolKind::Meusi, &dir, 2, AccessType::Read);
-//! assert_eq!(plan.data_source, DataSource::Reduction);
 //! assert_eq!(plan.reduce_from.len(), 2);
 //!
 //! // Functionally, the reduction combines the buffered partial updates:
@@ -86,11 +86,11 @@ pub mod stable;
 pub mod state;
 pub mod stats;
 
-pub use access::{AccessType, OpClass};
+pub use access::AccessType;
 pub use directory::{ChildId, DirectoryEntry, SharerSet};
 pub use line::{LineAddr, LineData, LINE_BYTES, WORDS_PER_LINE};
 pub use ops::CommutativeOp;
 pub use reduction::ReductionUnitConfig;
-pub use stable::{serve_eviction, serve_recall, serve_request, RequestPlan};
+pub use stable::{serve_request, RequestPlan};
 pub use state::{DirMode, PrivateState, ProtocolKind};
 pub use stats::ProtocolStats;

@@ -54,7 +54,6 @@ fn read_downgrades_exclusive_owner() {
     let plan = serve_request(ProtocolKind::Mesi, &ex(7), 1, AccessType::Read);
     assert_eq!(plan.grant, PrivateState::Shared);
     assert_eq!(plan.owner_action, Some((7, OwnerAction::DowngradeToShared)));
-    assert_eq!(plan.data_source, DataSource::Owner(7));
     assert_eq!(plan.next_entry.mode(), DirMode::ReadOnly);
     assert!(plan.next_entry.sharers().contains(7));
     assert!(plan.next_entry.sharers().contains(1));
@@ -73,8 +72,6 @@ fn read_triggers_full_reduction_of_update_only_line() {
     );
     assert_eq!(plan.grant, PrivateState::Shared);
     assert_eq!(plan.reduce_from, SharerSet::from_iter([1, 2, 3]));
-    assert_eq!(plan.data_source, DataSource::Reduction);
-    assert!(plan.needs_reduction());
     assert_eq!(plan.next_entry.mode(), DirMode::ReadOnly);
     assert_eq!(plan.next_entry.sharers().sole_member(), Some(0));
     assert!(plan.invalidate_readers.is_empty());
@@ -129,7 +126,6 @@ fn write_to_update_only_line_forces_full_reduction() {
     let plan = serve_request(ProtocolKind::Meusi, &uo(OR, &[2, 3]), 2, AccessType::Write);
     assert_eq!(plan.grant, PrivateState::Modified);
     assert_eq!(plan.reduce_from, SharerSet::from_iter([2, 3]));
-    assert_eq!(plan.data_source, DataSource::Reduction);
     assert_eq!(plan.next_entry.mode(), DirMode::Exclusive);
 }
 
@@ -141,7 +137,6 @@ fn meusi_update_of_uncached_line_grants_modified() {
     let plan = serve_request(ProtocolKind::Meusi, &DirectoryEntry::uncached(), 0, C_ADD);
     assert_eq!(plan.grant, PrivateState::Modified);
     assert_eq!(plan.next_entry.mode(), DirMode::Exclusive);
-    assert!(!plan.requester_inits_identity);
     assert!(plan.silent);
 }
 
@@ -151,7 +146,6 @@ fn update_invalidates_read_only_copies() {
     let plan = serve_request(ProtocolKind::Meusi, &ro(&[1, 2]), 0, C_ADD);
     assert_eq!(plan.grant, PrivateState::UpdateOnly(ADD));
     assert_eq!(plan.invalidate_readers, SharerSet::from_iter([1, 2]));
-    assert!(plan.requester_inits_identity);
     assert_eq!(plan.next_entry.mode(), DirMode::UpdateOnly(ADD));
     assert_eq!(plan.next_entry.sharers().sole_member(), Some(0));
 }
@@ -168,7 +162,6 @@ fn update_request_downgrades_modified_owner_to_update_only() {
     assert_eq!(plan.next_entry.mode(), DirMode::UpdateOnly(ADD));
     assert!(plan.next_entry.sharers().contains(0));
     assert!(plan.next_entry.sharers().contains(1));
-    assert!(plan.requester_inits_identity);
 }
 
 #[test]
@@ -188,7 +181,6 @@ fn different_op_update_forces_reduction_and_type_switch() {
     assert_eq!(plan.reduce_from, SharerSet::from_iter([1, 2]));
     assert_eq!(plan.next_entry.mode(), DirMode::UpdateOnly(OR));
     assert_eq!(plan.next_entry.sharers().sole_member(), Some(3));
-    assert!(plan.requester_inits_identity);
     assert!(!plan.silent);
 }
 
@@ -211,86 +203,7 @@ fn requester_already_exclusive_is_a_noop() {
         let plan = serve_request(ProtocolKind::Meusi, &ex(6), 6, access);
         assert!(plan.silent);
         assert_eq!(plan.next_entry, ex(6));
-        assert_eq!(plan.data_source, DataSource::None);
     }
-}
-
-// ---- Evictions and recalls ----
-
-#[test]
-fn eviction_of_update_only_copy_is_a_partial_reduction() {
-    // Fig. 5c.
-    let mut entry = uo(ADD, &[0, 1]);
-    let plan = serve_eviction(&mut entry, 0, PrivateState::UpdateOnly(ADD));
-    assert_eq!(plan, EvictionPlan::PartialReduction(ADD));
-    assert_eq!(entry.mode(), DirMode::UpdateOnly(ADD));
-    assert_eq!(entry.sharers().sole_member(), Some(1));
-}
-
-#[test]
-fn eviction_of_last_updater_leaves_line_uncached() {
-    let mut entry = uo(ADD, &[4]);
-    let plan = serve_eviction(&mut entry, 4, PrivateState::UpdateOnly(ADD));
-    assert_eq!(plan, EvictionPlan::PartialReduction(ADD));
-    assert!(entry.is_uncached());
-}
-
-#[test]
-fn eviction_of_modified_copy_writes_back() {
-    let mut entry = ex(2);
-    let plan = serve_eviction(&mut entry, 2, PrivateState::Modified);
-    assert_eq!(plan, EvictionPlan::WritebackData);
-    assert!(entry.is_uncached());
-}
-
-#[test]
-fn eviction_of_clean_copies_drops() {
-    let mut entry = ro(&[0, 1]);
-    assert_eq!(
-        serve_eviction(&mut entry, 1, PrivateState::Shared),
-        EvictionPlan::DropClean
-    );
-    assert_eq!(entry.sharers().sole_member(), Some(0));
-    let mut entry = ex(3);
-    assert_eq!(
-        serve_eviction(&mut entry, 3, PrivateState::Exclusive),
-        EvictionPlan::DropClean
-    );
-    assert!(entry.is_uncached());
-}
-
-#[test]
-#[should_panic(expected = "cannot evict an invalid line")]
-fn evicting_invalid_line_panics() {
-    let mut entry = DirectoryEntry::uncached();
-    let _ = serve_eviction(&mut entry, 0, PrivateState::Invalid);
-}
-
-#[test]
-fn recall_of_update_only_line_is_a_full_reduction() {
-    let mut entry = uo(OR, &[0, 5, 9]);
-    let plan = serve_recall(&mut entry);
-    assert!(plan.needs_reduction());
-    assert_eq!(plan.reduce_from, SharerSet::from_iter([0, 5, 9]));
-    assert_eq!(plan.reduce_op, Some(OR));
-    assert!(entry.is_uncached());
-}
-
-#[test]
-fn recall_of_read_only_and_exclusive_lines() {
-    let mut entry = ro(&[1, 2]);
-    let plan = serve_recall(&mut entry);
-    assert_eq!(plan.invalidate, SharerSet::from_iter([1, 2]));
-    assert!(!plan.needs_reduction());
-
-    let mut entry = ex(7);
-    let plan = serve_recall(&mut entry);
-    assert_eq!(plan.owner_writeback, Some(7));
-    assert!(plan.invalidate.is_empty());
-
-    let mut entry = DirectoryEntry::uncached();
-    let plan = serve_recall(&mut entry);
-    assert!(plan.invalidate.is_empty() && plan.owner_writeback.is_none());
 }
 
 // ---- Local hit transitions ----

@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use crate::access::{AccessType, OpClass};
+use crate::access::AccessType;
 use crate::ops::CommutativeOp;
 
 /// Which protocol family a cache hierarchy runs.
@@ -85,20 +85,9 @@ impl PrivateState {
         }
     }
 
-    /// The non-exclusive operation class, if this is a non-exclusive state
-    /// (S or U) under the generalized-N formulation of §3.4.
-    #[must_use]
-    pub fn op_class(self) -> Option<OpClass> {
-        match self {
-            PrivateState::Shared => Some(OpClass::ReadOnly),
-            PrivateState::UpdateOnly(op) => Some(OpClass::Update(op)),
-            _ => None,
-        }
-    }
-
     /// Short mnemonic (I/S/E/M/U) as used in the paper's figures.
     #[must_use]
-    pub const fn letter(self) -> char {
+    const fn letter(self) -> char {
         match self {
             PrivateState::Invalid => 'I',
             PrivateState::Shared => 'S',
@@ -136,18 +125,6 @@ pub enum DirMode {
     /// One or more private caches hold the line update-only (U) for the given
     /// operation.
     UpdateOnly(CommutativeOp),
-}
-
-impl DirMode {
-    /// The operation class of this mode, if it is a non-exclusive mode.
-    #[must_use]
-    pub fn op_class(self) -> Option<OpClass> {
-        match self {
-            DirMode::ReadOnly => Some(OpClass::ReadOnly),
-            DirMode::UpdateOnly(op) => Some(OpClass::Update(op)),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for DirMode {
@@ -211,23 +188,6 @@ mod tests {
         assert!(PrivateState::Modified.has_data_value());
         assert!(!PrivateState::Invalid.has_data_value());
         assert!(!PrivateState::UpdateOnly(ADD).has_data_value());
-    }
-
-    #[test]
-    fn op_class_of_states() {
-        assert_eq!(PrivateState::Shared.op_class(), Some(OpClass::ReadOnly));
-        assert_eq!(
-            PrivateState::UpdateOnly(OR).op_class(),
-            Some(OpClass::Update(OR))
-        );
-        assert_eq!(PrivateState::Modified.op_class(), None);
-        assert_eq!(DirMode::ReadOnly.op_class(), Some(OpClass::ReadOnly));
-        assert_eq!(
-            DirMode::UpdateOnly(ADD).op_class(),
-            Some(OpClass::Update(ADD))
-        );
-        assert_eq!(DirMode::Exclusive.op_class(), None);
-        assert_eq!(DirMode::Uncached.op_class(), None);
     }
 
     #[test]

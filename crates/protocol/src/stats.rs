@@ -30,8 +30,6 @@ pub struct ProtocolStats {
     pub update_only_grants: u64,
     /// Dirty writebacks received.
     pub writebacks: u64,
-    /// Operation-type switches (read-only ↔ update or between update types).
-    pub type_switches: u64,
 }
 
 impl ProtocolStats {
@@ -54,7 +52,6 @@ impl AddAssign for ProtocolStats {
         self.local_commutative_hits += rhs.local_commutative_hits;
         self.update_only_grants += rhs.update_only_grants;
         self.writebacks += rhs.writebacks;
-        self.type_switches += rhs.type_switches;
     }
 }
 
@@ -69,8 +66,7 @@ impl fmt::Display for ProtocolStats {
         writeln!(f, "lines reduced:        {}", self.lines_reduced)?;
         writeln!(f, "local commut. hits:   {}", self.local_commutative_hits)?;
         writeln!(f, "update-only grants:   {}", self.update_only_grants)?;
-        writeln!(f, "writebacks:           {}", self.writebacks)?;
-        write!(f, "type switches:        {}", self.type_switches)
+        write!(f, "writebacks:           {}", self.writebacks)
     }
 }
 
@@ -89,7 +85,7 @@ mod tests {
             silent_grants: 3,
             partial_reductions: 4,
             copies_invalidated: 5,
-            type_switches: 6,
+            writebacks: 6,
             ..Default::default()
         };
         a += b;
@@ -97,7 +93,7 @@ mod tests {
         assert_eq!(a.full_reductions, 2);
         assert_eq!(a.partial_reductions, 4);
         assert_eq!(a.copies_invalidated, 5);
-        assert_eq!(a.type_switches, 6);
+        assert_eq!(a.writebacks, 6);
     }
 
     #[test]

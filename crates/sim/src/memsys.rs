@@ -27,7 +27,10 @@
 //! a Modified copy is written back, an update-only partial is reduced into
 //! the line, and a clean copy is dropped (§3.1.2–3.2). Every departure, be it
 //! an L2 victim, an invalidation, a reduction or an inclusive L3 recall, goes
-//! through one helper that does this fold.
+//! through one helper that does this fold. An eviction (an L2 victim, or a
+//! copy an L3 recall purges) goes through one more, which also charges the
+//! copy's message and reduction by its state, so a recalled copy costs what
+//! the same copy costs as a victim.
 //!
 //! Structural simplifications: the directory is complete (no
 //! directory-capacity evictions), the sharer set is tracked flat per core
@@ -42,10 +45,8 @@ use coup_protocol::access::AccessType;
 use coup_protocol::directory::DirectoryEntry;
 use coup_protocol::line::{LineAddr, LineData};
 use coup_protocol::ops::CommutativeOp;
-use coup_protocol::stable::{
-    serve_eviction, serve_recall, serve_request, DataSource, EvictionPlan, OwnerAction, RequestPlan,
-};
-use coup_protocol::state::{PrivateState, ProtocolKind};
+use coup_protocol::stable::{local_hit_transition, serve_request, OwnerAction, RequestPlan};
+use coup_protocol::state::{DirMode, PrivateState, ProtocolKind};
 use coup_protocol::stats::ProtocolStats;
 
 use crate::config::SystemConfig;
@@ -217,12 +218,12 @@ impl MemorySystem {
         let word_idx = line.offset_of(byte_addr) / 8;
         let LineRecord { entry, data, .. } = self.record(line);
         match entry.mode() {
-            coup_protocol::state::DirMode::Exclusive => {
+            DirMode::Exclusive => {
                 let owner = entry.sharers().sole_member().expect("exclusive owner");
                 let line_data = self.private[owner].l2.peek(line).map_or(data, |p| p.data);
                 line_data.word(word_idx)
             }
-            coup_protocol::state::DirMode::UpdateOnly(op) => {
+            DirMode::UpdateOnly(op) => {
                 let mut acc = data;
                 for core in entry.sharers().iter() {
                     if let Some(p) = self.private[core].l2.peek(line) {
@@ -329,6 +330,31 @@ impl MemorySystem {
         Some(copy.state)
     }
 
+    /// `core`'s copy of `line` is evicted: it departs, the directory forgets
+    /// the core, and the departure is charged by the copy's state. A clean
+    /// copy sends a control message, a Modified one writes its data back, an
+    /// update-only one sends its partial for a partial reduction (Fig. 5c).
+    /// `evicted` is as for [`Self::depart`].
+    fn evict(&mut self, core: usize, line: LineAddr, evicted: Option<PrivateLine>) {
+        let state = self
+            .depart(core, line, evicted)
+            .expect("cannot evict an invalid line");
+        self.record_mut(line).entry.remove_sharer(core);
+        match state {
+            PrivateState::Modified => {
+                self.traffic.onchip_bytes += DATA_MSG_BYTES;
+                self.protocol_stats.writebacks += 1;
+            }
+            PrivateState::UpdateOnly(_) => {
+                self.traffic.onchip_bytes += DATA_MSG_BYTES;
+                self.protocol_stats.partial_reductions += 1;
+                self.protocol_stats.lines_reduced += 1;
+                self.reduction_cycles += self.cfg.reduction_unit.latency_per_line();
+            }
+            _ => self.traffic.onchip_bytes += CTRL_MSG_BYTES,
+        }
+    }
+
     // ---- hit path ------------------------------------------------------
 
     fn private_hit(
@@ -360,7 +386,7 @@ impl MemorySystem {
             .expect("hit line is resident");
         let value =
             apply_access_to_line(&mut p.data, p.state, functional, byte_addr, operand, line);
-        let next_state = coup_protocol::stable::local_hit_transition(p.state, permission);
+        let next_state = local_hit_transition(p.state, permission);
         p.state = next_state;
         if functional.is_commutative() && matches!(next_state, PrivateState::UpdateOnly(_)) {
             self.protocol_stats.local_commutative_hits += 1;
@@ -547,11 +573,6 @@ impl MemorySystem {
         if matches!(plan.grant, PrivateState::UpdateOnly(_)) {
             self.protocol_stats.update_only_grants += 1;
         }
-        if matches!(entry.mode(), coup_protocol::state::DirMode::UpdateOnly(_))
-            && plan.needs_reduction()
-        {
-            self.protocol_stats.type_switches += 1;
-        }
 
         // ---- functional execution of the plan ----
         let value = self.execute_plan(core, line, &plan, functional, byte_addr, operand);
@@ -606,10 +627,7 @@ impl MemorySystem {
         // 3. Install the granted line at the requester.
         let granted_data = match plan.grant {
             PrivateState::UpdateOnly(op) => LineData::identity(op),
-            _ => {
-                debug_assert!(!matches!(plan.data_source, DataSource::None) || plan.silent);
-                self.record(line).data
-            }
+            _ => self.record(line).data,
         };
         let mut new_line = PrivateLine {
             state: plan.grant,
@@ -637,38 +655,16 @@ impl MemorySystem {
             new_line.state = PrivateState::Modified;
         }
 
-        // 4. Update the directory, then insert (handling the victim).
+        // 4. Update the directory, then install the copy in the L2, whose
+        //    victim is evicted.
         self.record_mut(line).entry = plan.next_entry;
-        self.insert_private_line(core, line, new_line);
+        let l2 = &mut self.private[core].l2;
+        if let InsertOutcome::Evicted { addr, payload } = l2.insert(line, new_line) {
+            self.evict(core, addr, Some(payload));
+        }
         let _ = self.private[core].l1.insert(line, ());
 
         value
-    }
-
-    /// Inserts a line into a core's private L2. The victim it evicts departs
-    /// as the directory's eviction plan says: a clean drop, a writeback or a
-    /// partial reduction.
-    fn insert_private_line(&mut self, core: usize, line: LineAddr, payload: PrivateLine) {
-        let InsertOutcome::Evicted { addr, payload } = self.private[core].l2.insert(line, payload)
-        else {
-            return;
-        };
-        let _ = self.depart(core, addr, Some(payload));
-        let entry = &mut self.record_mut(addr).entry;
-        debug_assert!(entry.sharers().contains(core), "an untracked private copy");
-        match serve_eviction(entry, core, payload.state) {
-            EvictionPlan::DropClean => self.traffic.onchip_bytes += CTRL_MSG_BYTES,
-            EvictionPlan::WritebackData => {
-                self.traffic.onchip_bytes += DATA_MSG_BYTES;
-                self.protocol_stats.writebacks += 1;
-            }
-            EvictionPlan::PartialReduction(_) => {
-                self.traffic.onchip_bytes += DATA_MSG_BYTES;
-                self.protocol_stats.partial_reductions += 1;
-                self.protocol_stats.lines_reduced += 1;
-                self.reduction_cycles += self.cfg.reduction_unit.latency_per_line();
-            }
-        }
     }
 
     /// Marks a line resident in a chip's L3, handling inclusive recalls of the
@@ -680,32 +676,17 @@ impl MemorySystem {
         let InsertOutcome::Evicted { addr, .. } = self.l3_resident[chip].insert(line, ()) else {
             return;
         };
-        // Inclusive hierarchy: recall the victim from this chip's cores.
+        // Inclusive hierarchy: a victim this chip's cores hold is recalled.
         let sharers = self.record(addr).entry.sharers();
         if !sharers.iter().any(|c| self.cfg.chip_of(c) == chip) {
             return;
         }
-        // Purge every copy held by this chip's cores, folding partial
-        // updates / dirty data into memory. (A precise model would keep
-        // copies in other chips; collapsing the whole entry is a
-        // conservative simplification that only triggers under L3 capacity
-        // pressure.)
-        let recall = serve_recall(&mut self.record_mut(addr).entry);
-        for c in recall.invalidate.iter().chain(recall.reduce_from.iter()) {
-            match self.depart(c, addr, None) {
-                Some(PrivateState::Modified) => self.protocol_stats.writebacks += 1,
-                Some(PrivateState::UpdateOnly(_)) => {
-                    self.protocol_stats.partial_reductions += 1;
-                    self.protocol_stats.lines_reduced += 1;
-                }
-                _ => {}
-            }
-            self.traffic.onchip_bytes += CTRL_MSG_BYTES;
-        }
-        if let Some(owner) = recall.owner_writeback {
-            if self.depart(owner, addr, None).is_some() {
-                self.protocol_stats.writebacks += 1;
-            }
+        // Every holder's copy is evicted, other chips' too, which leaves the
+        // line uncached. (A precise model would keep copies in other chips;
+        // collapsing the whole entry is a conservative simplification that
+        // only triggers under L3 capacity pressure.)
+        for c in sharers.iter() {
+            self.evict(c, addr, None);
         }
     }
 }

@@ -8,6 +8,41 @@ fn sys(cores: usize, protocol: ProtocolKind) -> MemorySystem {
     MemorySystem::new(SystemConfig::test_system(cores, protocol))
 }
 
+/// A machine whose L3 holds one line: bringing another line into chip 0's
+/// L3 recalls the one it held.
+fn one_line_l3(cores: usize, protocol: ProtocolKind) -> MemorySystem {
+    let mut cfg = SystemConfig::test_system(cores, protocol);
+    cfg.capacity.l3_bytes = 64;
+    cfg.capacity.l3_ways = 1;
+    MemorySystem::new(cfg)
+}
+
+/// What `f` charges `m`: on-chip bytes, writebacks, partial reductions and
+/// reduction cycles.
+fn charges(m: &mut MemorySystem, f: impl FnOnce(&mut MemorySystem)) -> [u64; 4] {
+    let (bytes, stats, cycles) = (
+        m.traffic().onchip_bytes,
+        m.protocol_stats(),
+        m.reduction_cycles(),
+    );
+    f(m);
+    let after = m.protocol_stats();
+    [
+        m.traffic().onchip_bytes - bytes,
+        after.writebacks - stats.writebacks,
+        after.partial_reductions - stats.partial_reductions,
+        m.reduction_cycles() - cycles,
+    ]
+}
+
+/// `core`'s L2 state for the line holding `byte`, `None` if it holds none.
+fn state_of(m: &MemorySystem, core: usize, byte: u64) -> Option<PrivateState> {
+    m.private[core]
+        .l2
+        .peek(LineAddr::containing(byte))
+        .map(|l| l.state)
+}
+
 #[test]
 fn load_of_uninitialised_memory_is_zero() {
     let mut m = sys(2, ProtocolKind::Mesi);
@@ -207,11 +242,17 @@ fn l3_recall_folds_live_private_copies_into_memory() {
         assert!(held(&m, 1, partial(i)) == u && held(&m, 2, partial(i)) == u);
     }
     let before = m.protocol_stats();
-    // Core 3 fills every L3 set with lines of its own.
-    let ways = u64::from(cfg.capacity.l3_ways);
-    for i in 0..sets * ways {
-        let _ = m.access(3, 0, AccessType::Read, (2 * sets + i) * 64, 0);
-    }
+    // Core 3 fills every L3 set with lines of its own; `idle`, which holds
+    // nothing else, is charged the same requests without the recall.
+    let mut idle = MemorySystem::new(cfg);
+    let charged = charges(&mut m, |m| {
+        let ways = u64::from(cfg.capacity.l3_ways);
+        for i in 0..sets * ways {
+            let byte = (2 * sets + i) * 64;
+            let _ = m.access(3, 0, AccessType::Read, byte, 0);
+            let _ = idle.access(3, 0, AccessType::Read, byte, 0);
+        }
+    });
     let after = m.protocol_stats();
     assert_eq!(after.writebacks - before.writebacks, sets);
     assert_eq!(
@@ -219,6 +260,16 @@ fn l3_recall_folds_live_private_copies_into_memory() {
         2 * sets
     );
     assert_eq!(after.lines_reduced - before.lines_reduced, 2 * sets);
+    // Each recalled dirty line and partial crosses the chip as data, and each
+    // partial costs the reduction unit one line: what the same copies cost
+    // as L2 victims (8 sets: 24 x 72 bytes and 16 x 3 cycles).
+    let recall_bytes = charged[0] - idle.traffic().onchip_bytes;
+    assert_eq!(recall_bytes, 3 * sets * DATA_MSG_BYTES);
+    let recall_cycles = charged[3] - idle.reduction_cycles();
+    assert_eq!(
+        recall_cycles,
+        2 * sets * cfg.reduction_unit.latency_per_line()
+    );
     for i in 0..sets {
         for (core, byte) in [(0, dirty(i)), (1, partial(i)), (2, partial(i))] {
             assert_eq!(held(&m, core, byte), (false, None));
@@ -226,6 +277,121 @@ fn l3_recall_folds_live_private_copies_into_memory() {
         assert_eq!(m.peek(dirty(i)), 40 + i);
         assert_eq!(m.peek(partial(i)), 110);
     }
+}
+
+#[test]
+fn eviction_of_update_only_copy_is_a_partial_reduction() {
+    // Fig. 5c: core 0's partial is reduced into memory, core 1 keeps its own.
+    let mut m = sys(2, ProtocolKind::Meusi);
+    let c = AccessType::CommutativeUpdate(ADD);
+    m.poke(0x100, 10);
+    let _ = m.access(0, 0, c, 0x100, 1);
+    let _ = m.access(1, 0, c, 0x100, 2);
+    let _ = m.access(0, 0, c, 0x100, 4);
+    let line = LineAddr::containing(0x100);
+    let latency = m.cfg.reduction_unit.latency_per_line();
+    let charged = charges(&mut m, |m| m.evict(0, line, None));
+    assert_eq!(charged, [DATA_MSG_BYTES, 0, 1, latency]);
+    let entry = m.record(line).entry;
+    assert_eq!(entry.mode(), DirMode::UpdateOnly(ADD));
+    assert_eq!(entry.sharers().sole_member(), Some(1));
+    assert_eq!(state_of(&m, 0, 0x100), None);
+    assert_eq!(m.record(line).data.word(0), 15);
+    assert_eq!(m.peek(0x100), 17);
+}
+
+#[test]
+fn eviction_of_last_updater_leaves_line_uncached() {
+    let mut m = sys(2, ProtocolKind::Meusi);
+    let c = AccessType::CommutativeUpdate(ADD);
+    let _ = m.access(0, 0, c, 0x100, 1);
+    let _ = m.access(1, 0, c, 0x100, 2);
+    let line = LineAddr::containing(0x100);
+    m.evict(1, line, None);
+    m.evict(0, line, None);
+    assert_eq!(m.record(line).entry, DirectoryEntry::uncached());
+    assert_eq!(m.record(line).data.word(0), 3);
+}
+
+#[test]
+fn eviction_of_modified_copy_writes_back() {
+    let mut m = sys(1, ProtocolKind::Mesi);
+    let _ = m.access(0, 0, AccessType::Write, 0x40, 99);
+    let line = LineAddr::containing(0x40);
+    let charged = charges(&mut m, |m| m.evict(0, line, None));
+    assert_eq!(charged, [DATA_MSG_BYTES, 1, 0, 0]);
+    assert_eq!(m.record(line).entry, DirectoryEntry::uncached());
+    assert_eq!(m.record(line).data.word(0), 99);
+}
+
+#[test]
+fn eviction_of_clean_copies_drops() {
+    let mut m = sys(3, ProtocolKind::Mesi);
+    let _ = m.access(0, 0, AccessType::Read, 0x80, 0);
+    let _ = m.access(1, 0, AccessType::Read, 0x80, 0);
+    let line = LineAddr::containing(0x80);
+    let charged = charges(&mut m, |m| m.evict(1, line, None));
+    assert_eq!(charged, [CTRL_MSG_BYTES, 0, 0, 0]);
+    let entry = m.record(line).entry;
+    assert_eq!(entry.mode(), DirMode::ReadOnly);
+    assert_eq!(entry.sharers().sole_member(), Some(0));
+    // A clean exclusive copy carries no data either.
+    let _ = m.access(2, 0, AccessType::Read, 0xC0, 0);
+    assert_eq!(state_of(&m, 2, 0xC0), Some(PrivateState::Exclusive));
+    let line = LineAddr::containing(0xC0);
+    let charged = charges(&mut m, |m| m.evict(2, line, None));
+    assert_eq!(charged, [CTRL_MSG_BYTES, 0, 0, 0]);
+    assert_eq!(m.record(line).entry, DirectoryEntry::uncached());
+}
+
+#[test]
+#[should_panic(expected = "cannot evict an invalid line")]
+fn evicting_invalid_line_panics() {
+    let mut m = sys(1, ProtocolKind::Mesi);
+    m.evict(0, LineAddr::containing(0x40), None);
+}
+
+#[test]
+fn recall_of_update_only_line_reduces_every_partial() {
+    let mut m = one_line_l3(3, ProtocolKind::Meusi);
+    let c = AccessType::CommutativeUpdate(ADD);
+    for core in [0, 1, 2, 0] {
+        let _ = m.access(core, 0, c, 0x100, 1);
+    }
+    assert_eq!(state_of(&m, 0, 0x100), Some(PrivateState::UpdateOnly(ADD)));
+    let latency = m.cfg.reduction_unit.latency_per_line();
+    let charged = charges(&mut m, |m| m.install_in_l3(0, LineAddr::containing(0x1000)));
+    assert_eq!(charged, [3 * DATA_MSG_BYTES, 0, 3, 3 * latency]);
+    let line = LineAddr::containing(0x100);
+    assert_eq!(m.record(line).entry, DirectoryEntry::uncached());
+    assert_eq!(m.record(line).data.word(0), 4);
+    assert!((0..3).all(|core| state_of(&m, core, 0x100).is_none()));
+}
+
+#[test]
+fn recall_of_read_only_and_exclusive_lines() {
+    let mut m = one_line_l3(3, ProtocolKind::Mesi);
+    let other = LineAddr::containing(0x1000);
+    // Two readers each drop their copy for a control message.
+    let _ = m.access(0, 0, AccessType::Read, 0x100, 0);
+    let _ = m.access(1, 0, AccessType::Read, 0x100, 0);
+    let charged = charges(&mut m, |m| m.install_in_l3(0, other));
+    assert_eq!(charged, [2 * CTRL_MSG_BYTES, 0, 0, 0]);
+    // So does a clean exclusive owner: it has nothing to write back.
+    let _ = m.access(2, 0, AccessType::Read, 0x140, 0);
+    assert_eq!(state_of(&m, 2, 0x140), Some(PrivateState::Exclusive));
+    let charged = charges(&mut m, |m| m.install_in_l3(0, other));
+    assert_eq!(charged, [CTRL_MSG_BYTES, 0, 0, 0]);
+    // A Modified owner writes its data back.
+    let _ = m.access(2, 0, AccessType::Write, 0x180, 7);
+    let charged = charges(&mut m, |m| m.install_in_l3(0, other));
+    assert_eq!(charged, [DATA_MSG_BYTES, 1, 0, 0]);
+    for byte in [0x100, 0x140, 0x180] {
+        let line = LineAddr::containing(byte);
+        assert_eq!(m.record(line).entry, DirectoryEntry::uncached());
+        assert!((0..3).all(|core| state_of(&m, core, byte).is_none()));
+    }
+    assert_eq!(m.peek(0x180), 7);
 }
 
 #[test]

@@ -120,7 +120,7 @@ fn coup_wins_on_update_heavy_workloads_at_scale() {
 fn check_committed_cycle_counts(
     cfg: SystemConfig,
     golden: [(&str, [u64; 4]); 5],
-    events: [[u64; 15]; 10],
+    events: [[u64; 14]; 10],
 ) {
     let workloads = paper_workloads(Scale::Small);
     assert_eq!(workloads.len(), golden.len());
@@ -137,7 +137,7 @@ fn check_committed_cycle_counts(
 /// A run's coherence events: its `ProtocolStats` in declaration order, then
 /// its `TrafficStats` (off-chip, on-chip and memory bytes), then its
 /// reduction-unit cycles.
-fn event_counts(run: &RunStats) -> [u64; 15] {
+fn event_counts(run: &RunStats) -> [u64; 14] {
     let (p, t) = (run.protocol, run.traffic);
     [
         p.silent_grants,
@@ -150,7 +150,6 @@ fn event_counts(run: &RunStats) -> [u64; 15] {
         p.local_commutative_hits,
         p.update_only_grants,
         p.writebacks,
-        p.type_switches,
         t.offchip_bytes,
         t.onchip_bytes,
         t.memory_bytes,
@@ -170,20 +169,20 @@ fn paper_workloads_reproduce_the_committed_cycle_counts() {
     #[rustfmt::skip] // one run per line
     let events = [
         // hist: MESI, MEUSI
-        [282, 3502, 0, 3502, 0, 0, 0, 0, 0, 3502, 0, 22560, 86304, 20304, 0],
-        [474, 38, 0, 38, 0, 0, 0, 3737, 256, 38, 0, 22560, 4704, 20304, 0],
+        [282, 3502, 0, 3502, 0, 0, 0, 0, 0, 3502, 22560, 86304, 20304, 0],
+        [474, 38, 0, 38, 0, 0, 0, 3737, 256, 38, 22560, 4704, 20304, 0],
         // spmv: MESI, MEUSI
-        [299, 362, 0, 362, 0, 0, 0, 0, 0, 362, 0, 23920, 11080, 21528, 0],
-        [345, 37, 0, 37, 0, 0, 0, 641, 94, 37, 0, 23920, 3648, 21528, 0],
+        [299, 362, 0, 362, 0, 0, 0, 0, 0, 362, 23920, 11080, 21528, 0],
+        [345, 37, 0, 37, 0, 0, 0, 641, 94, 37, 23920, 3648, 21528, 0],
         // pgrank: MESI, MEUSI
-        [150, 3133, 0, 3133, 0, 0, 0, 0, 0, 3133, 0, 12000, 76392, 10800, 0],
-        [593, 82, 0, 82, 0, 0, 0, 3024, 593, 82, 0, 12000, 6712, 10800, 0],
+        [150, 3133, 0, 3133, 0, 0, 0, 0, 0, 3133, 12000, 76392, 10800, 0],
+        [593, 82, 0, 82, 0, 0, 0, 3024, 593, 82, 12000, 6712, 10800, 0],
         // bfs: MESI, MEUSI
-        [1976, 1848, 1942, 1228, 0, 0, 0, 0, 0, 1228, 0, 48320, 83968, 43488, 0],
-        [2322, 1739, 1516, 464, 638, 0, 796, 0, 796, 464, 638, 48320, 130504, 43488, 2230],
+        [1976, 1848, 1942, 1228, 0, 0, 0, 0, 0, 1228, 48320, 83968, 43488, 0],
+        [2322, 1739, 1516, 464, 638, 0, 796, 0, 796, 464, 48320, 130504, 43488, 2230],
         // fluidanimate: MESI, MEUSI
-        [96, 14, 0, 14, 0, 0, 0, 0, 0, 14, 0, 7680, 1104, 6912, 0],
-        [96, 14, 0, 14, 0, 0, 0, 322, 28, 14, 0, 7680, 1104, 6912, 0],
+        [96, 14, 0, 14, 0, 0, 0, 0, 0, 14, 7680, 1104, 6912, 0],
+        [96, 14, 0, 14, 0, 0, 0, 322, 28, 14, 7680, 1104, 6912, 0],
     ];
     let cfg = SystemConfig::test_system(8, ProtocolKind::Mesi);
     check_committed_cycle_counts(cfg, golden, events);
@@ -202,20 +201,20 @@ fn paper_workloads_on_the_paper_geometry_reproduce_the_committed_cycle_counts() 
     #[rustfmt::skip] // one run per line
     let events = [
         // hist: MESI, MEUSI
-        [282, 3749, 0, 3749, 0, 0, 0, 0, 0, 3749, 0, 22560, 92232, 20304, 0],
-        [728, 46, 0, 46, 0, 0, 0, 3487, 510, 46, 0, 22560, 6928, 20304, 0],
+        [282, 3749, 0, 3749, 0, 0, 0, 0, 0, 3749, 22560, 92232, 20304, 0],
+        [728, 46, 0, 46, 0, 0, 0, 3487, 510, 46, 22560, 6928, 20304, 0],
         // spmv: MESI, MEUSI
-        [299, 449, 0, 449, 0, 0, 0, 0, 0, 449, 0, 23920, 13168, 21528, 0],
-        [398, 67, 0, 67, 0, 0, 0, 776, 177, 67, 0, 23920, 4792, 21528, 0],
+        [299, 449, 0, 449, 0, 0, 0, 0, 0, 449, 23920, 13168, 21528, 0],
+        [398, 67, 0, 67, 0, 0, 0, 776, 177, 67, 23920, 4792, 21528, 0],
         // pgrank: MESI, MEUSI
-        [150, 3319, 0, 3319, 0, 0, 0, 0, 0, 3319, 0, 12000, 80856, 10800, 0],
-        [1072, 87, 0, 87, 0, 0, 0, 2554, 1072, 87, 0, 12000, 10664, 10800, 0],
+        [150, 3319, 0, 3319, 0, 0, 0, 0, 0, 3319, 12000, 80856, 10800, 0],
+        [1072, 87, 0, 87, 0, 0, 0, 2554, 1072, 87, 12000, 10664, 10800, 0],
         // bfs: MESI, MEUSI
-        [2448, 1923, 2448, 1301, 0, 0, 0, 0, 0, 1301, 0, 48320, 94952, 43488, 0],
-        [2751, 1758, 1926, 517, 621, 0, 809, 0, 809, 517, 621, 48320, 139880, 43488, 2239],
+        [2448, 1923, 2448, 1301, 0, 0, 0, 0, 0, 1301, 48320, 94952, 43488, 0],
+        [2751, 1758, 1926, 517, 621, 0, 809, 0, 809, 517, 48320, 139880, 43488, 2239],
         // fluidanimate: MESI, MEUSI
-        [96, 30, 0, 30, 0, 0, 0, 0, 0, 30, 0, 7680, 1488, 6912, 0],
-        [96, 30, 0, 30, 0, 0, 0, 690, 60, 30, 0, 7680, 1488, 6912, 0],
+        [96, 30, 0, 30, 0, 0, 0, 0, 0, 30, 7680, 1488, 6912, 0],
+        [96, 30, 0, 30, 0, 0, 0, 690, 60, 30, 7680, 1488, 6912, 0],
     ];
     let cfg = SystemConfig::paper_system(16, ProtocolKind::Mesi);
     check_committed_cycle_counts(cfg, golden, events);
@@ -237,20 +236,20 @@ fn paper_workloads_under_cache_pressure_reproduce_the_committed_cycle_counts() {
     #[rustfmt::skip] // one run per line
     let events = [
         // hist: MESI, MEUSI
-        [282, 3502, 0, 3502, 0, 0, 0, 0, 0, 3528, 0, 22560, 86304, 20304, 0],
-        [575, 55, 0, 55, 0, 135, 135, 3617, 374, 81, 0, 23920, 7000, 20304, 0],
+        [282, 3502, 0, 3502, 0, 0, 0, 0, 0, 3502, 22560, 86512, 20304, 0],
+        [575, 55, 0, 55, 0, 135, 135, 3617, 374, 55, 23920, 15848, 20304, 405],
         // spmv: MESI, MEUSI
-        [308, 356, 0, 356, 0, 0, 0, 0, 0, 406, 0, 24640, 11040, 21528, 0],
-        [355, 27, 0, 27, 0, 8, 8, 641, 92, 72, 0, 24640, 3664, 21528, 0],
+        [308, 356, 0, 356, 0, 0, 0, 0, 0, 364, 24640, 11952, 21528, 0],
+        [355, 27, 0, 27, 0, 8, 8, 641, 92, 32, 24640, 4856, 21528, 24],
         // pgrank: MESI, MEUSI
-        [152, 3132, 0, 3132, 0, 0, 0, 0, 0, 3134, 0, 12000, 76552, 10800, 0],
-        [897, 75, 0, 75, 0, 408, 408, 2726, 889, 76, 0, 12000, 38840, 10800, 1224],
+        [152, 3132, 0, 3132, 0, 0, 0, 0, 0, 3134, 12000, 76552, 10800, 0],
+        [897, 75, 0, 75, 0, 408, 408, 2726, 889, 76, 12000, 38840, 10800, 1224],
         // bfs: MESI, MEUSI
-        [2177, 1700, 1924, 1080, 0, 0, 0, 0, 0, 1387, 0, 71200, 84176, 43488, 0],
-        [2521, 1594, 1508, 311, 642, 0, 795, 0, 795, 615, 642, 71280, 130744, 43488, 2232],
+        [2177, 1700, 1924, 1080, 0, 0, 0, 0, 0, 1080, 71200, 86632, 43488, 0],
+        [2521, 1594, 1508, 311, 642, 0, 795, 0, 795, 311, 71280, 133176, 43488, 2232],
         // fluidanimate: MESI, MEUSI
-        [96, 14, 0, 14, 0, 0, 0, 0, 0, 14, 0, 7680, 1104, 6912, 0],
-        [96, 14, 0, 14, 0, 0, 0, 322, 28, 14, 0, 7680, 1104, 6912, 0],
+        [96, 14, 0, 14, 0, 0, 0, 0, 0, 14, 7680, 1104, 6912, 0],
+        [96, 14, 0, 14, 0, 0, 0, 322, 28, 14, 7680, 1104, 6912, 0],
     ];
     // The pressure this golden exists for: some partial reduction, and more
     // writebacks than owner interventions account for.

@@ -139,7 +139,7 @@ fn mixed_operation_types_serialize_but_stay_correct() {
     assert_eq!(mem.peek(addr), 40);
     assert_eq!(mem.peek(addr + 8), 0b11_1111_1111);
     assert!(
-        mem.protocol_stats().type_switches > 0,
+        mem.protocol_stats().full_reductions > 0,
         "op-type switches should have occurred"
     );
 }
