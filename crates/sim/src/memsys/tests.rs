@@ -232,9 +232,8 @@ fn l3_recall_folds_live_private_copies_into_memory() {
     }
     // Whether the core's L1 holds the line, and its L2 copy's state.
     let held = |m: &MemorySystem, core: usize, byte: u64| {
-        let line = LineAddr::containing(byte);
-        let l2 = m.private[core].l2.peek(line).map(|l| l.state);
-        (m.private[core].l1.contains(line), l2)
+        let l1 = m.private[core].l1.contains(LineAddr::containing(byte));
+        (l1, state_of(m, core, byte))
     };
     let u = (true, Some(PrivateState::UpdateOnly(ADD)));
     for i in 0..sets {
