@@ -7,19 +7,27 @@
 //! do with the victim (writeback, partial reduction, recall) is the
 //! caller's business.
 //!
-//! Every way of every set is one entry of three flat arrays, set after set:
-//! its tag (the line address plus one, 0 for a free way), its payload, and
-//! its one-byte LRU rank. Tags and ranks start as zeroed allocations and a
-//! `()` payload takes no space, so in a residency-only array a set nothing
-//! maps to costs no resident memory. A lookup scans one set's tags.
+//! The sets are grouped into blocks: a power-of-two number of adjacent sets
+//! whose ways fill one 4 KiB page of tags (512 ways, or the whole array if
+//! it is smaller). Every way of a block is one entry of three arrays: its
+//! tag (the line address plus one, 0 for a free way), its payload, and its
+//! one-byte LRU rank. A block's ways are made by the first insert into it,
+//! so host memory follows the lines a run touches, not the capacity the
+//! array models: the array's first insert reserves address space for every
+//! block, which the host backs with memory only as blocks are written. A
+//! table maps each block to its first way; a block never filled maps to one
+//! shared all-zero block of tags, where every lookup misses. A lookup loads
+//! one table entry and scans one set's tags.
 
 use std::fmt;
 use std::mem;
-use std::ops::Range;
 
 use coup_protocol::line::LineAddr;
 
 use crate::geometry::CacheGeometry;
+
+/// Ways per block at most: one 4 KiB page of tags.
+const BLOCK_WAYS: usize = 4096 / mem::size_of::<u64>();
 
 /// Outcome of [`CacheArray::insert`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,18 +64,31 @@ pub enum InsertOutcome<T> {
 pub struct CacheArray<T> {
     geometry: CacheGeometry,
     ways: usize,
-    /// Per way: the resident line's address plus one, or 0 if the way is free.
+    /// A set's block is `set >> block_shift`; its place in the block is
+    /// `set & block_mask`.
+    block_shift: u32,
+    block_mask: usize,
+    /// Ways per block.
+    block_len: usize,
+    /// Per block: the index in `tags` of its first way, or 0 (the all-zero
+    /// block) if nothing was ever inserted into it.
+    blocks: Vec<u32>,
+    /// Per way, block after block, the all-zero block first: the resident
+    /// line's address plus one, or 0 if the way is free.
     tags: Vec<u64>,
-    /// Per way: the resident line's payload (`T::default()` in a free way).
+    /// Per way of the filled blocks: the resident line's payload
+    /// (`T::default()` in a free way). The all-zero block has none, so
+    /// way `i` of `tags` has its payload at `i - block_len`.
     payloads: Vec<T>,
-    /// Per way: its recency within its set. The `k` ways a set has touched
-    /// hold ranks `ways - k + 1 ..= ways`, most recent highest; ways never
-    /// touched hold 0.
+    /// Per way, indexed like `tags`: its recency within its set. The `k`
+    /// ways a set has touched hold ranks `ways - k + 1 ..= ways`, most recent
+    /// highest; ways never touched hold 0.
     ranks: Vec<u8>,
 }
 
 impl<T: Default> CacheArray<T> {
-    /// Creates an empty array (LRU replacement).
+    /// Creates an empty array (LRU replacement). Only the block table and
+    /// the one all-zero block are allocated.
     ///
     /// # Panics
     ///
@@ -75,13 +96,25 @@ impl<T: Default> CacheArray<T> {
     #[must_use]
     pub fn new(geometry: CacheGeometry) -> Self {
         assert!(geometry.ways() <= 255, "at most 255 ways per set");
-        let lines = geometry.num_lines() as usize;
+        let ways = geometry.ways() as usize;
+        let sets = geometry.num_sets() as usize;
+        let block_sets = (BLOCK_WAYS / ways).max(1);
+        let block_sets = (1 << block_sets.ilog2()).min(sets);
+        let block_len = block_sets * ways;
+        assert!(
+            u32::try_from(geometry.num_lines() + block_len as u64).is_ok(),
+            "{geometry} has too many ways to index"
+        );
         CacheArray {
             geometry,
-            ways: geometry.ways() as usize,
-            tags: vec![0; lines],
-            payloads: std::iter::repeat_with(T::default).take(lines).collect(),
-            ranks: vec![0; lines],
+            ways,
+            block_shift: block_sets.trailing_zeros(),
+            block_mask: block_sets - 1,
+            block_len,
+            blocks: vec![0; sets >> block_sets.trailing_zeros()],
+            tags: vec![0; block_len],
+            payloads: Vec::new(),
+            ranks: vec![0; block_len],
         }
     }
 
@@ -93,14 +126,17 @@ impl<T: Default> CacheArray<T> {
 
     /// Whether `addr` is resident (does not touch replacement state).
     #[must_use]
+    #[inline]
     pub fn contains(&self, addr: LineAddr) -> bool {
         self.locate(addr).1.is_some()
     }
 
     /// Looks up a line without affecting replacement state.
     #[must_use]
+    #[inline]
     pub fn peek(&self, addr: LineAddr) -> Option<&T> {
-        self.locate(addr).1.map(|way| &self.payloads[way])
+        let way = self.locate(addr).1?;
+        Some(&self.payloads[way - self.block_len])
     }
 
     /// Looks up a line, updating recency.
@@ -115,31 +151,36 @@ impl<T: Default> CacheArray<T> {
         let (set, way) = self.locate(addr);
         let way = way?;
         self.touch(set, way);
-        Some(&mut self.payloads[way])
+        Some(&mut self.payloads[way - self.block_len])
     }
 
     /// Mutable access without touching recency.
     #[must_use]
+    #[inline]
     pub fn peek_mut(&mut self, addr: LineAddr) -> Option<&mut T> {
         let way = self.locate(addr).1?;
-        Some(&mut self.payloads[way])
+        Some(&mut self.payloads[way - self.block_len])
     }
 
     /// Inserts (or replaces) a line, evicting a victim if the set is full.
     /// A free way is filled lowest first.
     pub fn insert(&mut self, addr: LineAddr, payload: T) -> InsertOutcome<T> {
-        let (set, found) = self.locate(addr);
+        let (mut set, found) = self.locate(addr);
         if let Some(way) = found {
             self.touch(set, way);
-            return InsertOutcome::Replaced(mem::replace(&mut self.payloads[way], payload));
+            let old = mem::replace(&mut self.payloads[way - self.block_len], payload);
+            return InsertOutcome::Replaced(old);
         }
-        let way = match self.tags[set.clone()].iter().position(|&tag| tag == 0) {
-            Some(free) => set.start + free,
-            None => self.victim(set.clone()),
+        if set < self.block_len {
+            set = self.fill_block(addr);
+        }
+        let way = match self.tags[set..set + self.ways].iter().position(|&t| t == 0) {
+            Some(free) => set + free,
+            None => self.victim(set),
         };
         self.touch(set, way);
         let old_tag = mem::replace(&mut self.tags[way], addr.0 + 1);
-        let old_payload = mem::replace(&mut self.payloads[way], payload);
+        let old_payload = mem::replace(&mut self.payloads[way - self.block_len], payload);
         if old_tag == 0 {
             return InsertOutcome::Inserted;
         }
@@ -154,24 +195,55 @@ impl<T: Default> CacheArray<T> {
     pub fn remove(&mut self, addr: LineAddr) -> Option<T> {
         let way = self.locate(addr).1?;
         self.tags[way] = 0;
-        Some(mem::take(&mut self.payloads[way]))
+        Some(mem::take(&mut self.payloads[way - self.block_len]))
     }
 
-    /// The flat indices of `addr`'s set, and the one holding `addr` if it
-    /// is resident.
-    fn locate(&self, addr: LineAddr) -> (Range<usize>, Option<usize>) {
-        let first = self.geometry.set_of(addr) as usize * self.ways;
-        let set = first..first + self.ways;
+    /// The index in `tags` of the first way of `addr`'s set, and of the way
+    /// holding `addr` if it is resident.
+    #[inline]
+    fn locate(&self, addr: LineAddr) -> (usize, Option<usize>) {
+        let set = self.geometry.set_of(addr) as usize;
+        let block = self.blocks[set >> self.block_shift] as usize;
+        let first = block + (set & self.block_mask) * self.ways;
         let tag = addr.0 + 1;
-        let way = self.tags[set.clone()].iter().position(|&t| t == tag);
-        (set, way.map(|way| first + way))
+        let way = self.tags[first..first + self.ways]
+            .iter()
+            .position(|&t| t == tag);
+        (first, way.map(|way| first + way))
     }
 
-    /// Makes `way` the most recently used of `set`: it takes the top rank,
-    /// and the ways ranked above its old rank move down one.
-    fn touch(&mut self, set: Range<usize>, way: usize) {
+    /// Gives the block of `addr`'s set its own free, never-touched ways at
+    /// the end of the arrays, and returns the index in `tags` of the set's
+    /// first way.
+    ///
+    /// The first block reserves room for all of them. Reserved room costs
+    /// no host memory until a block is written, and the arrays never move
+    /// or copy. Arrays grown by doubling gave their freed copies back to
+    /// the system between machines, so every run faulted its pages in
+    /// again: 2,199 minor faults instead of 96 per MESI and MEUSI pair of
+    /// the paper-size `spmv` on 16 cores.
+    fn fill_block(&mut self, addr: LineAddr) -> usize {
+        let set = self.geometry.set_of(addr) as usize;
+        let block = self.tags.len();
+        if block == self.block_len {
+            let lines = self.blocks.len() * self.block_len;
+            self.tags.reserve_exact(lines);
+            self.ranks.reserve_exact(lines);
+            self.payloads.reserve_exact(lines);
+        }
+        self.blocks[set >> self.block_shift] = block as u32;
+        self.tags.resize(block + self.block_len, 0);
+        self.ranks.resize(block + self.block_len, 0);
+        self.payloads.resize_with(block, T::default);
+        block + (set & self.block_mask) * self.ways
+    }
+
+    /// Makes `way` the most recently used of the set starting at `set`: it
+    /// takes the top rank, and the ways ranked above its old rank move down
+    /// one.
+    fn touch(&mut self, set: usize, way: usize) {
         let old = self.ranks[way];
-        for rank in &mut self.ranks[set] {
+        for rank in &mut self.ranks[set..set + self.ways] {
             if *rank > old {
                 *rank -= 1;
             }
@@ -179,13 +251,20 @@ impl<T: Default> CacheArray<T> {
         self.ranks[way] = self.ways as u8;
     }
 
-    /// The least recently used way of `set`. Ways never touched rank below
-    /// the rest, highest index first, so a fresh set gives up its highest
-    /// way, as a recency list seeded `0..ways` would.
-    fn victim(&self, set: Range<usize>) -> usize {
-        set.rev()
+    /// The least recently used way of the set starting at `set`. Ways never
+    /// touched rank below the rest, highest index first, so a fresh set
+    /// gives up its highest way, as a recency list seeded `0..ways` would.
+    fn victim(&self, set: usize) -> usize {
+        (set..set + self.ways)
+            .rev()
             .min_by_key(|&way| self.ranks[way])
             .expect("a set has at least one way")
+    }
+
+    /// How many blocks inserts have filled.
+    #[cfg(test)]
+    fn blocks_filled(&self) -> usize {
+        self.tags.len() / self.block_len - 1
     }
 }
 
@@ -321,6 +400,52 @@ mod tests {
         assert_eq!(c.victim(c.locate(LineAddr(0)).0), 7);
     }
 
+    /// Table 1's L4 chip: 128 MiB, 16 ways, 131,072 sets in 4,096 blocks.
+    fn paper_l4() -> CacheArray<()> {
+        CacheArray::new(CacheGeometry::new(128 * 1024 * 1024, 16))
+    }
+
+    #[test]
+    fn lookups_and_removes_on_an_empty_array_fill_no_block() {
+        let mut c = paper_l4();
+        assert_eq!(c.blocks.len(), 4096);
+        for line in (0..1 << 20).step_by(97).map(LineAddr) {
+            assert!(!c.contains(line));
+            assert_eq!(c.peek(line), None);
+            assert_eq!(c.get(line), None);
+            assert_eq!(c.get_mut(line), None);
+            assert_eq!(c.peek_mut(line), None);
+            assert_eq!(c.remove(line), None);
+        }
+        assert_eq!(c.blocks_filled(), 0);
+        assert!(c.to_string().contains(" 0 lines resident"));
+    }
+
+    #[test]
+    fn one_insert_fills_exactly_one_block() {
+        let mut c = paper_l4();
+        assert_eq!(c.insert(LineAddr(12_345), ()), InsertOutcome::Inserted);
+        assert_eq!(c.blocks_filled(), 1);
+        // A line of the same 32-set block, and lookups elsewhere, fill no other.
+        assert_eq!(c.insert(LineAddr(12_345 ^ 31), ()), InsertOutcome::Inserted);
+        assert!(!c.contains(LineAddr(12_345 + 32)));
+        assert_eq!(c.remove(LineAddr(12_345 + 32)), None);
+        assert_eq!(c.blocks_filled(), 1);
+        assert!(c.contains(LineAddr(12_345)));
+    }
+
+    #[test]
+    fn display_counts_resident_lines_across_blocks() {
+        let mut c = paper_l4();
+        for line in [0, 1 << 10, 1 << 15, (1 << 17) - 1] {
+            c.insert(LineAddr(line), ());
+        }
+        assert_eq!(c.blocks_filled(), 4);
+        assert!(c.to_string().contains(" 4 lines resident"));
+        let _ = c.remove(LineAddr(1 << 10));
+        assert!(c.to_string().contains(" 3 lines resident"));
+    }
+
     type Set = (Vec<Option<(LineAddr, u32)>>, Vec<usize>);
 
     /// The reference model: per set, its ways and a move-to-front list of way
@@ -370,16 +495,18 @@ mod tests {
 
     #[test]
     fn flat_array_replaces_exactly_like_the_per_set_lru_model() {
-        // (sets, ways): direct-mapped, the 2x2 array above, Table 1's 8 and 16 ways.
-        let geometries = [(4u64, 1u64), (2, 2), (4, 8), (2, 16)];
-        for seed in 1..=80u64 {
-            let (sets, ways) = geometries[seed as usize % 4];
+        // (sets, ways): direct-mapped, the 2x2 array above, Table 1's 8 and 16
+        // ways, and two arrays of two blocks each.
+        let geometries = [(4u64, 1u64), (2, 2), (4, 8), (2, 16), (1024, 1), (64, 16)];
+        for seed in 1..=90u64 {
+            let (sets, ways) = geometries[seed as usize % geometries.len()];
             let geometry = CacheGeometry::new(sets * ways * 64, ways as u32);
             let mut array = CacheArray::new(geometry);
+            assert_eq!(array.blocks.len() as u64, (sets * ways).div_ceil(512));
             let set = (vec![None; ways as usize], (0..ways as usize).collect());
             let mut model = Reference(vec![set; sets as usize]);
             let mut r = seed;
-            for i in 0..2_000u32 {
+            for i in 0..2_000.max(4 * sets * ways) as u32 {
                 // xorshift64; twice as many lines as fit, so sets fill, evict
                 // and refill.
                 r ^= r << 13;

@@ -9,11 +9,13 @@
 //! The crate is deliberately policy-free: a [`array::CacheArray`] stores an
 //! arbitrary payload per line (coherence state and data, or `()` for a
 //! residency-only array) and reports victims; coherence actions on those victims are the simulator's
-//! responsibility. An array is flat: one tag, one payload and one LRU rank
-//! per way, every set side by side, and the set index is a mask of the line
-//! address ([`geometry::CacheGeometry::set_of`]). Tags and ranks start as
-//! zeroed allocations, so with a `()` payload (the simulator's shared
-//! caches) an untouched set costs no resident memory.
+//! responsibility. An array keeps one tag, one payload and one LRU rank per
+//! way, in blocks of adjacent sets whose tags fill one 4 KiB page; the set
+//! index is a mask of the line address
+//! ([`geometry::CacheGeometry::set_of`]) and its block a shift of the set.
+//! A block is made by the first insert into it, so an array costs host
+//! memory for the lines a run touches, not for the capacity it models: an
+//! empty 128 MB L4 is a 4,096-entry block table.
 //!
 //! # Example
 //!

@@ -82,8 +82,10 @@ impl RequestPlan {
 ///
 /// # Panics
 ///
-/// Panics if the directory entry violates its invariants (which would indicate
-/// a bug in the caller, not a representable protocol race).
+/// Panics if the directory entry violates its invariants, or if `requester`
+/// is the line's exclusive owner, whose E or M copy already satisfies any
+/// access (either would indicate a bug in the caller, not a representable
+/// protocol race).
 #[must_use]
 pub fn serve_request(
     kind: ProtocolKind,
@@ -127,10 +129,9 @@ pub fn serve_request(
             let owner = sharers
                 .sole_member()
                 .expect("exclusive entry has one sharer");
-            if owner == requester {
-                // The requester already has sufficient permission; nothing to do.
-                return RequestPlan::grant(unshared, DirMode::Exclusive, alone, true);
-            }
+            // An exclusive owner's E or M copy satisfies every access, so it
+            // never asks the directory again.
+            assert_ne!(owner, requester, "the exclusive owner needs no request");
             // A read or an update downgrades the owner, which sends its data
             // value and keeps a copy in the requested class (Fig. 5b for
             // updates: the owner restarts from the identity); a write

@@ -606,13 +606,13 @@ impl MemorySystem {
         }
 
         // 2. Owner action: the owner hands its data value over, and keeps a
-        //    copy unless it is invalidated.
+        //    copy unless it is invalidated. Only a Modified owner's copy is
+        //    a writeback; a clean Exclusive one adds nothing to memory.
         if let Some((owner, action)) = plan.owner_action {
-            if action == OwnerAction::InvalidateWithData {
-                if self.depart(owner, line, None).is_some() {
-                    self.protocol_stats.writebacks += 1;
-                }
+            let owned = if action == OwnerAction::InvalidateWithData {
+                self.depart(owner, line, None)
             } else if let Some(p) = self.private[owner].l2.peek_mut(line) {
+                let owned = p.state;
                 self.lines.entry(line).or_default().data = p.data;
                 p.state = PrivateState::Shared;
                 if let OwnerAction::DowngradeToUpdateOnly(op) = action {
@@ -620,6 +620,11 @@ impl MemorySystem {
                     p.data = LineData::identity(op);
                     self.protocol_stats.update_only_grants += 1;
                 }
+                Some(owned)
+            } else {
+                None
+            };
+            if owned == Some(PrivateState::Modified) {
                 self.protocol_stats.writebacks += 1;
             }
         }

@@ -324,6 +324,31 @@ fn eviction_of_modified_copy_writes_back() {
 }
 
 #[test]
+fn only_a_modified_owner_writes_back_on_intervention() {
+    let (read, write) = (AccessType::Read, AccessType::Write);
+    // Core 0's access leaves it the owner, E after a read and M after a
+    // write; core 1's downgrades (read) or invalidates (write) that copy.
+    for (owned, taken, dirty) in [
+        (read, read, 0),
+        (read, write, 0),
+        (write, read, 1),
+        (write, write, 1),
+    ] {
+        let mut m = sys(2, ProtocolKind::Mesi);
+        let _ = m.access(0, 0, owned, 0x40, 7);
+        let before = m.protocol_stats();
+        let _ = m.access(1, 0, taken, 0x40, 9);
+        let after = m.protocol_stats();
+        assert_eq!(after.owner_interventions - before.owner_interventions, 1);
+        assert_eq!(
+            after.writebacks - before.writebacks,
+            dirty,
+            "{owned} then {taken}"
+        );
+    }
+}
+
+#[test]
 fn eviction_of_clean_copies_drops() {
     let mut m = sys(3, ProtocolKind::Mesi);
     let _ = m.access(0, 0, AccessType::Read, 0x80, 0);

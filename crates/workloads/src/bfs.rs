@@ -245,10 +245,9 @@ struct BfsLevelProgram<'a> {
     known: Vec<u64>,
     /// The current level's frontier — identical across threads.
     frontier: Vec<usize>,
-    /// Levels derived so far (root level included).
-    levels: Vec<Vec<usize>>,
-    /// Recording slot for the derived levels (thread 0 only).
-    record: Option<LevelRecord>,
+    /// Levels derived so far (root level included), and the slot they are
+    /// stored into when the search finishes: thread 0 only.
+    record: Option<(Vec<Vec<usize>>, LevelRecord)>,
     stage: Stage,
     /// Position in `frontier` of the vertex being expanded (stepping by
     /// `threads` from `thread` — the round-robin partition).
@@ -258,6 +257,9 @@ struct BfsLevelProgram<'a> {
     /// Candidate words of the derive phase: the sorted distinct bitmap words
     /// holding any neighbour of the whole frontier.
     candidates: Vec<usize>,
+    /// One bit per bitmap word, set while collecting `candidates`; all clear
+    /// between derive phases.
+    marks: Vec<u64>,
     /// Derive-phase cursor into `candidates`.
     cursor: usize,
     /// The next frontier being collected during the derive phase.
@@ -281,12 +283,12 @@ impl<'a> BfsLevelProgram<'a> {
             threads,
             known,
             frontier: vec![root],
-            levels: vec![vec![root]],
-            record,
+            record: record.map(|record| (vec![vec![root]], record)),
             stage: Stage::SeedRoot,
             pos: thread,
             edge: 0,
             candidates: Vec::new(),
+            marks: vec![0; words.div_ceil(64)],
             cursor: 0,
             next_frontier: Vec::new(),
         }
@@ -306,25 +308,33 @@ impl<'a> BfsLevelProgram<'a> {
     }
 
     /// Sorted distinct bitmap words holding any neighbour of the frontier —
-    /// the only words where the expand phase can have set new bits.
-    fn candidate_words(&self) -> Vec<usize> {
-        let mut words: Vec<usize> = self
-            .frontier
-            .iter()
-            .flat_map(|&u| self.graph.neighbours(u).iter().map(|&n| n / 64))
-            .collect();
-        words.sort_unstable();
-        words.dedup();
+    /// the only words where the expand phase can have set new bits. Marks
+    /// each neighbour's word, then collects the marks in word order, so its
+    /// cost follows the frontier's edges and the bitmap, not a sort.
+    fn candidate_words(&mut self) -> Vec<usize> {
+        for &u in &self.frontier {
+            for &n in self.graph.neighbours(u) {
+                let word = n / 64;
+                self.marks[word / 64] |= 1 << (word % 64);
+            }
+        }
+        let mut words = std::mem::take(&mut self.candidates);
+        words.clear();
+        for (i, marks) in self.marks.iter_mut().enumerate() {
+            while *marks != 0 {
+                words.push(i * 64 + marks.trailing_zeros() as usize);
+                *marks &= *marks - 1;
+            }
+        }
         words
     }
 
     fn finish(&mut self) {
         self.stage = Stage::Finished;
-        if let Some(record) = &self.record {
+        if let Some((levels, record)) = &mut self.record {
             *record
                 .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner) =
-                Some(std::mem::take(&mut self.levels));
+                .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(std::mem::take(levels));
         }
     }
 }
@@ -334,7 +344,7 @@ impl KernelProgram for BfsLevelProgram<'_> {
         loop {
             match self.stage {
                 Stage::SeedRoot => {
-                    let root = self.levels[0][0];
+                    let root = self.frontier[0];
                     self.stage = Stage::LoadEdge;
                     return Some(KernelStep::Update {
                         slot: root / 64,
@@ -416,7 +426,9 @@ impl KernelProgram for BfsLevelProgram<'_> {
                         return None;
                     }
                     self.frontier = std::mem::take(&mut self.next_frontier);
-                    self.levels.push(self.frontier.clone());
+                    if let Some((levels, _)) = &mut self.record {
+                        levels.push(self.frontier.clone());
+                    }
                     self.pos = self.thread;
                     self.edge = 0;
                     self.stage = Stage::LoadEdge;
@@ -468,6 +480,26 @@ mod tests {
         let (mesi, meusi) = compare_protocols(cfg, &w).expect("verification");
         assert!(mesi.commutative_updates > 0);
         assert!(meusi.loads > 0);
+    }
+
+    #[test]
+    fn candidate_words_are_the_sorted_distinct_words_of_the_frontier_edges() {
+        let w = BfsWorkload::new(5_000, 6, 11);
+        assert!(w.depth() >= 3);
+        let mut program = BfsLevelProgram::new(&w.graph, w.root, 1, 4, None);
+        for level in &w.levels {
+            // Reference: every frontier edge's word, sorted and deduplicated.
+            let mut want: Vec<usize> = level
+                .iter()
+                .flat_map(|&u| w.graph.neighbours(u).iter().map(|&n| n / 64))
+                .collect();
+            want.sort_unstable();
+            want.dedup();
+            program.frontier.clone_from(level);
+            program.candidates = program.candidate_words();
+            assert_eq!(program.candidates, want);
+        }
+        assert!(program.marks.iter().all(|&m| m == 0), "marks are cleared");
     }
 
     #[test]
