@@ -199,7 +199,7 @@ fn update_under_mesi_behaves_like_a_write() {
 
 #[test]
 #[should_panic(expected = "the exclusive owner needs no request")]
-fn requester_already_exclusive_is_a_noop() {
+fn request_from_the_exclusive_owner_panics() {
     // An E or M copy satisfies every access, so its owner never asks.
     let _ = serve_request(ProtocolKind::Meusi, &ex(6), 6, AccessType::Read);
 }
@@ -265,7 +265,7 @@ fn plans_keep_directory_invariants() {
                 for requester in 0..4 {
                     if *entry == ex(requester) {
                         // The exclusive owner never asks; see
-                        // `requester_already_exclusive_is_a_noop`.
+                        // `request_from_the_exclusive_owner_panics`.
                         continue;
                     }
                     let plan = serve_request(kind, entry, requester, access);
