@@ -142,14 +142,22 @@ impl<T: Default> CacheArray<T> {
     /// Looks up a line, updating recency.
     #[must_use]
     pub fn get(&mut self, addr: LineAddr) -> Option<&T> {
-        self.get_mut(addr).map(|payload| &*payload)
+        self.get_mut_if(addr, |_| true).map(|payload| &*payload)
     }
 
-    /// Mutable [`CacheArray::get`]: updates recency.
+    /// Mutable [`CacheArray::get`] of a line whose payload passes `wanted`:
+    /// one lookup, and recency is touched only when the payload passes, so
+    /// a resident line that fails is left exactly as
+    /// [`CacheArray::peek`] leaves it.
     #[must_use]
-    pub fn get_mut(&mut self, addr: LineAddr) -> Option<&mut T> {
+    #[inline]
+    pub fn get_mut_if(
+        &mut self,
+        addr: LineAddr,
+        wanted: impl FnOnce(&T) -> bool,
+    ) -> Option<&mut T> {
         let (set, way) = self.locate(addr);
-        let way = way?;
+        let way = way.filter(|&way| wanted(&self.payloads[way - self.block_len]))?;
         self.touch(set, way);
         Some(&mut self.payloads[way - self.block_len])
     }
@@ -413,7 +421,7 @@ mod tests {
             assert!(!c.contains(line));
             assert_eq!(c.peek(line), None);
             assert_eq!(c.get(line), None);
-            assert_eq!(c.get_mut(line), None);
+            assert_eq!(c.get_mut_if(line, |_| true), None);
             assert_eq!(c.peek_mut(line), None);
             assert_eq!(c.remove(line), None);
         }
@@ -520,7 +528,16 @@ mod tests {
                         (None, None)
                     }
                     8..=11 => (array.get(addr).copied(), model.get(addr, true, None)),
-                    12..=13 => (array.get_mut(addr).map(put), model.get(addr, true, Some(i))),
+                    12..=13 => {
+                        // Only even payloads pass; an odd one is left as a
+                        // peek leaves it.
+                        let even = |p: &u32| p.is_multiple_of(2);
+                        let passes = model.get(addr, false, None).is_some_and(|p| even(&p));
+                        (
+                            array.get_mut_if(addr, even).map(put),
+                            passes.then(|| model.get(addr, true, Some(i))).flatten(),
+                        )
+                    }
                     14..=15 => (array.peek(addr).copied(), model.get(addr, false, None)),
                     16 => (
                         array.peek_mut(addr).map(put),

@@ -127,8 +127,8 @@ pub struct StaleRead {
 pub struct BufferStats {
     /// Lines privatized: buffer slots claimed for a line not currently in the
     /// worker's table — both first-touch claims of empty slots and claims
-    /// that displaced a victim. The table's misses are these plus the two
-    /// bypass counts below.
+    /// that displaced a victim. The table's misses are these plus the
+    /// admission and held bypass counts below.
     pub privatized: u64,
     /// Capacity evictions: slot claims that displaced a *dirty* victim, so
     /// its buffered delta was migrated into the store before the re-tag —
@@ -153,6 +153,12 @@ pub struct BufferStats {
     /// out, so a miss costs one RMW until its line is touched twice and a
     /// slot has gone cold. Unbounded buffers never count here.
     pub admission_bypasses: u64,
+    /// Updates applied directly to the store because they were the first
+    /// delta to their slot since its last drain and an
+    /// [`UpdateBackend::update_read`] had demoted the line in this job: the
+    /// line stays out of the privatized state, so a later decrement-and-test
+    /// finds no writer to reduce.
+    pub demoted_bypasses: u64,
 }
 
 /// Sizing of a [`CoupBackend`]'s per-worker privatized buffers. Capacity
@@ -278,12 +284,17 @@ pub trait UpdateBackend: Send + Sync {
     ///
     /// Atomicity of the pair is backend-specific: [`AtomicBackend`]'s
     /// fetch-op guarantees exactly one of several concurrent decrementers
-    /// observes zero, while [`CoupBackend`]'s update-then-reduce does not
-    /// (two concurrent decrements from 2 can both, or neither, observe 0).
-    /// Hardware COUP serialises such reads at the directory; a destructive
-    /// decision (deallocation) on the software backend needs an external
-    /// tie-break — see the delayed-deallocation scheme of §5.4, which
-    /// defers zero checks to an epoch boundary.
+    /// observes zero. [`CoupBackend`] first demotes the line out of the
+    /// privatized state for the rest of the job; on a line whose writer
+    /// bitmap is empty the pair is then one fetch-op on the store, so
+    /// concurrent decrementers that all find the bitmap empty get the same
+    /// guarantee. On a line some worker still buffers it is an update then
+    /// a reduction, which is not atomic (two concurrent decrements from 2
+    /// can both, or neither, observe 0). Hardware COUP serialises such
+    /// reads at the directory; a destructive decision (deallocation) on the
+    /// software backend needs an external tie-break — see the
+    /// delayed-deallocation scheme of §5.4, which defers zero checks to an
+    /// epoch boundary.
     fn update_read(&self, thread: usize, index: usize, value: u64) -> u64 {
         self.update(thread, index, value);
         self.read(thread, index)
@@ -393,7 +404,8 @@ impl UpdateBackend for AtomicBackend {
 pub struct CoupBackend {
     store: SharedStore,
     buffers: Vec<ThreadBuffer>,
-    /// One `LineMeta` (writer bitmap + read-hold latch) per store shard.
+    /// One `LineMeta` (writer bitmap, read-hold latch, demotion flag) per
+    /// store shard.
     line_meta: Box<[LineMeta]>,
     /// Read tallies and histograms, shared with the owning runtime.
     telemetry: Arc<TelemetryRegistry>,
@@ -521,7 +533,8 @@ impl CoupBackend {
 }
 
 /// One-line delegations: the buffer half (`update`, `flush`) lives in
-/// `backend/buffer.rs`, the read half in `backend/read.rs`.
+/// `backend/buffer.rs`, the read half (`update_read` included) in
+/// `backend/read.rs`.
 impl UpdateBackend for CoupBackend {
     fn name(&self) -> &'static str {
         "coup"
@@ -537,6 +550,10 @@ impl UpdateBackend for CoupBackend {
 
     fn update(&self, thread: usize, index: usize, value: u64) {
         self.buffered_update(thread, index, value);
+    }
+
+    fn update_read(&self, thread: usize, index: usize, value: u64) -> u64 {
+        self.demoting_update_read(thread, index, value)
     }
 
     fn read(&self, thread: usize, index: usize) -> u64 {

@@ -13,6 +13,7 @@ use super::{CoupBackend, HOLD_DEFER_FACTOR, PROBE_WINDOW};
 use crate::store::PaddedLine;
 use crate::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{EPOCH_PUBLISH, WRITER_RETIRE};
+use crate::telemetry::Bypass;
 
 /// The empty-slot tag. A slot's tag is `line + 1` once claimed; tags only
 /// ever change claimed→claimed (re-tag on eviction), never back to empty.
@@ -175,8 +176,9 @@ impl CoupBackend {
     /// [`CoupBackend::choose_victim`]), migrating its delta into the store
     /// first if dirty. Returns the claimed slot index, or `None` when the
     /// update must go around the buffer as a direct store RMW (see
-    /// [`CoupBackend::buffered_update`]) — one bypass, two triggers, each
-    /// recorded here:
+    /// [`CoupBackend::buffered_update`]) — one bypass arm, three triggers;
+    /// two are recorded here (the third, a demoted line, in
+    /// `announce_writer`):
     ///
     /// * **Admission.** A miss on a full window displaces a resident line
     ///   only on the line's *second* such miss in a row at its home slot,
@@ -224,13 +226,13 @@ impl CoupBackend {
                 let candidate = &buf.candidates[line & buf.mask];
                 if candidate.load(Ordering::Relaxed) != tag_of(line) {
                     candidate.store(tag_of(line), Ordering::Relaxed);
-                    self.telemetry.record_bypass(thread, false);
+                    self.telemetry.record_bypass(thread, Bypass::Admission);
                     return None;
                 }
                 let idx = match self.choose_victim(thread, line) {
                     Ok(idx) => idx,
-                    Err(held) => {
-                        self.telemetry.record_bypass(thread, held);
+                    Err(trigger) => {
+                        self.telemetry.record_bypass(thread, trigger);
                         return None;
                     }
                 };
@@ -262,20 +264,21 @@ impl CoupBackend {
     /// Picks the victim slot for a claim of `line` in `thread`'s buffer: the
     /// first cold (unmarked) slot of the probe window whose line carries no
     /// read hold. The scan clears nothing — only aging does — so a hot
-    /// resident is never displaced. `Err(held)` means there is no victim:
-    /// `held` when cold slots existed but every one was read-held, otherwise
-    /// the window holds no cold slot at all. Never returning a held line is
+    /// resident is never displaced. An `Err` means there is no victim and
+    /// names the bypass: [`Bypass::Held`] when cold slots existed but every
+    /// one was read-held, [`Bypass::Admission`] when the window holds no
+    /// cold slot at all. Never returning a held line is
     /// what keeps the read-hold escalation's termination argument intact:
     /// while a reader holds a line, no new migration of it can start — not
     /// from threshold flushes (deferred) and not from capacity pressure (the
     /// caller bypasses the buffer instead). Owner-only.
-    fn choose_victim(&self, thread: usize, line: usize) -> Result<usize, bool> {
+    fn choose_victim(&self, thread: usize, line: usize) -> Result<usize, Bypass> {
         let buf = &self.buffers[thread];
         let held = |idx: usize| {
             let holds = &self.line_meta[buf.line_of(idx)].read_holds;
             holds.load(Ordering::Relaxed) > 0
         };
-        let mut any_held = false;
+        let mut none = Bypass::Admission;
         for i in 0..buf.window {
             let idx = (line + i) & buf.mask;
             if buf.marks[idx].load(Ordering::Relaxed) != 0 {
@@ -284,9 +287,9 @@ impl CoupBackend {
             if !held(idx) {
                 return Ok(idx);
             }
-            any_held = true;
+            none = Bypass::Held;
         }
-        Err(any_held)
+        Err(none)
     }
 
     /// Drains slot `idx` of `thread`'s buffer into the store: load each word,
@@ -372,6 +375,9 @@ impl CoupBackend {
 
     /// [`UpdateBackend::update`](super::UpdateBackend::update): buffer the
     /// delta in `thread`'s slot for the lane's line, privatizing on a miss.
+    /// Inlined into `update_read`'s slow path too, so `update` keeps it in
+    /// its own body rather than jumping to a shared copy.
+    #[inline(always)]
     pub(super) fn buffered_update(&self, thread: usize, index: usize, value: u64) {
         debug_assert!(index < self.store.len());
         let op = self.store.op();
@@ -403,17 +409,12 @@ impl CoupBackend {
         };
         let pending = &buf.pending[idx];
         let count = pending.load(Ordering::Relaxed).saturating_add(1);
-        if count == 1 {
-            // First buffered update on this slot since its last drain:
-            // announce this worker in the line's writer bitmap before the
-            // delta store below, so any reader that could observe the delta
-            // also observes the bit and reduces this buffer. The slot's tag
-            // is already published (privatize/locate), so a reader that sees
-            // the bit can always find the slot.
-            self.line_meta[slot.line]
-                .writers
-                // ord: writer-bitmap
-                .fetch_or(1u64 << thread, Ordering::AcqRel);
+        if count == 1 && !self.announce_writer(thread, slot.line) {
+            // A demoted line: the same detour as above, for the first delta
+            // since the slot's last drain and so for every update until the
+            // flags clear — the slot stays clean and the line unbuffered.
+            self.store.rmw_lane(index, value);
+            return;
         }
         // Publish the outstanding-delta count *before* the delta store
         // below, with Release: any reader that can observe the buffered
@@ -455,13 +456,45 @@ impl CoupBackend {
         }
     }
 
+    /// The first buffered update on a slot since its last drain: announce
+    /// `thread` in `line`'s writer bitmap before the caller's delta store,
+    /// so any reader that could observe the delta also observes the bit and
+    /// reduces this buffer. The slot's tag is already published
+    /// (privatize/locate), so a reader that sees the bit can always find the
+    /// slot. Returns `false`, announcing nothing, when an
+    /// [`UpdateBackend::update_read`](super::UpdateBackend::update_read) has
+    /// demoted the line: the caller then applies the update to the store.
+    ///
+    /// Owner-only. Out of line, like `privatize`: the hit path of
+    /// `buffered_update` pays only the `count == 1` test for it.
+    #[cold]
+    #[inline(never)]
+    fn announce_writer(&self, thread: usize, line: usize) -> bool {
+        let meta = &self.line_meta[line];
+        if meta.demoted.load(Ordering::Relaxed) != 0 {
+            self.telemetry.record_bypass(thread, Bypass::Demoted);
+            return false;
+        }
+        // ord: writer-bitmap
+        meta.writers.fetch_or(1u64 << thread, Ordering::AcqRel);
+        true
+    }
+
     /// [`UpdateBackend::flush`](super::UpdateBackend::flush): drain every
-    /// dirty slot of `thread`'s buffer.
+    /// dirty slot of `thread`'s buffer, then clear every line's demotion
+    /// flag. A flush ends a worker's job (and a drainer's life), so
+    /// demotion lasts for the job that asked for it and a runtime that goes
+    /// on to serve handles buffers every line again.
     pub(super) fn flush_buffer(&self, thread: usize) {
         let buf = &self.buffers[thread];
         for idx in 0..buf.capacity() {
             if buf.pending[idx].load(Ordering::Relaxed) > 0 {
                 self.migrate_slot(thread, idx, None);
+            }
+        }
+        for meta in &self.line_meta {
+            if meta.demoted.load(Ordering::Relaxed) != 0 {
+                meta.demoted.store(0, Ordering::Relaxed);
             }
         }
     }

@@ -186,12 +186,49 @@ impl CoupBackend {
     }
 
     /// [`UpdateBackend::read`](super::UpdateBackend::read): one reduction,
-    /// tallied — the only caller of `record_read`.
+    /// tallied — with `demoting_update_read`'s fetch-op, the only caller of
+    /// `record_read`.
     pub(super) fn exact_read(&self, thread: usize, index: usize) -> u64 {
         let (value, cost) = self.reduce(index);
         self.telemetry
             .record_read(thread, cost.buffer_words, cost.retries, cost.escalations);
         value
+    }
+
+    /// [`UpdateBackend::update_read`](super::UpdateBackend::update_read), the
+    /// decrement-and-test: demote the lane's line, then serve the pair.
+    ///
+    /// Demotion takes the line out of the privatized state for the rest of
+    /// the job (see `announce_writer` and `flush_buffer`): hardware COUP
+    /// reduces every U copy into M for a value-returning RMW, and here the
+    /// first delta each worker would buffer goes to the store instead, so
+    /// the line's writers drain away. The flag is loaded first and stored
+    /// only when clear, so a line already demoted pays no ownership miss.
+    ///
+    /// When the writer bitmap, loaded *before* the update, is empty, the
+    /// pair is one store fetch-op. That value is exact for the same reason a
+    /// reduction pass that finds no writers is: every bit the load saw clear
+    /// was cleared after its migration's reduce had landed (the clear's
+    /// release edge, through the bitmap's RMW release sequence), and the
+    /// fetch-op reads the latest store word, so it includes every such
+    /// delta. The caller's own buffer holds nothing for the line, or its own
+    /// bit would be set. Deltas buffered after the load are concurrent with
+    /// the call — the freedom every read has. Otherwise the pair is an
+    /// update then an exact read, as on the trait's default.
+    pub(super) fn demoting_update_read(&self, thread: usize, index: usize, value: u64) -> u64 {
+        debug_assert!(index < self.store.len());
+        let meta = &self.line_meta[self.geometry.slot(index).line];
+        if meta.demoted.load(Ordering::Relaxed) == 0 {
+            meta.demoted.store(1, Ordering::Relaxed);
+        }
+        // ord: writer-bitmap
+        if meta.writers.load(Ordering::Acquire) == 0 {
+            let value = self.store.rmw_lane(index, value);
+            self.telemetry.record_read(thread, 0, 0, 0);
+            return value;
+        }
+        self.buffered_update(thread, index, value);
+        self.exact_read(thread, index)
     }
 
     /// The relaxed tier: the store word plus the outstanding buffered-delta

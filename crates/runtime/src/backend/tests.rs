@@ -6,6 +6,7 @@ use crate::sync::atomic::Ordering;
 use crate::telemetry::{TelemetryConfig, TelemetryRegistry};
 
 mod admission;
+mod demotion;
 
 /// Iteration multiplier for the concurrency stress tests: 1 normally, 8
 /// when `COUP_STRESS` is set (the CI release stress lane).

@@ -27,6 +27,7 @@
 //! | update-request message from any core | a batch published into the producer's own SPSC shard ring (`ring.rs`) and drained by the resident worker owning that slot stripe — one Release store per batch, no producer ever serialises on another |
 //! | read triggering a reduction          | [`UpdateBackend::read`]: reader folds the partials of the line's *active writers* (per-line writer bitmap) |
 //! | directory sharer list                | per-line writer-presence bitmap (`LineMeta`)           |
+//! | value-returning RMW taking the line to M | [`UpdateBackend::update_read`]: demotes the line (its first deltas bypass the buffers for the rest of the job), and on an empty bitmap is one store fetch-op |
 //! | eviction of a U line                 | capacity eviction (cold victim: a slot not hit since the reference marks aged out): the victim slot's delta migrates into the store, then the slot is re-tagged |
 //! | voluntary U-line writeback           | per-line flush budget draining a slot into the store   |
 //! | baseline protocol (MESI + `lock op`) | [`AtomicBackend`]: atomic RMW per update               |

@@ -164,6 +164,43 @@ fn writer_bitmap_retire_publishes_the_reduce_it_promises() {
     });
 }
 
+/// Protocol 2b — the `update_read` fast path against a writer's buffered
+/// update and migration (threshold 1: announce bit, store delta, migrate,
+/// inline). The pair loads the writer bitmap *before* its update and, when
+/// it reads empty, is one store fetch-op; the writer's own first delta may
+/// instead meet the demotion flag and go to the store directly. The main
+/// thread reads first: a delta that read observed was buffered under a set
+/// bit, so the pair that follows finds that bit set (and reduces) or
+/// cleared after the migration's reduce landed (and its fetch-op includes
+/// it). Either way the pair's value includes every delta whose bit its
+/// load saw cleared, and never tears.
+///
+/// Owns no mutation of its own: it shares the `writer-bitmap` prefix, so
+/// the per-edge lane runs it beside protocol 2, which kills
+/// `WRITER_RETIRE`. The fetch-op is an RMW and always reads the newest
+/// store word, so this test alone passes with the edge weakened.
+#[test]
+fn writer_bitmap_clear_lets_update_read_take_one_fetch_op() {
+    loom::model(|| {
+        let backend = small_backend(8, 2, 1, BufferConfig::unbounded());
+        let writer = {
+            let b = Arc::clone(&backend);
+            thread::spawn(move || b.update(0, 0, 3))
+        };
+        let seen = backend.read(1, 0);
+        let pair = backend.update_read(1, 0, 1);
+        assert!(seen == 0 || seen == 3, "torn read: {seen}");
+        assert!(pair == 1 || pair == 4, "torn update_read: {pair}");
+        assert!(
+            pair >= seen + 1,
+            "update_read lost a delta an earlier read observed: {seen} then {pair}"
+        );
+        writer.join().unwrap();
+        assert_eq!(backend.read(1, 0), 4);
+        assert_eq!(backend.store().load_lane(0), 4, "nothing stays buffered");
+    });
+}
+
 /// Protocol 3 — the sharded submission path end to end: a producer pushing
 /// a batch through its SPSC shard ring, a resident worker parking on its
 /// wake parker, and `shutdown` closing the runtime must always terminate

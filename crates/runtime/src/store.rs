@@ -23,10 +23,11 @@ pub(crate) struct PaddedLine {
 }
 
 /// Per-line reader/writer coordination metadata for the software-COUP read
-/// path: the directory-style writer-presence bitmap and the read-side
-/// escalation latch. One per store shard, on its own cache line so bitmap
-/// traffic on a hot line never invalidates a neighbouring line's metadata —
-/// the same padding discipline as [`PaddedLine`].
+/// path: the directory-style writer-presence bitmap, the read-side
+/// escalation latch and the demotion flag (16 bytes of fields). One per
+/// store shard, on its own cache line so bitmap traffic on a hot line never
+/// invalidates a neighbouring line's metadata — the same padding discipline
+/// as [`PaddedLine`].
 #[derive(Debug, Default)]
 #[repr(align(64))]
 pub(crate) struct LineMeta {
@@ -44,6 +45,14 @@ pub(crate) struct LineMeta {
     /// ones start, and a starving reader's seqlock validation is guaranteed
     /// to succeed after finitely many retries.
     pub(crate) read_holds: AtomicU32,
+    /// Advisory demotion flag, nonzero once an `update_read` touched the
+    /// line since the last flush: a first delta to a demoted line goes
+    /// straight to the store instead of announcing a writer, so the line
+    /// leaves the privatized state and a later `update_read` finds its
+    /// bitmap empty and serves the pair as one fetch-op. Relaxed both ways:
+    /// commutativity makes every update correct whether it is buffered or
+    /// not, so a stale flag costs speed, never a delta.
+    pub(crate) demoted: AtomicU32,
 }
 
 /// Where lane `index` lives: which shard, which word, and which bits.

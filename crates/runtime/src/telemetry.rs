@@ -28,6 +28,7 @@ mod registry;
 #[cfg(test)]
 mod tests;
 
+pub(crate) use registry::Bypass;
 pub use registry::TelemetryRegistry;
 
 /// Number of buckets in every fixed-bucket histogram.
@@ -177,9 +178,9 @@ pub struct MetricsSnapshot {
     /// words derived from the read-width histogram, retries and escalations
     /// counted — zero with telemetry off.
     pub read_cost: ReadCost,
-    /// Buffer life-cycle counters (privatizations, evictions, flushes, held
-    /// and admission bypasses): privatizations derived from the occupancy
-    /// histogram, the rest counted — zero with telemetry off.
+    /// Buffer life-cycle counters (privatizations, evictions, flushes, held,
+    /// admission and demoted bypasses): privatizations derived from the
+    /// occupancy histogram, the rest counted — zero with telemetry off.
     pub buffer_stats: BufferStats,
     /// Buffer words folded per synchronous read.
     pub read_width: HistogramSnapshot,
@@ -298,6 +299,11 @@ const COUNTER_META: &[MetaRow<u64>] = &[
         "coup_admission_bypasses_total",
         "Updates of not-yet-admitted lines applied via direct RMW.",
         |m| &mut m.buffer_stats.admission_bypasses,
+    ),
+    (
+        "coup_demoted_bypasses_total",
+        "First deltas to lines demoted by update_read, applied via direct RMW.",
+        |m| &mut m.buffer_stats.demoted_bypasses,
     ),
 ];
 

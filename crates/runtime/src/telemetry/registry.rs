@@ -83,6 +83,7 @@ mod registry_impl {
         pub(crate) flushes: AtomicU64,
         pub(crate) held_bypasses: AtomicU64,
         pub(crate) admission_bypasses: AtomicU64,
+        pub(crate) demoted_bypasses: AtomicU64,
         /// Claimed slots: the value the occupancy histogram samples.
         pub(crate) resident: AtomicU64,
     }
@@ -110,6 +111,19 @@ mod registry_impl {
             (&self.blocks[worker.min(shared)], worker < shared)
         }
     }
+}
+
+/// Why an update went around its worker's buffer straight to the store:
+/// the three triggers of the one bypass arm, each with its own counter in
+/// [`crate::BufferStats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Bypass {
+    /// A full probe window and a line not admitted, or no cold victim.
+    Admission,
+    /// Admitted, but every cold victim was read-held.
+    Held,
+    /// The first delta since a drain, to a line an `update_read` demoted.
+    Demoted,
 }
 
 /// The lock-free metrics registry shared by a backend and its runtime.
@@ -264,22 +278,22 @@ impl TelemetryRegistry {
         let _ = (worker, words, eviction);
     }
 
-    /// Records an update buffer owner `worker` sent straight to the store:
-    /// every victim was read-`held`, or else its line was not admitted.
+    /// Records an update buffer owner `worker` sent straight to the store,
+    /// under the counter of its `trigger`.
     #[inline]
-    pub(crate) fn record_bypass(&self, worker: usize, held: bool) {
+    pub(crate) fn record_bypass(&self, worker: usize, trigger: Bypass) {
         #[cfg(feature = "telemetry")]
         if let Some(inner) = &self.inner {
             let block = &inner.blocks[worker];
-            let cell = if held {
-                &block.held_bypasses
-            } else {
-                &block.admission_bypasses
+            let cell = match trigger {
+                Bypass::Admission => &block.admission_bypasses,
+                Bypass::Held => &block.held_bypasses,
+                Bypass::Demoted => &block.demoted_bypasses,
             };
             add(cell, 1, true);
         }
         #[cfg(not(feature = "telemetry"))]
-        let _ = (worker, held);
+        let _ = (worker, trigger);
     }
 
     /// Counts one park (condvar sleep) against `worker`: its drainer's, or a
@@ -337,6 +351,7 @@ impl TelemetryRegistry {
                 stats.flushes += block.flushes.load(Ordering::Relaxed);
                 stats.held_bypasses += block.held_bypasses.load(Ordering::Relaxed);
                 stats.admission_bypasses += block.admission_bypasses.load(Ordering::Relaxed);
+                stats.demoted_bypasses += block.demoted_bypasses.load(Ordering::Relaxed);
             }
             snap.read_cost.reads = snap.read_width.count();
             snap.read_cost.buffer_words = snap.read_width.sum;

@@ -25,6 +25,7 @@ fn sample_snapshot() -> MetricsSnapshot {
             flushes: 5,
             held_bypasses: 1,
             admission_bypasses: 21,
+            demoted_bypasses: 4,
         },
         ..MetricsSnapshot::default()
     };
@@ -151,8 +152,10 @@ fn registry_folds_per_worker_blocks() {
     registry.record_claim(3, false);
     registry.record_migration(2, 9, true);
     registry.record_migration(2, 0, false);
-    registry.record_bypass(0, true);
-    registry.record_bypass(3, false);
+    registry.record_bypass(0, Bypass::Held);
+    registry.record_bypass(3, Bypass::Admission);
+    registry.record_bypass(3, Bypass::Demoted);
+    registry.record_bypass(1, Bypass::Demoted);
     registry.record_park(1);
     registry.record_unpark(1);
     let mut snap = MetricsSnapshot::default();
@@ -174,6 +177,7 @@ fn registry_folds_per_worker_blocks() {
     let s = snap.buffer_stats;
     assert_eq!((s.privatized, s.evictions, s.flushes), (2, 1, 1));
     assert_eq!((s.held_bypasses, s.admission_bypasses), (1, 1));
+    assert_eq!(s.demoted_bypasses, 2);
     assert_eq!(snap.queue_parks, 1);
     assert_eq!(snap.queue_unparks, 1);
     assert!(snap.uptime_ns > 0);
@@ -204,7 +208,7 @@ fn disabled_registry_records_nothing() {
     registry.record_read(0, 3, 1, 1);
     registry.record_claim(0, true);
     registry.record_migration(0, 4, true);
-    registry.record_bypass(0, false);
+    registry.record_bypass(0, Bypass::Admission);
     registry.record_park(0);
     registry.record_unpark(0);
     let mut snap = MetricsSnapshot::default();

@@ -66,6 +66,11 @@ fn exercise_backend() {
     // The escalated read path (read holds) never triggers on a quiet
     // backend, so drive it through the sanitizer hook.
     let _ = backend.read_escalated(3);
+    // Decrement-and-test: line 0 still has a buffered writer, so its pair
+    // updates then reduces; line 1's bitmap is empty, so its pair is the
+    // Acquire bitmap load (`writer-bitmap`) and one store fetch-op.
+    assert_eq!(backend.update_read(1, 3, 1), backend.read(1, 3));
+    assert_eq!(backend.update_read(1, 8, 1), backend.read(1, 8));
 
     // Dirty capacity evictions: a one-line buffer updated on two distinct
     // store lines must evict, migrating each delta through the seqlock

@@ -82,12 +82,13 @@ impl Machine {
             ..Default::default()
         };
 
+        // Live cores, and how many of them wait at the barrier (a waiting
+        // core cannot finish, so `waiting <= remaining`).
         let mut remaining = n;
+        let mut waiting = 0;
         while remaining > 0 {
             // Release the barrier once every live core has reached it.
-            if (0..n).filter(|&c| !done[c]).count() > 0
-                && (0..n).filter(|&c| !done[c]).all(|c| at_barrier[c])
-            {
+            if waiting == remaining {
                 let release = (0..n)
                     .filter(|&c| !done[c])
                     .map(|c| clocks[c])
@@ -95,11 +96,12 @@ impl Machine {
                     .unwrap_or(0)
                     + BARRIER_COST;
                 for c in 0..n {
-                    if !done[c] && at_barrier[c] {
+                    if !done[c] {
                         clocks[c] = release;
                         at_barrier[c] = false;
                     }
                 }
+                waiting = 0;
             }
             // Step the live, non-waiting core with the smallest clock.
             let Some(core) = (0..n)
@@ -112,6 +114,7 @@ impl Machine {
             match op {
                 ThreadOp::Barrier => {
                     at_barrier[core] = true;
+                    waiting += 1;
                 }
                 ThreadOp::Compute(cycles) => {
                     clocks[core] += cycles * compute_scale.max(1);

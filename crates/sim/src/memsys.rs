@@ -291,9 +291,10 @@ impl MemorySystem {
     ) -> AccessResult {
         assert!(core < self.cfg.cores, "core {core} out of range");
         // Fast path: the private cache can satisfy the access.
-        let cached = self.private[core].l2.peek(LineAddr::containing(byte_addr));
-        if cached.is_some_and(|p| p.state.satisfies(permission)) {
-            return self.private_hit(core, now, permission, functional, byte_addr, operand);
+        if let Some(result) =
+            self.private_hit(core, now, permission, functional, byte_addr, operand)
+        {
+            return result;
         }
         self.coherence_transaction(core, now, permission, functional, byte_addr, operand)
     }
@@ -357,6 +358,10 @@ impl MemorySystem {
 
     // ---- hit path ------------------------------------------------------
 
+    /// Serves the access from `core`'s private caches if its L2 copy
+    /// satisfies `permission`, in one L2 lookup that touches recency only
+    /// on a hit; `None` leaves every cache as it was, for the coherence
+    /// path.
     fn private_hit(
         &mut self,
         core: usize,
@@ -365,8 +370,12 @@ impl MemorySystem {
         functional: AccessType,
         byte_addr: u64,
         operand: u64,
-    ) -> AccessResult {
+    ) -> Option<AccessResult> {
         let line = LineAddr::containing(byte_addr);
+        let private = &mut self.private[core];
+        let p = private
+            .l2
+            .get_mut_if(line, |p| p.state.satisfies(permission))?;
         let lat = self.cfg.latency;
         let mut breakdown = LatencyBreakdown {
             l1: lat.l1 as f64,
@@ -374,16 +383,11 @@ impl MemorySystem {
         };
         // An L1 hit touches recency; a miss fills the L1 residency filter
         // (its own victims are silent).
-        if self.private[core].l1.get(line).is_none() {
+        if private.l1.get(line).is_none() {
             breakdown.l2 = lat.l2 as f64;
-            let _ = self.private[core].l1.insert(line, ());
+            let _ = private.l1.insert(line, ());
         }
 
-        // Touches L2 recency.
-        let p = self.private[core]
-            .l2
-            .get_mut(line)
-            .expect("hit line is resident");
         let value =
             apply_access_to_line(&mut p.data, p.state, functional, byte_addr, operand, line);
         let next_state = local_hit_transition(p.state, permission);
@@ -393,12 +397,12 @@ impl MemorySystem {
         }
 
         let total = breakdown.total() as u64;
-        AccessResult {
+        Some(AccessResult {
             value,
             completes_at: now + total,
             latency: breakdown,
             private_hit: true,
-        }
+        })
     }
 
     // ---- miss / coherence path ------------------------------------------
