@@ -154,10 +154,11 @@ pub struct BufferStats {
     /// slot has gone cold. Unbounded buffers never count here.
     pub admission_bypasses: u64,
     /// Updates applied directly to the store because they were the first
-    /// delta to their slot since its last drain and an
-    /// [`UpdateBackend::update_read`] had demoted the line in this job: the
-    /// line stays out of the privatized state, so a later decrement-and-test
-    /// finds no writer to reduce.
+    /// delta to their slot since its last drain and an exact read or an
+    /// [`UpdateBackend::update_read`] had demoted the line since the last
+    /// flush (see [`UpdateBackend::read`]): the line stays out of the
+    /// privatized state, so a later read or decrement-and-test finds no
+    /// writer to reduce.
     pub demoted_bypasses: u64,
 }
 
@@ -285,10 +286,10 @@ pub trait UpdateBackend: Send + Sync {
     /// Atomicity of the pair is backend-specific: [`AtomicBackend`]'s
     /// fetch-op guarantees exactly one of several concurrent decrementers
     /// observes zero. [`CoupBackend`] first demotes the line out of the
-    /// privatized state for the rest of the job; on a line whose writer
-    /// bitmap is empty the pair is then one fetch-op on the store, so
-    /// concurrent decrementers that all find the bitmap empty get the same
-    /// guarantee. On a line some worker still buffers it is an update then
+    /// privatized state, as its exact read does (see
+    /// [`UpdateBackend::read`]); on a line whose writer bitmap is empty the
+    /// pair is then one fetch-op on the store, so concurrent decrementers
+    /// that all find the bitmap empty get the same guarantee. On a line some worker still buffers it is an update then
     /// a reduction, which is not atomic (two concurrent decrements from 2
     /// can both, or neither, observe 0). Hardware COUP serialises such
     /// reads at the directory; a destructive decision (deallocation) on the
@@ -302,6 +303,18 @@ pub trait UpdateBackend: Send + Sync {
 
     /// Reads lane `index` on behalf of worker `thread`, reducing buffered
     /// partial updates as needed.
+    ///
+    /// **Demotion.** [`CoupBackend`]'s read then demotes the lane's line, as
+    /// a MEUSI read takes its line out of U: a slot that already holds a
+    /// delta for the line keeps buffering until it drains, and after that
+    /// the line's first delta goes to the store
+    /// ([`BufferStats::demoted_bypasses`]), so later reads find no buffer
+    /// word to reduce. The one rule: every exact read and every
+    /// [`UpdateBackend::update_read`] demotes, [`UpdateBackend::read_stale`]
+    /// and [`UpdateBackend::snapshot`] never do, and a flush clears every
+    /// flag. A [`CoupRuntime::run_workers`](crate::CoupRuntime::run_workers)
+    /// job flushes when it ends; resident drainers flush only at shutdown,
+    /// so a line a handle read demoted stays demoted for the runtime's life.
     ///
     /// **Ownership rule.** An in-range worker index (`thread < workers`) is
     /// driven by one thread at a time — the one acting as that worker, as

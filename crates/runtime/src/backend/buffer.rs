@@ -461,9 +461,10 @@ impl CoupBackend {
     /// so any reader that could observe the delta also observes the bit and
     /// reduces this buffer. The slot's tag is already published
     /// (privatize/locate), so a reader that sees the bit can always find the
-    /// slot. Returns `false`, announcing nothing, when an
+    /// slot. Returns `false`, announcing nothing, when an exact read or an
     /// [`UpdateBackend::update_read`](super::UpdateBackend::update_read) has
-    /// demoted the line: the caller then applies the update to the store.
+    /// demoted the line (`CoupBackend::demote`): the caller then applies the
+    /// update to the store.
     ///
     /// Owner-only. Out of line, like `privatize`: the hit path of
     /// `buffered_update` pays only the `count == 1` test for it.
@@ -482,9 +483,10 @@ impl CoupBackend {
 
     /// [`UpdateBackend::flush`](super::UpdateBackend::flush): drain every
     /// dirty slot of `thread`'s buffer, then clear every line's demotion
-    /// flag. A flush ends a worker's job (and a drainer's life), so
-    /// demotion lasts for the job that asked for it and a runtime that goes
-    /// on to serve handles buffers every line again.
+    /// flag. A flush ends a worker's job and a resident drainer's life, so a
+    /// line a job's reads demoted is buffered again by the next job or by
+    /// the drainers that serve handles after it, while a line a handle read
+    /// demoted stays demoted until shutdown.
     pub(super) fn flush_buffer(&self, thread: usize) {
         let buf = &self.buffers[thread];
         for idx in 0..buf.capacity() {

@@ -1,7 +1,8 @@
 //! The read side: the exact read — the software twin of the reduction a
 //! read triggers (paper §3.1.3) over the sharers the writer bitmap names
 //! (the §3.2 directory) — with its seqlock validation and read-hold
-//! escalation, and the stale tier that skips the reduction.
+//! escalation, the demotion it and `update_read` share, and the stale tier
+//! that skips the reduction.
 
 use super::{CoupBackend, ReadCost, StaleRead, MAX_COUP_THREADS, READ_RETRY_LIMIT};
 use crate::store::LaneSlot;
@@ -187,23 +188,46 @@ impl CoupBackend {
 
     /// [`UpdateBackend::read`](super::UpdateBackend::read): one reduction,
     /// tallied — with `demoting_update_read`'s fetch-op, the only caller of
-    /// `record_read`.
+    /// `record_read` — and then the line demoted, as a MEUSI read takes its
+    /// line out of U. The flag is set only after the pass returns, so the
+    /// pass, its validation and its read-hold escalation are those of an
+    /// undemoted line.
     pub(super) fn exact_read(&self, thread: usize, index: usize) -> u64 {
         let (value, cost) = self.reduce(index);
+        self.demote(self.geometry.slot(index).line);
         self.telemetry
             .record_read(thread, cost.buffer_words, cost.retries, cost.escalations);
         value
     }
 
+    /// Takes `line` out of the privatized state: from now on, the first delta
+    /// a worker sends the line after its slot last drained goes to the store
+    /// instead (see `announce_writer`), so the line's writers drain away and
+    /// later reads find no buffer word to reduce. A slot that
+    /// already holds a delta keeps buffering until it drains. The one
+    /// demotion rule: every exact read and every `update_read` demotes,
+    /// `read_stale` and `snapshot` never do, and a flush (the end of a
+    /// `run_workers` job, a resident drainer's exit at shutdown) clears
+    /// every flag.
+    ///
+    /// The flag is loaded first and stored only when clear, so a line
+    /// already demoted pays no ownership miss.
+    #[inline]
+    fn demote(&self, line: usize) {
+        let demoted = &self.line_meta[line].demoted;
+        if demoted.load(Ordering::Relaxed) == 0 {
+            demoted.store(1, Ordering::Relaxed);
+        }
+    }
+
     /// [`UpdateBackend::update_read`](super::UpdateBackend::update_read), the
     /// decrement-and-test: demote the lane's line, then serve the pair.
     ///
-    /// Demotion takes the line out of the privatized state for the rest of
-    /// the job (see `announce_writer` and `flush_buffer`): hardware COUP
-    /// reduces every U copy into M for a value-returning RMW, and here the
-    /// first delta each worker would buffer goes to the store instead, so
-    /// the line's writers drain away. The flag is loaded first and stored
-    /// only when clear, so a line already demoted pays no ownership miss.
+    /// Demotion (see [`CoupBackend::demote`]) takes the line out of the
+    /// privatized state until the next flush: hardware COUP reduces every U
+    /// copy into M for a value-returning RMW, and here the first delta each
+    /// worker would buffer goes to the store instead, so the line's writers
+    /// drain away.
     ///
     /// When the writer bitmap, loaded *before* the update, is empty, the
     /// pair is one store fetch-op. That value is exact for the same reason a
@@ -217,10 +241,9 @@ impl CoupBackend {
     /// update then an exact read, as on the trait's default.
     pub(super) fn demoting_update_read(&self, thread: usize, index: usize, value: u64) -> u64 {
         debug_assert!(index < self.store.len());
-        let meta = &self.line_meta[self.geometry.slot(index).line];
-        if meta.demoted.load(Ordering::Relaxed) == 0 {
-            meta.demoted.store(1, Ordering::Relaxed);
-        }
+        let line = self.geometry.slot(index).line;
+        self.demote(line);
+        let meta = &self.line_meta[line];
         // ord: writer-bitmap
         if meta.writers.load(Ordering::Acquire) == 0 {
             let value = self.store.rmw_lane(index, value);

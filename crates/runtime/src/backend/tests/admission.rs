@@ -24,7 +24,16 @@ fn first_touch_of_a_full_window_bypasses_second_touch_privatizes() {
 
     b.update(0, lanes_per_line, 3); // line 1, first touch
     assert_eq!(b.store().load_lane(lanes_per_line), 3, "store-visible");
-    assert_eq!(b.read(1, lanes_per_line), 3);
+    // Through the stale tier: an exact read would demote line 1, and its
+    // second touch below would bypass again instead of privatizing.
+    assert_eq!(
+        b.read_stale(1, lanes_per_line),
+        StaleRead {
+            value: 3,
+            staleness: 0
+        },
+        "nothing pending"
+    );
     assert_eq!(
         b.line_meta[1].writers.load(Ordering::Relaxed),
         0,

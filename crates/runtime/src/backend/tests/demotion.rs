@@ -1,22 +1,24 @@
-//! Unit tests of demotion (`demoting_update_read` in `read.rs`,
-//! `announce_writer` and `flush_buffer` in `buffer.rs`): a
-//! decrement-and-test takes its line out of the privatized state for the
-//! rest of the job, and is one store fetch-op while no worker buffers the
+//! Unit tests of demotion (`demote`, `exact_read` and
+//! `demoting_update_read` in `read.rs`, `announce_writer` and
+//! `flush_buffer` in `buffer.rs`): an exact read or a decrement-and-test
+//! takes its line out of the privatized state until the next flush, and a
+//! decrement-and-test is one store fetch-op while no worker buffers the
 //! line.
 
 use super::*;
 use crate::harness::splitmix64;
 use crate::runtime::RuntimeBuilder;
 
-/// Worker 1's `update_read` demotes line 0: worker 0's next first delta to
-/// the line announces no writer, lands in the store at once and counts as
-/// a demoted bypass. A plain `read` demotes nothing.
+/// Worker 1's `update_read` demotes line 0 and its plain `read` line 1:
+/// worker 0's next first delta to either line announces no writer, lands in
+/// the store at once and counts as a demoted bypass. Line 2, never read,
+/// still buffers.
 #[test]
 fn a_demoted_line_takes_its_first_delta_straight_to_the_store() {
     let lanes_per_line = 8;
     let b = sized_backend(
         CommutativeOp::AddU64,
-        2 * lanes_per_line,
+        3 * lanes_per_line,
         2,
         BufferConfig::unbounded(),
     );
@@ -39,11 +41,76 @@ fn a_demoted_line_takes_its_first_delta_straight_to_the_store() {
     b.update(0, lanes_per_line, 2);
     assert_eq!(
         b.line_meta[1].writers.load(Ordering::Relaxed),
-        0b01,
-        "the line that was only read still buffers"
+        0,
+        "the line that was only read is demoted too"
     );
-    assert_eq!(b.store().load_lane(lanes_per_line), 0);
-    assert_stats(&b, |s| assert_eq!(s.demoted_bypasses, 2));
+    assert_eq!(b.store().load_lane(lanes_per_line), 2);
+    assert_stats(&b, |s| assert_eq!(s.demoted_bypasses, 3));
+
+    b.update(0, 2 * lanes_per_line, 1);
+    assert_eq!(
+        b.line_meta[2].writers.load(Ordering::Relaxed),
+        0b01,
+        "the line nobody read still buffers"
+    );
+    assert_eq!(b.store().load_lane(2 * lanes_per_line), 0);
+    assert_stats(&b, |s| assert_eq!(s.demoted_bypasses, 3));
+}
+
+/// Of the read paths only the exact one demotes: the stale tier and a
+/// snapshot leave the flag clear, the read sets it on its own line alone,
+/// the slot that already holds a delta keeps buffering until its threshold
+/// flush drains it, and only the first delta after that drain goes to the
+/// store.
+#[test]
+fn an_exact_read_demotes_its_line_but_read_stale_and_snapshot_do_not() {
+    let lanes_per_line = 8;
+    let b = coup_backend(
+        CommutativeOp::AddU64,
+        2 * lanes_per_line,
+        2,
+        4,
+        BufferConfig::unbounded(),
+    );
+    let demoted = |line: usize| b.line_meta[line].demoted.load(Ordering::Relaxed);
+    b.update(0, 0, 1);
+    assert_eq!(
+        b.read_stale(1, 0),
+        StaleRead {
+            value: 0,
+            staleness: 1
+        }
+    );
+    assert_eq!(b.snapshot()[0], 1);
+    assert_eq!(
+        demoted(0),
+        0,
+        "neither the stale tier nor a snapshot demotes"
+    );
+
+    assert_eq!(b.read(1, 0), 1);
+    assert_eq!(
+        (demoted(0), demoted(1)),
+        (1, 0),
+        "an exact read demotes its line"
+    );
+
+    b.update(0, 0, 1);
+    assert_eq!(
+        b.store().load_lane(0),
+        0,
+        "a slot holding a delta keeps buffering"
+    );
+    b.update(0, 0, 1);
+    b.update(0, 0, 1);
+    assert_eq!(b.store().load_lane(0), 4, "until its threshold flush");
+    assert_eq!(b.line_meta[0].writers.load(Ordering::Relaxed), 0);
+    assert_stats(&b, |s| assert_eq!((s.flushes, s.demoted_bypasses), (1, 0)));
+
+    b.update(0, 0, 1);
+    assert_eq!(b.store().load_lane(0), 5, "the first delta after the drain");
+    assert_eq!(b.line_meta[0].writers.load(Ordering::Relaxed), 0);
+    assert_stats(&b, |s| assert_eq!(s.demoted_bypasses, 1));
 }
 
 /// A two-worker decrement-and-test run, interleaved the same way on both
@@ -136,4 +203,46 @@ fn a_runtime_buffers_a_line_again_after_the_job_that_demoted_it() {
     assert_eq!(runtime.metrics().buffer_stats.demoted_bypasses, 0);
     drop(handle);
     assert_eq!(runtime.shutdown().snapshot[3], 7);
+}
+
+/// A handle read demotes its line for the runtime's life: the resident
+/// drainers flush only at shutdown, so every later push to the read line is
+/// applied to the store (the stale tier shows nothing outstanding, and each
+/// drain round adds a demoted bypass), while a line that was never read is
+/// still buffered (its drained pushes are outstanding deltas).
+#[test]
+fn a_handle_read_demotes_its_line_until_the_drainers_shutdown_flush() {
+    let runtime = RuntimeBuilder::new(CommutativeOp::AddU64, 16)
+        .workers(2)
+        .buffer_config(BufferConfig::unbounded())
+        .build();
+    let mut handle = runtime.handle();
+    assert_eq!(handle.read(3), 0, "demotes line 0");
+    for round in 1..=3u64 {
+        handle.push(3, 1);
+        handle.push(11, 1);
+        handle.flush();
+        runtime.drain();
+        assert_eq!(
+            runtime.read_stale(3),
+            StaleRead {
+                value: round,
+                staleness: 0
+            },
+            "round {round}: the read line is applied to the store"
+        );
+        assert_eq!(
+            runtime.read_stale(11),
+            StaleRead {
+                value: 0,
+                staleness: round
+            },
+            "round {round}: the line nobody read is buffered"
+        );
+        #[cfg(feature = "telemetry")]
+        assert_eq!(runtime.metrics().buffer_stats.demoted_bypasses, round);
+    }
+    drop(handle);
+    let result = runtime.shutdown();
+    assert_eq!((result.snapshot[3], result.snapshot[11]), (3, 3));
 }

@@ -302,7 +302,7 @@ const COUNTER_META: &[MetaRow<u64>] = &[
     ),
     (
         "coup_demoted_bypasses_total",
-        "First deltas to lines demoted by update_read, applied via direct RMW.",
+        "First deltas to lines demoted by an exact read or update_read, applied via direct RMW.",
         |m| &mut m.buffer_stats.demoted_bypasses,
     ),
 ];

@@ -122,7 +122,8 @@ pub(crate) enum Bypass {
     Admission,
     /// Admitted, but every cold victim was read-held.
     Held,
-    /// The first delta since a drain, to a line an `update_read` demoted.
+    /// The first delta since a drain, to a line an exact read or an
+    /// `update_read` demoted since the last flush.
     Demoted,
 }
 

@@ -25,6 +25,13 @@
 //! * **Quiescence**: once writers have flushed, the tiers converge —
 //!   `read_stale` returns the exact total with a zero bound.
 //!
+//! Both properties run at capacity 2 and at the ambient configuration
+//! ([`BufferConfig::from_env`]: unbounded unless `COUP_BUFFER_CAPACITY`
+//! says otherwise), so CI's capacity-2 lane runs every case under eviction
+//! pressure. Exact reads demote their lines (a demoted line's first delta
+//! after a drain goes to the store with no pending count), so the observers
+//! of the concurrent run also race that path.
+//!
 //! [`AtomicBackend`] takes the trait's default (`read` with a zero bound),
 //! which satisfies the same contract trivially; it is asserted here so the
 //! property covers both backends of the equivalence matrix.
@@ -82,7 +89,7 @@ proptest! {
         let config = if bounded {
             BufferConfig::bounded(2)
         } else {
-            BufferConfig::default()
+            BufferConfig::from_env()
         };
         let coup = coup_backend(lanes, threads, threshold, config);
         let atomic = AtomicBackend::new(CommutativeOp::AddU64, lanes);
@@ -136,7 +143,7 @@ fn concurrent_stale_reads_cover_the_exact_value_under_eviction_pressure() {
     let threads = writers + observers;
     let lanes = 64usize; // 8 store lines: capacity 2 evicts on every switch
     let updates = 30_000u64 * stress_factor();
-    for config in [BufferConfig::bounded(2), BufferConfig::default()] {
+    for config in [BufferConfig::bounded(2), BufferConfig::from_env()] {
         let coup = coup_backend(lanes, threads, DEFAULT_FLUSH_THRESHOLD, config);
         std::thread::scope(|scope| {
             let coup = &coup;

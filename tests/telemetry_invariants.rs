@@ -318,13 +318,19 @@ mod enabled {
             runtime.run_workers(|ctx| {
                 // An even line base keeps every worker's home slots alike.
                 let base = ctx.worker() * LINES * 8;
+                let lane = |i: usize| base + (i * 3 % LINES) * 8 + i % 8;
                 for i in 0..K {
-                    let lane = base + (i * 3 % LINES) * 8 + i % 8;
                     // Twice in a row: a first touch of a full window is
                     // not admitted.
-                    ctx.update(lane, 1);
-                    ctx.update(lane, 1);
-                    std::hint::black_box(ctx.read(lane));
+                    ctx.update(lane(i), 1);
+                    ctx.update(lane(i), 1);
+                }
+                // Reads after the updates: an exact read demotes its line,
+                // and interleaved reads would take every line out of the
+                // buffer. The lines still resident make reads that load a
+                // buffer word.
+                for i in 0..K {
+                    std::hint::black_box(ctx.read(lane(i)));
                 }
             });
             let snap = runtime.metrics();
@@ -335,6 +341,7 @@ mod enabled {
         let n = WORKERS as u64;
         assert_eq!(one.read_cost.reads, K as u64);
         assert_eq!(all.read_cost.reads, n * K as u64);
+        assert!(one.read_cost.buffer_words > 0, "{:?}", one.read_cost);
         assert_eq!(all.read_cost.buffer_words, n * one.read_cost.buffer_words);
         let (s1, s) = (one.buffer_stats, all.buffer_stats);
         assert!(
