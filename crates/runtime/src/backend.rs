@@ -156,9 +156,9 @@ pub struct BufferStats {
     /// Updates applied directly to the store because they were the first
     /// delta to their slot since its last drain and an exact read or an
     /// [`UpdateBackend::update_read`] had demoted the line since the last
-    /// flush (see [`UpdateBackend::read`]): the line stays out of the
-    /// privatized state, so a later read or decrement-and-test finds no
-    /// writer to reduce.
+    /// [`UpdateBackend::end_job`] (see [`UpdateBackend::read`]): the line
+    /// stays out of the privatized state, so a later read or
+    /// decrement-and-test finds no writer to reduce.
     pub demoted_bypasses: u64,
 }
 
@@ -311,10 +311,13 @@ pub trait UpdateBackend: Send + Sync {
     /// ([`BufferStats::demoted_bypasses`]), so later reads find no buffer
     /// word to reduce. The one rule: every exact read and every
     /// [`UpdateBackend::update_read`] demotes, [`UpdateBackend::read_stale`]
-    /// and [`UpdateBackend::snapshot`] never do, and a flush clears every
-    /// flag. A [`CoupRuntime::run_workers`](crate::CoupRuntime::run_workers)
-    /// job flushes when it ends; resident drainers flush only at shutdown,
-    /// so a line a handle read demoted stays demoted for the runtime's life.
+    /// and [`UpdateBackend::snapshot`] never do, and only
+    /// [`UpdateBackend::end_job`] clears the flags. A
+    /// [`CoupRuntime::run_workers`](crate::CoupRuntime::run_workers) job
+    /// calls it once every worker has joined, so a job's demotions last for
+    /// the whole job whichever worker finishes first; a runtime that serves
+    /// handles never ends a job, so a line a handle read demoted stays
+    /// demoted for the runtime's life.
     ///
     /// **Ownership rule.** An in-range worker index (`thread < workers`) is
     /// driven by one thread at a time — the one acting as that worker, as
@@ -350,6 +353,13 @@ pub trait UpdateBackend: Send + Sync {
     fn flush(&self, thread: usize) {
         let _ = thread;
     }
+
+    /// Ends a job: called once, at quiescence, after every worker of a
+    /// [`CoupRuntime::run_workers`](crate::CoupRuntime::run_workers) job
+    /// has flushed and joined. [`CoupBackend`] clears every line's demotion
+    /// flag (see [`UpdateBackend::read`]), so the next job, or the drainers
+    /// that serve handles after it, buffer every line again.
+    fn end_job(&self) {}
 
     /// Every lane's value. Exact once all workers have finished and flushed.
     fn snapshot(&self) -> Vec<u64>;
@@ -579,6 +589,10 @@ impl UpdateBackend for CoupBackend {
 
     fn flush(&self, thread: usize) {
         self.flush_buffer(thread);
+    }
+
+    fn end_job(&self) {
+        self.clear_demotions();
     }
 
     fn snapshot(&self) -> Vec<u64> {

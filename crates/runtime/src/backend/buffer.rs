@@ -482,21 +482,14 @@ impl CoupBackend {
     }
 
     /// [`UpdateBackend::flush`](super::UpdateBackend::flush): drain every
-    /// dirty slot of `thread`'s buffer, then clear every line's demotion
-    /// flag. A flush ends a worker's job and a resident drainer's life, so a
-    /// line a job's reads demoted is buffered again by the next job or by
-    /// the drainers that serve handles after it, while a line a handle read
-    /// demoted stays demoted until shutdown.
+    /// dirty slot of `thread`'s buffer. The demotion flags are left alone:
+    /// other workers of the job may still be running, and only the job's
+    /// end (`clear_demotions`) clears them.
     pub(super) fn flush_buffer(&self, thread: usize) {
         let buf = &self.buffers[thread];
         for idx in 0..buf.capacity() {
             if buf.pending[idx].load(Ordering::Relaxed) > 0 {
                 self.migrate_slot(thread, idx, None);
-            }
-        }
-        for meta in &self.line_meta {
-            if meta.demoted.load(Ordering::Relaxed) != 0 {
-                meta.demoted.store(0, Ordering::Relaxed);
             }
         }
     }

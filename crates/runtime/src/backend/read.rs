@@ -206,9 +206,8 @@ impl CoupBackend {
     /// later reads find no buffer word to reduce. A slot that
     /// already holds a delta keeps buffering until it drains. The one
     /// demotion rule: every exact read and every `update_read` demotes,
-    /// `read_stale` and `snapshot` never do, and a flush (the end of a
-    /// `run_workers` job, a resident drainer's exit at shutdown) clears
-    /// every flag.
+    /// `read_stale` and `snapshot` never do, and only the end of a
+    /// `run_workers` job (`clear_demotions`) clears the flags.
     ///
     /// The flag is loaded first and stored only when clear, so a line
     /// already demoted pays no ownership miss.
@@ -220,11 +219,21 @@ impl CoupBackend {
         }
     }
 
+    /// [`UpdateBackend::end_job`](super::UpdateBackend::end_job): clear
+    /// every line's demotion flag, storing only where one is set.
+    pub(super) fn clear_demotions(&self) {
+        for meta in &self.line_meta {
+            if meta.demoted.load(Ordering::Relaxed) != 0 {
+                meta.demoted.store(0, Ordering::Relaxed);
+            }
+        }
+    }
+
     /// [`UpdateBackend::update_read`](super::UpdateBackend::update_read), the
     /// decrement-and-test: demote the lane's line, then serve the pair.
     ///
     /// Demotion (see [`CoupBackend::demote`]) takes the line out of the
-    /// privatized state until the next flush: hardware COUP reduces every U
+    /// privatized state until the job ends: hardware COUP reduces every U
     /// copy into M for a value-returning RMW, and here the first delta each
     /// worker would buffer goes to the store instead, so the line's writers
     /// drain away.

@@ -1,9 +1,8 @@
-//! Unit tests of demotion (`demote`, `exact_read` and
-//! `demoting_update_read` in `read.rs`, `announce_writer` and
-//! `flush_buffer` in `buffer.rs`): an exact read or a decrement-and-test
-//! takes its line out of the privatized state until the next flush, and a
-//! decrement-and-test is one store fetch-op while no worker buffers the
-//! line.
+//! Unit tests of demotion (`demote`, `clear_demotions`, `exact_read` and
+//! `demoting_update_read` in `read.rs`, `announce_writer` in `buffer.rs`):
+//! an exact read or a decrement-and-test takes its line out of the
+//! privatized state until the job ends, and a decrement-and-test is one
+//! store fetch-op while no worker buffers the line.
 
 use super::*;
 use crate::harness::splitmix64;
@@ -113,6 +112,40 @@ fn an_exact_read_demotes_its_line_but_read_stale_and_snapshot_do_not() {
     assert_stats(&b, |s| assert_eq!(s.demoted_bypasses, 1));
 }
 
+/// A worker's flush drains its buffer and leaves the job's demotions in
+/// place, so a worker that finishes first does not re-privatize a line
+/// another worker's read demoted; only `end_job` clears the flags.
+#[test]
+fn a_worker_flush_keeps_the_jobs_demotions_until_the_job_ends() {
+    let b = sized_backend(CommutativeOp::AddU64, 8, 2, BufferConfig::unbounded());
+    b.update(0, 0, 1);
+    assert_eq!(b.read(1, 0), 1, "worker 1 demotes line 0");
+    b.flush(0);
+    assert_eq!(b.store().load_lane(0), 1, "the flush drained worker 0");
+    b.update(0, 0, 1);
+    assert_eq!(
+        (
+            b.store().load_lane(0),
+            b.line_meta[0].writers.load(Ordering::Relaxed)
+        ),
+        (2, 0),
+        "after a worker's flush the line is still demoted"
+    );
+    assert_stats(&b, |s| assert_eq!(s.demoted_bypasses, 1));
+
+    b.end_job();
+    b.update(0, 0, 1);
+    assert_eq!(
+        (
+            b.store().load_lane(0),
+            b.line_meta[0].writers.load(Ordering::Relaxed)
+        ),
+        (2, 0b01),
+        "after the job ends the line buffers again"
+    );
+    assert_stats(&b, |s| assert_eq!(s.demoted_bypasses, 1));
+}
+
 /// A two-worker decrement-and-test run, interleaved the same way on both
 /// backends: every value `update_read` returns and every final lane equal
 /// the atomic baseline's. Lines 0 and 1 are demoted before any update, so
@@ -173,8 +206,8 @@ fn demoted_update_reads_return_what_the_atomic_backend_returns() {
     let _ = pairs;
 }
 
-/// Demotion lasts for the job: the flush that ends a `run_workers` job
-/// clears the flags, so a runtime that then serves handles buffers the
+/// Demotion lasts for the job: the end of a `run_workers` job clears the
+/// flags, so a runtime that then serves handles buffers the
 /// demoted line again — its writer bit is set by the next drained update,
 /// which the stale tier shows as one outstanding delta.
 #[test]
@@ -205,13 +238,13 @@ fn a_runtime_buffers_a_line_again_after_the_job_that_demoted_it() {
     assert_eq!(runtime.shutdown().snapshot[3], 7);
 }
 
-/// A handle read demotes its line for the runtime's life: the resident
-/// drainers flush only at shutdown, so every later push to the read line is
+/// A handle read demotes its line for the runtime's life: a runtime that
+/// serves handles never ends a job, so every later push to the read line is
 /// applied to the store (the stale tier shows nothing outstanding, and each
 /// drain round adds a demoted bypass), while a line that was never read is
 /// still buffered (its drained pushes are outstanding deltas).
 #[test]
-fn a_handle_read_demotes_its_line_until_the_drainers_shutdown_flush() {
+fn a_handle_read_demotes_its_line_for_the_runtimes_life() {
     let runtime = RuntimeBuilder::new(CommutativeOp::AddU64, 16)
         .workers(2)
         .buffer_config(BufferConfig::unbounded())

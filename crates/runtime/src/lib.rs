@@ -25,7 +25,7 @@
 //! | bounded private cache capacity       | [`BufferConfig::capacity_lines`]: at most that many privatized lines per worker |
 //! | commutative-update instruction       | [`UpdateBackend::update`]: plain load/combine/store, no lock prefix |
 //! | update-request message from any core | a batch published into the producer's own SPSC shard ring (`ring.rs`) and drained by the resident worker owning that slot stripe — one Release store per batch, no producer ever serialises on another |
-//! | read triggering a reduction          | [`UpdateBackend::read`]: reader folds the partials of the line's *active writers* (per-line writer bitmap), then demotes the line (its first deltas bypass the buffers until the next flush) |
+//! | read triggering a reduction          | [`UpdateBackend::read`]: reader folds the partials of the line's *active writers* (per-line writer bitmap), then demotes the line (its first deltas bypass the buffers until the job ends, or for a handle-serving runtime's life) |
 //! | directory sharer list                | per-line writer-presence bitmap (`LineMeta`)           |
 //! | value-returning RMW taking the line to M | [`UpdateBackend::update_read`]: demotes the line the same way, and on an empty bitmap is one store fetch-op |
 //! | eviction of a U line                 | capacity eviction (cold victim: a slot not hit since the reference marks aged out): the victim slot's delta migrates into the store, then the slot is re-tagged |

@@ -100,9 +100,10 @@ impl CoupRuntime {
         F: Fn(JobCtx<'_>) -> R + Sync,
     {
         // Poison recovery: a panicked job leaves at most unflushed deltas in
-        // its workers' buffers, which reads still reduce, so the next job may
-        // proceed. Holding the lock keeps the first handle from spawning
-        // drainers mid-job.
+        // its workers' buffers, which reads still reduce, and demotion flags
+        // it never cleared, which cost buffering but no delta, so the next
+        // job may proceed. Holding the lock keeps the first handle from
+        // spawning drainers mid-job.
         let _job = lock(&self.job);
         assert!(
             lock(&self.drainers).is_empty(),
@@ -142,6 +143,9 @@ impl CoupRuntime {
             }
             results
         });
+        // Every worker has flushed and joined: the job's demotions end here,
+        // not at the first worker's flush, so they last for the whole job.
+        backend.end_job();
         (results, start.elapsed())
     }
 }

@@ -46,15 +46,15 @@ pub(crate) struct LineMeta {
     /// to succeed after finitely many retries.
     pub(crate) read_holds: AtomicU32,
     /// Advisory demotion flag, nonzero once an exact read or an
-    /// `update_read` touched the line since the last flush (`read_stale`
+    /// `update_read` touched the line since the last job ended (`read_stale`
     /// and `snapshot` never set it): a first delta to a demoted line goes
     /// straight to the store instead of announcing a writer, so the line
     /// leaves the privatized state, a later read loads no buffer word and a
     /// later `update_read` finds its bitmap empty and serves the pair as one
-    /// fetch-op. A `run_workers` job's flush clears it when the job ends;
-    /// the resident drainers flush only at shutdown. Relaxed both ways:
-    /// commutativity makes every update correct whether it is buffered or
-    /// not, so a stale flag costs speed, never a delta.
+    /// fetch-op. Only the end of a `run_workers` job clears it, once every
+    /// worker has joined; a runtime serving handles never clears it.
+    /// Relaxed both ways: commutativity makes every update correct whether
+    /// it is buffered or not, so a stale flag costs speed, never a delta.
     pub(crate) demoted: AtomicU32,
 }
 

@@ -123,7 +123,7 @@ pub(crate) enum Bypass {
     /// Admitted, but every cold victim was read-held.
     Held,
     /// The first delta since a drain, to a line an exact read or an
-    /// `update_read` demoted since the last flush.
+    /// `update_read` demoted since the last job ended.
     Demoted,
 }
 

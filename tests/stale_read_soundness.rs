@@ -21,21 +21,25 @@
 //!   under-reports, and the store word is monotone under non-negative adds.
 //!   An observer sandwiching a stale read between two exact reads must see
 //!   `exact_before ≤ stale.value + stale.staleness` and
-//!   `stale.value ≤ exact_after`.
+//!   `stale.value ≤ exact_after`. Exact reads demote their lines, so on
+//!   lines kept privatized the lower bound is instead every update a writer
+//!   had finished before the stale read.
 //! * **Quiescence**: once writers have flushed, the tiers converge —
 //!   `read_stale` returns the exact total with a zero bound.
 //!
 //! Both properties run at capacity 2 and at the ambient configuration
 //! ([`BufferConfig::from_env`]: unbounded unless `COUP_BUFFER_CAPACITY`
 //! says otherwise), so CI's capacity-2 lane runs every case under eviction
-//! pressure. Exact reads demote their lines (a demoted line's first delta
-//! after a drain goes to the store with no pending count), so the observers
-//! of the concurrent run also race that path.
+//! pressure. A demoted line's first delta after a drain goes to the store
+//! with no pending count, so the concurrent run's exactly-read lines race
+//! that path, while its other lines race buffered deltas, threshold
+//! flushes and evictions.
 //!
 //! [`AtomicBackend`] takes the trait's default (`read` with a zero bound),
 //! which satisfies the same contract trivially; it is asserted here so the
 //! property covers both backends of the equivalence matrix.
 
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -43,7 +47,7 @@ use proptest::prelude::*;
 use coup_protocol::ops::CommutativeOp;
 use coup_runtime::{
     AtomicBackend, BufferConfig, CoupBackend, StaleRead, TelemetryConfig, TelemetryRegistry,
-    UpdateBackend, DEFAULT_FLUSH_THRESHOLD,
+    UpdateBackend,
 };
 
 /// [`CoupBackend::new`] over `AddU64` lanes, recording into a private
@@ -131,39 +135,68 @@ proptest! {
     }
 }
 
-/// Concurrent soundness: writers hammer add-one updates (with capacity-2
-/// buffers, so migrations race the bound's pending-counter walk through
-/// evictions as well as threshold flushes) while observers sandwich every
-/// stale read between two exact reads. The bound must cover the earlier
-/// exact read; the stale value must never overtake the later one.
+/// Concurrent soundness: writers hammer add-one updates, two in a row per
+/// lane so that a capacity-2 buffer admits the line, and a 64-update flush
+/// budget, so migrations race the bound's pending-counter walk through
+/// evictions (the capacity-2 arm) and threshold flushes (the unbounded
+/// one), while observers check every stale read against exact lower and
+/// upper bounds.
+///
+/// An exact read demotes its line, so the lanes are split by line. On the
+/// first half, which only the observers' exact reads touch, each stale
+/// read is sandwiched between two exact reads: the bound must cover the
+/// earlier one and the value must never overtake the later one; these
+/// lines are demoted before any write, so their deltas reach the store
+/// without a pending count. The second half is never read exactly and
+/// stays privatized; there each writer counts its finished updates per
+/// lane, and the bound must cover every update counted before the stale
+/// read, while the value may not pass what was issued by the time it
+/// returned.
+///
+/// The writers start only once every observer has finished a sweep, and
+/// the observers sweep until every writer has finished, so each run's
+/// reads race the writers. A final sweep after the writers finish must read
+/// the exact total of the first half.
 #[test]
 fn concurrent_stale_reads_cover_the_exact_value_under_eviction_pressure() {
     let writers = 4usize;
     let observers = 3usize;
     let threads = writers + observers;
     let lanes = 64usize; // 8 store lines: capacity 2 evicts on every switch
-    let updates = 30_000u64 * stress_factor();
+    let read_lanes = lanes / 2; // lines 0-3 are read exactly, lines 4-7 not
+    let steps = 15_000u64 * stress_factor();
     for config in [BufferConfig::bounded(2), BufferConfig::from_env()] {
-        let coup = coup_backend(lanes, threads, DEFAULT_FLUSH_THRESHOLD, config);
+        let coup = coup_backend(lanes, threads, 64, config);
+        let done: Vec<AtomicU64> = (0..lanes).map(|_| AtomicU64::new(0)).collect();
+        let swept = AtomicUsize::new(0);
+        let finished = AtomicUsize::new(0);
         std::thread::scope(|scope| {
-            let coup = &coup;
+            let (coup, done, swept, finished) = (&coup, &done, &swept, &finished);
             for writer in 0..writers {
                 scope.spawn(move || {
+                    while swept.load(Ordering::Acquire) < observers {
+                        std::thread::yield_now();
+                    }
                     let mut lane = writer;
-                    for i in 0..updates {
-                        coup.update(writer, lane, 1);
+                    for i in 0..steps {
+                        for _ in 0..2 {
+                            coup.update(writer, lane, 1);
+                            done[lane].fetch_add(1, Ordering::Release);
+                        }
                         // Walk the lanes so bounded buffers keep evicting.
                         lane = (lane + 7 + (i as usize & 3)) % lanes;
                     }
+                    finished.fetch_add(1, Ordering::Release);
                 });
             }
             for observer in writers..threads {
                 scope.spawn(move || {
-                    let total = writers as u64 * updates;
-                    let mut seen = 0u64;
-                    while seen < total {
-                        seen = 0;
-                        for lane in 0..lanes {
+                    for sweep in 0u64.. {
+                        // Sampled before the sweep: when every writer had
+                        // finished, the sweep must see every update.
+                        let last = finished.load(Ordering::Acquire) == writers;
+                        let mut seen = 0u64;
+                        for lane in 0..read_lanes {
                             let before = coup.read(observer, lane);
                             let stale = coup.read_stale(observer, lane);
                             let after = coup.read(observer, lane);
@@ -180,6 +213,36 @@ fn concurrent_stale_reads_cover_the_exact_value_under_eviction_pressure() {
                                 stale.value
                             );
                             seen += after;
+                        }
+                        for (lane, lane_done) in done.iter().enumerate().skip(read_lanes) {
+                            let floor = lane_done.load(Ordering::Acquire);
+                            let stale = coup.read_stale(observer, lane);
+                            // At most one update per writer is in flight.
+                            let ceiling = lane_done.load(Ordering::Acquire) + writers as u64;
+                            assert!(
+                                floor <= stale.value + stale.staleness,
+                                "lane {lane}: {floor} updates finished before the stale \
+                                 read are not covered by value {} + staleness {}",
+                                stale.value,
+                                stale.staleness
+                            );
+                            assert!(
+                                stale.value <= ceiling,
+                                "lane {lane}: stale value {} passed the {ceiling} updates \
+                                 issued",
+                                stale.value
+                            );
+                        }
+                        if sweep == 0 {
+                            swept.fetch_add(1, Ordering::Release);
+                        }
+                        if last {
+                            let want: u64 = done[..read_lanes]
+                                .iter()
+                                .map(|d| d.load(Ordering::Relaxed))
+                                .sum();
+                            assert_eq!(seen, want, "a sweep after every writer finished");
+                            break;
                         }
                     }
                 });
@@ -201,6 +264,6 @@ fn concurrent_stale_reads_cover_the_exact_value_under_eviction_pressure() {
                 "lane {lane}: quiesced stale read must be exact with a zero bound"
             );
         }
-        assert_eq!(snapshot.iter().sum::<u64>(), writers as u64 * updates);
+        assert_eq!(snapshot.iter().sum::<u64>(), 2 * writers as u64 * steps);
     }
 }

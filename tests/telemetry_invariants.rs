@@ -318,19 +318,22 @@ mod enabled {
             runtime.run_workers(|ctx| {
                 // An even line base keeps every worker's home slots alike.
                 let base = ctx.worker() * LINES * 8;
-                let lane = |i: usize| base + (i * 3 % LINES) * 8 + i % 8;
                 for i in 0..K {
+                    let line = i * 3 % LINES;
+                    let lane = base + line * 8 + i % 8;
                     // Twice in a row: a first touch of a full window is
                     // not admitted.
-                    ctx.update(lane(i), 1);
-                    ctx.update(lane(i), 1);
-                }
-                // Reads after the updates: an exact read demotes its line,
-                // and interleaved reads would take every line out of the
-                // buffer. The lines still resident make reads that load a
-                // buffer word.
-                for i in 0..K {
-                    std::hint::black_box(ctx.read(lane(i)));
+                    ctx.update(lane, 1);
+                    ctx.update(lane, 1);
+                    // An exact read demotes its line, so only the even
+                    // lines are read exactly; the odd ones, read through
+                    // the stale tier, stay privatized and keep the buffer
+                    // evicting.
+                    if line.is_multiple_of(2) {
+                        std::hint::black_box(ctx.read(lane));
+                    } else {
+                        std::hint::black_box(ctx.read_stale(lane));
+                    }
                 }
             });
             let snap = runtime.metrics();
@@ -339,10 +342,14 @@ mod enabled {
         let (_, one) = run(1);
         let (runtime, all) = run(WORKERS);
         let n = WORKERS as u64;
-        assert_eq!(one.read_cost.reads, K as u64);
-        assert_eq!(all.read_cost.reads, n * K as u64);
+        let exact = K as u64 / 2; // the line's parity is the step's
+        assert_eq!(one.read_cost.reads, exact);
+        assert_eq!(all.read_cost.reads, n * exact);
         assert!(one.read_cost.buffer_words > 0, "{:?}", one.read_cost);
         assert_eq!(all.read_cost.buffer_words, n * one.read_cost.buffer_words);
+        assert_eq!(one.staleness.count(), K as u64 - exact);
+        assert_eq!(all.staleness.count(), n * one.staleness.count());
+        assert_eq!(all.staleness.sum, n * one.staleness.sum);
         let (s1, s) = (one.buffer_stats, all.buffer_stats);
         assert!(
             s1.evictions > 0 && s1.flushes > 0 && s1.admission_bypasses > 0,
